@@ -1,0 +1,16 @@
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent
+ROOT = BENCH.parent
+for path in (ROOT / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+
+@pytest.fixture
+def benchmark_json():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
