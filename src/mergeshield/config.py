@@ -219,9 +219,9 @@ def validate_config(path) -> ValidationReport:
 
 
 def resolved_dict(cfg: RunConfig) -> dict:
-    """Simulation-semantics config echo recorded in episode headers and
-    the protocol handshake (policy and batch options excluded: a record
-    must not depend on who produced the actions)."""
+    """Simulation-semantics config echo recorded in episode headers (policy
+    and batch options excluded: a record must not depend on who produced
+    the actions)."""
     cfg = cfg.resolved()
     lo, hi = cfg.scenario.initial_speed_range
     return {
@@ -286,11 +286,7 @@ def apply_overrides(cfg: RunConfig, *, episodes=None, seed=None, shield=None,
     if reward is not None:
         cfg = replace(cfg, reward_kind=reward)
     if policy is not None:
-        if policy.startswith("external:"):
-            spec = PolicySpec(kind="external", endpoint=policy.split(":", 1)[1])
-        else:
-            spec = PolicySpec(kind=policy)
-        cfg = replace(cfg, policy=spec)
+        cfg = replace(cfg, policy=PolicySpec(kind=policy))
     if out_dir is not None:
         cfg = replace(cfg, out_dir=str(out_dir))
     if emit_trajectories is not None:

@@ -3,7 +3,7 @@
 The record stores the initial snapshot plus one post-step snapshot per
 step, each carrying the actions, shield outcomes and rewards that produced
 it.  Per-agent rewards and done flags handed to the policy describe the
-previous transition (lock-step protocol semantics).
+previous transition.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ def build_world(cfg: RunConfig, seed: int) -> World:
 def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tuple:
     """Run one episode; returns (record, summary).
 
-    ``policy`` defaults to a fresh instance built from the config spec; an
-    externally supplied policy object is reused across episodes (protocol
-    endpoints stay connected).
+    ``policy`` defaults to a fresh instance built from the config spec; a
+    supplied policy object can be reused across episodes.
     """
     cfg = cfg.resolved()
     world = build_world(cfg, seed)
-    own_policy = policy is None
-    if own_policy:
+    if policy is None:
         policy = build_policy(cfg.policy)
     policy.start_episode(world, seed)
 
@@ -53,34 +51,28 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
 
     rewards = {v.vid: 0.0 for v in world.vehicles}
     dones = {v.vid: False for v in world.vehicles}
-    try:
-        for k in range(cfg.scenario.episode_steps):
-            live = world.live_vehicles()
-            if not live:
-                break
-            if policy.needs_observations:
-                observations = {v.vid: observe(world, v) for v in live}
-            else:
-                observations = {}
-            actions = policy.decide(k, world, observations, rewards, dones)
-            step_world(world, actions)
-            reward_pairs = fleet_rewards(world, cfg.reward, cfg.reward_kind)
-            record.steps.append(
-                snapshot_step(world, k, actions, world.last_outcomes, reward_pairs)
-            )
-            rewards = {vid: pair[1] for vid, pair in reward_pairs.items()}
-            dones = {
-                v.vid: v.crashed or k == cfg.scenario.episode_steps - 1
-                for v in world.vehicles
-            }
-        summary = summarize_episode(record, cfg.shield.mode, cfg.policy.kind)
-        record.summary = summary.to_dict()
-        policy.end_episode(record.summary)
-    finally:
-        if own_policy:
-            close = getattr(policy, "close", None)
-            if close is not None:
-                close()
+    for k in range(cfg.scenario.episode_steps):
+        live = world.live_vehicles()
+        if not live:
+            break
+        if policy.needs_observations:
+            observations = {v.vid: observe(world, v) for v in live}
+        else:
+            observations = {}
+        actions = policy.decide(k, world, observations, rewards, dones)
+        step_world(world, actions)
+        reward_pairs = fleet_rewards(world, cfg.reward, cfg.reward_kind)
+        record.steps.append(
+            snapshot_step(world, k, actions, world.last_outcomes, reward_pairs)
+        )
+        rewards = {vid: pair[1] for vid, pair in reward_pairs.items()}
+        dones = {
+            v.vid: v.crashed or k == cfg.scenario.episode_steps - 1
+            for v in world.vehicles
+        }
+    summary = summarize_episode(record, cfg.shield.mode, cfg.policy.kind)
+    record.summary = summary.to_dict()
+    policy.end_episode(record.summary)
     return record, summary
 
 

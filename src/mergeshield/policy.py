@@ -1,15 +1,14 @@
 """Discrete behavioural action space and built-in decision policies.
 
 Policies map per-vehicle observations to one of five behavioural actions per
-step.  Built-ins are pure functions of (observation, seed, step index); the
-bridge to external decision processes lives in :mod:`mergeshield.protocol`.
+step.  Built-ins are pure functions of (observation, seed, step index).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,6 +18,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BehaviorAction",
+    "POLICY_KINDS",
     "PolicySpec",
     "Policy",
     "RandomPolicy",
@@ -32,8 +32,7 @@ __all__ = [
 class BehaviorAction(enum.IntEnum):
     """Behavioural decision issued once per vehicle per step.
 
-    Integer values are the wire encoding used by the external-policy
-    protocol and by episode records.
+    Integer values are the encoding used by episode records.
     """
 
     LANE_RIGHT = 0
@@ -43,25 +42,19 @@ class BehaviorAction(enum.IntEnum):
     SLOW_DOWN = 4
 
 
+#: decision-makers :func:`build_policy` can build
+POLICY_KINDS = ("random", "heuristic")
+
+
 @dataclass(frozen=True)
 class PolicySpec:
-    """Which decision-maker drives the episode.
-
-    ``kind`` is one of ``random``, ``heuristic`` or ``external``.  External
-    policies carry either a child-process command line or a ``host:port``
-    address in ``endpoint``.
-    """
+    """Which decision-maker drives the episode: one of :data:`POLICY_KINDS`."""
 
     kind: str = "random"
-    endpoint: str = ""
-    timeout: float = 10.0
-    parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("random", "heuristic", "external"):
+        if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "external" and not self.endpoint:
-            raise ValueError("external policy needs a command or address endpoint")
 
 
 def random_policy(observation, rng: np.random.Generator) -> BehaviorAction:
@@ -180,8 +173,4 @@ class HeuristicPolicy(Policy):
 def build_policy(spec: PolicySpec) -> Policy:
     if spec.kind == "random":
         return RandomPolicy()
-    if spec.kind == "heuristic":
-        return HeuristicPolicy()
-    from mergeshield.protocol import ExternalPolicy
-
-    return ExternalPolicy(spec)
+    return HeuristicPolicy()

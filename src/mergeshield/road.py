@@ -11,7 +11,7 @@ comparable across lanes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["RoadNetwork"]
 
@@ -22,8 +22,6 @@ class RoadNetwork:
     lane_width: float = 4.0
     merge_start: float = 200.0
     merge_length: float = 100.0
-    #: polyline of the ramp centreline, derived in __post_init__
-    ramp_geometry: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.highway_lanes < 1:
@@ -32,9 +30,6 @@ class RoadNetwork:
             raise ValueError(f"lane_width must be positive, got {self.lane_width}")
         if not self.merge_length > 0:
             raise ValueError(f"merge_length must be positive, got {self.merge_length}")
-        y = self.ramp_lane * self.lane_width
-        poly = ((0.0, y), (self.merge_start, y), (self.merge_end, y))
-        object.__setattr__(self, "ramp_geometry", poly)
 
     @property
     def merge_end(self) -> float:
@@ -50,11 +45,6 @@ class RoadNetwork:
 
     def centerline_y(self, lane: int) -> float:
         return lane * self.lane_width
-
-    def lane_from_y(self, y: float) -> int:
-        """Lane whose centreline is nearest to lateral position y."""
-        idx = round(y / self.lane_width)
-        return min(max(idx, 0), self.ramp_lane)
 
     def in_merge_window(self, x: float) -> bool:
         return self.merge_start <= x <= self.merge_end

@@ -1,7 +1,7 @@
-"""Safety layer: barrier constraints, tiny QP filtering, lane-change gating.
+"""Safety layer: barrier constraints, a scalar QP filter, lane-change gating.
 
-Constraints are affine halfspaces over the stacked decision variables (speed
-commands plus one shared slack).  Per vehicle and step the filter builds
+Constraints are affine halfspaces over one speed command and one shared
+slack.  Per vehicle and step the filter builds
 
 * a headway barrier row per constrained leader: the time-headway barrier
   ``h = gap - tau * v`` propagated one step with decay ``eta``, crediting the
@@ -15,19 +15,16 @@ commands plus one shared slack).  Per vehicle and step the filter builds
 * reachability box rows (one-step actuator envelope), and
 * soft lateral rows during an ongoing lane change, relaxed by the slack.
 
-The QP minimises ``||v - v_nominal||^2 + k_eps * slack`` by exact active-set
-enumeration; hard infeasibility raises a fault that callers turn into full
-braking.
+The QP minimises ``(v - v_nominal)^2 + k_eps * slack`` over the one command
+in closed form (:func:`solve_qp`); hard infeasibility raises a fault that
+callers turn into full braking.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:
     from mergeshield.topology import InteractionTopology
@@ -35,6 +32,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "AffineConstraint",
+    "bumper_gap",
     "ShieldConfig",
     "ShieldOutcome",
     "ShieldFault",
@@ -76,8 +74,8 @@ class AffineConstraint:
             raise ValueError("constraint coefficients must be finite")
         if not any(c != 0.0 for c in self.p):
             raise ValueError("constraint coefficients must not be all zero")
-        if self.kind == "soft" and self.p[-1] == 0.0:
-            raise ValueError("soft constraints need a slack coefficient")
+        if self.kind == "soft" and not self.p[-1] < 0.0:
+            raise ValueError("soft constraints need a negative slack coefficient")
         if self.kind == "hard" and self.p[-1] != 0.0:
             raise ValueError("hard constraints must not touch the slack")
 
@@ -147,25 +145,23 @@ class ShieldOutcome:
 
 @dataclass(frozen=True)
 class QPSolution:
-    v_safe: tuple
+    v_safe: float
     slack: float
     active: tuple
-    duals: tuple
     objective: float
 
 
-@dataclass(frozen=True)
-class _SlackRow:
-    """Internal non-negativity row for the shared slack variable."""
-
-    p: tuple
-    q: float
-    label: str
+def bumper_gap(follower, leader) -> float:
+    """Front-of-follower to rear-of-leader distance along the arc."""
+    return (leader.state.x - 0.5 * leader.params.length) - (
+        follower.state.x + 0.5 * follower.params.length)
 
 
-def _gap(ego, leader) -> float:
-    """Bumper-to-bumper longitudinal gap (front of ego to rear of leader)."""
-    return (leader.state.x - 0.5 * leader.params.length) - (ego.state.x + 0.5 * ego.params.length)
+def _travel(v0: float, m: int, k: int, dv: float) -> float:
+    """Summed speeds (travel over ``dt``) of ``k`` braking steps from ``v0``
+    by a vehicle that stops after ``m`` steps."""
+    kk = min(k, m)
+    return kk * v0 - dv * kk * (kk - 1) * 0.5
 
 
 def brake_margin(gap: float, v_follow: float, v_lead: float, brake: float,
@@ -190,13 +186,9 @@ def brake_margin(gap: float, v_follow: float, v_lead: float, brake: float,
     m_f = math.ceil(v_follow / dv - 1e-12)
     m_l = math.ceil(v_lead / dv - 1e-12) if v_lead > 0.0 else 0
 
-    def travel_steps(v0, m, k):
-        kk = min(k, m)
-        return kk * v0 - dv * kk * (kk - 1) * 0.5
-
     def h_at(k):
-        s_l = travel_steps(v_lead, m_l, k)
-        s_f = travel_steps(v_follow, m_f, k)
+        s_l = _travel(v_lead, m_l, k, dv)
+        s_f = _travel(v_follow, m_f, k, dv)
         return gap + dt * (s_l - s_f) - tau * max(0.0, v_follow - k * dv)
 
     k_star = int((v_follow - tau * brake) / dv) if v_follow > tau * brake else 0
@@ -208,19 +200,35 @@ def brake_margin(gap: float, v_follow: float, v_lead: float, brake: float,
     return margin
 
 
-def brake_cap(gap: float, v_follow: float, v_lead: float, brake: float,
-              tau: float, dt: float) -> float:
-    """Largest follower speed with a non-negative :func:`brake_margin`."""
-    if brake_margin(gap, v_follow, v_lead, brake, tau, dt) >= 0.0:
-        return v_follow
-    lo, hi = 0.0, v_follow
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if brake_margin(gap, mid, v_lead, brake, tau, dt) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def brake_cap(gap: float, v_hi: float, v_lead: float, brake: float,
+              tau: float, dt: float, closing: float = 0.0) -> float:
+    """Largest follower speed ``v`` in ``[0, v_hi]`` whose
+    :func:`brake_margin` from the gap ``gap - closing * v`` is non-negative;
+    0 when there is none.
+
+    Closed form.  After ``k`` braking steps the margin is
+    ``a_k - b_k * v - tau * max(0, v - k * dv)`` once the follower's travel
+    is extended past its stop (which only raises the margin), so it falls
+    with ``v`` and has one kink.  The cap is the smallest per-``k`` root over
+    every ``k`` up to the step at which a follower from ``v_hi`` stops.
+    """
+    if brake_margin(gap - closing * v_hi, v_hi, v_lead, brake, tau, dt) >= 0.0:
+        return v_hi
+    dv = brake * dt
+    m_l = math.ceil(v_lead / dv - 1e-12) if v_lead > 0.0 else 0
+    cap = v_hi
+    for k in range(math.ceil(v_hi / dv) + 1):
+        kink = k * dv
+        a = gap + dt * (_travel(v_lead, m_l, k, dv) + dv * k * (k - 1) * 0.5)
+        b = closing + dt * k
+        if a - b * kink >= 0.0:
+            root = (a + tau * kink) / (b + tau)
+        elif b > 0.0:
+            root = a / b
+        else:  # k = 0 without closing: the gap itself is negative
+            return 0.0
+        cap = min(cap, root)
+    return max(cap, 0.0)
 
 
 def longitudinal_cbf(ego, leader, tau: float, config: ShieldConfig,
@@ -233,7 +241,7 @@ def longitudinal_cbf(ego, leader, tau: float, config: ShieldConfig,
     braking when not given).  The row is tightened by ``lag_margin``.
     """
     dt = config.dt
-    gap = _gap(ego, leader)
+    gap = bumper_gap(ego, leader)
     v_e = ego.state.speed
     h_now = gap - tau * v_e
     g_e = math.cos(ego.state.psi)
@@ -261,35 +269,19 @@ def brake_guard(ego, leader, config: ShieldConfig,
     Returns None when even the largest reachable command is fine.
     """
     dt = config.dt
-    tau = config.tau
-    gap = _gap(ego, leader)
+    gap = bumper_gap(ego, leader)
     v_e = ego.state.speed
     brake = -ego.params.a_min
-    g_e = math.cos(ego.state.psi)
-    g_o = math.cos(leader.state.psi)
     if v_leader_next is None:
         v_leader_next = max(0.0, leader.state.speed + config.brake_of(leader) * dt)
     if v_hi is None:
         v_hi = min(ego.params.v_cap, v_e + ego.params.a_max * dt)
-
-    def margin_at(v_cmd: float) -> float:
-        gap_next = gap + (g_o * v_leader_next - g_e * v_cmd) * dt - config.lag_margin
-        return brake_margin(gap_next, v_cmd, v_leader_next, brake, tau, dt)
-
-    if margin_at(v_hi) >= 0.0:
+    gap_next = gap + math.cos(leader.state.psi) * v_leader_next * dt - config.lag_margin
+    cap = brake_cap(gap_next, v_hi, v_leader_next, brake, config.tau, dt,
+                    closing=math.cos(ego.state.psi) * dt)
+    if cap >= v_hi:
         return None
-    lo, hi = 0.0, v_hi
-    if margin_at(0.0) < 0.0:
-        cap = 0.0
-    else:
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if margin_at(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        cap = lo
-    h_now = brake_margin(gap, v_e, leader.state.speed, brake, tau, dt)
+    h_now = brake_margin(gap, v_e, leader.state.speed, brake, config.tau, dt)
     return AffineConstraint(
         p=(1.0, 0.0), q=cap, kind="hard", label=f"brake:{leader.vid}", h_now=h_now
     )
@@ -310,7 +302,7 @@ def lateral_cbfs(ego, c_oal, c_oar, config: ShieldConfig) -> list:
     g_e = math.cos(ego.state.psi)
     rows = []
     if c_oal is not None:
-        gap = _gap(ego, c_oal)
+        gap = bumper_gap(ego, c_oal)
         h_now = gap - tau_lat * v_e
         v_al_wc = max(0.0, c_oal.state.speed + config.brake_of(c_oal) * dt)
         g_al = math.cos(c_oal.state.psi)
@@ -322,7 +314,7 @@ def lateral_cbfs(ego, c_oal, c_oar, config: ShieldConfig) -> list:
             )
         )
     if c_oar is not None:
-        gap = _gap(c_oar, ego)
+        gap = bumper_gap(c_oar, ego)
         v_ar_wc = min(c_oar.params.v_cap, c_oar.state.speed + config.accel_of(c_oar) * dt)
         h_now = gap - tau_lat * v_ar_wc
         q = config.eta * h_now - v_ar_wc * dt
@@ -356,7 +348,7 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     resolved = resolved or {}
 
     if c_oal is not None:
-        gap1 = _gap(ego, c_oal) + (c_oal.state.speed - v_e) * dt
+        gap1 = bumper_gap(ego, c_oal) + (c_oal.state.speed - v_e) * dt
         v_e_hi = min(ego.params.v_cap, v_e + ego.params.a_max * dt)
         out = resolved.get(c_oal.vid)
         if out is not None and not c_oal.crashed:
@@ -366,7 +358,7 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
         if brake_margin(gap1 - sigma, v_e_hi, v_al_next, -ego.params.a_min, tau, dt) < 0.0:
             return False
     if c_oar is not None:
-        gap1 = _gap(c_oar, ego) + (v_e - c_oar.state.speed) * dt
+        gap1 = bumper_gap(c_oar, ego) + (v_e - c_oar.state.speed) * dt
         v_ar_hi = min(c_oar.params.v_cap, c_oar.state.speed + config.accel_of(c_oar) * dt)
         v_e_lo = max(0.0, v_e + ego.params.a_min * dt)
         if brake_margin(gap1 - sigma, v_ar_hi, v_e_lo, -c_oar.params.a_min, tau, dt) < 0.0:
@@ -374,137 +366,84 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     return True
 
 
-def _fast_path_1d(v_nominal: float, rows: list) -> QPSolution | None:
-    """Exact solution for one decision variable when the slack stays zero."""
-    lo, hi = -math.inf, math.inf
-    lo_label = hi_label = ""
-    for row in rows:
-        a = row.p[0]
+#: hard-row infeasibility that :func:`solve_qp` absorbs: an interval empty
+#: by at most this much is pinned to its lower end instead of faulting
+FEAS_TOL = 1e-9
+
+
+def _interval(rows, lo=-math.inf, hi=math.inf, lo_label="", hi_label=""):
+    """Intersect ``[lo, hi]`` with the halfspaces ``a * v <= q`` of the
+    ``(a, q, label)`` rows; returns ``(lo, hi, lo_label, hi_label)``, each
+    label naming the row behind its bound."""
+    for a, q, label in rows:
         if a > 0.0:
-            bound = row.q / a
-            if bound < hi:
-                hi, hi_label = bound, row.label
+            if q / a < hi:
+                hi, hi_label = q / a, label
         elif a < 0.0:
-            bound = row.q / a
-            if bound > lo:
-                lo, lo_label = bound, row.label
-        else:
-            if row.q < 0.0:
-                return None
-    if lo > hi:
-        return None
-    v = min(max(v_nominal, lo), hi)
-    active = ()
-    duals = ()
-    if v != v_nominal:
-        # exactly one bound binds; its multiplier restores stationarity
-        # 2 (v - v_nom) + lambda * a = 0 for the binding row coefficient a
-        if v == hi:
-            label, coeff = hi_label, _coeff_of(rows, hi_label, upper=True)
-        else:
-            label, coeff = lo_label, _coeff_of(rows, lo_label, upper=False)
-        lam = 2.0 * (v_nominal - v) / coeff
-        active = (label,)
-        duals = ((label, lam),)
-    obj = (v - v_nominal) ** 2
-    return QPSolution(v_safe=(v,), slack=0.0, active=active, duals=duals, objective=obj)
+            if q / a > lo:
+                lo, lo_label = q / a, label
+        elif q < 0.0:
+            lo, lo_label = math.inf, label
+    return lo, hi, lo_label, hi_label
 
 
-def _coeff_of(rows, label, upper):
-    for row in rows:
-        if row.label == label and (row.p[0] > 0.0) == upper:
-            return row.p[0]
-    raise RuntimeError(f"binding row {label!r} vanished")
+def _clamp(v, lo, hi, lo_label, hi_label, active=()):
+    """``v`` clamped into ``[lo, hi]``, with the label of a bound it hit."""
+    if v > hi:
+        return hi, (hi_label,) + active
+    if v < lo:
+        return lo, (lo_label,) + active
+    return v, active
 
 
-def solve_qp(v_nominal_stack, constraints: list, k_eps: float) -> QPSolution:
-    """Minimise ``||v - v_nominal||^2 + k_eps * slack`` subject to the rows.
+def solve_qp(v_nominal: float, constraints: list, k_eps: float) -> QPSolution:
+    """Minimise ``(v - v_nominal)^2 + k_eps * slack`` over one speed command.
 
-    Exact active-set enumeration: every candidate active set is solved in
-    closed form through its KKT system; the feasible candidate with the
-    lowest objective wins.  The decision dimension is tiny by construction
-    (at most three speed commands plus the shared slack).
+    Each row is ``p[0] * v + p[1] * slack <= q``.  The hard rows
+    (``p[1] == 0``) give an interval ``[lo, hi]``; the cheapest slack is the
+    largest soft-row violation, or 0, so the objective is convex and
+    piecewise quadratic in ``v``.  Its exact minimiser is the cheapest of
+    these candidates:
 
-    Raises :class:`ShieldFault` when the hard rows are infeasible even with
-    unbounded slack.
+    * the nominal clamped into the part of ``[lo, hi]`` that every soft row
+      leaves slack-free (this covers each soft row's zero crossing);
+    * each soft row's stationary point ``v_nominal - k_eps * a / 2`` while
+      it sets the slack, clamped into ``[lo, hi]``;
+    * each crossing of two soft rows inside ``[lo, hi]``.
+
+    ``active`` names the rows that bind at the chosen candidate.  Raises
+    :class:`ShieldFault` when ``lo > hi + FEAS_TOL``; an interval empty by
+    less is pinned to ``lo``.
     """
-    v_nom = tuple(float(v) for v in v_nominal_stack)
-    n = len(v_nom)
+    hard, soft = [], []
     for row in constraints:
-        if len(row.p) != n + 1:
-            raise ValueError(
-                f"constraint {row.label!r} has {len(row.p)} coefficients, expected {n + 1}"
-            )
-
-    if n == 1 and all(row.p[-1] == 0.0 for row in constraints):
-        sol = _fast_path_1d(v_nom[0], constraints)
-        if sol is not None:
-            return sol
+        a, c = row.p
+        if c == 0.0:
+            hard.append((a, row.q, row.label))
+        else:
+            soft.append((a / -c, row.q / -c, row.label))
+    lo, hi, lo_label, hi_label = _interval(hard)
+    if lo > hi + FEAS_TOL:
         raise ShieldFault("hard rows infeasible")
-    if n == 1:
-        # slack-free interval first: optimal unless a binding soft row is
-        # expensive enough that buying slack beats deviating
-        sol = _fast_path_1d(v_nom[0], constraints)
-        if sol is not None:
-            kinds = {row.label: row.kind for row in constraints}
-            soft_ok = all(
-                lam <= k_eps + 1e-12 or kinds.get(label) != "soft"
-                for label, lam in sol.duals
-            )
-            if soft_ok:
-                return sol
-
-    slack_row = _SlackRow(p=(0.0,) * n + (-1.0,), q=0.0, label="slack_nonneg")
-    rows = list(constraints) + [slack_row]
-
-    dim = n + 1
-    H = np.zeros((dim, dim))
-    for i in range(n):
-        H[i, i] = 2.0
-    c_lin = np.array([-2.0 * v for v in v_nom] + [k_eps])
-    G = np.array([row.p for row in rows])
-    h = np.array([row.q for row in rows])
+    hi = max(hi, lo)
 
     best = None
-    hard_feasible_seen = False
-    m = len(rows)
-    for size in range(1, min(dim, m) + 1):
-        for subset in itertools.combinations(range(m), size):
-            G_a = G[list(subset)]
-            kkt = np.zeros((dim + size, dim + size))
-            kkt[:dim, :dim] = H
-            kkt[:dim, dim:] = G_a.T
-            kkt[dim:, :dim] = G_a
-            rhs = np.concatenate([-c_lin, h[list(subset)]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            z = sol[:dim]
-            lam = sol[dim:]
-            if np.any(lam < -1e-9):
-                continue
-            if np.any(G @ z > h + 1e-9):
-                continue
-            hard_feasible_seen = True
-            v = z[:n]
-            eps = z[n]
-            obj = float(np.sum((v - np.array(v_nom)) ** 2) + k_eps * eps)
-            if best is None or obj < best[0] - 1e-12:
-                active = tuple(rows[j].label for j in subset)
-                duals = tuple((rows[j].label, float(l)) for j, l in zip(subset, lam))
-                best = (obj, QPSolution(
-                    v_safe=tuple(float(x) for x in v),
-                    slack=float(eps),
-                    active=active,
-                    duals=duals,
-                    objective=obj,
-                ))
-    if best is None:
-        if hard_feasible_seen:
-            raise ShieldFault("no optimal candidate found")
-        raise ShieldFault("hard rows infeasible")
-    return best[1]
+    free_lo, free_hi, free_lo_label, free_hi_label = _interval(soft, lo, hi, lo_label, hi_label)
+    if free_lo <= free_hi:
+        v, active = _clamp(v_nominal, free_lo, free_hi, free_lo_label, free_hi_label)
+        best = QPSolution(v_safe=v, slack=0.0, active=active, objective=(v - v_nominal) ** 2)
+    candidates = []
+    for i, (a, b, label) in enumerate(soft):
+        candidates.append(_clamp(v_nominal - 0.5 * k_eps * a, lo, hi, lo_label, hi_label, (label,)))
+        for a2, b2, label2 in soft[i + 1:]:
+            if a != a2 and lo <= (b2 - b) / (a2 - a) <= hi:
+                candidates.append(((b2 - b) / (a2 - a), (label, label2)))
+    for v, active in candidates:
+        slack = max(0.0, max(a * v - b for a, b, _ in soft))
+        objective = (v - v_nominal) ** 2 + k_eps * slack
+        if best is None or objective < best.objective:
+            best = QPSolution(v_safe=v, slack=slack, active=active, objective=objective)
+    return best
 
 
 def _reach_box(ego, config: ShieldConfig):
@@ -531,7 +470,7 @@ def _filter_common(ego, leader_credits: list, soft_rows: list, v_nominal: float,
             rows.append(guard)
     rows.extend(soft_rows)
     try:
-        sol = solve_qp((v_nom_step,), rows, config.k_eps)
+        sol = solve_qp(v_nom_step, rows, config.k_eps)
     except ShieldFault:
         return ShieldOutcome(
             v_nominal=v_nom_step,
@@ -541,7 +480,7 @@ def _filter_common(ego, leader_credits: list, soft_rows: list, v_nominal: float,
             active_constraints=("fault",),
             fault=True,
         )
-    v_safe = sol.v_safe[0]
+    v_safe = sol.v_safe
     return ShieldOutcome(
         v_nominal=v_nom_step,
         v_safe=v_safe,

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from mergeshield.shield import cutting_in
+
 if TYPE_CHECKING:
     from mergeshield.world import Vehicle, World
 
@@ -30,16 +32,6 @@ class InteractionTopology:
         return self.entries.get(vid, ())
 
 
-def _between(candidate, ego, leader) -> bool:
-    """Candidate strictly ahead of ego and, when a leader exists, strictly
-    behind that leader (in the common total order)."""
-    from mergeshield.world import is_ahead
-
-    if not is_ahead(candidate, ego):
-        return False
-    return leader is None or is_ahead(leader, candidate)
-
-
 def build_topology(vehicles: list, world: "World") -> InteractionTopology:
     """Construct the parent map from the current world snapshot."""
     from mergeshield.world import neighbors
@@ -53,12 +45,7 @@ def build_topology(vehicles: list, world: "World") -> InteractionTopology:
         c_ol, c_oal = near.c_ol, near.c_oal
 
         parents = [c_ol] if c_ol is not None else []
-        if (
-            c_oal is not None
-            and c_oal.lc_phase == "changing"
-            and c_oal.target_lane == ego.lane
-            and _between(c_oal, ego, c_ol)
-        ):
+        if cutting_in(ego, c_ol, c_oal):
             parents = [c_oal]
         if ego.lc_phase == "changing" and c_oal is not None:
             if all(p.vid != c_oal.vid for p in parents):

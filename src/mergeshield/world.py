@@ -23,7 +23,7 @@ import numpy as np
 from mergeshield.dynamics import ControlInput, VehicleParams, VehicleState, step
 from mergeshield.policy import BehaviorAction
 from mergeshield.road import RoadNetwork
-from mergeshield.shield import ShieldConfig, brake_cap, joint_safe_control
+from mergeshield.shield import ShieldConfig, brake_cap, bumper_gap, joint_safe_control
 
 __all__ = [
     "ScenarioConfig",
@@ -108,10 +108,6 @@ class Vehicle:
         return "changing" if self.target_lane != self.lane else "not_changing"
 
     @property
-    def front(self) -> float:
-        return self.state.x + 0.5 * self.params.length
-
-    @property
     def rear(self) -> float:
         return self.state.x - 0.5 * self.params.length
 
@@ -164,11 +160,6 @@ def is_ahead(a: Vehicle, b: Vehicle) -> bool:
     if a.state.x != b.state.x:
         return a.state.x > b.state.x
     return a.vid < b.vid
-
-
-def bumper_gap(follower: Vehicle, leader: Vehicle) -> float:
-    """Front-of-follower to rear-of-leader distance along the arc."""
-    return leader.rear - follower.front
 
 
 def _euclid(a: Vehicle, b: Vehicle) -> float:

@@ -1,14 +1,18 @@
-"""Brute-force oracles for the shield QP, independent of the solver.
+"""Reference oracles for the shield, independent of its closed forms.
 
-The oracle evaluates the slack-augmented objective pointwise: for a decision
-point v the optimal shared slack is the largest soft-row violation, so the
-objective is ``||v - v_nom||^2 + k_eps * max(0, violations)`` over the
-hard-feasible set.  The search runs a dense grid over the decision box,
-augmented with the analytic row boundaries (where kinks can sit), then
-refines around the incumbent.
+* A grid oracle evaluates the slack-augmented objective pointwise: for a
+  decision point v the optimal shared slack is the largest soft-row
+  violation, so the objective is ``||v - v_nom||^2 + k_eps * max(0,
+  violations)`` over the hard-feasible set.  The search runs a dense grid
+  over the decision box, augmented with the analytic row boundaries (where
+  kinks can sit), then refines around the incumbent.
+* An exact active-set enumerator solves the same QP over any number of
+  speed commands through the KKT system of every candidate active set.
+* A bisection finds the braking-feasibility cap from ``brake_margin`` signs.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,47 +107,156 @@ def grid_search_min(v_nom, rows, k_eps, box=(0.0, 40.0), resolution=1e-3):
     return best_obj, best_pt
 
 
+@dataclass(frozen=True)
+class EnumeratedSolution:
+    v_safe: tuple
+    slack: float
+    active: tuple
+    duals: tuple
+    objective: float
+
+
+@dataclass(frozen=True)
+class _SlackRow:
+    """Non-negativity row for the shared slack variable."""
+
+    p: tuple
+    q: float
+    label: str
+
+
+def enumerate_qp(v_nom, rows, k_eps):
+    """Minimise ``||v - v_nom||^2 + k_eps * slack`` subject to the rows by
+    exact active-set enumeration: every candidate active set is solved in
+    closed form through its KKT system, and the feasible candidate (within
+    1e-9) with the lowest objective wins.  Raises ``ShieldFault`` when no
+    candidate is feasible.
+    """
+    from mergeshield.shield import ShieldFault
+
+    n = len(v_nom)
+    for row in rows:
+        if len(row.p) != n + 1:
+            raise ValueError(
+                f"constraint {row.label!r} has {len(row.p)} coefficients, expected {n + 1}"
+            )
+    slack_row = _SlackRow(p=(0.0,) * n + (-1.0,), q=0.0, label="slack_nonneg")
+    rows = list(rows) + [slack_row]
+
+    dim = n + 1
+    H = np.zeros((dim, dim))
+    for i in range(n):
+        H[i, i] = 2.0
+    c_lin = np.array([-2.0 * v for v in v_nom] + [k_eps])
+    G = np.array([row.p for row in rows])
+    h = np.array([row.q for row in rows])
+
+    best = None
+    m = len(rows)
+    for size in range(1, min(dim, m) + 1):
+        for subset in itertools.combinations(range(m), size):
+            G_a = G[list(subset)]
+            kkt = np.zeros((dim + size, dim + size))
+            kkt[:dim, :dim] = H
+            kkt[:dim, dim:] = G_a.T
+            kkt[dim:, :dim] = G_a
+            rhs = np.concatenate([-c_lin, h[list(subset)]])
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            z = sol[:dim]
+            lam = sol[dim:]
+            if np.any(lam < -1e-9):
+                continue
+            if np.any(G @ z > h + 1e-9):
+                continue
+            v = z[:n]
+            eps = z[n]
+            obj = float(np.sum((v - np.array(v_nom)) ** 2) + k_eps * eps)
+            if best is None or obj < best.objective - 1e-12:
+                best = EnumeratedSolution(
+                    v_safe=tuple(float(x) for x in v),
+                    slack=float(eps),
+                    active=tuple(rows[j].label for j in subset),
+                    duals=tuple((rows[j].label, float(l)) for j, l in zip(subset, lam)),
+                    objective=obj,
+                )
+    if best is None:
+        raise ShieldFault("no feasible candidate")
+    return best
+
+
+def bisect_cap(margin_at, v_hi):
+    """Largest ``v`` in ``[0, v_hi]`` with ``margin_at(v) >= 0`` by 50
+    bisection steps, assuming the margin falls with ``v``; None when
+    ``v_hi`` itself is fine and 0.0 when 0 is not."""
+    if margin_at(v_hi) >= 0.0:
+        return None
+    if margin_at(0.0) < 0.0:
+        return 0.0
+    lo, hi = 0.0, v_hi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if margin_at(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def check_instance(v_nom, rows, k_eps, tol_obj=1e-6, tol_kkt=1e-8):
-    """Verify one solver call against the oracle; returns 1 when a solve
+    """Verify one instance against the oracles; returns 1 when a solve
     happened (0 for consistently-infeasible instances).
 
-    For one decision variable the dense grid plus boundary candidates pins
-    the optimum, so objectives must agree within ``tol_obj`` both ways.  In
-    higher dimensions direct grid descent cannot certify the optimum to that
-    precision (thin feasible valleys), so the solver must match or beat the
-    grid within ``tol_obj`` and carry KKT residuals below ``tol_kkt``; the
-    reported objective is also recomputed independently from the solution
-    point.
+    For one decision variable the shield's scalar ``solve_qp`` is checked:
+    the dense grid plus boundary candidates pins the optimum, so objectives
+    must agree within ``tol_obj`` both ways, and the enumerator's objective
+    at the enumerator's point within 1e-9 relative.  In higher dimensions the enumerator itself is
+    checked; direct grid descent cannot certify the optimum to that
+    precision (thin feasible valleys), so it must match or beat the grid
+    within ``tol_obj`` and carry KKT residuals below ``tol_kkt``.  Either
+    way the reported objective is recomputed independently from the
+    solution point.
     """
     from mergeshield.shield import ShieldFault, solve_qp
 
     n = len(v_nom)
     oracle_obj, _ = grid_search_min(v_nom, rows, k_eps)
     try:
-        sol = solve_qp(v_nom, rows, k_eps)
+        if n == 1:
+            sol = solve_qp(v_nom[0], rows, k_eps)
+            point = (sol.v_safe,)
+        else:
+            sol = enumerate_qp(v_nom, rows, k_eps)
+            point = sol.v_safe
     except ShieldFault:
         assert not np.isfinite(oracle_obj), "solver infeasible but oracle found a point"
         return 0
     assert np.isfinite(oracle_obj), "oracle infeasible but solver returned a point"
     hard, soft = _split_rows(rows, n)
-    recomputed = oracle_objective_at(np.array([sol.v_safe]), v_nom, hard, soft, k_eps)[0]
+    recomputed = oracle_objective_at(np.array([point]), v_nom, hard, soft, k_eps)[0]
     assert np.isfinite(recomputed), "solver point violates hard rows"
     assert abs(recomputed - sol.objective) <= 1e-7 * (1.0 + abs(sol.objective))
     scale = 1.0 + abs(sol.objective)
     assert sol.objective <= oracle_obj + tol_obj * scale
     if n == 1:
         assert oracle_obj <= sol.objective + tol_obj * scale
-    assert kkt_residuals(v_nom, rows, k_eps, sol) < tol_kkt
+        # the enumerator may report a slack of about -1e-12 (inside its
+        # feasibility tolerance), so compare true objectives at both points
+        enumerated = enumerate_qp(v_nom, rows, k_eps)
+        at_enumerated = oracle_objective_at(np.array([enumerated.v_safe]), v_nom, hard, soft,
+                                            k_eps)[0]
+        assert abs(at_enumerated - sol.objective) <= 1e-9 * scale
+    else:
+        assert kkt_residuals(v_nom, rows, k_eps, sol) < tol_kkt
     return 1
 
 
 def kkt_residuals(v_nom, rows, k_eps, sol):
-    """Max stationarity / complementary-slackness / dual-sign residual,
-    scaled by the multiplier magnitude (relative KKT measure).
-
-    Reconstructs the implicit slack-bound multiplier when the solver used
-    the slack-free fast path.
-    """
+    """Max stationarity / complementary-slackness / dual-sign residual of an
+    :class:`EnumeratedSolution`, scaled by the multiplier magnitude
+    (relative KKT measure)."""
     n = len(v_nom)
     z = np.array(list(sol.v_safe) + [sol.slack])
     rows_by_label = {r.label: r for r in rows}
@@ -153,11 +266,9 @@ def kkt_residuals(v_nom, rows, k_eps, sol):
 
     scale = 1.0 + max((abs(l) for _, l in sol.duals), default=0.0)
     residual = 0.0
-    saw_slack_row = False
     for label, lam in sol.duals:
         residual = max(residual, -lam / scale)
         if label == "slack_nonneg":
-            saw_slack_row = True
             p = np.zeros(n + 1)
             p[n] = -1.0
             q = 0.0
@@ -167,12 +278,6 @@ def kkt_residuals(v_nom, rows, k_eps, sol):
             q = row.q
         grad += lam * p
         residual = max(residual, abs(lam * (p @ z - q)) / scale)
-    if not saw_slack_row:
-        # fast path: treat the remaining epsilon gradient as the implicit
-        # bound multiplier, which must be non-negative with slack == 0
-        mu = grad[n]
-        residual = max(residual, -mu / scale, abs(mu * sol.slack) / scale)
-        grad[n] = 0.0
     residual = max(residual, float(np.max(np.abs(grad))) / scale)
     for r in rows:
         p = np.asarray(r.p, dtype=float)

@@ -10,6 +10,8 @@ from mergeshield.shield import (
     ShieldConfig,
     ShieldFault,
     allow_lane_change,
+    brake_cap,
+    brake_guard,
     brake_margin,
     filter_hss,
     filter_mass,
@@ -22,7 +24,7 @@ from mergeshield.topology import build_topology
 from mergeshield.world import Neighborhood, neighbors, plan_motion, MotionPlan
 
 from conftest import make_vehicle, make_world
-from qp_oracle import grid_search_min, kkt_residuals
+from qp_oracle import bisect_cap
 
 CFG = ShieldConfig(mode="mass")
 
@@ -136,6 +138,52 @@ class TestAllowLaneChange:
             assert allow_lane_change(ego, al, ar, CFG) == want
 
 
+class TestBrakeCap:
+    def test_guard_matches_bisection_oracle(self):
+        # closed-form guard cap vs 50-step bisection on brake_margin signs
+        rng = np.random.default_rng(21)
+        kinds = {"none": 0, "zero": 0, "cap": 0}
+        for i in range(600):
+            v_e = float(rng.uniform(0.0, 35.0))
+            v_l = 0.0 if i % 5 == 0 else float(rng.uniform(0.0, 35.0))
+            gap = float(rng.uniform(-3.0, 0.0)) if i % 7 == 0 else float(rng.uniform(0.0, 60.0))
+            psi_e, psi_l = (float(x) for x in rng.uniform(-0.2, 0.2, size=2))
+            ego = make_vehicle(0, 100.0, v_e, psi=psi_e)
+            leader = make_vehicle(1, 100.0 + gap + ego.params.length, v_l, psi=psi_l)
+            v_next = None if i % 2 else max(0.0, v_l + float(rng.uniform(-0.5, 0.2)))
+            v_hi = None if i % 3 else float(rng.uniform(0.0, 40.0))
+            row = brake_guard(ego, leader, CFG, v_leader_next=v_next, v_hi=v_hi)
+
+            credit = max(0.0, v_l + leader.params.a_min * CFG.dt) if v_next is None else v_next
+            top = min(ego.params.v_cap, v_e + ego.params.a_max * CFG.dt) if v_hi is None else v_hi
+
+            def margin_at(v):
+                gap_next = gap + (math.cos(psi_l) * credit - math.cos(psi_e) * v) * CFG.dt \
+                    - CFG.lag_margin
+                return brake_margin(gap_next, v, credit, -ego.params.a_min, CFG.tau, CFG.dt)
+
+            want = bisect_cap(margin_at, top)
+            if want is None:
+                kinds["none"] += 1
+                assert row is None
+                continue
+            assert row is not None
+            assert (row.q == 0.0) == (want == 0.0)
+            kinds["zero" if want == 0.0 else "cap"] += 1
+            assert row.q == pytest.approx(want, abs=1e-9)
+        assert min(kinds.values()) > 50
+
+    def test_spawn_cap_matches_bisection_oracle(self):
+        rng = np.random.default_rng(22)
+        for i in range(400):
+            gap = float(rng.uniform(-2.0, 40.0))
+            v_f = float(rng.uniform(0.0, 30.0))
+            v_l = 0.0 if i % 4 == 0 else float(rng.uniform(0.0, 30.0))
+            want = bisect_cap(lambda v: brake_margin(gap, v, v_l, 5.0, 0.5, 0.1), v_f)
+            got = brake_cap(gap, v_f, v_l, 5.0, 0.5, 0.1)
+            assert got == pytest.approx(v_f if want is None else want, abs=1e-9)
+
+
 def random_qp_instance(rng, v_cap=40.0):
     """Random instance over the decision box [0, v_cap] (the box rows are
     part of the instance, as in every filter call)."""
@@ -166,36 +214,41 @@ def random_qp_instance(rng, v_cap=40.0):
 
 class TestSolveQP:
     def test_unconstrained_returns_nominal(self):
-        sol = solve_qp((25.0,), [], 1e6)
-        assert sol.v_safe == (25.0,)
+        sol = solve_qp(25.0, [], 1e6)
+        assert sol.v_safe == 25.0
         assert sol.slack == 0.0
         assert sol.objective == 0.0
 
     def test_single_halfspace_projection(self):
         row = AffineConstraint(p=(1.0, 0.0), q=20.0, kind="hard", label="cap")
-        sol = solve_qp((25.0,), [row], 1e6)
-        assert sol.v_safe[0] == pytest.approx(20.0)
+        sol = solve_qp(25.0, [row], 1e6)
+        assert sol.v_safe == pytest.approx(20.0)
         assert "cap" in sol.active
 
     def test_soft_row_yields_under_pressure(self):
         # conflicting hard and soft rows: slack absorbs the difference
         hard = AffineConstraint(p=(1.0, 0.0), q=10.0, kind="hard", label="hi")
         soft = AffineConstraint(p=(-1.0, -1.0), q=-15.0, kind="soft", label="lo_soft")
-        sol = solve_qp((12.0,), [hard, soft], 1e6)
-        assert sol.v_safe[0] == pytest.approx(10.0)
+        sol = solve_qp(12.0, [hard, soft], 1e6)
+        assert sol.v_safe == pytest.approx(10.0)
         assert sol.slack == pytest.approx(5.0)
+
+    def test_soft_row_needs_negative_slack_coefficient(self):
+        with pytest.raises(ValueError, match="negative slack"):
+            AffineConstraint(p=(1.0, 1.0), q=0.0, kind="soft")
 
     def test_hard_infeasible_raises(self):
         r1 = AffineConstraint(p=(1.0, 0.0), q=10.0, kind="hard", label="hi")
         r2 = AffineConstraint(p=(-1.0, 0.0), q=-20.0, kind="hard", label="lo")
         with pytest.raises(ShieldFault):
-            solve_qp((15.0,), [r1, r2], 1e6)
+            solve_qp(15.0, [r1, r2], 1e6)
 
     def test_matches_grid_oracle_on_random_instances(self):
-        # the solver must match or beat every independently evaluated grid
-        # point; optimality is certified by the KKT residuals.  The dense
-        # 1-D grid (plus the analytic row boundaries) also pins the optimum
-        # from above, so there the match is two-sided.
+        # one command: the scalar solver matches the dense grid (plus the
+        # analytic row boundaries) both ways and the enumerator's objective.
+        # Two or three commands: the reference enumerator must match or beat
+        # every independently evaluated grid point, with optimality
+        # certified by the KKT residuals.
         from qp_oracle import check_instance
 
         rng = np.random.default_rng(12)
@@ -277,6 +330,27 @@ class TestFilterHss:
         out = hss_outcome(gap=3.0, v_e=30.0, v_l=2.0, v_nominal=30.0)
         assert out.fault
         assert out.v_safe == pytest.approx(30.0 + (-5.0) * CFG.dt)
+
+    def test_cap_just_below_reach_lo_is_not_a_fault(self, monkeypatch):
+        # a brake cap under reach_lo by float noise (at most FEAS_TOL) pins
+        # the command to reach_lo, the speed the fallback would command
+        from mergeshield import shield
+
+        def guard_at(q):
+            return lambda *a, **k: AffineConstraint(p=(1.0, 0.0), q=q, kind="hard",
+                                                    label="brake:1")
+
+        reach_lo = 25.0 + (-5.0) * CFG.dt
+        for below in (0.0, 1e-15, 1e-12, 1e-9):
+            monkeypatch.setattr(shield, "brake_guard", guard_at(reach_lo - below))
+            out = hss_outcome(gap=80.0, v_e=25.0, v_l=25.0, v_nominal=25.0)
+            assert not out.fault
+            assert out.v_safe == reach_lo
+            assert out.active_constraints == ("brake:1",)
+        monkeypatch.setattr(shield, "brake_guard", guard_at(reach_lo - 1e-8))
+        out = hss_outcome(gap=80.0, v_e=25.0, v_l=25.0, v_nominal=25.0)
+        assert out.fault
+        assert out.v_safe == reach_lo
 
 
 class TestFilterMass:
