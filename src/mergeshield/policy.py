@@ -71,7 +71,7 @@ def heuristic_policy(observation, vehicle: "Vehicle", world: "World") -> Behavio
     working the merge section.
     """
     from mergeshield import shield as shield_mod
-    from mergeshield.world import neighbors
+    from mergeshield.world import neighbor_index, neighbors
 
     road = world.road
     cfg = world.scenario
@@ -100,10 +100,8 @@ def heuristic_policy(observation, vehicle: "Vehicle", world: "World") -> Behavio
     # highway vehicle: give way near the merge section when ramp traffic is
     # present, but never yield below a crawl (stopped queues help nobody)
     if vehicle.state.x < road.merge_end and v > 8.0:
-        for other in world.vehicles:
-            if other.vid == vehicle.vid or other.crashed:
-                continue
-            if other.lane != road.ramp_lane or other.merge_failed:
+        for other in neighbor_index(world).lanes.get(road.ramp_lane, ()):
+            if other.vid == vehicle.vid or other.crashed or other.merge_failed:
                 continue
             if not (road.merge_start - 50.0 <= other.state.x <= road.merge_end):
                 continue

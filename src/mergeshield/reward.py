@@ -110,23 +110,11 @@ def default_reward(vehicle: "Vehicle", weights: RewardWeights, world: "World") -
     return weights.w_c * r_c + custom_reward(vehicle, weights, world)
 
 
-def _observed_set(world: "World", ego: "Vehicle") -> list:
-    import math as _math
-
-    comm = world.scenario.comm_range
-    others = [
-        (_math.hypot(o.state.x - ego.state.x, o.state.y - ego.state.y), o.vid, o)
-        for o in world.vehicles
-        if o.vid != ego.vid
-    ]
-    others = [t for t in others if t[0] <= comm]
-    others.sort(key=lambda t: (t[0], t[1]))
-    return [o for _, _, o in others[: world.scenario.perception_n]]
-
-
 def overall_reward(ego: "Vehicle", world: "World", reward_fn, weights: RewardWeights) -> float:
-    """Mean individual reward over the ego and its observed vehicles."""
-    group = [ego] + _observed_set(world, ego)
+    """Mean individual reward over the ego and its perceived vehicles."""
+    from mergeshield.world import perceived
+
+    group = [ego] + perceived(world, ego)
     return sum(reward_fn(v, weights, world) for v in group) / len(group)
 
 
@@ -135,10 +123,12 @@ def fleet_rewards(world: "World", weights: RewardWeights, kind: str = "custom") 
 
     ``kind`` selects the reward flavour: ``default`` or ``custom``.
     """
+    from mergeshield.world import perceived
+
     fn = {"default": default_reward, "custom": custom_reward}[kind]
     individual = {v.vid: fn(v, weights, world) for v in world.vehicles}
     out = {}
     for v in world.vehicles:
-        group = [v.vid] + [o.vid for o in _observed_set(world, v)]
+        group = [v.vid] + [o.vid for o in perceived(world, v)]
         out[v.vid] = (individual[v.vid], sum(individual[g] for g in group) / len(group))
     return out

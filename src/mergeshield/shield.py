@@ -12,12 +12,12 @@ slack.  Per vehicle and step the filter builds
   The bare one-step barrier alone admits states where bounded deceleration
   can no longer prevent a violation (fast follower, slow leader), so the
   guard keeps the system inside the set where the barrier stays feasible,
-* reachability box rows (one-step actuator envelope), and
 * soft lateral rows during an ongoing lane change, relaxed by the slack.
 
 The QP minimises ``(v - v_nominal)^2 + k_eps * slack`` over the one command
-in closed form (:func:`solve_qp`); hard infeasibility raises a fault that
-callers turn into full braking.
+inside the reachability box (one-step actuator envelope) in closed form
+(:func:`solve_qp`); hard infeasibility raises a fault that callers turn
+into full braking.
 """
 
 from __future__ import annotations
@@ -396,14 +396,17 @@ def _clamp(v, lo, hi, lo_label, hi_label, active=()):
     return v, active
 
 
-def solve_qp(v_nominal: float, constraints: list, k_eps: float) -> QPSolution:
-    """Minimise ``(v - v_nominal)^2 + k_eps * slack`` over one speed command.
+def solve_qp(v_nominal: float, constraints: list, k_eps: float,
+             lo: float = -math.inf, hi: float = math.inf) -> QPSolution:
+    """Minimise ``(v - v_nominal)^2 + k_eps * slack`` over one speed command
+    in the reachability box ``[lo, hi]`` (labelled ``reach_lo`` and
+    ``reach_hi``; unbounded by default).
 
     Each row is ``p[0] * v + p[1] * slack <= q``.  The hard rows
-    (``p[1] == 0``) give an interval ``[lo, hi]``; the cheapest slack is the
-    largest soft-row violation, or 0, so the objective is convex and
-    piecewise quadratic in ``v``.  Its exact minimiser is the cheapest of
-    these candidates:
+    (``p[1] == 0``) narrow the box to an interval ``[lo, hi]``; the cheapest
+    slack is the largest soft-row violation, or 0, so the objective is
+    convex and piecewise quadratic in ``v``.  Its exact minimiser is the
+    cheapest of these candidates:
 
     * the nominal clamped into the part of ``[lo, hi]`` that every soft row
       leaves slack-free (this covers each soft row's zero crossing);
@@ -422,7 +425,7 @@ def solve_qp(v_nominal: float, constraints: list, k_eps: float) -> QPSolution:
             hard.append((a, row.q, row.label))
         else:
             soft.append((a / -c, row.q / -c, row.label))
-    lo, hi, lo_label, hi_label = _interval(hard)
+    lo, hi, lo_label, hi_label = _interval(hard, lo, hi, "reach_lo", "reach_hi")
     if lo > hi + FEAS_TOL:
         raise ShieldFault("hard rows infeasible")
     hi = max(hi, lo)
@@ -446,23 +449,15 @@ def solve_qp(v_nominal: float, constraints: list, k_eps: float) -> QPSolution:
     return best
 
 
-def _reach_box(ego, config: ShieldConfig):
-    dt = config.dt
-    v = ego.state.speed
-    lo = max(0.0, v + ego.params.a_min * dt)
-    hi = min(ego.params.v_cap, v + ego.params.a_max * dt)
-    rows = [
-        AffineConstraint(p=(1.0, 0.0), q=hi, kind="hard", label="reach_hi", h_now=hi - v),
-        AffineConstraint(p=(-1.0, 0.0), q=-lo, kind="hard", label="reach_lo", h_now=v - lo),
-    ]
-    return lo, hi, rows
-
-
 def _filter_common(ego, leader_credits: list, soft_rows: list, v_nominal: float,
                    config: ShieldConfig) -> ShieldOutcome:
-    """Shared HSS/MASS core: build rows, solve, fall back to full braking."""
-    lo, hi, rows = _reach_box(ego, config)
+    """Shared HSS/MASS core: build rows, solve in the reachability box,
+    fall back to full braking."""
+    v = ego.state.speed
+    lo = max(0.0, v + ego.params.a_min * config.dt)
+    hi = min(ego.params.v_cap, v + ego.params.a_max * config.dt)
     v_nom_step = min(max(v_nominal, lo), hi)
+    rows = []
     for leader, v_next in leader_credits:
         rows.append(longitudinal_cbf(ego, leader, config.tau, config, v_leader_next=v_next))
         guard = brake_guard(ego, leader, config, v_leader_next=v_next, v_hi=hi)
@@ -470,7 +465,7 @@ def _filter_common(ego, leader_credits: list, soft_rows: list, v_nominal: float,
             rows.append(guard)
     rows.extend(soft_rows)
     try:
-        sol = solve_qp(v_nom_step, rows, config.k_eps)
+        sol = solve_qp(v_nom_step, rows, config.k_eps, lo, hi)
     except ShieldFault:
         return ShieldOutcome(
             v_nominal=v_nom_step,

@@ -5,6 +5,15 @@ topology, the joint safety-shield pass, low-level tracking, simultaneous
 integration of all vehicles from the same pre-step snapshot, collision
 detection and merge bookkeeping.
 
+Perception queries (:func:`neighbors`, :func:`observe`, :func:`perceived`)
+read one :class:`NeighborIndex` per world state instead of rescanning the
+fleet.  World state changes only inside ``step_world``, which ends by
+incrementing ``step_index``, so the index is built lazily on the first
+query at a step index and reused until the next step: the one built at
+step k serves that step's observations, policy, topology, shield and lane
+gate, and the one built after ``step_world`` serves step k's rewards and
+all of step k+1.
+
 Lateral maneuvers: the bicycle integrator evolves velocity components only
 through acceleration, so holding speed leaves the lateral velocity frozen.
 Lane transitions are therefore executed by the maneuver layer as a
@@ -16,7 +25,9 @@ itself stays untouched.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -30,10 +41,13 @@ __all__ = [
     "Vehicle",
     "MotionPlan",
     "Neighborhood",
+    "NeighborIndex",
     "World",
     "spawn",
+    "neighbor_index",
     "neighbors",
     "observe",
+    "perceived",
     "plan_motion",
     "step_world",
     "is_ahead",
@@ -134,6 +148,55 @@ class Neighborhood:
     c_oar: Vehicle | None = None
 
 
+@dataclass(frozen=True)
+class NeighborIndex:
+    """Perception facts of one world state, built once per step index.
+
+    ``lanes`` maps each lane to its vehicles, crashed ones included, in
+    ascending ``(x, -vid)`` order (the total order of :func:`is_ahead`);
+    ``keys`` holds those sort keys per lane and ``slot`` each vehicle's
+    position in its lane.  ``reach`` maps each vehicle id to the other
+    vehicles within communication range, as an id -> vehicle dict ordered
+    by ``(distance, vid)``; each pair's distance is one ``hypot``, so both
+    directions agree bit for bit.
+    """
+
+    step_index: int
+    lanes: dict
+    keys: dict
+    slot: dict
+    reach: dict
+
+    @classmethod
+    def build(cls, world: "World") -> "NeighborIndex":
+        comm = world.scenario.comm_range
+        vehicles = world.vehicles
+        lanes: dict = {}
+        keys: dict = {}
+        slot: dict = {}
+        for v in sorted(vehicles, key=lambda v: (v.state.x, -v.vid)):
+            lane = lanes.setdefault(v.lane, [])
+            slot[v.vid] = len(lane)
+            lane.append(v)
+            keys.setdefault(v.lane, []).append((v.state.x, -v.vid))
+        xs = [v.state.x for v in vehicles]
+        ys = [v.state.y for v in vehicles]
+        found = [[] for _ in vehicles]
+        for i, a in enumerate(vehicles):
+            ax, ay, near_a = xs[i], ys[i], found[i]
+            for j in range(i + 1, len(vehicles)):
+                d = math.hypot(ax - xs[j], ay - ys[j])
+                if d <= comm:
+                    b = vehicles[j]
+                    near_a.append((d, b.vid, b))
+                    found[j].append((d, a.vid, a))
+        reach = {}
+        for v, near in zip(vehicles, found):
+            near.sort()  # by (distance, vid); ids are unique
+            reach[v.vid] = {o.vid: o for _, _, o in near}
+        return cls(step_index=world.step_index, lanes=lanes, keys=keys, slot=slot, reach=reach)
+
+
 @dataclass
 class World:
     road: RoadNetwork
@@ -144,6 +207,9 @@ class World:
     #: most recent per-vehicle shield outcomes, refreshed by step_world
     last_outcomes: dict = field(default_factory=dict)
     last_topology: dict = field(default_factory=dict)
+    #: perception index of the state at ``step_index``; see :func:`neighbor_index`
+    _neighbor_index: NeighborIndex | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def vehicle(self, vid: int) -> Vehicle:
         for v in self.vehicles:
@@ -160,10 +226,6 @@ def is_ahead(a: Vehicle, b: Vehicle) -> bool:
     if a.state.x != b.state.x:
         return a.state.x > b.state.x
     return a.vid < b.vid
-
-
-def _euclid(a: Vehicle, b: Vehicle) -> float:
-    return math.hypot(a.state.x - b.state.x, a.state.y - b.state.y)
 
 
 def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
@@ -243,48 +305,74 @@ def _perception_adjacent(road: RoadNetwork, vehicle: Vehicle) -> int | None:
     return lane + 1
 
 
+def neighbor_index(world: World) -> NeighborIndex:
+    """The :class:`NeighborIndex` of the world's current state.
+
+    Built on the first call at a ``step_index`` and reused by every later
+    call at the same index; ``step_world`` is the only code that changes
+    the state, and it advances ``step_index``.
+    """
+    index = world._neighbor_index
+    if index is None or index.step_index != world.step_index:
+        index = world._neighbor_index = NeighborIndex.build(world)
+    return index
+
+
+def _first_in_reach(reach: dict, lane: list, i: int, step: int) -> Vehicle | None:
+    """First vehicle of ``lane`` whose id is in ``reach``, walking from
+    position ``i`` by ``step``."""
+    while 0 <= i < len(lane):
+        if lane[i].vid in reach:
+            return lane[i]
+        i += step
+    return None
+
+
 def neighbors(world: World, ego: Vehicle) -> Neighborhood:
     """Nearest same-lane leader plus adjacent-lane leader and rear vehicle,
-    all within communication range."""
-    comm = world.scenario.comm_range
+    all within communication range.
+
+    A lookup in the state's :func:`neighbor_index`: from the ego's slot in
+    its own lane and in the perception-adjacent lane, walk outward to the
+    first vehicle in range.  Walking, rather than taking the next slot,
+    stays exact when the nearest vehicle by x is out of Euclidean range
+    through a lateral offset.
+    """
+    index = neighbor_index(world)
+    reach = index.reach[ego.vid]
+    c_ol = _first_in_reach(reach, index.lanes[ego.lane], index.slot[ego.vid] + 1, 1)
+    c_oal = c_oar = None
     adj = _perception_adjacent(world.road, ego)
-    c_ol = c_oal = c_oar = None
-    for other in world.vehicles:
-        if other.vid == ego.vid:
-            continue
-        if _euclid(ego, other) > comm:
-            continue
-        if other.lane == ego.lane and is_ahead(other, ego):
-            if c_ol is None or is_ahead(c_ol, other):
-                c_ol = other
-        elif adj is not None and other.lane == adj:
-            if is_ahead(other, ego):
-                if c_oal is None or is_ahead(c_oal, other):
-                    c_oal = other
-            else:
-                if c_oar is None or is_ahead(other, c_oar):
-                    c_oar = other
+    lane = index.lanes.get(adj)
+    if lane is not None:
+        i = bisect_left(index.keys[adj], (ego.state.x, -ego.vid))
+        c_oal = _first_in_reach(reach, lane, i, 1)
+        c_oar = _first_in_reach(reach, lane, i - 1, -1)
     return Neighborhood(c_ol=c_ol, c_oal=c_oal, c_oar=c_oar)
 
 
+def perceived(world: World, ego: Vehicle) -> list:
+    """The nearest ``perception_n`` other vehicles within communication
+    range, nearest first with ties by id, read from the state's
+    :func:`neighbor_index`: the vehicles an observation shows and a
+    neighbourhood reward averages over."""
+    reach = neighbor_index(world).reach[ego.vid]
+    return list(islice(reach.values(), world.scenario.perception_n))
+
+
 def observe(world: World, ego: Vehicle) -> list:
-    """Fixed-width observation: the ego row followed by the nearest
-    ``perception_n`` vehicles in range, nearest first, zero padded.
+    """Fixed-width observation: the ego row followed by the
+    :func:`perceived` vehicles, zero padded to ``perception_n`` rows.
+    Reads the state's :func:`neighbor_index`, so the observations of one
+    step share one distance sort.
 
     The ego row carries absolute positions; neighbour rows report positions
     relative to the ego.  Velocities and heading stay absolute.
     """
     n = world.scenario.perception_n
-    comm = world.scenario.comm_range
     s = ego.state
     rows = [[s.x, s.y, s.v_x, s.v_y, s.psi]]
-    others = [
-        (_euclid(ego, o), o.vid, o)
-        for o in world.vehicles
-        if o.vid != ego.vid and _euclid(ego, o) <= comm
-    ]
-    others.sort(key=lambda t: (t[0], t[1]))
-    for _, _, o in others[:n]:
+    for o in perceived(world, ego):
         os = o.state
         rows.append([os.x - s.x, os.y - s.y, os.v_x, os.v_y, os.psi])
     while len(rows) < n + 1:
@@ -355,6 +443,26 @@ def _rect_overlap(a: Vehicle, b: Vehicle) -> bool:
     )
 
 
+def _mark_collisions(vehicles: list) -> None:
+    """Flag both vehicles of every overlapping rectangle pair as crashed.
+
+    Sweeps in x: overlapping centres are less than half the summed lengths
+    apart, which in floating point never exceeds the longest length.
+    """
+    longest = max((v.params.length for v in vehicles), default=0.0)
+    ordered = sorted(vehicles, key=lambda v: v.state.x)
+    for i, a in enumerate(ordered):
+        for j in range(i + 1, len(ordered)):
+            b = ordered[j]
+            if b.state.x - a.state.x >= longest:
+                break
+            if a.crashed and b.crashed:
+                continue
+            if _rect_overlap(a, b):
+                a.crashed = True
+                b.crashed = True
+
+
 def step_world(world: World, joint_actions: dict) -> World:
     """Advance the world one step under the given behavioural actions.
 
@@ -403,14 +511,7 @@ def step_world(world: World, joint_actions: dict) -> World:
         vehicle.state = new_states[vehicle.vid]
 
     # collisions: axis-aligned rectangle overlap on the post-step snapshot
-    ordered = sorted(world.vehicles, key=lambda v: v.vid)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if a.crashed and b.crashed:
-                continue
-            if _rect_overlap(a, b):
-                a.crashed = True
-                b.crashed = True
+    _mark_collisions(world.vehicles)
 
     # merge bookkeeping
     for vehicle in live:

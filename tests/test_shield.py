@@ -252,10 +252,31 @@ class TestSolveQP:
         from qp_oracle import check_instance
 
         rng = np.random.default_rng(12)
+        box_rng = np.random.default_rng(13)
         checked = 0
         for _ in range(120):
             v_nom, rows, k_eps = random_qp_instance(rng)
             checked += check_instance(v_nom, rows, k_eps)
+            if len(v_nom) == 1:
+                # a reachability box passed as bounds solves exactly as its
+                # two rows, in the order the rows used to be built; empty
+                # boxes included
+                lo = max(0.0, v_nom[0] - float(box_rng.uniform(-1.0, 6.0)))
+                if box_rng.random() < 0.7:
+                    hi = lo + float(box_rng.uniform(0.0, 8.0))
+                else:
+                    hi = lo - float(box_rng.choice([0.0, 1e-10, 1.0]))
+                box = [
+                    AffineConstraint(p=(1.0, 0.0), q=hi, kind="hard", label="reach_hi"),
+                    AffineConstraint(p=(-1.0, 0.0), q=-lo, kind="hard", label="reach_lo"),
+                ]
+                try:
+                    as_rows = solve_qp(v_nom[0], box + rows, k_eps)
+                except ShieldFault:
+                    with pytest.raises(ShieldFault):
+                        solve_qp(v_nom[0], rows, k_eps, lo, hi)
+                    continue
+                assert solve_qp(v_nom[0], rows, k_eps, lo, hi) == as_rows
         assert checked > 60
 
 

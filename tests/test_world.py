@@ -44,6 +44,59 @@ def brute_force_neighbors(world, ego):
     return ol, oal, oar
 
 
+def brute_force_perceived(world, ego):
+    """In-range others sorted by (distance, vid), truncated to perception_n."""
+    found = []
+    for o in world.vehicles:
+        d = math.hypot(o.state.x - ego.state.x, o.state.y - ego.state.y)
+        if o.vid != ego.vid and d <= world.scenario.comm_range:
+            found.append((d, o.vid, o))
+    found.sort(key=lambda t: (t[0], t[1]))
+    return [o for _, _, o in found[: world.scenario.perception_n]]
+
+
+def random_layout(rng, road, comm):
+    """Random fleet with ties in x, off-centreline y, vehicles mid-change and
+    crashed vehicles, plus two isolated clusters in which the nearest
+    vehicle by x is out of range through its lateral offset alone.
+
+    Returns the vehicles and the walks the clusters force, as
+    ``(ego, field, expected vehicle)``.
+    """
+    xs = rng.uniform(0.0, 400.0, size=5)  # fewer positions than vehicles: ties in x
+    vehicles = []
+    for vid in range(10):
+        lane = int(rng.choice(road.lanes))
+        y = None
+        if rng.random() < 0.5:
+            y = road.centerline_y(lane) + float(rng.uniform(-1.5, 1.5))
+        target = int(rng.choice(road.lanes)) if rng.random() < 0.3 else lane
+        v = make_vehicle(vid, float(rng.choice(xs)), float(rng.uniform(5, 30)),
+                         lane=lane, road=road, y=y, target_lane=target)
+        v.crashed = bool(rng.random() < 0.2)
+        vehicles.append(v)
+
+    def add(x, lane, dy=0.0):
+        v = make_vehicle(len(vehicles), x, 20.0, lane=lane, road=road,
+                         y=road.centerline_y(0) + dy)
+        vehicles.append(v)
+        return v
+
+    adj = 1  # perception-adjacent lane of lane 0 on every road used here
+    # forward: hypot(comm - 0.3, 15) > comm >= hypot(comm - 0.2, 1)
+    ego = add(-1000.0, 0)
+    add(-1000.0 + comm - 0.3, 0, dy=15.0)
+    leader = add(-1000.0 + comm - 0.2, 0)
+    add(-1000.0 + comm - 0.3, adj, dy=15.0)
+    adj_leader = add(-1000.0 + comm - 0.2, adj, dy=1.0)
+    # backward, in the adjacent lane
+    rear_ego = add(-2000.0, 0)
+    add(-2000.0 - comm + 0.3, adj, dy=15.0)
+    adj_rear = add(-2000.0 - comm + 0.2, adj, dy=1.0)
+    walks = [(ego, "c_ol", leader), (ego, "c_oal", adj_leader), (rear_ego, "c_oar", adj_rear)]
+    return vehicles, walks
+
+
 class TestSpawn:
     def test_deterministic(self):
         cfg = ScenarioConfig(n_vehicles=9, rng_seed=42)
@@ -115,16 +168,14 @@ class TestNeighbors:
         assert neighbors(w, follower).c_ol is None
 
     def test_matches_brute_force_on_random_layouts(self):
+        # neighbours and observations against the full rescan, on layouts
+        # with ties in x, lateral offsets, ongoing changes, crashed vehicles
+        # and in-range vehicles behind out-of-range ones
         rng = np.random.default_rng(9)
-        road = RoadNetwork()
-        for _ in range(50):
-            vehicles = []
-            for vid in range(10):
-                lane = int(rng.integers(0, 2))
-                vehicles.append(
-                    make_vehicle(vid, float(rng.uniform(0, 400)), float(rng.uniform(5, 30)),
-                                 lane=lane, road=road)
-                )
+        comm = ScenarioConfig().comm_range
+        for layout in range(50):
+            road = RoadNetwork(highway_lanes=1 + layout % 2)
+            vehicles, walks = random_layout(rng, road, comm)
             w = make_world(vehicles, road=road)
             for ego in vehicles:
                 near = neighbors(w, ego)
@@ -132,6 +183,33 @@ class TestNeighbors:
                 assert near.c_ol is ol
                 assert near.c_oal is oal
                 assert near.c_oar is oar
+
+                rows = observe(w, ego)
+                seen = brute_force_perceived(w, ego)
+                s = ego.state
+                assert rows[1:1 + len(seen)] == [
+                    [o.state.x - s.x, o.state.y - s.y, o.state.v_x, o.state.v_y, o.state.psi]
+                    for o in seen
+                ]
+                assert all(row == [0.0] * 5 for row in rows[1 + len(seen):])
+            for ego, name, expected in walks:
+                assert getattr(neighbors(w, ego), name) is expected
+
+    def test_follows_the_state_across_steps(self):
+        # the index of one state must not answer for the next
+        w = spawned_world(seed=5, n_vehicles=11)
+        rng = np.random.default_rng(5)
+        changed = 0
+        for _ in range(80):
+            before = {v.vid: brute_force_neighbors(w, v) for v in w.vehicles}
+            step_world(w, {v.vid: BehaviorAction(int(rng.integers(0, len(BehaviorAction))))
+                           for v in w.vehicles})
+            for ego in w.vehicles:
+                near = neighbors(w, ego)
+                want = brute_force_neighbors(w, ego)
+                assert all(a is b for a, b in zip((near.c_ol, near.c_oal, near.c_oar), want))
+                changed += any(a is not b for a, b in zip(want, before[ego.vid]))
+        assert changed > 0
 
 
 class TestObserve:
@@ -254,6 +332,39 @@ class TestStepWorld:
         # label flipped exactly once, when the maneuver completed
         flips = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
         assert flips <= 1
+
+    def test_collision_sweep_flags_what_all_pairs_flags(self):
+        from mergeshield.world import _mark_collisions, _rect_overlap
+
+        def all_pairs(vehicles):
+            ordered = sorted(vehicles, key=lambda v: v.vid)
+            for i, a in enumerate(ordered):
+                for b in ordered[i + 1:]:
+                    if a.crashed and b.crashed:
+                        continue
+                    if _rect_overlap(a, b):
+                        a.crashed = True
+                        b.crashed = True
+
+        rng = np.random.default_rng(17)
+        flagged = 0
+        for _ in range(200):
+            fleet = []
+            for vid in range(int(rng.integers(0, 12))):
+                params = VehicleParams(length=float(rng.choice([3.0, 5.0, 12.0])),
+                                       width=float(rng.choice([1.5, 2.0, 2.5])))
+                # half-metre grid: pairs sit exactly at the overlap and sweep limits
+                x = 0.5 * float(rng.integers(0, 120))
+                y = float(rng.choice([0.0, 4.0])) + 0.25 * float(rng.integers(-8, 9))
+                vehicle = make_vehicle(vid, x, 20.0, y=y, params=params)
+                vehicle.crashed = bool(rng.random() < 0.1)
+                fleet.append(vehicle)
+            reference = copy.deepcopy(fleet)
+            _mark_collisions(fleet)
+            all_pairs(reference)
+            assert [v.crashed for v in fleet] == [v.crashed for v in reference]
+            flagged += sum(v.crashed for v in fleet)
+        assert flagged > 0
 
     def test_two_vehicle_closing_scenario_shielded(self):
         # follower approaches a slower, hard-braking leader under the
