@@ -58,7 +58,8 @@ class AffineConstraint:
 
     The last coefficient of ``p`` belongs to the shared slack variable:
     0 for hard rows, -1 for soft rows.  ``h_now`` is the barrier value at
-    the current state, used by gate checks and audit records.
+    the current state: the headway rows and the lateral rows (read by the
+    lane-change gate) carry it; the brake-guard rows leave it at 0.
     """
 
     p: tuple
@@ -204,20 +205,40 @@ def brake_cap(gap: float, v_hi: float, v_lead: float, brake: float,
               tau: float, dt: float, closing: float = 0.0) -> float:
     """Largest follower speed ``v`` in ``[0, v_hi]`` whose
     :func:`brake_margin` from the gap ``gap - closing * v`` is non-negative;
-    0 when there is none.
+    0 when there is none.  ``closing`` must not be negative.
 
     Closed form.  After ``k`` braking steps the margin is
     ``a_k - b_k * v - tau * max(0, v - k * dv)`` once the follower's travel
     is extended past its stop (which only raises the margin), so it falls
-    with ``v`` and has one kink.  The cap is the smallest per-``k`` root over
-    every ``k`` up to the step at which a follower from ``v_hi`` stops.
+    with ``v`` and has one kink.  The cap is the smallest per-``k`` root
+    ``min(a_k / b_k, (a_k + tau * k * dv) / (b_k + tau))`` over every ``k``
+    up to the step ``K`` at which a follower from ``v_hi`` stops, and only
+    a fixed handful of ``k`` can hold it.  ``b_k`` is linear in ``k``.
+    While the leader still moves (``k <= m_l``), so is ``a_k``; both ratios
+    are then monotone in ``k``, with their minima at ``k = 0`` or
+    ``min(m_l, K)``.  Once it has stopped, ``a_k`` is a convex quadratic in
+    ``k``; each ratio is then quasiconvex, and its integer minimiser sits
+    next to the real stationary point, if that lies in ``[m_l, K]``.
     """
     if brake_margin(gap - closing * v_hi, v_hi, v_lead, brake, tau, dt) >= 0.0:
         return v_hi
     dv = brake * dt
     m_l = math.ceil(v_lead / dv - 1e-12) if v_lead > 0.0 else 0
+    last = math.ceil(v_hi / dv)
+    steps = {0, last, min(m_l, last), min(m_l + 1, last)}
+    # for k >= m_l each ratio is (alpha * k^2 + beta * k + c0) / (dt * k + d0);
+    # in u = dt * k + d0 it reads A * u + B + c / u, c the numerator at u = 0
+    # (k = k0), so a positive c puts its minimum at k = k0 + sqrt(c / alpha)
+    alpha = 0.5 * dt * dv
+    c0 = gap + dt * _travel(v_lead, m_l, m_l, dv)
+    for beta, d0 in ((-alpha, closing), (tau * dv - alpha, closing + tau)):
+        k0 = -d0 / dt
+        c = (alpha * k0 + beta) * k0 + c0
+        if c > 0.0:
+            s = math.floor(k0 + math.sqrt(c / alpha))
+            steps.update(range(max(m_l, s - 1), min(last, s + 2) + 1))
     cap = v_hi
-    for k in range(math.ceil(v_hi / dv) + 1):
+    for k in steps:
         kink = k * dv
         a = gap + dt * (_travel(v_lead, m_l, k, dv) + dv * k * (k - 1) * 0.5)
         b = closing + dt * k
@@ -281,10 +302,7 @@ def brake_guard(ego, leader, config: ShieldConfig,
                     closing=math.cos(ego.state.psi) * dt)
     if cap >= v_hi:
         return None
-    h_now = brake_margin(gap, v_e, leader.state.speed, brake, config.tau, dt)
-    return AffineConstraint(
-        p=(1.0, 0.0), q=cap, kind="hard", label=f"brake:{leader.vid}", h_now=h_now
-    )
+    return AffineConstraint(p=(1.0, 0.0), q=cap, kind="hard", label=f"brake:{leader.vid}")
 
 
 def lateral_cbfs(ego, c_oal, c_oar, config: ShieldConfig) -> list:

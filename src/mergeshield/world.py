@@ -12,7 +12,9 @@ incrementing ``step_index``, so the index is built lazily on the first
 query at a step index and reused until the next step: the one built at
 step k serves that step's observations, policy, topology, shield and lane
 gate, and the one built after ``step_world`` serves step k's rewards and
-all of step k+1.
+all of step k+1.  The index also keeps every :class:`Neighborhood` it has
+answered, so the policy, topology, shield, lane gate and reward share one
+per vehicle and perception-adjacent lane.
 
 Lateral maneuvers: the bicycle integrator evolves velocity components only
 through acceleration, so holding speed leaves the lateral velocity frozen.
@@ -158,7 +160,8 @@ class NeighborIndex:
     position in its lane.  ``reach`` maps each vehicle id to the other
     vehicles within communication range, as an id -> vehicle dict ordered
     by ``(distance, vid)``; each pair's distance is one ``hypot``, so both
-    directions agree bit for bit.
+    directions agree bit for bit.  ``near`` memoises :func:`neighbors` by
+    ``(vid, perception-adjacent lane)``.
     """
 
     step_index: int
@@ -166,32 +169,37 @@ class NeighborIndex:
     keys: dict
     slot: dict
     reach: dict
+    near: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, world: "World") -> "NeighborIndex":
         comm = world.scenario.comm_range
-        vehicles = world.vehicles
+        ordered = sorted(world.vehicles, key=lambda v: (v.state.x, -v.vid))
         lanes: dict = {}
         keys: dict = {}
         slot: dict = {}
-        for v in sorted(vehicles, key=lambda v: (v.state.x, -v.vid)):
+        for v in ordered:
             lane = lanes.setdefault(v.lane, [])
             slot[v.vid] = len(lane)
             lane.append(v)
             keys.setdefault(v.lane, []).append((v.state.x, -v.vid))
-        xs = [v.state.x for v in vehicles]
-        ys = [v.state.y for v in vehicles]
-        found = [[] for _ in vehicles]
-        for i, a in enumerate(vehicles):
+        # sweep in x: a pair further apart in x than comm_range is further
+        # apart in distance too, since hypot(dx, dy) >= |dx|
+        xs = [v.state.x for v in ordered]
+        ys = [v.state.y for v in ordered]
+        found = [[] for _ in ordered]
+        for i, a in enumerate(ordered):
             ax, ay, near_a = xs[i], ys[i], found[i]
-            for j in range(i + 1, len(vehicles)):
+            for j in range(i + 1, len(ordered)):
+                if xs[j] - ax > comm:
+                    break
                 d = math.hypot(ax - xs[j], ay - ys[j])
                 if d <= comm:
-                    b = vehicles[j]
+                    b = ordered[j]
                     near_a.append((d, b.vid, b))
                     found[j].append((d, a.vid, a))
         reach = {}
-        for v, near in zip(vehicles, found):
+        for v, near in zip(ordered, found):
             near.sort()  # by (distance, vid); ids are unique
             reach[v.vid] = {o.vid: o for _, _, o in near}
         return cls(step_index=world.step_index, lanes=lanes, keys=keys, slot=slot, reach=reach)
@@ -336,19 +344,26 @@ def neighbors(world: World, ego: Vehicle) -> Neighborhood:
     its own lane and in the perception-adjacent lane, walk outward to the
     first vehicle in range.  Walking, rather than taking the next slot,
     stays exact when the nearest vehicle by x is out of Euclidean range
-    through a lateral offset.
+    through a lateral offset.  The answer is memoised on the index by the
+    ego's id and perception-adjacent lane, so repeat calls within one state
+    return the same object, and one made after the ego's ``target_lane``
+    changed walks its new adjacent lane.
     """
     index = neighbor_index(world)
+    adj = _perception_adjacent(world.road, ego)
+    near = index.near.get((ego.vid, adj))
+    if near is not None:
+        return near
     reach = index.reach[ego.vid]
     c_ol = _first_in_reach(reach, index.lanes[ego.lane], index.slot[ego.vid] + 1, 1)
     c_oal = c_oar = None
-    adj = _perception_adjacent(world.road, ego)
     lane = index.lanes.get(adj)
     if lane is not None:
         i = bisect_left(index.keys[adj], (ego.state.x, -ego.vid))
         c_oal = _first_in_reach(reach, lane, i, 1)
         c_oar = _first_in_reach(reach, lane, i - 1, -1)
-    return Neighborhood(c_ol=c_ol, c_oal=c_oal, c_oar=c_oar)
+    near = index.near[(ego.vid, adj)] = Neighborhood(c_ol=c_ol, c_oal=c_oal, c_oar=c_oar)
+    return near
 
 
 def perceived(world: World, ego: Vehicle) -> list:

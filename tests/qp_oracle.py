@@ -9,9 +9,12 @@
 * An exact active-set enumerator solves the same QP over any number of
   speed commands through the KKT system of every candidate active set.
 * A bisection finds the braking-feasibility cap from ``brake_margin`` signs.
+* A full scan takes the braking-feasibility cap as the smallest per-step
+  root over every braking step, the closed form before its candidate set.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +132,9 @@ def enumerate_qp(v_nom, rows, k_eps):
     """Minimise ``||v - v_nom||^2 + k_eps * slack`` subject to the rows by
     exact active-set enumeration: every candidate active set is solved in
     closed form through its KKT system, and the feasible candidate (within
-    1e-9) with the lowest objective wins.  Raises ``ShieldFault`` when no
+    1e-9) with the lowest objective wins.  Each candidate's slack is the
+    largest soft-row violation at its point, or 0, and its objective is
+    taken with that slack.  Raises ``ShieldFault`` when no
     candidate is feasible.
     """
     from mergeshield.shield import ShieldFault
@@ -150,6 +155,7 @@ def enumerate_qp(v_nom, rows, k_eps):
     c_lin = np.array([-2.0 * v for v in v_nom] + [k_eps])
     G = np.array([row.p for row in rows])
     h = np.array([row.q for row in rows])
+    soft = G[:, n] != 0.0  # the soft rows and slack_nonneg
 
     best = None
     m = len(rows)
@@ -163,6 +169,9 @@ def enumerate_qp(v_nom, rows, k_eps):
             rhs = np.concatenate([-c_lin, h[list(subset)]])
             try:
                 sol = np.linalg.solve(kkt, rhs)
+                # one step of iterative refinement: multipliers of order
+                # k_eps otherwise leave the point about 1e-10 off its rows
+                sol += np.linalg.solve(kkt, rhs - kkt @ sol)
             except np.linalg.LinAlgError:
                 continue
             z = sol[:dim]
@@ -172,7 +181,9 @@ def enumerate_qp(v_nom, rows, k_eps):
             if np.any(G @ z > h + 1e-9):
                 continue
             v = z[:n]
-            eps = z[n]
+            # the cheapest slack at v, so that k_eps does not lift the solve's
+            # round-off in z[n] into the objective
+            eps = max(0.0, float(np.max((G[soft, :n] @ v - h[soft]) / -G[soft, n])))
             obj = float(np.sum((v - np.array(v_nom)) ** 2) + k_eps * eps)
             if best is None or obj < best.objective - 1e-12:
                 best = EnumeratedSolution(
@@ -203,6 +214,30 @@ def bisect_cap(margin_at, v_hi):
         else:
             hi = mid
     return lo
+
+
+def scan_cap(gap, v_hi, v_lead, brake, tau, dt, closing=0.0):
+    """``shield.brake_cap`` by scanning every braking step
+    ``k = 0..ceil(v_hi / dv)`` for the smallest per-step root."""
+    from mergeshield.shield import _travel, brake_margin
+
+    if brake_margin(gap - closing * v_hi, v_hi, v_lead, brake, tau, dt) >= 0.0:
+        return v_hi
+    dv = brake * dt
+    m_l = math.ceil(v_lead / dv - 1e-12) if v_lead > 0.0 else 0
+    cap = v_hi
+    for k in range(math.ceil(v_hi / dv) + 1):
+        kink = k * dv
+        a = gap + dt * (_travel(v_lead, m_l, k, dv) + dv * k * (k - 1) * 0.5)
+        b = closing + dt * k
+        if a - b * kink >= 0.0:
+            root = (a + tau * kink) / (b + tau)
+        elif b > 0.0:
+            root = a / b
+        else:  # k = 0 without closing: the gap itself is negative
+            return 0.0
+        cap = min(cap, root)
+    return max(cap, 0.0)
 
 
 def check_instance(v_nom, rows, k_eps, tol_obj=1e-6, tol_kkt=1e-8):
@@ -242,8 +277,8 @@ def check_instance(v_nom, rows, k_eps, tol_obj=1e-6, tol_kkt=1e-8):
     assert sol.objective <= oracle_obj + tol_obj * scale
     if n == 1:
         assert oracle_obj <= sol.objective + tol_obj * scale
-        # the enumerator may report a slack of about -1e-12 (inside its
-        # feasibility tolerance), so compare true objectives at both points
+        # compare true objectives at both points: the enumerator's point
+        # may sit about 1e-12 off the scalar solver's
         enumerated = enumerate_qp(v_nom, rows, k_eps)
         at_enumerated = oracle_objective_at(np.array([enumerated.v_safe]), v_nom, hard, soft,
                                             k_eps)[0]

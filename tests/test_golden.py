@@ -14,6 +14,7 @@ from mergeshield.config import RunConfig
 from mergeshield.episode import run_episode
 from mergeshield.policy import PolicySpec
 from mergeshield.records import episode_lines
+from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig
 
@@ -27,6 +28,18 @@ GOLDEN = {
 }
 
 
+#: 40 vehicles on a long road, mass shield, heuristic policy, seed 0, 40
+#: steps: hundreds of binding brake caps from highway speed and about four
+#: neighbour queries per vehicle and step
+DENSE_GOLDEN = "0bc4d39af807aeb48d9075ff6c427cbadda52e5ad42f537277b52a3916eff967"
+
+
+def record_digest(cfg, seed):
+    record, _ = run_episode(cfg, seed)
+    text = "\n".join(episode_lines(record)) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("mode,policy,seed", sorted(GOLDEN))
 def test_episode_record_digest(mode, policy, seed):
     cfg = RunConfig(
@@ -34,6 +47,15 @@ def test_episode_record_digest(mode, policy, seed):
         shield=ShieldConfig(mode=mode),
         policy=PolicySpec(kind=policy),
     )
-    record, _ = run_episode(cfg, seed)
-    text = "\n".join(episode_lines(record)) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[(mode, policy, seed)]
+    assert record_digest(cfg, seed) == GOLDEN[(mode, policy, seed)]
+
+
+def test_dense_episode_record_digest():
+    cfg = RunConfig(
+        scenario=ScenarioConfig(n_vehicles=40, episode_steps=40),
+        road=RoadNetwork(merge_start=2000.0),
+        shield=ShieldConfig(mode="mass"),
+        policy=PolicySpec(kind="heuristic"),
+        allow_offrange=True,
+    )
+    assert record_digest(cfg, 0) == DENSE_GOLDEN

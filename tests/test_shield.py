@@ -24,7 +24,7 @@ from mergeshield.topology import build_topology
 from mergeshield.world import Neighborhood, neighbors, plan_motion, MotionPlan
 
 from conftest import make_vehicle, make_world
-from qp_oracle import bisect_cap
+from qp_oracle import bisect_cap, scan_cap
 
 CFG = ShieldConfig(mode="mass")
 
@@ -183,6 +183,34 @@ class TestBrakeCap:
             got = brake_cap(gap, v_f, v_l, 5.0, 0.5, 0.1)
             assert got == pytest.approx(v_f if want is None else want, abs=1e-9)
 
+    def test_matches_full_scan_exactly(self):
+        # the candidate steps give the same float as the scan over every
+        # braking step: speeds on and off the dv grid, stopped leaders and
+        # leaders as fast as the follower, negative gaps, and closing 0 or dt
+        rng = np.random.default_rng(23)
+        kinds = {"top": 0, "zero": 0, "cap": 0, "leader_outlasts": 0, "negative_gap": 0}
+        for i in range(20000):
+            dt = float(rng.choice([0.05, 0.1, 0.2]))
+            brake = float(rng.choice([5.0, 9.0, rng.uniform(1.0, 10.0)]))
+            tau = float(rng.choice([0.5, rng.uniform(0.05, 2.0)]))
+            dv = brake * dt
+            v_hi = dv * int(rng.integers(0, 60)) if i % 3 == 0 else float(rng.uniform(0.0, 40.0))
+            v_lead = [0.0, v_hi, dv * int(rng.integers(0, 60)), float(rng.uniform(0.0, 40.0))][i % 4]
+            if i % 6 < 2:
+                gap = float(rng.uniform(-5.0, 0.0))
+            else:
+                gap = float(rng.uniform(0.0, 120.0)) * float(rng.random())
+            closing = 0.0 if i % 2 else dt
+            args = (gap, v_hi, v_lead, brake, tau, dt, closing)
+            want = scan_cap(*args)
+            assert brake_cap(*args) == want, args
+            kinds["top" if want == v_hi else "zero" if want == 0.0 else "cap"] += 1
+            if want < v_hi:
+                # the leader still moves at the follower's last braking step
+                kinds["leader_outlasts"] += math.ceil(v_hi / dv) <= math.ceil(v_lead / dv - 1e-12)
+                kinds["negative_gap"] += gap < 0.0 and closing == 0.0
+        assert min(kinds.values()) > 500
+
 
 def random_qp_instance(rng, v_cap=40.0):
     """Random instance over the decision box [0, v_cap] (the box rows are
@@ -278,6 +306,28 @@ class TestSolveQP:
                     continue
                 assert solve_qp(v_nom[0], rows, k_eps, lo, hi) == as_rows
         assert checked > 60
+
+    def test_oracle_slack_on_an_active_slack_row(self):
+        # a 2-D instance on which the enumerator's KKT solve used to leave its
+        # point 7e-11 outside soft row r0 with slack_nonneg active, which
+        # k_eps = 1e6 lifted 7e-5 above the grid's objective (drawn from the
+        # seed-12 instance stream when the box draws shared its generator)
+        from qp_oracle import check_instance
+
+        def row(p, q, label):
+            return AffineConstraint(p=p, q=q, kind="soft" if p[-1] else "hard", label=label)
+
+        rows = [
+            row((1.0, 0.0, 0.0), 40.0, "box_hi0"),
+            row((-1.0, 0.0, 0.0), 0.0, "box_lo0"),
+            row((0.0, 1.0, 0.0), 40.0, "box_hi1"),
+            row((0.0, -1.0, 0.0), 0.0, "box_lo1"),
+            row((-0.45893781484543994, -0.9747275141021376, -1.0), -17.860521494240324, "r0"),
+            row((-0.7262122389306618, 0.6497158510047865, 0.0), 19.195684829381438, "r1"),
+            row((-0.8589136566974238, 0.7601010078394426, 0.0), 2.009855445562467, "r2"),
+            row((0.6497990722921243, -0.42856780373697845, -1.0), 20.503320970125618, "r3"),
+        ]
+        assert check_instance((3.073530818031238, 16.97787102118959), rows, 1e6) == 1
 
 
 def hss_outcome(gap, v_e, v_l, v_nominal, cfg=None):

@@ -9,7 +9,9 @@ from mergeshield.policy import BehaviorAction
 from mergeshield.road import RoadNetwork
 from mergeshield.world import (
     ScenarioConfig,
+    _perception_adjacent,
     bumper_gap,
+    neighbor_index,
     neighbors,
     observe,
     plan_motion,
@@ -22,7 +24,7 @@ from conftest import make_vehicle, make_world, spawned_world
 
 def brute_force_neighbors(world, ego):
     """O(n^2) rescan of the neighbour definitions."""
-    from mergeshield.world import _perception_adjacent, is_ahead
+    from mergeshield.world import is_ahead
 
     comm = world.scenario.comm_range
     adj = _perception_adjacent(world.road, ego)
@@ -44,15 +46,20 @@ def brute_force_neighbors(world, ego):
     return ol, oal, oar
 
 
-def brute_force_perceived(world, ego):
-    """In-range others sorted by (distance, vid), truncated to perception_n."""
+def brute_force_reach(world, ego):
+    """In-range others sorted by (distance, vid), from a scan of the fleet."""
     found = []
     for o in world.vehicles:
         d = math.hypot(o.state.x - ego.state.x, o.state.y - ego.state.y)
         if o.vid != ego.vid and d <= world.scenario.comm_range:
             found.append((d, o.vid, o))
     found.sort(key=lambda t: (t[0], t[1]))
-    return [o for _, _, o in found[: world.scenario.perception_n]]
+    return [o for _, _, o in found]
+
+
+def brute_force_perceived(world, ego):
+    """:func:`brute_force_reach` truncated to perception_n."""
+    return brute_force_reach(world, ego)[: world.scenario.perception_n]
 
 
 def random_layout(rng, road, comm):
@@ -177,6 +184,9 @@ class TestNeighbors:
             road = RoadNetwork(highway_lanes=1 + layout % 2)
             vehicles, walks = random_layout(rng, road, comm)
             w = make_world(vehicles, road=road)
+            reach = neighbor_index(w).reach
+            assert {vid: list(near) for vid, near in reach.items()} == {
+                ego.vid: [o.vid for o in brute_force_reach(w, ego)] for ego in vehicles}
             for ego in vehicles:
                 near = neighbors(w, ego)
                 ol, oal, oar = brute_force_neighbors(w, ego)
@@ -194,6 +204,31 @@ class TestNeighbors:
                 assert all(row == [0.0] * 5 for row in rows[1 + len(seen):])
             for ego, name, expected in walks:
                 assert getattr(neighbors(w, ego), name) is expected
+
+    def test_repeat_calls_share_one_answer_per_adjacent_lane(self):
+        # within one state, calls before and after target_lane flips each
+        # match the rescan, and a repeat for the same adjacent lane returns
+        # the object the first call built
+        rng = np.random.default_rng(10)
+        comm = ScenarioConfig().comm_range
+        flipped = 0
+        for layout in range(20):
+            road = RoadNetwork(highway_lanes=1 + layout % 3)
+            vehicles, _ = random_layout(rng, road, comm)
+            w = make_world(vehicles, road=road)
+            for ego in vehicles:
+                first = {}
+                for _ in range(3):
+                    for target in (ego.target_lane, int(rng.choice(road.lanes)), ego.target_lane):
+                        flipped += target != ego.target_lane
+                        ego.target_lane = target
+                        adj = _perception_adjacent(road, ego)
+                        near = neighbors(w, ego)
+                        want = brute_force_neighbors(w, ego)
+                        assert all(a is b for a, b in zip((near.c_ol, near.c_oal, near.c_oar), want))
+                        assert neighbors(w, ego) is near
+                        assert first.setdefault(adj, near) is near
+        assert flipped > 500
 
     def test_follows_the_state_across_steps(self):
         # the index of one state must not answer for the next
