@@ -2,8 +2,8 @@
 
 A run config bundles the scenario, road geometry, vehicle limits, shield,
 reward and policy selections plus batch options.  The YAML schema mirrors
-the dataclasses section by section; unknown sections or keys are validation
-errors, value problems are reported with their section path.  The reference
+the dataclasses section by section; unknown sections or keys, keys another
+section sets and bad values are errors reported with their path.  The reference
 scenario runs 7 to 11 vehicles; other counts are allowed only with the
 explicit off-range flag.
 """
@@ -23,7 +23,7 @@ from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig
 
 __all__ = ["RunConfig", "ConfigError", "ValidationReport", "default_config",
-           "load_config", "validate_config", "resolved_dict", "apply_overrides"]
+           "load_config", "validate_config", "resolved_dict"]
 
 REFERENCE_VEHICLE_RANGE = (7, 11)
 
@@ -48,17 +48,12 @@ class RunConfig:
     allow_offrange: bool = False
 
     def resolved(self) -> "RunConfig":
-        """Wire cross-section defaults: the shield inherits the scenario's
-        tau and dt, the reward inherits tau and the merge length."""
-        shield = replace(self.shield, tau=self.shield.tau, dt=self.scenario.dt)
-        if abs(shield.tau - self.scenario.tau) > 1e-12 and self._shield_tau_default:
-            shield = replace(shield, tau=self.scenario.tau)
+        """Wire cross-section values: the shield takes the scenario's tau
+        and dt, the reward takes tau and the road's merge length."""
+        shield = replace(self.shield, tau=self.scenario.tau, dt=self.scenario.dt)
         reward = replace(self.reward, tau=self.scenario.tau,
                          merge_length=self.road.merge_length)
         return replace(self, shield=shield, reward=reward)
-
-    # sentinel: tau in the shield section was left at its default
-    _shield_tau_default: bool = True
 
 
 @dataclass
@@ -102,6 +97,14 @@ _RUN_KEYS = {
 
 _REWARD_EXTRA = {"function"}
 
+#: section keys that :meth:`RunConfig.resolved` overwrites from another section
+_DERIVED = {
+    ("shield", "tau"): "scenario.tau",
+    ("shield", "dt"): "scenario.dt",
+    ("reward", "tau"): "scenario.tau",
+    ("reward", "merge_length"): "road.merge_length",
+}
+
 
 def _build_section(name, cls, data, report):
     allowed = {f.name for f in fields(cls) if not f.name.startswith("_")}
@@ -109,6 +112,9 @@ def _build_section(name, cls, data, report):
     kwargs = {}
     for key, value in data.items():
         if key in extra:
+            continue
+        if (name, key) in _DERIVED:
+            report.errors.append(f"{name}.{key}: taken from {_DERIVED[name, key]}; set it there")
             continue
         if key not in allowed:
             report.errors.append(f"{name}.{key}: unknown key")
@@ -158,7 +164,6 @@ def _parse(data, report) -> RunConfig | None:
         if value is not None:
             run_kwargs[key] = value
 
-    shield_tau_given = (data.get("shield") or {}).get("tau") is not None
     cfg = RunConfig(
         scenario=parts["scenario"],
         road=parts["road"],
@@ -167,7 +172,6 @@ def _parse(data, report) -> RunConfig | None:
         reward=parts["reward"],
         reward_kind=reward_kind,
         policy=parts["policy"],
-        _shield_tau_default=not shield_tau_given,
         **run_kwargs,
     )
     if cfg.episodes < 1:
@@ -272,25 +276,3 @@ def resolved_dict(cfg: RunConfig) -> dict:
         },
     }
 
-
-def apply_overrides(cfg: RunConfig, *, episodes=None, seed=None, shield=None,
-                    reward=None, policy=None, out_dir=None,
-                    emit_trajectories=None, allow_offrange=None) -> RunConfig:
-    """CLI flags win over config-file values."""
-    if seed is not None:
-        cfg = replace(cfg, scenario=replace(cfg.scenario, rng_seed=int(seed)))
-    if episodes is not None:
-        cfg = replace(cfg, episodes=int(episodes))
-    if shield is not None:
-        cfg = replace(cfg, shield=replace(cfg.shield, mode=shield))
-    if reward is not None:
-        cfg = replace(cfg, reward_kind=reward)
-    if policy is not None:
-        cfg = replace(cfg, policy=PolicySpec(kind=policy))
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=str(out_dir))
-    if emit_trajectories is not None:
-        cfg = replace(cfg, emit_trajectories=bool(emit_trajectories))
-    if allow_offrange is not None:
-        cfg = replace(cfg, allow_offrange=bool(allow_offrange))
-    return cfg.resolved()

@@ -82,8 +82,7 @@ def heuristic_policy(observation, vehicle: "Vehicle", world: "World") -> Behavio
 
     if vehicle.lane == road.ramp_lane and not vehicle.merge_failed:
         near = neighbors(world, vehicle)
-        in_window = road.merge_start <= vehicle.state.x <= road.merge_end
-        if in_window:
+        if road.in_merge_window(vehicle.state.x):
             if shield_mod.allow_lane_change(vehicle, near.c_oal, near.c_oar, world.shield):
                 return BehaviorAction.LANE_LEFT
             if near.c_oal is not None:

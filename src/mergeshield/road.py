@@ -49,19 +49,6 @@ class RoadNetwork:
     def in_merge_window(self, x: float) -> bool:
         return self.merge_start <= x <= self.merge_end
 
-    def adjacent_lane(self, lane: int, x: float) -> int | None:
-        """Lane reachable by a single lane change from ``lane`` at arc x.
-
-        With the default single-lane highway this is the other lane, and it
-        exists only inside the merge window.  Multi-lane highways keep plain
-        left/right adjacency between through lanes.
-        """
-        if lane == self.ramp_lane:
-            return self.highway_lanes - 1 if self.in_merge_window(x) else None
-        if lane == self.highway_lanes - 1 and self.in_merge_window(x):
-            return self.ramp_lane
-        return None
-
     def shift_lane(self, lane: int, direction: int, x: float) -> int | None:
         """Target lane for a left (-1) or right (+1) change, if reachable."""
         target = lane + direction

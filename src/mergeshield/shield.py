@@ -1,18 +1,22 @@
 """Safety layer: barrier constraints, a scalar QP filter, lane-change gating.
 
 Constraints are affine halfspaces over one speed command and one shared
-slack.  Per vehicle and step the filter builds
+slack.  The interaction topology names the leaders that constrain each
+vehicle in both shield modes; the mode only picks the next speed a leader
+is credited with: its resolved safe command in ``mass`` mode, its
+worst-case braking in ``hss`` mode, which also keeps the own-lane leader
+that a cutting-in vehicle displaced.  Per vehicle and step the filter builds
 
-* a headway barrier row per constrained leader: the time-headway barrier
-  ``h = gap - tau * v`` propagated one step with decay ``eta``, crediting the
-  leader's next speed (its resolved safe command in ``mass`` mode, its
-  worst-case braking in ``hss`` mode),
-* a braking-feasibility guard per constrained leader: the largest command
-  from which a joint worst-case braking run keeps the headway satisfied.
-  The bare one-step barrier alone admits states where bounded deceleration
-  can no longer prevent a violation (fast follower, slow leader), so the
-  guard keeps the system inside the set where the barrier stays feasible,
-* soft lateral rows during an ongoing lane change, relaxed by the slack.
+* a headway barrier row per leader: the time-headway barrier
+  ``h = gap - tau * v`` propagated one step with decay ``eta``, crediting
+  the leader's next speed,
+* a braking-feasibility guard per leader: the largest command from which a
+  joint worst-case braking run keeps the headway satisfied.  The bare
+  one-step barrier alone admits states where bounded deceleration can no
+  longer prevent a violation (fast follower, slow leader), so the guard
+  keeps the system inside the set where the barrier stays feasible,
+* a soft rear row toward the adjacent rear vehicle during an ongoing lane
+  change, relaxed by the slack.
 
 The QP minimises ``(v - v_nominal)^2 + k_eps * slack`` over the one command
 inside the reachability box (one-step actuator envelope) in closed form
@@ -28,7 +32,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from mergeshield.topology import InteractionTopology
-    from mergeshield.world import Neighborhood, Vehicle, World
+    from mergeshield.world import World
 
 __all__ = [
     "AffineConstraint",
@@ -37,13 +41,13 @@ __all__ = [
     "ShieldOutcome",
     "ShieldFault",
     "QPSolution",
+    "worst_case_speed",
     "longitudinal_cbf",
     "brake_guard",
-    "lateral_cbfs",
+    "lateral_rear_row",
     "allow_lane_change",
     "solve_qp",
-    "filter_hss",
-    "filter_mass",
+    "filter_vehicle",
     "joint_safe_control",
 ]
 
@@ -57,16 +61,13 @@ class AffineConstraint:
     """Halfspace ``p[:-1] . v + p[-1] * slack <= q``.
 
     The last coefficient of ``p`` belongs to the shared slack variable:
-    0 for hard rows, -1 for soft rows.  ``h_now`` is the barrier value at
-    the current state: the headway rows and the lateral rows (read by the
-    lane-change gate) carry it; the brake-guard rows leave it at 0.
+    0 for hard rows, -1 for soft rows.
     """
 
     p: tuple
     q: float
     kind: str = "hard"
     label: str = ""
-    h_now: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("hard", "soft"):
@@ -252,23 +253,33 @@ def brake_cap(gap: float, v_hi: float, v_lead: float, brake: float,
     return max(cap, 0.0)
 
 
-def longitudinal_cbf(ego, leader, tau: float, config: ShieldConfig,
-                     v_leader_next: float | None = None) -> AffineConstraint:
+def worst_case_speed(leader, config: ShieldConfig) -> float:
+    """Next speed of a leader that brakes as hard as it can; 0 once crashed."""
+    if leader.crashed:
+        return 0.0
+    return max(0.0, leader.state.speed + config.brake_of(leader) * config.dt)
+
+
+def _rear_speed(c_oar, config: ShieldConfig) -> float:
+    """Next speed of an adjacent rear vehicle that accelerates as hard as it can."""
+    return min(c_oar.params.v_cap, c_oar.state.speed + config.accel_of(c_oar) * config.dt)
+
+
+def longitudinal_cbf(ego, leader, config: ShieldConfig,
+                     v_leader_next: float) -> AffineConstraint:
     """Headway barrier row for one leader, propagated one step.
 
     ``h = gap - tau * v_e`` must decay no faster than ``(1 - eta)`` per
     step.  The ego advance is credited at the commanded speed times
-    ``cos(psi)``; the leader advance at ``v_leader_next`` (worst-case
-    braking when not given).  The row is tightened by ``lag_margin``.
+    ``cos(psi)``; the leader advance at its credited next speed
+    ``v_leader_next``.  The row is tightened by ``lag_margin``.
     """
     dt = config.dt
+    tau = config.tau
     gap = bumper_gap(ego, leader)
     v_e = ego.state.speed
-    h_now = gap - tau * v_e
     g_e = math.cos(ego.state.psi)
     g_o = math.cos(leader.state.psi)
-    if v_leader_next is None:
-        v_leader_next = max(0.0, leader.state.speed + config.brake_of(leader) * dt)
     p_v = g_e * dt + tau
     q = (
         config.eta * gap
@@ -277,26 +288,22 @@ def longitudinal_cbf(ego, leader, tau: float, config: ShieldConfig,
         - config.lag_margin
     )
     return AffineConstraint(
-        p=(p_v, 0.0), q=q, kind="hard", label=f"headway:{leader.vid}", h_now=h_now
+        p=(p_v, 0.0), q=q, kind="hard", label=f"headway:{leader.vid}"
     )
 
 
-def brake_guard(ego, leader, config: ShieldConfig,
-                v_leader_next: float | None = None,
-                v_hi: float | None = None) -> AffineConstraint | None:
+def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float,
+                v_hi: float) -> AffineConstraint | None:
     """Braking-feasibility row: cap the command so a joint worst-case
     braking run from the next state keeps the headway barrier satisfied.
 
-    Returns None when even the largest reachable command is fine.
+    ``v_leader_next`` is the leader's credited next speed and ``v_hi`` the
+    top of the ego's reachability box.  Returns None when even ``v_hi`` is
+    fine.
     """
     dt = config.dt
     gap = bumper_gap(ego, leader)
-    v_e = ego.state.speed
     brake = -ego.params.a_min
-    if v_leader_next is None:
-        v_leader_next = max(0.0, leader.state.speed + config.brake_of(leader) * dt)
-    if v_hi is None:
-        v_hi = min(ego.params.v_cap, v_e + ego.params.a_max * dt)
     gap_next = gap + math.cos(leader.state.psi) * v_leader_next * dt - config.lag_margin
     cap = brake_cap(gap_next, v_hi, v_leader_next, brake, config.tau, dt,
                     closing=math.cos(ego.state.psi) * dt)
@@ -305,49 +312,38 @@ def brake_guard(ego, leader, config: ShieldConfig,
     return AffineConstraint(p=(1.0, 0.0), q=cap, kind="hard", label=f"brake:{leader.vid}")
 
 
-def lateral_cbfs(ego, c_oal, c_oar, config: ShieldConfig) -> list:
-    """Lateral constraints toward the adjacent lane.
+def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> AffineConstraint:
+    """Soft barrier row toward the adjacent rear vehicle during a lane change.
 
-    One per existing neighbour: ``h_oal = gap - tau_lat * v_e`` with respect
-    to the adjacent leader and ``h_oar = gap - tau_lat * v_oar_wc`` with
-    respect to the adjacent rear vehicle under its worst-case acceleration.
-    Both are returned as soft rows (propagated one step) so a squeezed
-    lane-changer yields through the slack rather than faulting.
+    ``h = gap - tau_lat * v_ar`` with ``v_ar`` the rear vehicle's worst-case
+    (full acceleration) next speed, propagated one step.  It is soft so a
+    squeezed lane-changer yields through the slack rather than faulting.
     """
     dt = config.dt
     tau_lat = config.lateral_tau()
-    v_e = ego.state.speed
     g_e = math.cos(ego.state.psi)
-    rows = []
-    if c_oal is not None:
-        gap = bumper_gap(ego, c_oal)
-        h_now = gap - tau_lat * v_e
-        v_al_wc = max(0.0, c_oal.state.speed + config.brake_of(c_oal) * dt)
-        g_al = math.cos(c_oal.state.psi)
-        q = config.eta * gap + (1.0 - config.eta) * tau_lat * v_e + g_al * v_al_wc * dt
-        rows.append(
-            AffineConstraint(
-                p=(g_e * dt + tau_lat, -1.0), q=q, kind="soft",
-                label=f"lat_leader:{c_oal.vid}", h_now=h_now,
-            )
-        )
-    if c_oar is not None:
-        gap = bumper_gap(c_oar, ego)
-        v_ar_wc = min(c_oar.params.v_cap, c_oar.state.speed + config.accel_of(c_oar) * dt)
-        h_now = gap - tau_lat * v_ar_wc
-        q = config.eta * h_now - v_ar_wc * dt
-        rows.append(
-            AffineConstraint(
-                p=(-g_e * dt, -1.0), q=q, kind="soft",
-                label=f"lat_rear:{c_oar.vid}", h_now=h_now,
-            )
-        )
-    return rows
+    gap = bumper_gap(c_oar, ego)
+    v_ar_wc = _rear_speed(c_oar, config)
+    h_now = gap - tau_lat * v_ar_wc
+    q = config.eta * h_now - v_ar_wc * dt
+    return AffineConstraint(
+        p=(-g_e * dt, -1.0), q=q, kind="soft", label=f"lat_rear:{c_oar.vid}"
+    )
 
 
 def allow_lane_change(ego, c_oal, c_oar, config: ShieldConfig) -> bool:
-    """True iff every lateral constraint holds at the current state."""
-    return all(row.h_now >= 0.0 for row in lateral_cbfs(ego, c_oal, c_oar, config))
+    """True iff both lateral barriers hold at the current state:
+    ``gap - tau_lat * v_e`` toward the adjacent leader ``c_oal`` and
+    ``gap - tau_lat * v_ar`` toward the adjacent rear vehicle ``c_oar`` at
+    its worst-case next speed (a missing neighbour imposes nothing)."""
+    tau_lat = config.lateral_tau()
+    if c_oal is not None:
+        if bumper_gap(ego, c_oal) - tau_lat * ego.state.speed < 0.0:
+            return False
+    if c_oar is not None:
+        if bumper_gap(c_oar, ego) - tau_lat * _rear_speed(c_oar, config) < 0.0:
+            return False
+    return True
 
 
 def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
@@ -377,7 +373,7 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
             return False
     if c_oar is not None:
         gap1 = bumper_gap(c_oar, ego) + (v_e - c_oar.state.speed) * dt
-        v_ar_hi = min(c_oar.params.v_cap, c_oar.state.speed + config.accel_of(c_oar) * dt)
+        v_ar_hi = _rear_speed(c_oar, config)
         v_e_lo = max(0.0, v_e + ego.params.a_min * dt)
         if brake_margin(gap1 - sigma, v_ar_hi, v_e_lo, -c_oar.params.a_min, tau, dt) < 0.0:
             return False
@@ -467,21 +463,27 @@ def solve_qp(v_nominal: float, constraints: list, k_eps: float,
     return best
 
 
-def _filter_common(ego, leader_credits: list, soft_rows: list, v_nominal: float,
+def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
                    config: ShieldConfig) -> ShieldOutcome:
-    """Shared HSS/MASS core: build rows, solve in the reachability box,
-    fall back to full braking."""
+    """Filter one vehicle's nominal speed command.
+
+    ``leaders`` holds ``(leader, credited next speed)`` pairs, each adding a
+    headway row and a brake guard; while the ego changes lanes, an adjacent
+    rear vehicle ``c_oar`` adds the soft rear row.  The QP is solved in the
+    reachability box, and a hard fault falls back to full braking.
+    """
     v = ego.state.speed
     lo = max(0.0, v + ego.params.a_min * config.dt)
     hi = min(ego.params.v_cap, v + ego.params.a_max * config.dt)
     v_nom_step = min(max(v_nominal, lo), hi)
     rows = []
-    for leader, v_next in leader_credits:
-        rows.append(longitudinal_cbf(ego, leader, config.tau, config, v_leader_next=v_next))
-        guard = brake_guard(ego, leader, config, v_leader_next=v_next, v_hi=hi)
+    for leader, v_next in leaders:
+        rows.append(longitudinal_cbf(ego, leader, config, v_next))
+        guard = brake_guard(ego, leader, config, v_next, hi)
         if guard is not None:
             rows.append(guard)
-    rows.extend(soft_rows)
+    if ego.lc_phase == "changing" and c_oar is not None:
+        rows.append(lateral_rear_row(ego, c_oar, config))
     try:
         sol = solve_qp(v_nom_step, rows, config.k_eps, lo, hi)
     except ShieldFault:
@@ -504,68 +506,14 @@ def _filter_common(ego, leader_credits: list, soft_rows: list, v_nominal: float,
     )
 
 
-def _credit_hss(vehicle, config: ShieldConfig) -> float:
-    if vehicle.crashed:
-        return 0.0
-    return max(0.0, vehicle.state.speed + config.brake_of(vehicle) * config.dt)
-
-
-def cutting_in(ego, c_ol, c_oal) -> bool:
-    """Adjacent leader mid-change into the ego's lane, inserting between the
-    ego and its current leader (or with no current leader ahead)."""
-    if c_oal is None or c_oal.lc_phase != "changing" or c_oal.target_lane != ego.lane:
-        return False
-    if not ((c_oal.state.x, -c_oal.vid) > (ego.state.x, -ego.vid)):
-        return False
-    return c_ol is None or ((c_ol.state.x, -c_ol.vid) > (c_oal.state.x, -c_oal.vid))
-
-
-def filter_hss(ego, near: "Neighborhood", v_nominal: float,
-               config: ShieldConfig) -> ShieldOutcome:
-    """Worst-case shield: every observed vehicle is assumed to brake
-    (leaders) or accelerate (rear vehicles) as hard as it can.
-
-    Besides the own-lane leader, a vehicle cutting in from the adjacent
-    lane constrains the ego as a second worst-case leader; its lane label
-    only flips at maneuver completion, long after it physically matters.
-    """
-    leaders = []
-    if near.c_ol is not None:
-        leaders.append((near.c_ol, _credit_hss(near.c_ol, config)))
-    if cutting_in(ego, near.c_ol, near.c_oal):
-        leaders.append((near.c_oal, _credit_hss(near.c_oal, config)))
-    soft_rows = []
-    if ego.lc_phase == "changing":
-        if near.c_oal is not None and all(l.vid != near.c_oal.vid for l, _ in leaders):
-            leaders.append((near.c_oal, _credit_hss(near.c_oal, config)))
-        soft_rows = [
-            row for row in lateral_cbfs(ego, None, near.c_oar, config)
-        ]
-    return _filter_common(ego, leaders, soft_rows, v_nominal, config)
-
-
-def filter_mass(ego, parents: list, other_neighbors: "Neighborhood", v_nominal: float,
-                config: ShieldConfig) -> ShieldOutcome:
-    """Cooperative shield: parent vehicles share their already-resolved safe
-    commands; remaining neighbours keep worst-case treatment."""
-    leaders = []
-    for parent, outcome in parents:
-        if parent.crashed or outcome is None:
-            leaders.append((parent, 0.0 if parent.crashed else _credit_hss(parent, config)))
-        else:
-            leaders.append((parent, outcome.v_safe))
-    soft_rows = []
-    if ego.lc_phase == "changing" and other_neighbors.c_oar is not None:
-        soft_rows = lateral_cbfs(ego, None, other_neighbors.c_oar, config)
-    return _filter_common(ego, leaders, soft_rows, v_nominal, config)
-
-
 def joint_safe_control(world: "World", topology: "InteractionTopology",
                        nominal_plans: dict) -> dict:
     """Resolve every vehicle in dependency order and gate lane requests.
 
-    Parents are always ahead, so the front-to-back evaluation order hands
-    each vehicle the resolved outcomes of everything it depends on.
+    Each vehicle's leaders are its topology parents; ``hss`` adds the
+    own-lane leader when a cut-in displaced it.  Parents are always ahead,
+    so the front-to-back evaluation order hands each vehicle the resolved
+    outcomes of everything it depends on.
     """
     from mergeshield.topology import evaluation_order
     from mergeshield.world import neighbors
@@ -586,11 +534,19 @@ def joint_safe_control(world: "World", topology: "InteractionTopology",
             )
         else:
             near = neighbors(world, vehicle)
-            if config.mode == "hss":
-                out = filter_hss(vehicle, near, plan.v_target, config)
+            parents = [by_id[pid] for pid in topology.parents(vid)]
+            if config.mode == "mass":
+                # crashed parents are never resolved, so they get the worst case
+                leaders = [(p, outcomes[p.vid].v_safe if p.vid in outcomes
+                            else worst_case_speed(p, config)) for p in parents]
             else:
-                parents = [(by_id[pid], outcomes.get(pid)) for pid in topology.parents(vid)]
-                out = filter_mass(vehicle, parents, near, plan.v_target, config)
+                # on a cut-in the topology hands the ego to the merging
+                # vehicle; the worst case also keeps the leader it displaced
+                c_ol = near.c_ol
+                own = [] if c_ol is None else [c_ol]
+                rest = [p for p in parents if c_ol is None or p.vid != c_ol.vid]
+                leaders = [(p, worst_case_speed(p, config)) for p in own + rest]
+            out = filter_vehicle(vehicle, leaders, near.c_oar, plan.v_target, config)
             if plan.lane_request:
                 allowed = allow_lane_change(vehicle, near.c_oal, near.c_oar, config) and \
                     lane_change_feasible(vehicle, near.c_oal, near.c_oar, config, outcomes)

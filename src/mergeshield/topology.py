@@ -1,4 +1,4 @@
-"""Interaction topology: who consumes whose resolved safe control.
+"""Interaction topology: which leaders constrain each vehicle.
 
 Each vehicle is mapped to a parent set of at most two vehicles strictly
 ahead of it in the common longitudinal coordinate.  A lane follower depends
@@ -7,14 +7,15 @@ the leader's place; a lane-changing vehicle depends on both its current
 leader and the target-lane leader.  Rear vehicles are never parents, which
 keeps the graph acyclic, and the descending-position order is therefore
 always a valid evaluation order.
+
+The shield reads its leaders from this map in both modes: ``mass`` credits
+each parent with its resolved safe command, ``hss`` with its worst case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from mergeshield.shield import cutting_in
 
 if TYPE_CHECKING:
     from mergeshield.world import Vehicle, World
@@ -30,6 +31,16 @@ class InteractionTopology:
 
     def parents(self, vid: int) -> tuple:
         return self.entries.get(vid, ())
+
+
+def cutting_in(ego, c_ol, c_oal) -> bool:
+    """Adjacent leader mid-change into the ego's lane, inserting between the
+    ego and its current leader (or with no current leader ahead)."""
+    if c_oal is None or c_oal.lc_phase != "changing" or c_oal.target_lane != ego.lane:
+        return False
+    if not ((c_oal.state.x, -c_oal.vid) > (ego.state.x, -ego.vid)):
+        return False
+    return c_ol is None or ((c_ol.state.x, -c_ol.vid) > (c_oal.state.x, -c_oal.vid))
 
 
 def build_topology(vehicles: list, world: "World") -> InteractionTopology:

@@ -82,7 +82,6 @@ class ScenarioConfig:
     episode_steps: int = 150
     spawn_spacing_min: float = 10.0
     initial_speed_range: tuple = (15.0, 25.0)
-    rng_seed: int = 0
     dv_step: float = 2.0
 
     def __post_init__(self):

@@ -39,7 +39,7 @@ def make_world(vehicles, road=None, scenario=None, shield_mode="mass", **shield_
 
 
 def spawned_world(seed=0, shield_mode="mass", **scenario_kw):
-    scenario = ScenarioConfig(rng_seed=seed, **scenario_kw)
+    scenario = ScenarioConfig(**scenario_kw)
     road = RoadNetwork()
     rng = np.random.default_rng(seed)
     vehicles = spawn(scenario, road, rng)

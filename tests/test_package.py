@@ -1,5 +1,5 @@
-"""Every module, entry point, policy kind and benchmark trace point the
-package names exists."""
+"""Every module, exported name, entry point, policy kind and benchmark
+trace point the package names exists."""
 
 import importlib
 import importlib.util
@@ -17,9 +17,18 @@ PYPROJECT = ROOT / "pyproject.toml"
 TRACER = ROOT / "bench" / "tracer.py"
 
 
-@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(mergeshield.__path__)))
+MODULES = sorted(m.name for m in pkgutil.iter_modules(mergeshield.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_module_imports(name):
     importlib.import_module(f"mergeshield.{name}")
+
+
+@pytest.mark.parametrize("name", ["mergeshield"] + [f"mergeshield.{m}" for m in MODULES])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 def test_script_entry_points_resolve():

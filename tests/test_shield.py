@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,15 +14,16 @@ from mergeshield.shield import (
     brake_cap,
     brake_guard,
     brake_margin,
-    filter_hss,
-    filter_mass,
+    bumper_gap,
+    filter_vehicle,
     joint_safe_control,
-    lateral_cbfs,
+    lateral_rear_row,
     longitudinal_cbf,
     solve_qp,
+    worst_case_speed,
 )
 from mergeshield.topology import build_topology
-from mergeshield.world import Neighborhood, neighbors, plan_motion, MotionPlan
+from mergeshield.world import plan_motion, MotionPlan
 
 from conftest import make_vehicle, make_world
 from qp_oracle import bisect_cap, scan_cap
@@ -36,17 +38,25 @@ def place_pair(gap, v_e, v_l, tau=0.5):
     return ego, leader
 
 
+def encoded_h(row, ego, leader, v_next, cfg=CFG):
+    """Barrier value a headway row decays from, solved out of its ``q``:
+    ``q = eta * gap + (1 - eta) * tau * v_e + cos(psi_l) * v_next * dt - lag``."""
+    gap = bumper_gap(ego, leader)
+    advance = math.cos(leader.state.psi) * v_next * cfg.dt - cfg.lag_margin
+    return (gap + advance - row.q) / (1.0 - cfg.eta)
+
+
 class TestLongitudinalCbf:
     def test_direct_substitution(self):
         ego, leader = place_pair(20.0, 25.0, 25.0)
-        row = longitudinal_cbf(ego, leader, 0.5, CFG)
-        assert row.h_now == pytest.approx(20.0 - 12.5)
+        row = longitudinal_cbf(ego, leader, CFG, 25.0)
+        assert encoded_h(row, ego, leader, 25.0) == pytest.approx(20.0 - 12.5)
         assert row.kind == "hard"
 
     def test_boundary_of_safe_set(self):
         ego, leader = place_pair(12.5, 25.0, 25.0)
-        row = longitudinal_cbf(ego, leader, 0.5, CFG)
-        assert row.h_now == pytest.approx(0.0)
+        row = longitudinal_cbf(ego, leader, CFG, 25.0)
+        assert encoded_h(row, ego, leader, 25.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_h_matches_scalar_evaluation_on_random_triples(self):
         rng = np.random.default_rng(2)
@@ -54,43 +64,47 @@ class TestLongitudinalCbf:
             gap = float(rng.uniform(0.5, 80.0))
             v_e = float(rng.uniform(0.0, 35.0))
             tau = float(rng.uniform(0.2, 1.5))
+            cfg = replace(CFG, tau=tau)
             ego, leader = place_pair(gap, v_e, 20.0)
-            row = longitudinal_cbf(ego, leader, tau, CFG)
-            assert row.h_now == pytest.approx(gap - tau * v_e, abs=1e-12)
+            row = longitudinal_cbf(ego, leader, cfg, 20.0)
+            assert row.p == (math.cos(ego.state.psi) * cfg.dt + tau, 0.0)
+            h = encoded_h(row, ego, leader, 20.0, cfg)
+            assert h == pytest.approx(gap - tau * v_e, abs=1e-12)
 
     def test_row_encodes_one_step_propagation(self):
         # a command satisfying the row keeps h from decaying faster than
         # (1 - eta) per step in the credited one-step model
         ego, leader = place_pair(18.0, 24.0, 22.0)
         v_next = 21.5
-        row = longitudinal_cbf(ego, leader, CFG.tau, CFG, v_leader_next=v_next)
+        row = longitudinal_cbf(ego, leader, CFG, v_next)
         v_cmd = (row.q - 1e-9) / row.p[0]
         gap_next = 18.0 + (v_next - math.cos(ego.state.psi) * v_cmd) * CFG.dt - CFG.lag_margin
         h_next = gap_next - CFG.tau * v_cmd
-        assert h_next >= (1.0 - CFG.eta) * row.h_now - 1e-6
+        assert h_next >= (1.0 - CFG.eta) * (18.0 - CFG.tau * 24.0) - 1e-6
 
 
 class TestLateralCbfs:
     def test_no_neighbors_empty(self):
-        ego = make_vehicle(0, 100.0, 20.0)
-        assert lateral_cbfs(ego, None, None, CFG) == []
-
-    def test_adjacent_leader_form(self):
+        # a lane-changer with no adjacent rear vehicle gets no lateral row
         road = RoadNetwork()
-        ego = make_vehicle(0, 100.0, 20.0, lane=road.ramp_lane, road=road)
-        al = make_vehicle(1, 100.0 + 15.0 + 5.0, 20.0, lane=0, road=road)
-        rows = lateral_cbfs(ego, al, None, CFG)
-        assert len(rows) == 1
-        assert rows[0].h_now == pytest.approx(15.0 - 0.5 * 20.0)
-        assert rows[0].kind == "soft"
+        ego = make_vehicle(0, 220.0, 20.0, lane=road.ramp_lane, road=road, target_lane=0)
+        out = filter_vehicle(ego, [], None, 20.0, CFG)
+        assert out.active_constraints == ()
+        assert out.slack_used == 0.0
+        assert out.v_safe == 20.0
 
     def test_adjacent_rear_form(self):
         road = RoadNetwork()
         ego = make_vehicle(0, 100.0, 20.0, lane=road.ramp_lane, road=road)
         ar = make_vehicle(1, 100.0 - 5.0 - 12.0, 18.0, lane=0, road=road)
-        rows = lateral_cbfs(ego, None, ar, CFG)
+        row = lateral_rear_row(ego, ar, CFG)
         v_wc = 18.0 + ar.params.a_max * CFG.dt
-        assert rows[0].h_now == pytest.approx(12.0 - 0.5 * v_wc)
+        h = 12.0 - 0.5 * v_wc
+        assert row.kind == "soft"
+        assert row.label == "lat_rear:1"
+        assert row.p == (-CFG.dt, -1.0)
+        assert row.q == pytest.approx(CFG.eta * h - v_wc * CFG.dt)
+        assert allow_lane_change(ego, None, ar, CFG)
 
     def test_satisfaction_matches_gap_oracle(self):
         rng = np.random.default_rng(3)
@@ -104,8 +118,7 @@ class TestLateralCbfs:
             ego = make_vehicle(0, 200.0, v_e, lane=road.ramp_lane, road=road)
             al = make_vehicle(1, ego.state.x + gap_al + 5.0, v_al, lane=0, road=road)
             ar = make_vehicle(2, ego.state.x - gap_ar - 5.0, v_ar, lane=0, road=road)
-            rows = lateral_cbfs(ego, al, ar, CFG)
-            ok = all(r.h_now >= 0 for r in rows)
+            ok = allow_lane_change(ego, al, ar, CFG)
             # independent go/no-go gap check with the same thresholds
             want = (gap_al >= 0.5 * v_e) and (gap_ar >= 0.5 * (v_ar + 0.5))
             assert ok == want
@@ -115,6 +128,15 @@ class TestAllowLaneChange:
     def test_empty_adjacent_lane(self):
         ego = make_vehicle(0, 100.0, 20.0)
         assert allow_lane_change(ego, None, None, CFG)
+
+    def test_adjacent_leader_form(self):
+        # the leader barrier is gap - tau_lat * v_e: 15 - 10 passes, and the
+        # gate closes just below its zero
+        road = RoadNetwork()
+        ego = make_vehicle(0, 100.0, 20.0, lane=road.ramp_lane, road=road)
+        for gap, want in ((15.0, True), (10.0, True), (9.99, False)):
+            al = make_vehicle(1, 100.0 + gap + 5.0, 20.0, lane=0, road=road)
+            assert allow_lane_change(ego, al, None, CFG) == want
 
     def test_close_leader_blocks(self):
         road = RoadNetwork()
@@ -152,10 +174,10 @@ class TestBrakeCap:
             leader = make_vehicle(1, 100.0 + gap + ego.params.length, v_l, psi=psi_l)
             v_next = None if i % 2 else max(0.0, v_l + float(rng.uniform(-0.5, 0.2)))
             v_hi = None if i % 3 else float(rng.uniform(0.0, 40.0))
-            row = brake_guard(ego, leader, CFG, v_leader_next=v_next, v_hi=v_hi)
-
+            # a missing draw credits the worst case or tops out at the reach box
             credit = max(0.0, v_l + leader.params.a_min * CFG.dt) if v_next is None else v_next
             top = min(ego.params.v_cap, v_e + ego.params.a_max * CFG.dt) if v_hi is None else v_hi
+            row = brake_guard(ego, leader, CFG, credit, top)
 
             def margin_at(v):
                 gap_next = gap + (math.cos(psi_l) * credit - math.cos(psi_e) * v) * CFG.dt \
@@ -330,17 +352,24 @@ class TestSolveQP:
         assert check_instance((3.073530818031238, 16.97787102118959), rows, 1e6) == 1
 
 
-def hss_outcome(gap, v_e, v_l, v_nominal, cfg=None):
-    cfg = cfg or CFG
+def hss_outcome(gap, v_e, v_l, v_nominal):
+    """The ego's ``hss`` outcome behind one leader that holds its speed."""
     ego, leader = place_pair(gap, v_e, v_l)
-    near = Neighborhood(c_ol=leader)
-    return filter_hss(ego, near, v_nominal, cfg)
+    w = make_world([ego, leader], shield_mode="hss")
+    plans = {0: MotionPlan(v_target=v_nominal, target_lane=0),
+             1: MotionPlan(v_target=v_l, target_lane=0)}
+    return joint_safe_control(w, build_topology(w.vehicles, w), plans)[0]
+
+
+def resolved(vehicle, v_nominal, cfg=None):
+    """The outcome of a vehicle with no leaders, as a parent hands it down."""
+    return filter_vehicle(vehicle, [], None, v_nominal, cfg or CFG)
 
 
 class TestFilterHss:
     def test_open_road_identity(self):
         ego = make_vehicle(0, 100.0, 25.0)
-        out = filter_hss(ego, Neighborhood(), 25.0, CFG)
+        out = filter_vehicle(ego, [], None, 25.0, CFG)
         assert out.v_safe == 25.0
         assert out.v_cbf == 0.0
         assert not out.fault
@@ -362,7 +391,7 @@ class TestFilterHss:
         saw_binding = False
         for _ in range(80):
             ego, leader = place_pair(x_l - x_e - 5.0, v_e, v_l)
-            out = filter_hss(ego, Neighborhood(c_ol=leader), v_e + 2.0, cfg)
+            out = hss_outcome(x_l - x_e - 5.0, v_e, v_l, v_e + 2.0)
             assert not out.fault
             gap = x_l - x_e - 5.0
             v_l_wc = max(0.0, v_l + leader.params.a_min * dt)
@@ -426,10 +455,12 @@ class TestFilterHss:
 
 class TestFilterMass:
     def test_no_parents_equals_hss_with_no_neighbors(self):
-        ego = make_vehicle(0, 100.0, 25.0)
-        mass = filter_mass(ego, [], Neighborhood(), 27.0, CFG)
-        hss = filter_hss(ego, Neighborhood(), 27.0, CFG)
-        assert mass == hss
+        outs = {}
+        for mode in ("mass", "hss"):
+            w = make_world([make_vehicle(0, 100.0, 25.0)], shield_mode=mode)
+            plans = {0: MotionPlan(v_target=27.0, target_lane=0)}
+            outs[mode] = joint_safe_control(w, build_topology(w.vehicles, w), plans)[0]
+        assert outs["mass"] == outs["hss"]
 
     def test_known_parent_never_more_restrictive_than_worst_case(self):
         rng = np.random.default_rng(8)
@@ -440,11 +471,10 @@ class TestFilterMass:
             gap = float(rng.uniform(0.5 * v_e, 0.5 * v_e + 60.0))
             v_nom = float(rng.uniform(0.0, 35.0))
             ego, leader = place_pair(gap, v_e, v_l)
-            near = Neighborhood(c_ol=leader)
-            hss = filter_hss(ego, near, v_nom, CFG)
+            hss = filter_vehicle(ego, [(leader, worst_case_speed(leader, CFG))], None, v_nom, CFG)
             # truthful parent intention: the leader holds its speed
-            parent_out = filter_hss(leader, Neighborhood(), v_l, CFG)
-            mass = filter_mass(ego, [(leader, parent_out)], near, v_nom, CFG)
+            parent_out = resolved(leader, v_l)
+            mass = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, v_nom, CFG)
             assert mass.v_safe >= hss.v_safe - 1e-12
             if mass.v_safe > hss.v_safe + 1e-9:
                 strictly_better += 1
@@ -461,10 +491,10 @@ class TestFilterMass:
                                lane=road.ramp_lane, road=road)
             target = make_vehicle(2, 220.0 + 5 + (19.0 if tight == 2 else 60.0), 20.0,
                                   lane=0, road=road)
-            own_out = filter_hss(own, Neighborhood(), 20.0, cfg)
-            tgt_out = filter_hss(target, Neighborhood(), 20.0, cfg)
-            out = filter_mass(ego, [(own, own_out), (target, tgt_out)], Neighborhood(),
-                              28.0, cfg)
+            own_out = resolved(own, 20.0, cfg)
+            tgt_out = resolved(target, 20.0, cfg)
+            out = filter_vehicle(ego, [(own, own_out.v_safe), (target, tgt_out.v_safe)], None,
+                                 28.0, cfg)
             assert not out.fault
             assert out.v_safe < out.v_nominal
             tight_vid = {1: own, 2: target}[tight].vid
@@ -472,8 +502,8 @@ class TestFilterMass:
 
     def test_minimal_invasiveness(self):
         ego, leader = place_pair(60.0, 20.0, 22.0)
-        parent_out = filter_hss(leader, Neighborhood(), 22.0, CFG)
-        out = filter_mass(ego, [(leader, parent_out)], Neighborhood(c_ol=leader), 20.3, CFG)
+        parent_out = resolved(leader, 22.0)
+        out = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, 20.3, CFG)
         assert out.v_cbf == 0.0
         assert out.v_safe == 20.3
 
@@ -484,20 +514,30 @@ class TestFilterMass:
             gap = float(rng.uniform(0.5 * v_e, 0.5 * v_e + 20.0))
             v_l = float(rng.uniform(2.0, v_e))
             ego, leader = place_pair(gap, v_e, v_l)
-            parent_out = filter_hss(leader, Neighborhood(), v_l, CFG)
-            out = filter_mass(ego, [(leader, parent_out)], Neighborhood(c_ol=leader),
-                              v_e + 2.0, CFG)
+            parent_out = resolved(leader, v_l)
+            out = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, v_e + 2.0, CFG)
             binding_leader = any(
                 label.startswith(("headway:", "brake:")) for label in out.active_constraints
             )
             if binding_leader:
                 assert out.v_cbf <= 1e-12
 
+    def test_crashed_parent_is_credited_a_standstill(self):
+        # a crashed parent has no outcome and never moves again
+        ego, leader = place_pair(30.0, 20.0, 20.0)
+        leader.crashed = True
+        w = make_world([ego, leader])
+        plans = {0: MotionPlan(v_target=22.0, target_lane=0)}
+        out = joint_safe_control(w, build_topology(w.vehicles, w), plans)[0]
+        assert worst_case_speed(leader, CFG) == 0.0
+        assert out == filter_vehicle(ego, [(leader, 0.0)], None, 22.0, CFG)
+        assert out.v_safe < filter_vehicle(ego, [(leader, 18.0)], None, 22.0, CFG).v_safe
+
     def test_deterministic(self):
         ego, leader = place_pair(20.0, 25.0, 20.0)
-        parent_out = filter_hss(leader, Neighborhood(), 20.0, CFG)
-        a = filter_mass(ego, [(leader, parent_out)], Neighborhood(c_ol=leader), 26.0, CFG)
-        b = filter_mass(ego, [(leader, parent_out)], Neighborhood(c_ol=leader), 26.0, CFG)
+        parent_out = resolved(leader, 20.0)
+        a = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, 26.0, CFG)
+        b = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, 26.0, CFG)
         assert a == b
 
 
@@ -529,12 +569,33 @@ class TestJointSafeControl:
         }
         outcomes = joint_safe_control(w, topo, plans)
         # sequential hand computation in topology order
-        front_hand = filter_hss(front, Neighborhood(), v - 2.0, w.shield)
-        mid_hand = filter_mass(mid, [(front, front_hand)], Neighborhood(c_ol=front), v, w.shield)
-        back_hand = filter_mass(back, [(mid, mid_hand)], Neighborhood(c_ol=mid), v, w.shield)
+        front_hand = resolved(front, v - 2.0, w.shield)
+        mid_hand = filter_vehicle(mid, [(front, front_hand.v_safe)], None, v, w.shield)
+        back_hand = filter_vehicle(back, [(mid, mid_hand.v_safe)], None, v, w.shield)
         assert outcomes[2] == front_hand
         assert outcomes[1].v_safe == mid_hand.v_safe
         assert outcomes[0].v_safe == back_hand.v_safe
         assert outcomes[2].v_safe < v
         assert outcomes[1].v_safe < v
         assert outcomes[0].v_safe < v
+
+    def test_hss_keeps_the_leader_a_cut_in_displaced(self):
+        # a merger cuts in between the ego and a slow own-lane leader; the
+        # topology hands the ego to the merger, and only hss also keeps the
+        # displaced leader, which is the tighter of the two
+        road = RoadNetwork()
+        ego = make_vehicle(0, 220.0, 24.0, road=road)
+        merger = make_vehicle(1, 250.0, 26.0, lane=road.ramp_lane, road=road, target_lane=0)
+        own = make_vehicle(2, 276.0, 10.0, road=road)
+        outs = {}
+        for mode in ("hss", "mass"):
+            w = make_world([ego, merger, own], road=road, shield_mode=mode)
+            topo = build_topology(w.vehicles, w)
+            assert topo.parents(0) == (1,)
+            plans = {v.vid: MotionPlan(v_target=v.state.speed + 3.0, target_lane=0)
+                     for v in w.vehicles}
+            outs[mode] = joint_safe_control(w, topo, plans)[0]
+            assert not outs[mode].fault
+        assert outs["hss"].active_constraints == ("brake:2",)
+        assert not any(label.endswith(":2") for label in outs["mass"].active_constraints)
+        assert outs["hss"].v_safe < outs["mass"].v_safe

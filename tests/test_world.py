@@ -106,14 +106,14 @@ def random_layout(rng, road, comm):
 
 class TestSpawn:
     def test_deterministic(self):
-        cfg = ScenarioConfig(n_vehicles=9, rng_seed=42)
+        cfg = ScenarioConfig(n_vehicles=9)
         road = RoadNetwork()
         a = spawn(cfg, road, np.random.default_rng(42))
         b = spawn(cfg, road, np.random.default_rng(42))
         assert a == b
 
     def test_spawn_gaps_respect_minimum(self):
-        cfg = ScenarioConfig(n_vehicles=7, rng_seed=3)
+        cfg = ScenarioConfig(n_vehicles=7)
         road = RoadNetwork()
         vehicles = spawn(cfg, road, np.random.default_rng(3))
         assert len(vehicles) == 7
@@ -126,7 +126,7 @@ class TestSpawn:
                 assert bumper_gap(follower, leader) >= cfg.spawn_spacing_min - 1e-9
 
     def test_initial_fleet_headway_at_least_tau(self):
-        cfg = ScenarioConfig(n_vehicles=11, rng_seed=5)
+        cfg = ScenarioConfig(n_vehicles=11)
         road = RoadNetwork()
         vehicles = spawn(cfg, road, np.random.default_rng(5))
         # exhaustive pairwise scan over same-lane pairs
@@ -141,7 +141,7 @@ class TestSpawn:
                     assert bumper_gap(f, l) / v >= cfg.tau - 1e-9
 
     def test_ramp_and_highway_population(self):
-        cfg = ScenarioConfig(n_vehicles=9, rng_seed=1)
+        cfg = ScenarioConfig(n_vehicles=9)
         road = RoadNetwork()
         vehicles = spawn(cfg, road, np.random.default_rng(1))
         ramp = [v for v in vehicles if v.lane == road.ramp_lane]
@@ -149,7 +149,7 @@ class TestSpawn:
         assert all(v.spawned_on_ramp for v in ramp)
 
     def test_too_many_vehicles_rejected(self):
-        cfg = ScenarioConfig(n_vehicles=60, rng_seed=0)
+        cfg = ScenarioConfig(n_vehicles=60)
         road = RoadNetwork()
         with pytest.raises(ValueError, match="geometry too short"):
             spawn(cfg, road, np.random.default_rng(0))
