@@ -1,11 +1,14 @@
 """Discrete behavioural action space and built-in decision policies.
 
-Policies map per-vehicle observations to one of five behavioural actions per
-step.  Built-ins are pure functions of (observation, seed, step index).
+Policies map the world state to one of five behavioural actions per live
+vehicle per step.  The random policy's action is a pure function of
+(seed, step index, vehicle id); the heuristic's is a pure function of the
+world state.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -23,7 +26,6 @@ __all__ = [
     "Policy",
     "RandomPolicy",
     "HeuristicPolicy",
-    "random_policy",
     "heuristic_policy",
     "build_policy",
 ]
@@ -55,11 +57,6 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-
-
-def random_policy(observation, rng: np.random.Generator) -> BehaviorAction:
-    """Uniform draw over the five actions; blind to the observation."""
-    return BehaviorAction(int(rng.integers(0, len(BehaviorAction))))
 
 
 def heuristic_policy(observation, vehicle: "Vehicle", world: "World") -> BehaviorAction:
@@ -99,7 +96,13 @@ def heuristic_policy(observation, vehicle: "Vehicle", world: "World") -> Behavio
     # highway vehicle: give way near the merge section when ramp traffic is
     # present, but never yield below a crawl (stopped queues help nobody)
     if vehicle.state.x < road.merge_end and v > 8.0:
-        for other in neighbor_index(world).lanes.get(road.ramp_lane, ()):
+        # the ramp lane is sorted by x; every vehicle that can pass the
+        # |dx| < 60 test lies in [fl(x - 60), fl(x + 60)]
+        index = neighbor_index(world)
+        keys = index.keys.get(road.ramp_lane, ())
+        lo = bisect.bisect_left(keys, (vehicle.state.x - 60.0,))
+        hi = bisect.bisect_right(keys, (vehicle.state.x + 60.0, math.inf))
+        for other in index.lanes.get(road.ramp_lane, ())[lo:hi]:
             if other.vid == vehicle.vid or other.crashed or other.merge_failed:
                 continue
             if not (road.merge_start - 50.0 <= other.state.x <= road.merge_end):
@@ -132,8 +135,18 @@ class Policy:
         pass
 
 
+#: action by its integer encoding, for indexing with a draw
+_ACTIONS = tuple(BehaviorAction)
+
+
 class RandomPolicy(Policy):
-    """Seeded uniform policy; deterministic per (seed, step, vehicle id)."""
+    """Seeded uniform policy; deterministic per (seed, step, vehicle id).
+
+    One generator per step draws a vector indexed by vehicle id.  A longer
+    draw from the same generator starts with the shorter one, so a
+    vehicle's action does not depend on the fleet's size, on which vehicles
+    are crashed or on the order of calls.
+    """
 
     needs_observations = False
 
@@ -144,15 +157,14 @@ class RandomPolicy(Policy):
         self.seed = int(seed)
 
     def decide(self, step_index, world, observations, rewards, dones):
-        actions = {}
-        for vehicle in world.vehicles:
-            if vehicle.crashed:
-                continue
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(step_index, vehicle.vid))
-            )
-            actions[vehicle.vid] = random_policy(observations.get(vehicle.vid), rng)
-        return actions
+        live = [v.vid for v in world.vehicles if not v.crashed]
+        if not live:
+            return {}
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=self.seed, spawn_key=(step_index,))
+        )
+        draws = rng.integers(0, len(_ACTIONS), size=1 + max(live)).tolist()
+        return {vid: _ACTIONS[draws[vid]] for vid in live}
 
 
 class HeuristicPolicy(Policy):

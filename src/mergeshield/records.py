@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from mergeshield.world import World
@@ -24,9 +24,12 @@ __all__ = ["SCHEMA", "VehicleRow", "StepRecord", "EpisodeRecord",
 SCHEMA = "mergeshield.episode/1"
 
 
-@dataclass(frozen=True)
-class VehicleRow:
-    """One vehicle at one step (post-step state plus what produced it)."""
+class VehicleRow(NamedTuple):
+    """One vehicle at one step (post-step state plus what produced it).
+
+    A named tuple: immutable like a frozen dataclass, and several times
+    cheaper to build, which matters at one row per vehicle per step.
+    """
 
     vid: int
     lane: int
@@ -150,23 +153,23 @@ class EpisodeRecord:
 
 def snapshot_vehicle(world: "World", vehicle, action=None, outcome=None,
                      reward=None, reward_overall=None) -> VehicleRow:
+    # positional, in field order: binding 26 keywords costs more than
+    # everything else that goes into a row
     s = vehicle.state
+    params = vehicle.params
+    row = (
+        vehicle.vid, vehicle.lane, vehicle.target_lane,
+        s.x, s.y, s.v_x, s.v_y, s.psi, s.speed,
+        vehicle.x_m(world.road), params.length, params.width,
+        vehicle.spawned_on_ramp, vehicle.merged, vehicle.merge_failed, vehicle.crashed,
+        None if action is None else int(action),
+    )
+    if outcome is None:
+        return VehicleRow(*row, reward=reward, reward_overall=reward_overall)
     return VehicleRow(
-        vid=vehicle.vid, lane=vehicle.lane, target_lane=vehicle.target_lane,
-        x=s.x, y=s.y, v_x=s.v_x, v_y=s.v_y, psi=s.psi, speed=s.speed,
-        x_m=vehicle.x_m(world.road), length=vehicle.params.length,
-        width=vehicle.params.width, spawned_on_ramp=vehicle.spawned_on_ramp,
-        merged=vehicle.merged, merge_failed=vehicle.merge_failed,
-        crashed=vehicle.crashed,
-        action=None if action is None else int(action),
-        v_nominal=outcome.v_nominal if outcome else None,
-        v_safe=outcome.v_safe if outcome else None,
-        v_cbf=outcome.v_cbf if outcome else None,
-        lane_change_allowed=outcome.lane_change_allowed if outcome else None,
-        slack=outcome.slack_used if outcome else None,
-        active=outcome.active_constraints if outcome else (),
-        fault=outcome.fault if outcome else None,
-        reward=reward, reward_overall=reward_overall,
+        *row, outcome.v_nominal, outcome.v_safe, outcome.v_cbf,
+        outcome.lane_change_allowed, outcome.slack_used, outcome.active_constraints,
+        outcome.fault, reward, reward_overall,
     )
 
 

@@ -362,13 +362,15 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     resolved = resolved or {}
 
     if c_oal is not None:
-        gap1 = bumper_gap(ego, c_oal) + (c_oal.state.speed - v_e) * dt
+        # a wreck never moves again, whatever speed it crashed at
+        v_al = 0.0 if c_oal.crashed else c_oal.state.speed
+        gap1 = bumper_gap(ego, c_oal) + (v_al - v_e) * dt
         v_e_hi = min(ego.params.v_cap, v_e + ego.params.a_max * dt)
         out = resolved.get(c_oal.vid)
         if out is not None and not c_oal.crashed:
             v_al_next = out.v_safe
         else:
-            v_al_next = max(0.0, c_oal.state.speed + config.brake_of(c_oal) * dt)
+            v_al_next = worst_case_speed(c_oal, config)
         if brake_margin(gap1 - sigma, v_e_hi, v_al_next, -ego.params.a_min, tau, dt) < 0.0:
             return False
     if c_oar is not None:

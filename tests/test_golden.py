@@ -19,12 +19,36 @@ from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig
 
 #: (shield mode, policy, seed) -> sha256 of the record; 80-step episodes.
-#: mass/random seed 1 binds soft lateral rows with slack, hss/heuristic
-#: seed 2 merges and faults, none/random seed 0 collides.
 GOLDEN = {
-    ("mass", "random", 1): "418de5e2155355f9e0673b7aabef444fcdc80685da28bf0310f1bf28812f3604",
+    ("mass", "random", 1): "a51254524576a8299f4a9283ac13d96642f561fa38ebfc8beee62bd0b1afae99",
     ("hss", "heuristic", 2): "999d9e64b73570fcfed0e267d9a65a098e502f8d26b19f9654724dc7a846e09d",
-    ("none", "random", 0): "b912af29fa389500d169a6ea07f85487fee21dfc7066b71744892d9f7e90adde",
+    ("none", "random", 0): "ffd1666ed0da0e2d8e318faff092012c0c5d2c3ab339d420d4480f18940215c6",
+}
+
+
+def _rows(record):
+    return [row for step in record.steps for row in step.vehicles]
+
+
+def _binds_soft_lateral_row(record, summary):
+    return any(row.slack is not None and row.slack > 0.0
+               and any(label.startswith("lat_rear:") for label in row.active)
+               for row in _rows(record))
+
+
+def _merges_and_faults(record, summary):
+    return summary.merged_count > 0 and any(row.fault for row in _rows(record))
+
+
+def _collides(record, summary):
+    return summary.collisions > 0
+
+
+#: what each case is there to cover; a digest says nothing about coverage
+COVERAGE = {
+    ("mass", "random", 1): _binds_soft_lateral_row,
+    ("hss", "heuristic", 2): _merges_and_faults,
+    ("none", "random", 0): _collides,
 }
 
 
@@ -34,8 +58,7 @@ GOLDEN = {
 DENSE_GOLDEN = "0bc4d39af807aeb48d9075ff6c427cbadda52e5ad42f537277b52a3916eff967"
 
 
-def record_digest(cfg, seed):
-    record, _ = run_episode(cfg, seed)
+def digest(record):
     text = "\n".join(episode_lines(record)) + "\n"
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -47,7 +70,9 @@ def test_episode_record_digest(mode, policy, seed):
         shield=ShieldConfig(mode=mode),
         policy=PolicySpec(kind=policy),
     )
-    assert record_digest(cfg, seed) == GOLDEN[(mode, policy, seed)]
+    record, summary = run_episode(cfg, seed)
+    assert COVERAGE[(mode, policy, seed)](record, summary)
+    assert digest(record) == GOLDEN[(mode, policy, seed)]
 
 
 def test_dense_episode_record_digest():
@@ -58,4 +83,5 @@ def test_dense_episode_record_digest():
         policy=PolicySpec(kind="heuristic"),
         allow_offrange=True,
     )
-    assert record_digest(cfg, 0) == DENSE_GOLDEN
+    record, _ = run_episode(cfg, 0)
+    assert digest(record) == DENSE_GOLDEN

@@ -17,6 +17,7 @@ from mergeshield.shield import (
     bumper_gap,
     filter_vehicle,
     joint_safe_control,
+    lane_change_feasible,
     lateral_rear_row,
     longitudinal_cbf,
     solve_qp,
@@ -158,6 +159,23 @@ class TestAllowLaneChange:
             ar = make_vehicle(2, ego.state.x - gap_ar - 5.0, v_ar, lane=0, road=road)
             want = (gap_al >= 0.5 * v_e) and (gap_ar >= 0.5 * (v_ar + 0.5))
             assert allow_lane_change(ego, al, ar, CFG) == want
+
+
+class TestLaneChangeFeasible:
+    def test_wreck_verdict_ignores_its_frozen_speed(self):
+        # a wreck never moves again, so the speed it crashed at must not
+        # buy the merging ego any room
+        road = RoadNetwork()
+        ego = make_vehicle(0, 100.0, 15.0, lane=road.ramp_lane, road=road)
+        verdicts = []
+        for gap in np.arange(5.0, 45.0, 0.5):
+            frozen = make_vehicle(1, 100.0 + gap + 5.0, 20.0, lane=0, road=road)
+            stopped = make_vehicle(1, 100.0 + gap + 5.0, 0.0, lane=0, road=road)
+            frozen.crashed = stopped.crashed = True
+            verdict = lane_change_feasible(ego, frozen, None, CFG)
+            assert verdict == lane_change_feasible(ego, stopped, None, CFG), gap
+            verdicts.append(verdict)
+        assert not verdicts[0] and verdicts[-1]
 
 
 class TestBrakeCap:
