@@ -3,7 +3,8 @@
 The record stores the initial snapshot plus one post-step snapshot per
 step, each carrying the actions, shield outcomes and rewards that produced
 it.  Per-agent rewards and done flags handed to the policy describe the
-previous transition.
+previous transition; only the vehicles that acted in it, including any
+that crashed during it, are rewarded.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
             observations = {}
         actions = policy.decide(k, world, observations, rewards, dones)
         step_world(world, actions)
-        reward_pairs = fleet_rewards(world, cfg.reward, cfg.reward_kind)
+        reward_pairs = fleet_rewards(world, cfg.reward, cfg.reward_kind, vids=actions)
         record.steps.append(
             snapshot_step(world, k, actions, world.last_outcomes, reward_pairs)
         )

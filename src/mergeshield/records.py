@@ -7,6 +7,14 @@ the default full-precision repr, so identical runs serialise to identical
 bytes.  The record deliberately excludes the policy kind: a replayed
 action stream must reproduce the file bit for bit regardless of who
 produced the actions (the summary carries the policy as metadata).
+
+Step lines are written straight from the :class:`VehicleRow` tuples with
+no intermediate dicts; the bytes are those ``json.dumps`` writes for the
+same dicts.  One encoder serves a whole episode and remembers the repr of
+the non-zero floats it has recently written, as positions and speeds recur
+from step to step.  Zeros are written afresh each time: ``0.0 == -0.0``
+and both hash alike, so a remembered zero would print the other zero's
+sign.
 """
 
 from __future__ import annotations
@@ -117,13 +125,6 @@ class StepRecord:
     vehicles: tuple
     topology: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "vehicles": [v.to_dict() for v in self.vehicles],
-            "topology": {str(vid): list(p) for vid, p in sorted(self.topology.items())},
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "StepRecord":
         return cls(
@@ -195,12 +196,85 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
+#: JSON literals of the boolean fields
+_LITERAL = {True: "true", False: "false", None: "null"}
+
+#: slots of a step encoder's float memo, a power of two; a float mostly
+#: recurs within a step or two, which this many slots hold even on a
+#: 40-vehicle road
+_FLOAT_SLOTS = 1024
+
+
+def _step_encoder():
+    """A function writing one :class:`StepRecord` as its JSON line.
+
+    Remembers the repr of recent non-zero floats in ``_FLOAT_SLOTS`` slots
+    indexed by the float's hash: a float is found again until a later one
+    takes its slot.  The table never grows, shrinks or is rebuilt; a dict
+    memo cleared whenever it filled up left the heap fragmented and raised
+    the peak memory of a 40-vehicle episode by about half a megabyte.  The
+    JSON string of every active label is kept for the encoder's lifetime.
+    A field that is not a float goes through ``_dump``, so an ``int`` in a
+    float field is written as ``json.dumps`` would write it; NaN and
+    infinities raise ``ValueError``, as they do under ``allow_nan=False``.
+    """
+    mask = _FLOAT_SLOTS - 1
+    floats: list = [None] * _FLOAT_SLOTS
+    reprs: list = [None] * _FLOAT_SLOTS
+    labels: dict = {}
+
+    def num(v) -> str:
+        if v.__class__ is not float:
+            return _dump(v)
+        i = hash(v) & mask
+        if floats[i] == v:  # never a zero, so never the other zero's sign
+            return reprs[i]
+        if v == 0.0:
+            return repr(v)
+        if v - v != 0.0:
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        floats[i] = v
+        s = reprs[i] = repr(v)
+        return s
+
+    def label(text: str) -> str:
+        s = labels.get(text)
+        if s is None:
+            s = labels[text] = _dump(text)
+        return s
+
+    def row(r: VehicleRow) -> str:
+        (vid, lane, target_lane, x, y, v_x, v_y, psi, speed, x_m, length, width,
+         spawned_on_ramp, merged, merge_failed, crashed, action, v_nominal, v_safe,
+         v_cbf, lane_change_allowed, slack, active, fault, reward, reward_overall) = r
+        head = (f'{{"vid":{vid},"lane":{lane},"target_lane":{target_lane},'
+                f'"x":{num(x)},"y":{num(y)},"v_x":{num(v_x)},"v_y":{num(v_y)},'
+                f'"psi":{num(psi)},"speed":{num(speed)},"x_m":{num(x_m)},'
+                f'"length":{num(length)},"width":{num(width)},'
+                f'"spawned_on_ramp":{_LITERAL[spawned_on_ramp]},"merged":{_LITERAL[merged]},'
+                f'"merge_failed":{_LITERAL[merge_failed]},"crashed":{_LITERAL[crashed]}')
+        if action is None:
+            return head + "}"
+        return (f'{head},"action":{action},"shield":{{"v_nominal":{num(v_nominal)},'
+                f'"v_safe":{num(v_safe)},"v_cbf":{num(v_cbf)},'
+                f'"lane_change_allowed":{_LITERAL[lane_change_allowed]},"slack":{num(slack)},'
+                f'"active":[{",".join([label(a) for a in active])}],'
+                f'"fault":{_LITERAL[fault]}}},'
+                f'"reward":{num(reward)},"reward_overall":{num(reward_overall)}}}')
+
+    def step_line(step: StepRecord) -> str:
+        vehicles = ",".join([row(r) for r in step.vehicles])
+        topology = ",".join([f'"{vid}":[{",".join(map(str, parents))}]'
+                             for vid, parents in sorted(step.topology.items())])
+        return (f'{{"kind":"step","step":{step.step},"vehicles":[{vehicles}],'
+                f'"topology":{{{topology}}}}}')
+
+    return step_line
+
+
 def episode_lines(record: EpisodeRecord) -> list:
     lines = [_dump(record.header_dict())]
-    for step in record.steps:
-        d = step.to_dict()
-        d = {"kind": "step", **d}
-        lines.append(_dump(d))
+    lines.extend(map(_step_encoder(), record.steps))
     if record.summary is not None:
         lines.append(_dump({"kind": "summary", **record.summary}))
     return lines

@@ -118,17 +118,32 @@ def overall_reward(ego: "Vehicle", world: "World", reward_fn, weights: RewardWei
     return sum(reward_fn(v, weights, world) for v in group) / len(group)
 
 
-def fleet_rewards(world: "World", weights: RewardWeights, kind: str = "custom") -> dict:
-    """Per-vehicle (individual, neighbourhood-averaged) rewards.
+def fleet_rewards(world: "World", weights: RewardWeights, kind: str = "custom", *,
+                  vids) -> dict:
+    """Per-vehicle (individual, neighbourhood-averaged) rewards of the
+    vehicles ``vids``.
 
-    ``kind`` selects the reward flavour: ``default`` or ``custom``.
+    ``kind`` selects the reward flavour: ``default`` or ``custom``.  The
+    episode loop names the vehicles that acted this step, so a wreck from
+    an earlier step gets no reward.  Individual rewards are computed once
+    each, and only for the named vehicles and the members of their
+    perceived groups, which can include wrecks.
     """
     from mergeshield.world import perceived
 
     fn = {"default": default_reward, "custom": custom_reward}[kind]
-    individual = {v.vid: fn(v, weights, world) for v in world.vehicles}
+    individual: dict = {}
+
+    def score(v) -> float:
+        r = individual.get(v.vid)
+        if r is None:
+            r = individual[v.vid] = fn(v, weights, world)
+        return r
+
+    wanted = set(vids)
     out = {}
     for v in world.vehicles:
-        group = [v.vid] + [o.vid for o in perceived(world, v)]
-        out[v.vid] = (individual[v.vid], sum(individual[g] for g in group) / len(group))
+        if v.vid in wanted:
+            group = [v] + perceived(world, v)
+            out[v.vid] = (score(v), sum(score(o) for o in group) / len(group))
     return out

@@ -12,9 +12,13 @@ incrementing ``step_index``, so the index is built lazily on the first
 query at a step index and reused until the next step: the one built at
 step k serves that step's observations, policy, topology, shield and lane
 gate, and the one built after ``step_world`` serves step k's rewards and
-all of step k+1.  The index also keeps every :class:`Neighborhood` it has
-answered, so the policy, topology, shield, lane gate and reward share one
-per vehicle and perception-adjacent lane.
+all of step k+1.  The index holds only the fleet's longitudinal order;
+each query walks outward from the ego along it and computes distances
+for the candidates it meets, so no pair is measured that no query reads.
+Answers are memoised on the index: the policy, topology, shield, lane gate
+and reward share one :class:`Neighborhood` per vehicle and
+perception-adjacent lane, and observation and reward one perceived group
+per vehicle.
 
 Lateral maneuvers: the bicycle integrator evolves velocity components only
 through acceleration, so holding speed leaves the lateral velocity frozen.
@@ -27,9 +31,8 @@ itself stays untouched.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -89,6 +92,8 @@ class ScenarioConfig:
             raise ValueError("n_vehicles must be >= 1")
         if not self.comm_range > 0:
             raise ValueError("comm_range must be positive")
+        if self.perception_n < 0:
+            raise ValueError("perception_n must be >= 0")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if not self.dt > 0:
@@ -156,52 +161,86 @@ class NeighborIndex:
     ``lanes`` maps each lane to its vehicles, crashed ones included, in
     ascending ``(x, -vid)`` order (the total order of :func:`is_ahead`);
     ``keys`` holds those sort keys per lane and ``slot`` each vehicle's
-    position in its lane.  ``reach`` maps each vehicle id to the other
-    vehicles within communication range, as an id -> vehicle dict ordered
-    by ``(distance, vid)``; each pair's distance is one ``hypot``, so both
-    directions agree bit for bit.  ``near`` memoises :func:`neighbors` by
-    ``(vid, perception-adjacent lane)``.
+    position in its lane.  ``ordered`` is the whole fleet in the same
+    order, with its ``xs`` and ``ys`` and each vehicle's ``rank`` in it.
+    Distances are computed on demand, one ``hypot(dx, dy)`` per candidate
+    a query meets; ``hypot`` is sign-symmetric, so both vehicles of a pair
+    see the same distance bit for bit.  ``near`` memoises :func:`neighbors`
+    by ``(vid, perception-adjacent lane)`` and ``seen`` memoises
+    :func:`perceived` by vid.
     """
 
     step_index: int
     lanes: dict
     keys: dict
     slot: dict
-    reach: dict
+    ordered: list
+    xs: list
+    ys: list
+    rank: dict
     near: dict = field(default_factory=dict, repr=False, compare=False)
+    seen: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, world: "World") -> "NeighborIndex":
-        comm = world.scenario.comm_range
         ordered = sorted(world.vehicles, key=lambda v: (v.state.x, -v.vid))
         lanes: dict = {}
         keys: dict = {}
         slot: dict = {}
-        for v in ordered:
+        rank: dict = {}
+        for i, v in enumerate(ordered):
+            rank[v.vid] = i
             lane = lanes.setdefault(v.lane, [])
             slot[v.vid] = len(lane)
             lane.append(v)
             keys.setdefault(v.lane, []).append((v.state.x, -v.vid))
-        # sweep in x: a pair further apart in x than comm_range is further
-        # apart in distance too, since hypot(dx, dy) >= |dx|
-        xs = [v.state.x for v in ordered]
-        ys = [v.state.y for v in ordered]
-        found = [[] for _ in ordered]
-        for i, a in enumerate(ordered):
-            ax, ay, near_a = xs[i], ys[i], found[i]
-            for j in range(i + 1, len(ordered)):
-                if xs[j] - ax > comm:
+        return cls(step_index=world.step_index, lanes=lanes, keys=keys, slot=slot,
+                   ordered=ordered, xs=[v.state.x for v in ordered],
+                   ys=[v.state.y for v in ordered], rank=rank)
+
+    def nearest(self, vid: int, n: int, comm: float) -> list:
+        """The ``n`` others nearest to vehicle ``vid`` within ``comm``, by
+        ``(distance, vid)``.
+
+        Walks outward from the vehicle's rank, nearer side in x first, and
+        stops once ``|dx|`` alone exceeds ``comm`` or, with ``n`` found,
+        the n-th best distance: ``hypot(dx, dy) >= |dx|``, so nothing
+        further out can enter.  The test is strict, so a vehicle at exactly
+        the n-th distance is still met and the tie goes to the smaller vid.
+        """
+        if n < 1:
+            return []
+        xs, ys, ordered = self.xs, self.ys, self.ordered
+        r = self.rank[vid]
+        ex, ey = xs[r], ys[r]
+        best: list = []  # (distance, vid, vehicle), ascending, at most n
+        bound = comm  # the n-th best distance once n are found
+        lo, hi, end = r - 1, r + 1, len(xs)
+        # |dx| of the next candidate on each side, inf once a side runs out
+        dlo = ex - xs[lo] if lo >= 0 else math.inf
+        dhi = xs[hi] - ex if hi < end else math.inf
+        while True:
+            if dlo <= dhi:
+                if lo < 0 or dlo > bound:
+                    break  # the other side is no nearer in x
+                j, dx = lo, dlo
+                lo -= 1
+                dlo = ex - xs[lo] if lo >= 0 else math.inf
+            else:
+                if dhi > bound:
                     break
-                d = math.hypot(ax - xs[j], ay - ys[j])
-                if d <= comm:
-                    b = ordered[j]
-                    near_a.append((d, b.vid, b))
-                    found[j].append((d, a.vid, a))
-        reach = {}
-        for v, near in zip(ordered, found):
-            near.sort()  # by (distance, vid); ids are unique
-            reach[v.vid] = {o.vid: o for _, _, o in near}
-        return cls(step_index=world.step_index, lanes=lanes, keys=keys, slot=slot, reach=reach)
+                j, dx = hi, dhi
+                hi += 1
+                dhi = xs[hi] - ex if hi < end else math.inf
+            d = math.hypot(dx, ey - ys[j])
+            if d <= bound:
+                o = ordered[j]
+                insort(best, (d, o.vid, o))  # ids are unique: o is never compared
+                if len(best) > n:
+                    best.pop()
+                if len(best) == n:
+                    bound = best[-1][0]
+        return [o for _, _, o in best]
 
 
 @dataclass
@@ -325,12 +364,19 @@ def neighbor_index(world: World) -> NeighborIndex:
     return index
 
 
-def _first_in_reach(reach: dict, lane: list, i: int, step: int) -> Vehicle | None:
-    """First vehicle of ``lane`` whose id is in ``reach``, walking from
-    position ``i`` by ``step``."""
+def _first_in_range(lane: list, i: int, step: int, ego: Vehicle,
+                    comm: float) -> Vehicle | None:
+    """First vehicle of ``lane`` within ``comm`` of the ego, walking from
+    position ``i`` by ``step``; the walk stops once ``|dx|`` alone exceeds
+    ``comm``, as the lane is sorted by x."""
+    ex, ey = ego.state.x, ego.state.y
     while 0 <= i < len(lane):
-        if lane[i].vid in reach:
-            return lane[i]
+        o = lane[i]
+        dx = o.state.x - ex
+        if abs(dx) > comm:
+            return None
+        if math.hypot(dx, o.state.y - ey) <= comm:
+            return o
         i += step
     return None
 
@@ -353,32 +399,38 @@ def neighbors(world: World, ego: Vehicle) -> Neighborhood:
     near = index.near.get((ego.vid, adj))
     if near is not None:
         return near
-    reach = index.reach[ego.vid]
-    c_ol = _first_in_reach(reach, index.lanes[ego.lane], index.slot[ego.vid] + 1, 1)
+    comm = world.scenario.comm_range
+    c_ol = _first_in_range(index.lanes[ego.lane], index.slot[ego.vid] + 1, 1, ego, comm)
     c_oal = c_oar = None
     lane = index.lanes.get(adj)
     if lane is not None:
         i = bisect_left(index.keys[adj], (ego.state.x, -ego.vid))
-        c_oal = _first_in_reach(reach, lane, i, 1)
-        c_oar = _first_in_reach(reach, lane, i - 1, -1)
+        c_oal = _first_in_range(lane, i, 1, ego, comm)
+        c_oar = _first_in_range(lane, i - 1, -1, ego, comm)
     near = index.near[(ego.vid, adj)] = Neighborhood(c_ol=c_ol, c_oal=c_oal, c_oar=c_oar)
     return near
 
 
 def perceived(world: World, ego: Vehicle) -> list:
     """The nearest ``perception_n`` other vehicles within communication
-    range, nearest first with ties by id, read from the state's
-    :func:`neighbor_index`: the vehicles an observation shows and a
-    neighbourhood reward averages over."""
-    reach = neighbor_index(world).reach[ego.vid]
-    return list(islice(reach.values(), world.scenario.perception_n))
+    range, nearest first with ties by id: the vehicles an observation
+    shows and a neighbourhood reward averages over.
+
+    Found by :meth:`NeighborIndex.nearest` on the state's
+    :func:`neighbor_index` and memoised there by the ego's id, so every
+    call within one state returns the same list; callers must not mutate it.
+    """
+    index = neighbor_index(world)
+    seen = index.seen.get(ego.vid)
+    if seen is None:
+        cfg = world.scenario
+        seen = index.seen[ego.vid] = index.nearest(ego.vid, cfg.perception_n, cfg.comm_range)
+    return seen
 
 
 def observe(world: World, ego: Vehicle) -> list:
     """Fixed-width observation: the ego row followed by the
     :func:`perceived` vehicles, zero padded to ``perception_n`` rows.
-    Reads the state's :func:`neighbor_index`, so the observations of one
-    step share one distance sort.
 
     The ego row carries absolute positions; neighbour rows report positions
     relative to the ego.  Velocities and heading stay absolute.

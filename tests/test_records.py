@@ -1,12 +1,43 @@
+import math
+
 import pytest
 
 from mergeshield.config import RunConfig
 from mergeshield.episode import run_episode
 from mergeshield.metrics import summarize_episode
 from mergeshield.policy import PolicySpec
-from mergeshield.records import read_episode, write_episode
+from mergeshield.records import (EpisodeRecord, StepRecord, VehicleRow, _dump, episode_lines,
+                                 read_episode, write_episode)
 from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig
+
+from record_oracle import step_dict
+
+MODES = ("none", "hss", "mass")
+POLICIES = ("random", "heuristic")
+
+
+def oracle_line(step):
+    return _dump({"kind": "step", **step_dict(step)})
+
+
+def step_lines(steps):
+    """The step lines ``episode_lines`` writes for ``steps``, as one record."""
+    return episode_lines(EpisodeRecord(seed=0, config={}, steps=list(steps)))[1:]
+
+
+def row(vid=0, action=2, **fields):
+    """A hand-built row: a settled highway vehicle, with an action unless
+    ``action`` is None, overridden by ``fields``."""
+    base = dict(vid=vid, lane=0, target_lane=0, x=12.5, y=1.75, v_x=20.0, v_y=0.0,
+                psi=0.0, speed=20.0, x_m=0.0, length=5.0, width=2.0,
+                spawned_on_ramp=False, merged=False, merge_failed=False, crashed=False)
+    if action is not None:
+        base.update(action=action, v_nominal=21.0, v_safe=20.5, v_cbf=-0.5,
+                    lane_change_allowed=True, slack=0.0, active=("headway:1",),
+                    fault=False, reward=0.25, reward_overall=-1.5)
+    base.update(fields)
+    return VehicleRow(**base)
 
 
 @pytest.mark.parametrize("mode,policy", [("mass", "random"), ("hss", "heuristic"), ("none", "random")])
@@ -27,12 +58,7 @@ def test_write_read_round_trip(tmp_path, mode, policy):
     assert len(again.steps) == len(record.steps) == 60
     for got, want in zip(again.steps, record.steps):
         assert got.step == want.step
-        # a row stores its rewards only beside an action; a crashed vehicle
-        # has no action but is still handed rewards in memory
-        assert got.vehicles == tuple(
-            row if row.action is not None else row._replace(reward=None, reward_overall=None)
-            for row in want.vehicles
-        )
+        assert got.vehicles == want.vehicles
         assert got.topology == {vid: tuple(p) for vid, p in want.topology.items()}
     assert again.summary == record.summary == summary.to_dict()
     assert summarize_episode(again, mode, policy).to_dict() == again.summary
@@ -45,3 +71,64 @@ def test_vehicle_row_is_immutable():
         row.x = 0.0
     with pytest.raises(AttributeError):
         row.active = ("headway:1",)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_step_lines_match_the_dict_encoding(mode, policy):
+    cfg = RunConfig(
+        scenario=ScenarioConfig(episode_steps=30),
+        shield=ShieldConfig(mode=mode),
+        policy=PolicySpec(kind=policy),
+    )
+    record, _ = run_episode(cfg, 3)
+    lines = episode_lines(record)
+    assert len(record.steps) == 30
+    assert lines[1:-1] == [oracle_line(step) for step in record.steps]
+
+
+def test_hand_built_rows_match_the_dict_encoding():
+    steps = [
+        # zeros of both signs, after and before the same value: the
+        # remembered reprs must not merge 0.0 with -0.0
+        StepRecord(step=0, vehicles=(row(0, y=0.0, v_y=0.0, psi=0.0),
+                                     row(1, y=-0.0, v_y=-0.0, psi=-0.0),
+                                     row(2, y=0.0, v_y=-0.0, psi=0.0, v_cbf=-0.0)),
+                   topology={1: (0,), 0: (), 2: (1, 0)}),
+        # 2.0 is remembered first; an int 2 in a float field stays "2"
+        StepRecord(step=1, vehicles=(row(0, x=2.0, length=2.0),
+                                     row(1, x=2, width=2, reward=2, slack=0)),
+                   topology={}),
+        # no active constraint, no topology, rows without an action, and
+        # labels that need escaping
+        StepRecord(step=2, vehicles=(row(0, active=()), row(1, action=None),
+                                     row(2, active=('quote"d', "back\\slash", "tab\t", "\u00e9"))),
+                   topology={}),
+        StepRecord(step=3, vehicles=(), topology={}),
+        StepRecord(step=4, vehicles=(row(3, action=None, crashed=True),), topology={3: ()}),
+    ]
+    got = step_lines(steps)
+    assert got == [oracle_line(step) for step in steps]
+    assert '"y":-0.0' in got[0] and '"y":0.0' in got[0]
+    assert '"x":2,' in got[1] and '"x":2.0,' in got[1]
+
+
+def test_float_memo_slots_are_taken_over():
+    # more distinct floats than the encoder has slots, then the first ones
+    # again, so slots change hands and some floats are written afresh
+    from mergeshield.records import _FLOAT_SLOTS
+
+    rows = [row(i, x=i + 0.1, y=-i / 3.0, v_x=i * 1e-7) for i in range(_FLOAT_SLOTS)]
+    steps = [StepRecord(step=k, vehicles=tuple(rows[k::4]), topology={}) for k in range(4)]
+    steps += steps[:2]
+    assert step_lines(steps) == [oracle_line(step) for step in steps]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["x", "v_safe", "reward"])
+def test_non_finite_floats_raise(bad, name):
+    step = StepRecord(step=0, vehicles=(row(0, **{name: bad}),), topology={})
+    with pytest.raises(ValueError):
+        oracle_line(step)
+    with pytest.raises(ValueError):
+        step_lines([step])

@@ -168,7 +168,7 @@ class TestOverallReward:
                 for i in range(n)
             ]
             w = make_world(vehicles, road=road)
-            fleet = fleet_rewards(w, W, "custom")
+            fleet = fleet_rewards(w, W, "custom", vids=[v.vid for v in vehicles])
             for ego in vehicles:
                 # brute-force neighbourhood mean
                 dists = sorted(
@@ -182,3 +182,35 @@ class TestOverallReward:
                 want = sum(custom_reward(w.vehicle(g), W, w) for g in group) / len(group)
                 assert fleet[ego.vid][1] == pytest.approx(want, abs=1e-12)
                 assert fleet[ego.vid][0] == pytest.approx(custom_reward(ego, W, w), abs=1e-12)
+
+    def test_scores_only_the_named_vehicles(self):
+        # a named vehicle's pair does not depend on who else is named, a
+        # wreck in its group still counts, and an unnamed wreck gets nothing
+        road = RoadNetwork()
+        vehicles = [make_vehicle(i, 100.0 + 25.0 * i, 18.0 + i, road=road) for i in range(4)]
+        vehicles[1].crashed = vehicles[3].crashed = True
+        w = make_world(vehicles, road=road)
+        full = fleet_rewards(w, W, "default", vids=range(4))
+        some = fleet_rewards(w, W, "default", vids=[2, 0, 1])
+        assert sorted(some) == [0, 1, 2]
+        assert all(some[vid] == full[vid] for vid in some)
+        group = [vehicles[i] for i in (2, 1, 3, 0)]  # by distance, ties by id
+        assert some[2][1] == sum(default_reward(v, W, w) for v in group) / 4
+
+    def test_episode_rewards_only_vehicles_that_acted(self):
+        from mergeshield.config import RunConfig
+        from mergeshield.episode import run_episode
+        from mergeshield.policy import PolicySpec
+        from mergeshield.shield import ShieldConfig
+        from mergeshield.world import ScenarioConfig
+
+        cfg = RunConfig(scenario=ScenarioConfig(episode_steps=60),
+                        shield=ShieldConfig(mode="none"), policy=PolicySpec(kind="random"))
+        record, _ = run_episode(cfg, 1)
+        rows = [row for step in record.steps for row in step.vehicles]
+        wrecks = [row for row in rows if row.action is None]
+        assert wrecks and all(row.reward is None and row.reward_overall is None for row in wrecks)
+        assert all(row.reward is not None and row.reward_overall is not None
+                   for row in rows if row.action is not None)
+        # a vehicle crashing during a step acted in it and is rewarded
+        assert any(row.crashed and row.action is not None for row in rows)

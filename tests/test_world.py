@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergeshield.dynamics import VehicleParams, VehicleState
 from mergeshield.policy import BehaviorAction
@@ -11,9 +13,9 @@ from mergeshield.world import (
     ScenarioConfig,
     _perception_adjacent,
     bumper_gap,
-    neighbor_index,
     neighbors,
     observe,
+    perceived,
     plan_motion,
     spawn,
     step_world,
@@ -60,6 +62,43 @@ def brute_force_reach(world, ego):
 def brute_force_perceived(world, ego):
     """:func:`brute_force_reach` truncated to perception_n."""
     return brute_force_reach(world, ego)[: world.scenario.perception_n]
+
+
+def assert_same_vehicles(got, want):
+    """The same vehicle objects in the same order."""
+    assert [o.vid for o in got] == [o.vid for o in want]
+    assert all(a is b for a, b in zip(got, want))
+
+
+@st.composite
+def perception_cases(draw):
+    """A world for the nearest-n walk: ``perception_n`` 1-8, a communication
+    range on a half-metre grid, and a fleet spread out, all at one x, or
+    mirrored about one x.  Positions and lateral offsets lie on exact
+    binary grids, so mirror images and swapped (dx, dy) give exact distance
+    ties; some vehicles are crashed and some off their centreline."""
+    road = RoadNetwork(highway_lanes=draw(st.integers(1, 2)))
+    scenario = ScenarioConfig(perception_n=draw(st.integers(1, 8)),
+                              comm_range=draw(st.integers(1, 120)) / 2.0)
+    shape = draw(st.sampled_from(["spread", "one_x", "mirror"]))
+    centre = draw(st.integers(0, 200)) / 2.0
+    offsets = st.integers(-80, 80).map(lambda k: k / 2.0)
+    if shape == "spread":
+        xs = draw(st.lists(offsets, min_size=1, max_size=14))
+    elif shape == "one_x":
+        xs = [0.0] * draw(st.integers(1, 10))
+    else:
+        half = draw(st.lists(offsets, min_size=1, max_size=7))
+        xs = [0.0] + [sign * dx for dx in half for sign in (1.0, -1.0)]
+    vehicles = []
+    for vid, dx in enumerate(xs):
+        lane = draw(st.sampled_from(road.lanes))
+        dy = draw(st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.25, -1.75, 3.0]))
+        v = make_vehicle(vid, centre + dx, 20.0, lane=lane, road=road,
+                         y=road.centerline_y(lane) + dy)
+        v.crashed = draw(st.booleans())
+        vehicles.append(v)
+    return make_world(vehicles, road=road, scenario=scenario)
 
 
 def random_layout(rng, road, comm):
@@ -184,10 +223,8 @@ class TestNeighbors:
             road = RoadNetwork(highway_lanes=1 + layout % 2)
             vehicles, walks = random_layout(rng, road, comm)
             w = make_world(vehicles, road=road)
-            reach = neighbor_index(w).reach
-            assert {vid: list(near) for vid, near in reach.items()} == {
-                ego.vid: [o.vid for o in brute_force_reach(w, ego)] for ego in vehicles}
             for ego in vehicles:
+                assert_same_vehicles(perceived(w, ego), brute_force_perceived(w, ego))
                 near = neighbors(w, ego)
                 ol, oal, oar = brute_force_neighbors(w, ego)
                 assert near.c_ol is ol
@@ -204,6 +241,20 @@ class TestNeighbors:
                 assert all(row == [0.0] * 5 for row in rows[1 + len(seen):])
             for ego, name, expected in walks:
                 assert getattr(neighbors(w, ego), name) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(perception_cases())
+    def test_nearest_walk_matches_distance_sort(self, w):
+        # the outward walk with its |dx| cut-off against a sort of every
+        # in-range pair, ties in distance broken by id; a repeat call in
+        # the same state returns the memoised list
+        for ego in w.vehicles:
+            got = perceived(w, ego)
+            assert_same_vehicles(got, brute_force_perceived(w, ego))
+            assert perceived(w, ego) is got
+            near = neighbors(w, ego)
+            assert all(a is b for a, b in zip((near.c_ol, near.c_oal, near.c_oar),
+                                              brute_force_neighbors(w, ego)))
 
     def test_repeat_calls_share_one_answer_per_adjacent_lane(self):
         # within one state, calls before and after target_lane flips each
@@ -255,6 +306,15 @@ class TestObserve:
         assert rows[0] == [50.0, 0.0, 20.0, 0.0, 0.0]
         for row in rows[1:]:
             assert row == [0.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_no_perceived_rows_at_perception_n_zero(self):
+        scenario = ScenarioConfig(perception_n=0)
+        w = make_world([make_vehicle(0, 50.0, 20.0), make_vehicle(1, 60.0, 20.0)],
+                       scenario=scenario)
+        assert perceived(w, w.vehicles[0]) == []
+        assert observe(w, w.vehicles[0]) == [[50.0, 0.0, 20.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match="perception_n"):
+            ScenarioConfig(perception_n=-1)
 
     def test_relative_positions(self):
         ego = make_vehicle(0, 100.0, 20.0)
