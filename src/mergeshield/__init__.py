@@ -10,15 +10,13 @@ interaction topology (``mass``).
 
 __version__ = "0.1.0"
 
-from mergeshield.dynamics import ControlInput, VehicleParams, VehicleState, slip_angle, step
+from mergeshield.dynamics import VehicleParams, VehicleState, step
 from mergeshield.policy import BehaviorAction
 
 __all__ = [
     "BehaviorAction",
-    "ControlInput",
     "VehicleParams",
     "VehicleState",
-    "slip_angle",
     "step",
     "__version__",
 ]

@@ -10,7 +10,6 @@ explicit off-range flag.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 
 import yaml
@@ -22,8 +21,8 @@ from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig
 
-__all__ = ["RunConfig", "ConfigError", "ValidationReport", "default_config",
-           "load_config", "validate_config", "resolved_dict"]
+__all__ = ["RunConfig", "ConfigError", "ValidationReport", "load_config",
+           "validate_config", "resolved_dict"]
 
 REFERENCE_VEHICLE_RANGE = (7, 11)
 
@@ -72,10 +71,6 @@ class ValidationReport:
         if not out:
             out = ["config ok"]
         return out
-
-
-def default_config() -> RunConfig:
-    return RunConfig().resolved()
 
 
 _SECTIONS = {
@@ -252,7 +247,6 @@ def resolved_dict(cfg: RunConfig) -> dict:
             "width": cfg.vehicle.width,
             "a_max": cfg.vehicle.a_max,
             "a_min": cfg.vehicle.a_min,
-            "delta_max": cfg.vehicle.delta_max,
             "v_cap": cfg.vehicle.v_cap,
         },
         "shield": {
@@ -260,9 +254,6 @@ def resolved_dict(cfg: RunConfig) -> dict:
             "tau": cfg.shield.tau,
             "eta": cfg.shield.eta,
             "k_eps": cfg.shield.k_eps,
-            "wc_brake": cfg.shield.wc_brake,
-            "wc_accel": cfg.shield.wc_accel,
-            "tau_lat": cfg.shield.tau_lat,
             "lag_margin": cfg.shield.lag_margin,
         },
         "reward": {

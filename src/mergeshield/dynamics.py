@@ -1,9 +1,9 @@
-"""Kinematic bicycle model and fixed-step state integration.
+"""Point-mass vehicle dynamics and fixed-step state integration.
 
-The front wheel pair is lumped into a single wheel, likewise the rear pair.
-States evolve in the global frame: positions integrate the velocity
-components, the velocity components integrate the acceleration projected
-along heading plus slip, and the heading rate is ``(2 v / length) sin(beta)``.
+A vehicle is a point mass in the global frame that accelerates along its
+heading ``psi``.  The integrator never turns the vehicle: the maneuver
+layer in :mod:`mergeshield.world` sets the heading and the velocity
+direction before each step, and ``step`` accelerates along that heading.
 Integration is explicit forward Euler at a fixed ``dt``: positions use the
 pre-step velocities, so a speed command issued this step moves the vehicle
 only from the next step on.
@@ -14,22 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["VehicleParams", "VehicleState", "ControlInput", "slip_angle", "step"]
+__all__ = ["VehicleParams", "VehicleState", "step"]
 
 
 @dataclass(frozen=True)
 class VehicleParams:
     """Physical limits of one vehicle.
 
-    ``length`` is the wheelbase-equivalent body length used by the heading
-    dynamics and by the rectangle collision footprint.
+    ``length`` and ``width`` are the rectangle collision footprint.
     """
 
     length: float = 5.0
     width: float = 2.0
     a_max: float = 5.0
     a_min: float = -5.0
-    delta_max: float = math.pi / 4
     v_cap: float = 40.0
 
     def __post_init__(self):
@@ -37,8 +35,6 @@ class VehicleParams:
             raise ValueError(f"length must be positive, got {self.length}")
         if not (self.a_min < 0 < self.a_max):
             raise ValueError(f"need a_min < 0 < a_max, got [{self.a_min}, {self.a_max}]")
-        if not (0 < self.delta_max < math.pi / 2):
-            raise ValueError(f"delta_max must lie in (0, pi/2), got {self.delta_max}")
         if not self.v_cap > 0:
             raise ValueError(f"v_cap must be positive, got {self.v_cap}")
 
@@ -59,47 +55,21 @@ class VehicleState:
         return math.hypot(self.v_x, self.v_y)
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    """Acceleration along heading+slip and front steering angle."""
+def step(state: VehicleState, params: VehicleParams, a: float, dt: float) -> VehicleState:
+    """One explicit forward-Euler step under acceleration ``a`` along the
+    heading.
 
-    a: float = 0.0
-    delta: float = 0.0
-
-
-def slip_angle(delta: float) -> float:
-    """Slip angle at the centre of gravity for steering angle ``delta``.
-
-    beta = atan(0.5 tan(delta)).  Odd in ``delta`` and shrinks toward
-    ``delta / 2`` for small angles.
-    """
-    if not math.isfinite(delta):
-        raise ValueError(f"steering angle must be finite, got {delta}")
-    if not abs(delta) < math.pi / 2:
-        raise ValueError(f"steering angle must satisfy |delta| < pi/2, got {delta}")
-    return math.atan(0.5 * math.tan(delta))
-
-
-def step(state: VehicleState, params: VehicleParams, u: ControlInput, dt: float) -> VehicleState:
-    """One explicit forward-Euler step of the bicycle model.
-
-    Positions advance with the pre-step velocity components; the planar
-    speed used by the heading rate is evaluated at step start.  The
-    resulting speed is saturated at ``params.v_cap`` by rescaling the
-    velocity vector.
+    Positions advance with the pre-step velocity components and the heading
+    passes through unchanged.  The resulting speed is saturated at
+    ``params.v_cap`` by rescaling the velocity vector.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    beta = slip_angle(u.delta)
-    v = math.hypot(state.v_x, state.v_y)
-    thrust = state.psi + beta
-
     x = state.x + state.v_x * dt
     y = state.y + state.v_y * dt
-    v_x = state.v_x + u.a * math.cos(thrust) * dt
-    v_y = state.v_y + u.a * math.sin(thrust) * dt
-    psi = state.psi + (2.0 * v / params.length) * math.sin(beta) * dt
+    v_x = state.v_x + a * math.cos(state.psi) * dt
+    v_y = state.v_y + a * math.sin(state.psi) * dt
 
     speed = math.hypot(v_x, v_y)
     if speed > params.v_cap:
@@ -107,4 +77,4 @@ def step(state: VehicleState, params: VehicleParams, u: ControlInput, dt: float)
         v_x *= scale
         v_y *= scale
 
-    return VehicleState(x=x, y=y, v_x=v_x, v_y=v_y, psi=psi)
+    return VehicleState(x=x, y=y, v_x=v_x, v_y=v_y, psi=state.psi)

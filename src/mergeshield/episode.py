@@ -2,9 +2,8 @@
 
 The record stores the initial snapshot plus one post-step snapshot per
 step, each carrying the actions, shield outcomes and rewards that produced
-it.  Per-agent rewards and done flags handed to the policy describe the
-previous transition; only the vehicles that acted in it, including any
-that crashed during it, are rewarded.
+it.  Only the vehicles that acted in a step, including any that crashed
+during it, are rewarded for it.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
     world = build_world(cfg, seed)
     if policy is None:
         policy = build_policy(cfg.policy)
-    policy.start_episode(world, seed)
+    policy.start_episode(seed)
 
     record = EpisodeRecord(
         seed=seed,
@@ -50,8 +49,6 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
         ),
     )
 
-    rewards = {v.vid: 0.0 for v in world.vehicles}
-    dones = {v.vid: False for v in world.vehicles}
     for k in range(cfg.scenario.episode_steps):
         live = world.live_vehicles()
         if not live:
@@ -60,20 +57,14 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
             observations = {v.vid: observe(world, v) for v in live}
         else:
             observations = {}
-        actions = policy.decide(k, world, observations, rewards, dones)
+        actions = policy.decide(k, world, observations)
         step_world(world, actions)
         reward_pairs = fleet_rewards(world, cfg.reward, cfg.reward_kind, vids=actions)
         record.steps.append(
             snapshot_step(world, k, actions, world.last_outcomes, reward_pairs)
         )
-        rewards = {vid: pair[1] for vid, pair in reward_pairs.items()}
-        dones = {
-            v.vid: v.crashed or k == cfg.scenario.episode_steps - 1
-            for v in world.vehicles
-        }
     summary = summarize_episode(record, cfg.shield.mode, cfg.policy.kind)
     record.summary = summary.to_dict()
-    policy.end_episode(record.summary)
     return record, summary
 
 

@@ -1,9 +1,10 @@
 """Discrete behavioural action space and built-in decision policies.
 
 Policies map the world state to one of five behavioural actions per live
-vehicle per step.  The random policy's action is a pure function of
-(seed, step index, vehicle id); the heuristic's is a pure function of the
-world state.
+vehicle per step.  A policy sees the step index, the world and, if it asks
+for them, one observation per live vehicle; rewards are recorded but never
+handed back.  The random policy's action is a pure function of (seed, step
+index, vehicle id); the heuristic's is a pure function of the world state.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class PolicySpec:
             raise ValueError(f"unknown policy kind {self.kind!r}")
 
 
-def heuristic_policy(observation, vehicle: "Vehicle", world: "World") -> BehaviorAction:
+def heuristic_policy(vehicle: "Vehicle", world: "World") -> BehaviorAction:
     """Scripted merging baseline.
 
     Ramp vehicles speed-match the target lane and request a lane change
@@ -119,20 +120,23 @@ def heuristic_policy(observation, vehicle: "Vehicle", world: "World") -> Behavio
 
 
 class Policy:
-    """Joint decision interface: one action per live vehicle per step."""
+    """Joint decision interface: one action per live vehicle per step.
+
+    ``start_episode`` receives the episode seed before the first step.
+    ``decide`` maps the step index, the world and the observations (by
+    vid, empty unless ``needs_observations``) to actions by vid; a live
+    vehicle without one follows its lane.
+    """
 
     #: set False when the policy never reads observations (lets the episode
     #: loop skip building them)
     needs_observations = True
 
-    def start_episode(self, world: "World", seed: int) -> None:
+    def start_episode(self, seed: int) -> None:
         pass
 
-    def decide(self, step_index, world, observations, rewards, dones):
+    def decide(self, step_index, world, observations):
         raise NotImplementedError
-
-    def end_episode(self, summary: dict) -> None:
-        pass
 
 
 #: action by its integer encoding, for indexing with a draw
@@ -153,10 +157,10 @@ class RandomPolicy(Policy):
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
-    def start_episode(self, world, seed):
+    def start_episode(self, seed):
         self.seed = int(seed)
 
-    def decide(self, step_index, world, observations, rewards, dones):
+    def decide(self, step_index, world, observations):
         live = [v.vid for v in world.vehicles if not v.crashed]
         if not live:
             return {}
@@ -170,12 +174,12 @@ class RandomPolicy(Policy):
 class HeuristicPolicy(Policy):
     """Deterministic scripted merger / giver-of-way."""
 
-    def decide(self, step_index, world, observations, rewards, dones):
+    def decide(self, step_index, world, observations):
         actions = {}
         for vehicle in world.vehicles:
             if vehicle.crashed:
                 continue
-            actions[vehicle.vid] = heuristic_policy(observations.get(vehicle.vid), vehicle, world)
+            actions[vehicle.vid] = heuristic_policy(vehicle, world)
         return actions
 
 

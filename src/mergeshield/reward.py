@@ -25,7 +25,6 @@ __all__ = [
     "merge_reward",
     "custom_reward",
     "default_reward",
-    "overall_reward",
     "fleet_rewards",
 ]
 
@@ -108,14 +107,6 @@ def default_reward(vehicle: "Vehicle", weights: RewardWeights, world: "World") -
     """Baseline reward with a collision term: ``r_c = -1`` when crashed."""
     r_c = -1.0 if vehicle.crashed else 0.0
     return weights.w_c * r_c + custom_reward(vehicle, weights, world)
-
-
-def overall_reward(ego: "Vehicle", world: "World", reward_fn, weights: RewardWeights) -> float:
-    """Mean individual reward over the ego and its perceived vehicles."""
-    from mergeshield.world import perceived
-
-    group = [ego] + perceived(world, ego)
-    return sum(reward_fn(v, weights, world) for v in group) / len(group)
 
 
 def fleet_rewards(world: "World", weights: RewardWeights, kind: str = "custom", *,

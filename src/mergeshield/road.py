@@ -58,6 +58,4 @@ class RoadNetwork:
             # ramp adjacency only inside the merge window
             if not self.in_merge_window(x):
                 return None
-            if abs(lane - target) != 1:
-                return None
         return target

@@ -86,20 +86,18 @@ class AffineConstraint:
 class ShieldConfig:
     """Shield mode and constraint parameters.
 
-    ``wc_brake`` / ``wc_accel`` default to the vehicle's own acceleration
-    limits (most conservative admissible controls) when left as None;
-    ``tau_lat`` defaults to ``tau``.  ``lag_margin`` tightens every hard
-    longitudinal row to absorb the one-step position lag of the explicit
-    Euler integrator (commands move positions only one step later).
+    Worst cases are each vehicle's own acceleration limits
+    (``VehicleParams.a_min`` / ``a_max``), and the lateral rows use the
+    same headway ``tau`` as the longitudinal ones.  ``lag_margin`` tightens
+    every hard longitudinal row to absorb the one-step position lag of the
+    explicit Euler integrator (commands move positions only one step
+    later).
     """
 
     mode: str = "mass"
     tau: float = 0.5
     eta: float = 0.5
     k_eps: float = 1e6
-    wc_brake: float | None = None
-    wc_accel: float | None = None
-    tau_lat: float | None = None
     dt: float = 0.1
     lag_margin: float = 0.15
 
@@ -114,17 +112,6 @@ class ShieldConfig:
             raise ValueError("k_eps must be positive")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-
-    def lateral_tau(self) -> float:
-        return self.tau if self.tau_lat is None else self.tau_lat
-
-    def brake_of(self, vehicle) -> float:
-        wc = self.wc_brake if self.wc_brake is not None else vehicle.params.a_min
-        return wc
-
-    def accel_of(self, vehicle) -> float:
-        wc = self.wc_accel if self.wc_accel is not None else vehicle.params.a_max
-        return wc
 
 
 @dataclass(frozen=True)
@@ -257,12 +244,12 @@ def worst_case_speed(leader, config: ShieldConfig) -> float:
     """Next speed of a leader that brakes as hard as it can; 0 once crashed."""
     if leader.crashed:
         return 0.0
-    return max(0.0, leader.state.speed + config.brake_of(leader) * config.dt)
+    return max(0.0, leader.state.speed + leader.params.a_min * config.dt)
 
 
 def _rear_speed(c_oar, config: ShieldConfig) -> float:
     """Next speed of an adjacent rear vehicle that accelerates as hard as it can."""
-    return min(c_oar.params.v_cap, c_oar.state.speed + config.accel_of(c_oar) * config.dt)
+    return min(c_oar.params.v_cap, c_oar.state.speed + c_oar.params.a_max * config.dt)
 
 
 def longitudinal_cbf(ego, leader, config: ShieldConfig,
@@ -315,16 +302,15 @@ def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float,
 def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> AffineConstraint:
     """Soft barrier row toward the adjacent rear vehicle during a lane change.
 
-    ``h = gap - tau_lat * v_ar`` with ``v_ar`` the rear vehicle's worst-case
+    ``h = gap - tau * v_ar`` with ``v_ar`` the rear vehicle's worst-case
     (full acceleration) next speed, propagated one step.  It is soft so a
     squeezed lane-changer yields through the slack rather than faulting.
     """
     dt = config.dt
-    tau_lat = config.lateral_tau()
     g_e = math.cos(ego.state.psi)
     gap = bumper_gap(c_oar, ego)
     v_ar_wc = _rear_speed(c_oar, config)
-    h_now = gap - tau_lat * v_ar_wc
+    h_now = gap - config.tau * v_ar_wc
     q = config.eta * h_now - v_ar_wc * dt
     return AffineConstraint(
         p=(-g_e * dt, -1.0), q=q, kind="soft", label=f"lat_rear:{c_oar.vid}"
@@ -333,15 +319,15 @@ def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> AffineConstraint:
 
 def allow_lane_change(ego, c_oal, c_oar, config: ShieldConfig) -> bool:
     """True iff both lateral barriers hold at the current state:
-    ``gap - tau_lat * v_e`` toward the adjacent leader ``c_oal`` and
-    ``gap - tau_lat * v_ar`` toward the adjacent rear vehicle ``c_oar`` at
-    its worst-case next speed (a missing neighbour imposes nothing)."""
-    tau_lat = config.lateral_tau()
+    ``gap - tau * v_e`` toward the adjacent leader ``c_oal`` and
+    ``gap - tau * v_ar`` toward the adjacent rear vehicle ``c_oar`` at its
+    worst-case next speed (a missing neighbour imposes nothing)."""
+    tau = config.tau
     if c_oal is not None:
-        if bumper_gap(ego, c_oal) - tau_lat * ego.state.speed < 0.0:
+        if bumper_gap(ego, c_oal) - tau * ego.state.speed < 0.0:
             return False
     if c_oar is not None:
-        if bumper_gap(c_oar, ego) - tau_lat * _rear_speed(c_oar, config) < 0.0:
+        if bumper_gap(c_oar, ego) - tau * _rear_speed(c_oar, config) < 0.0:
             return False
     return True
 
@@ -356,7 +342,7 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     honoured once the interaction topology hands the pair over.
     """
     dt = config.dt
-    tau = config.lateral_tau()
+    tau = config.tau
     sigma = config.lag_margin
     v_e = ego.state.speed
     resolved = resolved or {}

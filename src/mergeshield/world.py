@@ -20,12 +20,12 @@ and reward share one :class:`Neighborhood` per vehicle and
 perception-adjacent lane, and observation and reward one perceived group
 per vehicle.
 
-Lateral maneuvers: the bicycle integrator evolves velocity components only
-through acceleration, so holding speed leaves the lateral velocity frozen.
-Lane transitions are therefore executed by the maneuver layer as a
-speed-preserving rotation of the velocity vector (bounded lateral speed
-toward the target centreline) applied before integration; the integrator
-itself stays untouched.
+Lateral maneuvers: the point-mass integrator accelerates along the
+heading and never turns, so holding speed leaves the lateral velocity
+frozen.  Lane transitions are therefore executed by the maneuver layer as
+a speed-preserving rotation of the velocity vector and heading (bounded
+lateral speed toward the target centreline) applied before integration;
+the integrator itself stays untouched.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from mergeshield.dynamics import ControlInput, VehicleParams, VehicleState, step
+from mergeshield.dynamics import VehicleParams, VehicleState, step
 from mergeshield.policy import BehaviorAction
 from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig, brake_cap, bumper_gap, joint_safe_control
@@ -55,7 +55,6 @@ __all__ = [
     "perceived",
     "plan_motion",
     "step_world",
-    "is_ahead",
     "bumper_gap",
 ]
 
@@ -159,7 +158,7 @@ class NeighborIndex:
     """Perception facts of one world state, built once per step index.
 
     ``lanes`` maps each lane to its vehicles, crashed ones included, in
-    ascending ``(x, -vid)`` order (the total order of :func:`is_ahead`);
+    ascending ``(x, -vid)`` order (greater x ahead, ties to the smaller id);
     ``keys`` holds those sort keys per lane and ``slot`` each vehicle's
     position in its lane.  ``ordered`` is the whole fleet in the same
     order, with its ``xs`` and ``ys`` and each vehicle's ``rank`` in it.
@@ -257,21 +256,8 @@ class World:
     _neighbor_index: NeighborIndex | None = field(default=None, init=False, repr=False,
                                                   compare=False)
 
-    def vehicle(self, vid: int) -> Vehicle:
-        for v in self.vehicles:
-            if v.vid == vid:
-                return v
-        raise KeyError(f"no vehicle with id {vid}")
-
     def live_vehicles(self) -> list:
         return [v for v in self.vehicles if not v.crashed]
-
-
-def is_ahead(a: Vehicle, b: Vehicle) -> bool:
-    """Total longitudinal order: greater arc x, ties broken by smaller id."""
-    if a.state.x != b.state.x:
-        return a.state.x > b.state.x
-    return a.vid < b.vid
 
 
 def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
@@ -281,7 +267,9 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
     Same-lane bumper gaps respect ``spawn_spacing_min`` and the follower
     headway threshold; follower speeds are additionally capped so every
     pair starts inside the shield's braking-feasibility envelope, otherwise
-    no runtime filter could honour the headway guarantee.
+    no runtime filter could honour the headway guarantee.  Each queue
+    extends backwards as far as its count needs; the road has no start, so
+    rear vehicles may spawn at negative x.
     Deterministic for a given generator state.
     """
     params = params or VehicleParams()
@@ -289,17 +277,12 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
     n_highway = config.n_vehicles - n_ramp
     lo, hi = config.initial_speed_range
 
-    regions = {
-        "highway": (road.merge_start - 10.0, 20.0),
-        "ramp": (road.merge_start - 30.0, 60.0),
-    }
     vehicles: list = []
     vid = 0
-    for lane_name, count, lane in (
-        ("highway", n_highway, road.highway_lanes - 1),
-        ("ramp", n_ramp, road.ramp_lane),
+    for front_x, count, lane in (
+        (road.merge_start - 10.0, n_highway, road.highway_lanes - 1),
+        (road.merge_start - 30.0, n_ramp, road.ramp_lane),
     ):
-        front_x, back_limit = regions[lane_name]
         x = front_x
         lead_speed = None
         for i in range(count):
@@ -312,11 +295,6 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
                 # the first shield step starts with margin, not on the edge
                 speed = min(speed, brake_cap(gap - 1.0, speed, lead_speed,
                                              -params.a_min, config.tau, config.dt))
-            if x < back_limit - 1e-9:
-                raise ValueError(
-                    f"geometry too short: cannot place {count} vehicles on the {lane_name} "
-                    f"spawn region [{back_limit}, {front_x}]"
-                )
             y = road.centerline_y(lane)
             vehicles.append(
                 Vehicle(
@@ -562,16 +540,13 @@ def step_world(world: World, joint_actions: dict) -> World:
 
     # tracking + simultaneous integration from the pre-step snapshot
     new_states = {}
-    controls = {}
     for vehicle in live:
         out = outcomes[vehicle.vid]
         staged = _maneuver_overlay(world, vehicle)
         speed = staged.speed
         a = (out.v_safe - speed) / dt
         a = min(max(a, vehicle.params.a_min), vehicle.params.a_max)
-        u = ControlInput(a=a, delta=0.0)
-        controls[vehicle.vid] = u
-        new_states[vehicle.vid] = step(staged, vehicle.params, u, dt)
+        new_states[vehicle.vid] = step(staged, vehicle.params, a, dt)
 
     for vehicle in live:
         vehicle.state = new_states[vehicle.vid]

@@ -1,9 +1,22 @@
+from dataclasses import fields
+
 import pytest
 
-from mergeshield.config import RunConfig, load_config, validate_config
+from mergeshield.config import _DERIVED, RunConfig, load_config, resolved_dict, validate_config
+from mergeshield.dynamics import VehicleParams
+from mergeshield.reward import RewardWeights
 from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig
+
+#: config sections echoed in record headers, by the dataclass behind each
+ECHOED_SECTIONS = {
+    "scenario": ScenarioConfig,
+    "road": RoadNetwork,
+    "vehicle": VehicleParams,
+    "shield": ShieldConfig,
+    "reward": RewardWeights,
+}
 
 
 def _errors(tmp_path, text):
@@ -48,3 +61,27 @@ def test_shield_and_reward_take_scenario_values(tmp_path):
                              road=RoadNetwork(merge_length=120.0),
                              shield=ShieldConfig(tau=0.9)).resolved()
     assert programmatic == cfg
+
+
+def test_echo_covers_every_config_field():
+    # a field the header does not echo must be derived from another
+    # section, and the header echoes nothing that is not a field
+    echo = resolved_dict(RunConfig())
+    assert sorted(echo) == sorted(ECHOED_SECTIONS)
+    for section, cls in ECHOED_SECTIONS.items():
+        names = {f.name for f in fields(cls)}
+        missing = {n for n in names - set(echo[section]) if (section, n) not in _DERIVED}
+        assert missing == set(), section
+        extra = set(echo[section]) - names - ({"function"} if section == "reward" else set())
+        assert extra == set(), section
+
+
+@pytest.mark.parametrize("section, key", [
+    ("vehicle", "delta_max"),
+    ("shield", "wc_brake"),
+    ("shield", "wc_accel"),
+    ("shield", "tau_lat"),
+])
+def test_removed_key_is_unknown(tmp_path, section, key):
+    errors = _errors(tmp_path, f"{section}:\n  {key}: -3.0\n")
+    assert errors == [f"{section}.{key}: unknown key"]

@@ -5,81 +5,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mergeshield.dynamics import ControlInput, VehicleParams, VehicleState, slip_angle, step
+from mergeshield.dynamics import VehicleParams, VehicleState, step
 
 
-def euler_reference(state, params, u, dt):
+def euler_reference(state, a, dt):
     """Independent line-by-line evaluation of the model equations."""
-    beta = math.atan(0.5 * math.tan(u.delta))
-    v = math.sqrt(state.v_x ** 2 + state.v_y ** 2)
     return VehicleState(
         x=state.x + state.v_x * dt,
         y=state.y + state.v_y * dt,
-        v_x=state.v_x + u.a * math.cos(state.psi + beta) * dt,
-        v_y=state.v_y + u.a * math.sin(state.psi + beta) * dt,
-        psi=state.psi + (2.0 * v / params.length) * math.sin(beta) * dt,
+        v_x=state.v_x + a * math.cos(state.psi) * dt,
+        v_y=state.v_y + a * math.sin(state.psi) * dt,
+        psi=state.psi,
     )
-
-
-class TestSlipAngle:
-    def test_zero(self):
-        assert slip_angle(0.0) == 0.0
-
-    def test_small_angle_is_half_steering(self):
-        assert slip_angle(0.01) == pytest.approx(0.005, rel=1e-4)
-
-    def test_quarter_pi(self):
-        # frozen from an independent evaluation: atan(0.5 * tan(pi/4)) = atan(0.5)
-        assert slip_angle(math.pi / 4) == pytest.approx(0.4636476090008061, abs=1e-15)
-        assert slip_angle(math.pi / 4) == math.atan(0.5)
-
-    @given(st.floats(min_value=-1.5, max_value=1.5))
-    def test_odd(self, delta):
-        assert slip_angle(-delta) == -slip_angle(delta)
-
-    @given(st.floats(min_value=-1.5, max_value=1.5))
-    def test_magnitude_below_steering(self, delta):
-        assert abs(slip_angle(delta)) <= abs(delta)
-        if delta != 0.0:
-            assert math.copysign(1.0, slip_angle(delta)) == math.copysign(1.0, delta)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            slip_angle(float("nan"))
-        with pytest.raises(ValueError):
-            slip_angle(float("inf"))
-
-    def test_out_of_domain_rejected(self):
-        with pytest.raises(ValueError):
-            slip_angle(math.pi / 2)
 
 
 class TestStep:
     def test_straight_coasting(self):
         s = VehicleState(x=0.0, v_x=25.0)
-        out = step(s, VehicleParams(), ControlInput(), dt=0.1)
+        out = step(s, VehicleParams(), 0.0, dt=0.1)
         assert out == VehicleState(x=2.5, y=0.0, v_x=25.0, v_y=0.0, psi=0.0)
 
     def test_pure_longitudinal_acceleration(self):
         s = VehicleState(v_x=20.0)
-        out = step(s, VehicleParams(), ControlInput(a=2.0), dt=0.1)
+        out = step(s, VehicleParams(), 2.0, dt=0.1)
         assert out.v_x == pytest.approx(20.2)
         assert out.v_y == 0.0
         assert out.psi == 0.0
-
-    def test_steering_updates_heading(self):
-        # frozen from the independent line-by-line oracle:
-        # v_x=20, psi=0, length=5, a=0, delta=0.1, dt=0.1
-        s = VehicleState(v_x=20.0)
-        params = VehicleParams(length=5.0)
-        u = ControlInput(a=0.0, delta=0.1)
-        out = step(s, params, u, dt=0.1)
-        assert out.psi == pytest.approx(0.040083460273912824, abs=1e-15)
-        assert out.x == 2.0
-        assert out.v_x == 20.0
-        assert out.v_y == 0.0
-        ref = euler_reference(s, params, u, 0.1)
-        assert out == ref
 
     def test_matches_reference_on_random_states(self):
         rng = np.random.default_rng(7)
@@ -92,30 +43,29 @@ class TestStep:
                 v_y=float(rng.uniform(-3, 3)),
                 psi=float(rng.uniform(-0.3, 0.3)),
             )
-            u = ControlInput(a=float(rng.uniform(-5, 5)), delta=float(rng.uniform(-0.4, 0.4)))
-            out = step(s, params, u, dt=0.1)
-            ref = euler_reference(s, params, u, 0.1)
+            a = float(rng.uniform(-5, 5))
+            out = step(s, params, a, dt=0.1)
+            ref = euler_reference(s, a, 0.1)
             if ref.speed <= params.v_cap:
                 for field in ("x", "y", "v_x", "v_y", "psi"):
                     assert getattr(out, field) == pytest.approx(getattr(ref, field), abs=1e-12)
 
     def test_deterministic(self):
         s = VehicleState(x=1.0, y=2.0, v_x=17.3, v_y=0.2, psi=0.05)
-        u = ControlInput(a=1.7, delta=0.12)
-        a = step(s, VehicleParams(), u, dt=0.1)
-        b = step(s, VehicleParams(), u, dt=0.1)
-        assert a == b
+        first = step(s, VehicleParams(), 1.7, dt=0.1)
+        second = step(s, VehicleParams(), 1.7, dt=0.1)
+        assert first == second
 
     @given(
         v_x=st.floats(min_value=0, max_value=45),
         v_y=st.floats(min_value=-5, max_value=5),
         a=st.floats(min_value=-5, max_value=5),
-        delta=st.floats(min_value=-0.7, max_value=0.7),
+        psi=st.floats(min_value=-0.7, max_value=0.7),
     )
-    def test_speed_never_exceeds_cap(self, v_x, v_y, a, delta):
+    def test_speed_never_exceeds_cap(self, v_x, v_y, a, psi):
         params = VehicleParams(v_cap=40.0)
-        s = VehicleState(v_x=v_x, v_y=v_y)
-        out = step(s, params, ControlInput(a=a, delta=delta), dt=0.1)
+        s = VehicleState(v_x=v_x, v_y=v_y, psi=psi)
+        out = step(s, params, a, dt=0.1)
         assert out.speed <= params.v_cap + 1e-9
 
     @given(
@@ -124,7 +74,7 @@ class TestStep:
     )
     def test_coasting_preserves_velocity(self, v_x, psi):
         s = VehicleState(v_x=v_x, v_y=0.5, psi=psi)
-        out = step(s, VehicleParams(), ControlInput(), dt=0.1)
+        out = step(s, VehicleParams(), 0.0, dt=0.1)
         assert out.v_x == s.v_x
         assert out.v_y == s.v_y
         assert out.psi == s.psi
@@ -141,17 +91,17 @@ class TestStep:
                 v_y=float(rng.uniform(-2, 2)),
                 psi=float(rng.uniform(-0.2, 0.2)),
             )
-            u = ControlInput(a=float(rng.uniform(-4, 4)), delta=float(rng.uniform(-0.3, 0.3)))
+            a = float(rng.uniform(-4, 4))
             dt = 0.1
-            full = step(s, params, u, dt)
-            halves = step(step(s, params, u, dt / 2), params, u, dt / 2)
+            full = step(s, params, a, dt)
+            halves = step(step(s, params, a, dt / 2), params, a, dt / 2)
             for field in ("x", "y", "v_x", "v_y", "psi"):
                 err = abs(getattr(full, field) - getattr(halves, field))
                 assert err <= 5.0 * dt * dt
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
-            step(VehicleState(), VehicleParams(), ControlInput(), dt=0.0)
+            step(VehicleState(), VehicleParams(), 0.0, dt=0.0)
 
 
 class TestParams:
@@ -160,7 +110,5 @@ class TestParams:
             VehicleParams(length=0.0)
         with pytest.raises(ValueError):
             VehicleParams(a_min=1.0)
-        with pytest.raises(ValueError):
-            VehicleParams(delta_max=2.0)
         with pytest.raises(ValueError):
             VehicleParams(v_cap=-1.0)

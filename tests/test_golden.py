@@ -20,9 +20,9 @@ from mergeshield.world import ScenarioConfig
 
 #: (shield mode, policy, seed) -> sha256 of the record; 80-step episodes.
 GOLDEN = {
-    ("mass", "random", 1): "a51254524576a8299f4a9283ac13d96642f561fa38ebfc8beee62bd0b1afae99",
-    ("hss", "heuristic", 2): "999d9e64b73570fcfed0e267d9a65a098e502f8d26b19f9654724dc7a846e09d",
-    ("none", "random", 0): "ffd1666ed0da0e2d8e318faff092012c0c5d2c3ab339d420d4480f18940215c6",
+    ("mass", "random", 1): "6ccd2c5bff1083784d0b292a91948e95538fc2ea6a2d46f7de7e2d02f2d2fefd",
+    ("hss", "heuristic", 2): "14922b98b34ab42bb35707e80cf2dc61e8909ce7a27593a9e8f3e97520ef1774",
+    ("none", "random", 0): "0f1bc7b81c5a6dfda13eab99f39937f2b611c442951beef7fb61c9e8603684a2",
 }
 
 
@@ -55,7 +55,7 @@ COVERAGE = {
 #: 40 vehicles on a long road, mass shield, heuristic policy, seed 0, 40
 #: steps: hundreds of binding brake caps from highway speed and about four
 #: neighbour queries per vehicle and step
-DENSE_GOLDEN = "0bc4d39af807aeb48d9075ff6c427cbadda52e5ad42f537277b52a3916eff967"
+DENSE_GOLDEN = "2739c7945453c11e50d74fba766d1d1eb226e244b053efeff3036f42449f565f"
 
 
 def digest(record):

@@ -1,0 +1,111 @@
+"""The promises of the ``metrics`` docstrings, on hand-built records."""
+
+import math
+
+import pytest
+
+from mergeshield.metrics import (
+    UndefinedMetricError,
+    average_speed,
+    merging_percentage,
+    min_time_headway,
+    summarize_episode,
+)
+from mergeshield.records import EpisodeRecord, StepRecord, VehicleRow
+from mergeshield.reward import V_FLOOR
+
+LANE_WIDTH = 4.0
+LENGTH = 5.0
+
+
+def row(vid, x, speed=20.0, y=0.0, lane=0, crashed=False, spawned_on_ramp=False,
+        merged=False):
+    return VehicleRow(
+        vid=vid, lane=lane, target_lane=lane, x=x, y=y, v_x=speed, v_y=0.0, psi=0.0,
+        speed=speed, x_m=0.0, length=LENGTH, width=2.0, spawned_on_ramp=spawned_on_ramp,
+        merged=merged, merge_failed=False, crashed=crashed,
+    )
+
+
+def record(*steps, initial=()):
+    """A record of the given per-step row tuples on the default road."""
+    return EpisodeRecord(
+        seed=0,
+        config={"road": {"highway_lanes": 1, "lane_width": LANE_WIDTH}},
+        initial=tuple(initial),
+        steps=[StepRecord(step=k, vehicles=tuple(rows), topology={})
+               for k, rows in enumerate(steps)],
+    )
+
+
+def gap(leader, follower):
+    return (leader.x - 0.5 * leader.length) - (follower.x + 0.5 * follower.length)
+
+
+class TestMinTimeHeadway:
+    def test_min_over_steps_and_pairs(self):
+        a, b, c = row(0, 100.0), row(1, 130.0), row(2, 150.0)
+        later = (row(0, 102.0, speed=25.0), row(1, 132.0), row(2, 152.0))
+        want = min(gap(b, a) / 20.0, gap(c, b) / 20.0, gap(later[1], later[0]) / 25.0)
+        assert min_time_headway(record((a, b, c), later)) == want
+
+    def test_zero_after_any_collision(self):
+        # roomy pairs, then one crash in the last step
+        calm = (row(0, 100.0), row(1, 200.0))
+        crash = (row(0, 102.0), row(1, 202.0), row(2, 400.0, lane=1, y=4.0, crashed=True))
+        assert min_time_headway(record(calm, crash)) == 0.0
+        assert min_time_headway(record(calm, initial=crash)) == 0.0
+
+    def test_skips_followers_below_the_speed_floor(self):
+        leader = row(1, 107.0)
+        crawler = row(0, 100.0, speed=0.5 * V_FLOOR)  # 2 m behind, would read 4 s
+        assert min_time_headway(record((crawler, leader))) == math.inf
+        at_floor = row(0, 100.0, speed=V_FLOOR)
+        assert min_time_headway(record((at_floor, leader))) == 2.0 / V_FLOOR
+
+    def test_inf_without_a_same_lane_pair(self):
+        alone = (row(0, 100.0), row(1, 110.0, lane=1, y=LANE_WIDTH))
+        assert min_time_headway(record(alone)) == math.inf
+        assert min_time_headway(record((row(0, 100.0),))) == math.inf
+
+    def test_lane_changer_counts_in_its_nearest_lane(self):
+        # both changers carry lane 0; each pairs with the leader in the lane
+        # whose centreline is nearest its y
+        ramp_leader = row(1, 130.0, lane=1, y=LANE_WIDTH)
+        near_ramp = row(0, 100.0, y=0.55 * LANE_WIDTH)
+        assert min_time_headway(record((near_ramp, ramp_leader))) == gap(ramp_leader, near_ramp) / 20.0
+        near_highway = row(0, 100.0, y=0.45 * LANE_WIDTH)
+        assert min_time_headway(record((near_highway, ramp_leader))) == math.inf
+        highway_leader = row(2, 140.0)
+        assert min_time_headway(record((near_highway, ramp_leader, highway_leader))) == \
+            gap(highway_leader, near_highway) / 20.0
+
+
+class TestMergingPercentage:
+    def test_share_of_ramp_spawned_vehicles_that_merged(self):
+        final = (row(0, 300.0, spawned_on_ramp=True, merged=True),
+                 row(1, 280.0, lane=1, y=LANE_WIDTH, spawned_on_ramp=True),
+                 row(2, 320.0))
+        assert merging_percentage([record(final)]) == 50.0
+
+    def test_undefined_without_a_ramp_vehicle(self):
+        rec = record((row(0, 100.0), row(1, 130.0)))
+        with pytest.raises(UndefinedMetricError):
+            merging_percentage([rec])
+        summary = summarize_episode(rec, "mass", "random")
+        assert summary.merging_pct is None
+        assert summary.to_dict()["merging_pct"] is None
+
+
+class TestAverageSpeed:
+    def test_mean_over_alive_vehicle_steps(self):
+        rec = record((row(0, 100.0, speed=10.0), row(1, 200.0, speed=30.0, crashed=True)),
+                     (row(0, 101.0, speed=14.0),))
+        assert average_speed(rec) == 12.0
+
+    def test_raises_without_an_alive_vehicle_step(self):
+        wrecks = (row(0, 100.0, crashed=True), row(1, 103.0, crashed=True))
+        with pytest.raises(ValueError):
+            average_speed(record(wrecks))
+        with pytest.raises(ValueError):
+            average_speed(record(initial=(row(0, 100.0),)))

@@ -1,6 +1,8 @@
 """Every module, exported name, entry point, policy kind and benchmark
-trace point the package names exists."""
+trace point the package names exists, and every exported name has a
+caller."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -14,7 +16,9 @@ from mergeshield.policy import POLICY_KINDS, Policy, PolicySpec, build_policy
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
-TRACER = ROOT / "bench" / "tracer.py"
+SRC = ROOT / "src" / "mergeshield"
+BENCH = ROOT / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mergeshield.__path__))
@@ -61,3 +65,85 @@ def test_bench_trace_points_resolve():
             assert vars(importlib.import_module(importer)).get(attr) is target, (name, importer)
     for name, module_name, attr in tracer.COUNT_POINTS:
         assert callable(vars(importlib.import_module(module_name)).get(attr)), name
+
+
+#: exported names still waiting for their caller: the batch surface that a
+#: run entry point will drive (load a config; write and read episode
+#: files, summaries and the aggregate).  A mention in a docstring is no call.
+AWAITING_CALLER = {
+    "mergeshield.config.load_config",
+    "mergeshield.records.write_episode",
+    "mergeshield.records.read_episode",
+    "mergeshield.metrics.aggregate_summaries",
+    "mergeshield.metrics.write_summaries",
+    "mergeshield.metrics.read_summaries",
+    "mergeshield.metrics.write_aggregate_csv",
+}
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _uses(path, own=None):
+    """Dotted names of package members that the file at ``path`` reads.
+
+    A use is a loaded name bound by an import from the package, an
+    attribute of an imported package module, or, in the package module
+    ``own``, a loaded module-level name; the definition itself and
+    ``__all__`` are not uses.  In ``bench/`` a tuple of strings naming a
+    package module and attributes also counts, as the tracer patches
+    functions by name.
+    """
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mergeshield"):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("mergeshield"):
+                    local = alias.asname or alias.name.partition(".")[0]
+                    bound[local] = alias.name if alias.asname else local
+    uses = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id in bound:
+                uses.add(bound[node.id])
+            elif own is not None:
+                uses.add(f"{own}.{node.id}")
+        elif isinstance(node, ast.Attribute):
+            head, _, rest = (_dotted(node) or "").partition(".")
+            if head in bound:
+                uses.add(f"{bound[head]}.{rest}")
+        elif isinstance(node, ast.Tuple) and own is None:
+            strings = [e.value for e in node.elts
+                       if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+            for module in (s for s in strings if s.startswith("mergeshield.")):
+                uses.update(f"{module}.{s}" for s in strings)
+    return uses
+
+
+def test_every_exported_name_has_a_caller():
+    # code with no caller is wired up or deleted; tests do not count as
+    # callers.  The package's own __all__ re-exports module members and
+    # names its version.
+    uses = set()
+    for path in sorted(SRC.glob("*.py")):
+        own = "mergeshield" if path.stem == "__init__" else f"mergeshield.{path.stem}"
+        uses |= _uses(path, own)
+    for path in sorted(BENCH.rglob("*.py")):
+        uses |= _uses(path)
+    exported = {f"mergeshield.{m}.{n}" for m in MODULES
+                for n in importlib.import_module(f"mergeshield.{m}").__all__}
+    assert sorted(exported - uses - AWAITING_CALLER) == []
+    assert sorted(AWAITING_CALLER - exported) == []

@@ -15,7 +15,7 @@ def fleet(vids, road=None):
 
 
 def decide(policy, step, vehicles):
-    return policy.decide(step, make_world(vehicles), {}, {}, {})
+    return policy.decide(step, make_world(vehicles), {})
 
 
 class TestRandomPolicy:
@@ -54,8 +54,8 @@ class TestRandomPolicy:
         policy = RandomPolicy()
         world = make_world(vehicles)
         for seed, want in ((2, fresh[0]), (3, fresh[1]), (2, fresh[0])):
-            policy.start_episode(world, seed)
-            assert policy.decide(7, world, {}, {}, {}) == want
+            policy.start_episode(seed)
+            assert policy.decide(7, world, {}) == want
 
     def test_no_live_vehicle_no_action(self):
         vehicles = fleet(range(3))
@@ -96,7 +96,7 @@ class TestHeuristicGiveWay:
         for dx, want in ((59.99, True), (60.0, False), (-59.99, True), (-60.0, False)):
             ego = make_vehicle(0, 230.0, 20.0, road=road)
             ramp = make_vehicle(1, 230.0 + dx, 20.0, lane=road.ramp_lane, road=road)
-            action = heuristic_policy(None, ego, make_world([ego, ramp], road=road))
+            action = heuristic_policy(ego, make_world([ego, ramp], road=road))
             assert (action == BehaviorAction.SLOW_DOWN) == want, dx
 
     def test_matches_a_scan_of_the_whole_ramp_lane(self):
@@ -117,5 +117,5 @@ class TestHeuristicGiveWay:
             world = make_world(vehicles, road=road)
             want = gives_way_oracle(world, ego)
             hits += want
-            assert (heuristic_policy(None, ego, world) == BehaviorAction.SLOW_DOWN) == want
+            assert (heuristic_policy(ego, world) == BehaviorAction.SLOW_DOWN) == want
         assert 30 <= hits <= 270

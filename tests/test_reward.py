@@ -12,7 +12,6 @@ from mergeshield.reward import (
     fleet_rewards,
     headway_reward,
     merge_reward,
-    overall_reward,
     speed_reward,
 )
 from mergeshield.road import RoadNetwork
@@ -145,7 +144,8 @@ class TestOverallReward:
         road = RoadNetwork()
         ego = make_vehicle(0, 100.0, 20.0, road=road)
         w = make_world([ego], road=road)
-        assert overall_reward(ego, w, custom_reward, W) == custom_reward(ego, W, w)
+        r = custom_reward(ego, W, w)
+        assert fleet_rewards(w, W, "custom", vids=[0]) == {0: (r, r)}
 
     def test_two_vehicle_mean(self):
         road = RoadNetwork()
@@ -154,8 +154,9 @@ class TestOverallReward:
         w = make_world([a, b], road=road)
         ra = custom_reward(a, W, w)
         rb = custom_reward(b, W, w)
-        assert overall_reward(a, w, custom_reward, W) == pytest.approx((ra + rb) / 2)
-        assert overall_reward(b, w, custom_reward, W) == pytest.approx((ra + rb) / 2)
+        fleet = fleet_rewards(w, W, "custom", vids=[0, 1])
+        assert fleet[0] == (ra, pytest.approx((ra + rb) / 2))
+        assert fleet[1] == (rb, pytest.approx((ra + rb) / 2))
 
     def test_matches_brute_force_on_random_fleets(self):
         rng = np.random.default_rng(14)
@@ -168,7 +169,8 @@ class TestOverallReward:
                 for i in range(n)
             ]
             w = make_world(vehicles, road=road)
-            fleet = fleet_rewards(w, W, "custom", vids=[v.vid for v in vehicles])
+            by_id = {v.vid: v for v in vehicles}
+            fleet = fleet_rewards(w, W, "custom", vids=list(by_id))
             for ego in vehicles:
                 # brute-force neighbourhood mean
                 dists = sorted(
@@ -179,7 +181,7 @@ class TestOverallReward:
                     <= w.scenario.comm_range
                 )
                 group = [ego.vid] + [vid for _, vid in dists[: w.scenario.perception_n]]
-                want = sum(custom_reward(w.vehicle(g), W, w) for g in group) / len(group)
+                want = sum(custom_reward(by_id[g], W, w) for g in group) / len(group)
                 assert fleet[ego.vid][1] == pytest.approx(want, abs=1e-12)
                 assert fleet[ego.vid][0] == pytest.approx(custom_reward(ego, W, w), abs=1e-12)
 

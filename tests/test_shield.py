@@ -131,7 +131,7 @@ class TestAllowLaneChange:
         assert allow_lane_change(ego, None, None, CFG)
 
     def test_adjacent_leader_form(self):
-        # the leader barrier is gap - tau_lat * v_e: 15 - 10 passes, and the
+        # the leader barrier is gap - tau * v_e: 15 - 10 passes, and the
         # gate closes just below its zero
         road = RoadNetwork()
         ego = make_vehicle(0, 100.0, 20.0, lane=road.ramp_lane, road=road)

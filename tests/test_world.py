@@ -24,10 +24,15 @@ from mergeshield.world import (
 from conftest import make_vehicle, make_world, spawned_world
 
 
+def is_ahead(a, b):
+    """Total longitudinal order: greater arc x, ties broken by smaller id."""
+    if a.state.x != b.state.x:
+        return a.state.x > b.state.x
+    return a.vid < b.vid
+
+
 def brute_force_neighbors(world, ego):
     """O(n^2) rescan of the neighbour definitions."""
-    from mergeshield.world import is_ahead
-
     comm = world.scenario.comm_range
     adj = _perception_adjacent(world.road, ego)
     ol = oal = oar = None
@@ -187,11 +192,25 @@ class TestSpawn:
         assert len(ramp) == cfg.resolved_n_ramp()
         assert all(v.spawned_on_ramp for v in ramp)
 
-    def test_too_many_vehicles_rejected(self):
-        cfg = ScenarioConfig(n_vehicles=60)
+    @pytest.mark.parametrize("n", [14, 60])
+    def test_long_queues_extend_behind_the_road_origin(self, n):
+        # the road has no start: a long queue spawns at negative x and keeps
+        # the spacing, headway and braking-feasibility invariants
+        from mergeshield.shield import brake_margin
+
+        cfg = ScenarioConfig(n_vehicles=n)
         road = RoadNetwork()
-        with pytest.raises(ValueError, match="geometry too short"):
-            spawn(cfg, road, np.random.default_rng(0))
+        vehicles = spawn(cfg, road, np.random.default_rng(0))
+        assert len(vehicles) == n
+        assert min(v.state.x for v in vehicles) < 20.0  # behind the old highway limit
+        for lane in road.lanes:
+            queue = sorted((v for v in vehicles if v.lane == lane), key=lambda v: -v.state.x)
+            for leader, follower in zip(queue, queue[1:]):
+                gap = bumper_gap(follower, leader)
+                v_f, v_l = follower.state.speed, leader.state.speed
+                assert gap >= cfg.spawn_spacing_min - 1e-9
+                assert gap >= cfg.tau * v_f - 1e-9
+                assert brake_margin(gap, v_f, v_l, -follower.params.a_min, cfg.tau, cfg.dt) >= 0.0
 
 
 class TestNeighbors:
@@ -392,11 +411,11 @@ class TestStepWorld:
         assert w.step_index == 1
 
     def test_single_vehicle_none_shield_matches_dynamics(self):
-        from mergeshield.dynamics import ControlInput, step as dyn_step
+        from mergeshield.dynamics import step as dyn_step
 
         v = make_vehicle(0, 100.0, 25.0)
         w = make_world([v], shield_mode="none")
-        expected = dyn_step(v.state, v.params, ControlInput(a=0.0, delta=0.0), w.scenario.dt)
+        expected = dyn_step(v.state, v.params, 0.0, w.scenario.dt)
         step_world(w, {0: BehaviorAction.FOLLOW_LANE})
         assert w.vehicles[0].state == expected
 
