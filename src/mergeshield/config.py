@@ -4,8 +4,8 @@ A run config bundles the scenario, road geometry, vehicle limits, shield,
 reward and policy selections plus batch options.  The YAML schema mirrors
 the dataclasses section by section; unknown sections or keys, keys another
 section sets and bad values are errors reported with their path.  The reference
-scenario runs 7 to 11 vehicles; other counts are allowed only with the
-explicit off-range flag.
+scenario runs 7 to 11 vehicles; other counts run too, and validation warns
+about them unless ``run.allow_offrange`` is set.
 """
 
 from __future__ import annotations
@@ -181,10 +181,10 @@ def _parse(data, report) -> RunConfig | None:
 def _range_warnings(cfg: RunConfig, report: ValidationReport) -> None:
     lo, hi = REFERENCE_VEHICLE_RANGE
     n = cfg.scenario.n_vehicles
-    if not (lo <= n <= hi):
+    if not (lo <= n <= hi or cfg.allow_offrange):
         report.warnings.append(
             f"scenario.n_vehicles: {n} is outside the reference range {lo}-{hi}; "
-            f"runs require allow_offrange"
+            f"set run.allow_offrange to run it without this warning"
         )
 
 
@@ -196,6 +196,9 @@ def load_config(path) -> RunConfig:
 
 
 def validate_config(path) -> ValidationReport:
+    """Parse and check the YAML run config at ``path``.  Errors carry their
+    path; a vehicle count outside the reference range is a warning unless
+    ``run.allow_offrange`` is set."""
     report = ValidationReport()
     try:
         with open(path) as f:

@@ -33,6 +33,8 @@ class VehicleParams:
     def __post_init__(self):
         if not self.length > 0:
             raise ValueError(f"length must be positive, got {self.length}")
+        if not self.width > 0:
+            raise ValueError(f"width must be positive, got {self.width}")
         if not (self.a_min < 0 < self.a_max):
             raise ValueError(f"need a_min < 0 < a_max, got [{self.a_min}, {self.a_max}]")
         if not self.v_cap > 0:

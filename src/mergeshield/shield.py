@@ -1,26 +1,28 @@
-"""Safety layer: barrier constraints, a scalar QP filter, lane-change gating.
+"""Safety layer: barrier rows, a scalar QP filter, lane-change gating.
 
-Constraints are affine halfspaces over one speed command and one shared
-slack.  The interaction topology names the leaders that constrain each
-vehicle in both shield modes; the mode only picks the next speed a leader
-is credited with: its resolved safe command in ``mass`` mode, its
-worst-case braking in ``hss`` mode, which also keeps the own-lane leader
-that a cutting-in vehicle displaced.  Per vehicle and step the filter builds
+Every row bounds the one speed command ``v``.  A hard row ``a * v <= q``
+with ``a > 0`` caps it; the one soft row ``a * v - slack <= q`` with
+``a < 0`` sets a floor that a slack may relax.  The interaction topology
+names the leaders that constrain each vehicle in both shield modes; the
+mode only picks the next speed a leader is credited with: its resolved
+safe command in ``mass`` mode, its worst-case braking in ``hss`` mode,
+which also keeps the own-lane leader that a cutting-in vehicle
+displaced.  Per vehicle and step the filter builds
 
-* a headway barrier row per leader: the time-headway barrier
+* a headway cap per leader: the time-headway barrier
   ``h = gap - tau * v`` propagated one step with decay ``eta``, crediting
   the leader's next speed,
-* a braking-feasibility guard per leader: the largest command from which a
+* a braking-feasibility cap per leader: the largest command from which a
   joint worst-case braking run keeps the headway satisfied.  The bare
   one-step barrier alone admits states where bounded deceleration can no
   longer prevent a violation (fast follower, slow leader), so the guard
   keeps the system inside the set where the barrier stays feasible,
-* a soft rear row toward the adjacent rear vehicle during an ongoing lane
+* a soft rear floor toward the adjacent rear vehicle during an ongoing lane
   change, relaxed by the slack.
 
 The QP minimises ``(v - v_nominal)^2 + k_eps * slack`` over the one command
 inside the reachability box (one-step actuator envelope) in closed form
-(:func:`solve_qp`); hard infeasibility raises a fault that callers turn
+(:func:`solve_qp`); caps below the box raise a fault that callers turn
 into full braking.
 """
 
@@ -28,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from mergeshield.topology import InteractionTopology
     from mergeshield.world import World
 
 __all__ = [
-    "AffineConstraint",
+    "Row",
     "bumper_gap",
     "ShieldConfig",
     "ShieldOutcome",
@@ -56,30 +58,14 @@ class ShieldFault(RuntimeError):
     """Hard-infeasible constraint system; caller falls back to full braking."""
 
 
-@dataclass(frozen=True)
-class AffineConstraint:
-    """Halfspace ``p[:-1] . v + p[-1] * slack <= q``.
+class Row(NamedTuple):
+    """One barrier row over the speed command ``v``: ``a * v <= q`` when
+    ``kind`` is ``"hard"``, ``a * v - slack <= q`` when it is ``"soft"``."""
 
-    The last coefficient of ``p`` belongs to the shared slack variable:
-    0 for hard rows, -1 for soft rows.
-    """
-
-    p: tuple
+    a: float
     q: float
+    label: str
     kind: str = "hard"
-    label: str = ""
-
-    def __post_init__(self):
-        if self.kind not in ("hard", "soft"):
-            raise ValueError(f"constraint kind must be hard or soft, got {self.kind!r}")
-        if not all(math.isfinite(c) for c in self.p) or not math.isfinite(self.q):
-            raise ValueError("constraint coefficients must be finite")
-        if not any(c != 0.0 for c in self.p):
-            raise ValueError("constraint coefficients must not be all zero")
-        if self.kind == "soft" and not self.p[-1] < 0.0:
-            raise ValueError("soft constraints need a negative slack coefficient")
-        if self.kind == "hard" and self.p[-1] != 0.0:
-            raise ValueError("hard constraints must not touch the slack")
 
 
 @dataclass(frozen=True)
@@ -253,7 +239,7 @@ def _rear_speed(c_oar, config: ShieldConfig) -> float:
 
 
 def longitudinal_cbf(ego, leader, config: ShieldConfig,
-                     v_leader_next: float) -> AffineConstraint:
+                     v_leader_next: float) -> Row:
     """Headway barrier row for one leader, propagated one step.
 
     ``h = gap - tau * v_e`` must decay no faster than ``(1 - eta)`` per
@@ -267,20 +253,17 @@ def longitudinal_cbf(ego, leader, config: ShieldConfig,
     v_e = ego.state.speed
     g_e = math.cos(ego.state.psi)
     g_o = math.cos(leader.state.psi)
-    p_v = g_e * dt + tau
     q = (
         config.eta * gap
         + (1.0 - config.eta) * tau * v_e
         + g_o * v_leader_next * dt
         - config.lag_margin
     )
-    return AffineConstraint(
-        p=(p_v, 0.0), q=q, kind="hard", label=f"headway:{leader.vid}"
-    )
+    return Row(g_e * dt + tau, q, f"headway:{leader.vid}")
 
 
 def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float,
-                v_hi: float) -> AffineConstraint | None:
+                v_hi: float) -> Row | None:
     """Braking-feasibility row: cap the command so a joint worst-case
     braking run from the next state keeps the headway barrier satisfied.
 
@@ -296,10 +279,10 @@ def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float,
                     closing=math.cos(ego.state.psi) * dt)
     if cap >= v_hi:
         return None
-    return AffineConstraint(p=(1.0, 0.0), q=cap, kind="hard", label=f"brake:{leader.vid}")
+    return Row(1.0, cap, f"brake:{leader.vid}")
 
 
-def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> AffineConstraint:
+def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> Row:
     """Soft barrier row toward the adjacent rear vehicle during a lane change.
 
     ``h = gap - tau * v_ar`` with ``v_ar`` the rear vehicle's worst-case
@@ -312,9 +295,7 @@ def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> AffineConstraint:
     v_ar_wc = _rear_speed(c_oar, config)
     h_now = gap - config.tau * v_ar_wc
     q = config.eta * h_now - v_ar_wc * dt
-    return AffineConstraint(
-        p=(-g_e * dt, -1.0), q=q, kind="soft", label=f"lat_rear:{c_oar.vid}"
-    )
+    return Row(-g_e * dt, q, f"lat_rear:{c_oar.vid}", "soft")
 
 
 def allow_lane_change(ego, c_oal, c_oar, config: ShieldConfig) -> bool:
@@ -333,19 +314,21 @@ def allow_lane_change(ego, c_oal, c_oar, config: ShieldConfig) -> bool:
 
 
 def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
-                         resolved: dict | None = None) -> bool:
+                         resolved: dict) -> bool:
     """Braking-feasibility extension of the lateral gate.
 
     Beyond the instantaneous gap test, committing to the maneuver must leave
     both new leader/follower pairs inside the braking-feasibility envelope
     after one worst-case step, otherwise the headway guarantee could not be
     honoured once the interaction topology hands the pair over.
+    ``resolved`` maps vehicle ids to the outcomes resolved so far this step:
+    a live adjacent leader in it is credited its safe command, any other
+    its worst case.
     """
     dt = config.dt
     tau = config.tau
     sigma = config.lag_margin
     v_e = ego.state.speed
-    resolved = resolved or {}
 
     if c_oal is not None:
         # a wreck never moves again, whatever speed it crashed at
@@ -368,25 +351,9 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     return True
 
 
-#: hard-row infeasibility that :func:`solve_qp` absorbs: an interval empty
-#: by at most this much is pinned to its lower end instead of faulting
+#: hard-row infeasibility that :func:`solve_qp` absorbs: a box emptied by
+#: at most this much is pinned to its lower end instead of faulting
 FEAS_TOL = 1e-9
-
-
-def _interval(rows, lo=-math.inf, hi=math.inf, lo_label="", hi_label=""):
-    """Intersect ``[lo, hi]`` with the halfspaces ``a * v <= q`` of the
-    ``(a, q, label)`` rows; returns ``(lo, hi, lo_label, hi_label)``, each
-    label naming the row behind its bound."""
-    for a, q, label in rows:
-        if a > 0.0:
-            if q / a < hi:
-                hi, hi_label = q / a, label
-        elif a < 0.0:
-            if q / a > lo:
-                lo, lo_label = q / a, label
-        elif q < 0.0:
-            lo, lo_label = math.inf, label
-    return lo, hi, lo_label, hi_label
 
 
 def _clamp(v, lo, hi, lo_label, hi_label, active=()):
@@ -398,57 +365,60 @@ def _clamp(v, lo, hi, lo_label, hi_label, active=()):
     return v, active
 
 
-def solve_qp(v_nominal: float, constraints: list, k_eps: float,
-             lo: float = -math.inf, hi: float = math.inf) -> QPSolution:
+def solve_qp(v_nominal: float, rows: list, k_eps: float, lo: float,
+             hi: float) -> QPSolution:
     """Minimise ``(v - v_nominal)^2 + k_eps * slack`` over one speed command
     in the reachability box ``[lo, hi]`` (labelled ``reach_lo`` and
-    ``reach_hi``; unbounded by default).
+    ``reach_hi``).
 
-    Each row is ``p[0] * v + p[1] * slack <= q``.  The hard rows
-    (``p[1] == 0``) narrow the box to an interval ``[lo, hi]``; the cheapest
-    slack is the largest soft-row violation, or 0, so the objective is
-    convex and piecewise quadratic in ``v``.  Its exact minimiser is the
-    cheapest of these candidates:
+    The rows have the shapes the shield builds.  Each hard row is a cap
+    ``a * v <= q`` with ``a > 0`` that lowers ``hi`` to ``q / a``.  At most
+    one soft row ``a * v - slack <= q`` with ``a < 0`` sets a floor
+    ``q / a`` that the slack relaxes at ``k_eps`` per unit.  Without a soft
+    row the optimum is the nominal clamped into the box.  With one, the
+    objective is convex and piecewise quadratic in ``v`` with its kink at
+    the floor, so the optimum is the cheaper of the nominal clamped into
+    the box above the floor (no slack) and the row's stationary point
+    ``v_nominal - k_eps * a / 2`` clamped into the box.
 
-    * the nominal clamped into the part of ``[lo, hi]`` that every soft row
-      leaves slack-free (this covers each soft row's zero crossing);
-    * each soft row's stationary point ``v_nominal - k_eps * a / 2`` while
-      it sets the slack, clamped into ``[lo, hi]``;
-    * each crossing of two soft rows inside ``[lo, hi]``.
-
-    ``active`` names the rows that bind at the chosen candidate.  Raises
-    :class:`ShieldFault` when ``lo > hi + FEAS_TOL``; an interval empty by
-    less is pinned to ``lo``.
+    ``active`` names the rows that bind at the chosen point.  Raises
+    :class:`ShieldFault` when ``lo > hi + FEAS_TOL``; a box empty by less
+    is pinned to ``lo``.  Raises ``ValueError`` for a non-finite row, a
+    hard row with ``a <= 0``, a soft row with ``a >= 0`` or a second soft
+    row.
     """
-    hard, soft = [], []
-    for row in constraints:
-        a, c = row.p
-        if c == 0.0:
-            hard.append((a, row.q, row.label))
+    lo_label, hi_label = "reach_lo", "reach_hi"
+    soft = None
+    for row in rows:
+        a, q = row.a, row.q
+        if not (math.isfinite(a) and math.isfinite(q)):
+            raise ValueError(f"row {row.label!r} is not finite")
+        if row.kind == "hard" and a > 0.0:
+            if q / a < hi:
+                hi, hi_label = q / a, row.label
+        elif row.kind == "soft" and a < 0.0 and soft is None:
+            soft = row
         else:
-            soft.append((a / -c, row.q / -c, row.label))
-    lo, hi, lo_label, hi_label = _interval(hard, lo, hi, "reach_lo", "reach_hi")
+            raise ValueError(f"row {row.label!r} is neither a speed cap nor the one soft floor")
     if lo > hi + FEAS_TOL:
         raise ShieldFault("hard rows infeasible")
     hi = max(hi, lo)
-
-    best = None
-    free_lo, free_hi, free_lo_label, free_hi_label = _interval(soft, lo, hi, lo_label, hi_label)
-    if free_lo <= free_hi:
-        v, active = _clamp(v_nominal, free_lo, free_hi, free_lo_label, free_hi_label)
-        best = QPSolution(v_safe=v, slack=0.0, active=active, objective=(v - v_nominal) ** 2)
-    candidates = []
-    for i, (a, b, label) in enumerate(soft):
-        candidates.append(_clamp(v_nominal - 0.5 * k_eps * a, lo, hi, lo_label, hi_label, (label,)))
-        for a2, b2, label2 in soft[i + 1:]:
-            if a != a2 and lo <= (b2 - b) / (a2 - a) <= hi:
-                candidates.append(((b2 - b) / (a2 - a), (label, label2)))
-    for v, active in candidates:
-        slack = max(0.0, max(a * v - b for a, b, _ in soft))
-        objective = (v - v_nominal) ** 2 + k_eps * slack
-        if best is None or objective < best.objective:
-            best = QPSolution(v_safe=v, slack=slack, active=active, objective=objective)
-    return best
+    floor, floor_label = lo, lo_label
+    if soft is not None and soft.q / soft.a > lo:
+        floor, floor_label = soft.q / soft.a, soft.label
+    free = None
+    if floor <= hi:
+        v, active = _clamp(v_nominal, floor, hi, floor_label, hi_label)
+        free = QPSolution(v_safe=v, slack=0.0, active=active, objective=(v - v_nominal) ** 2)
+    if soft is None:
+        return free
+    v, active = _clamp(v_nominal - 0.5 * k_eps * soft.a, lo, hi, lo_label, hi_label,
+                       (soft.label,))
+    slack = max(0.0, soft.a * v - soft.q)
+    objective = (v - v_nominal) ** 2 + k_eps * slack
+    if free is not None and free.objective <= objective:
+        return free
+    return QPSolution(v_safe=v, slack=slack, active=active, objective=objective)
 
 
 def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
@@ -456,8 +426,8 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
     """Filter one vehicle's nominal speed command.
 
     ``leaders`` holds ``(leader, credited next speed)`` pairs, each adding a
-    headway row and a brake guard; while the ego changes lanes, an adjacent
-    rear vehicle ``c_oar`` adds the soft rear row.  The QP is solved in the
+    headway cap and a brake guard; while the ego changes lanes, an adjacent
+    rear vehicle ``c_oar`` adds the soft rear floor.  The QP is solved in the
     reachability box, and a hard fault falls back to full braking.
     """
     v = ego.state.speed

@@ -72,7 +72,8 @@ class ScenarioConfig:
 
     The reference scenario runs 7 to 11 connected vehicles through a 100 m
     merge section with a 0.5 s headway threshold and 180 m communication
-    range; other values are permitted but flagged by config validation.
+    range.  Config validation warns about a vehicle count outside 7 to 11
+    unless the run sets ``allow_offrange``.
     """
 
     n_vehicles: int = 9
@@ -97,6 +98,8 @@ class ScenarioConfig:
             raise ValueError("tau must be positive")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if self.episode_steps < 1:
+            raise ValueError("episode_steps must be >= 1")
         lo, hi = self.initial_speed_range
         if not (0 <= lo <= hi):
             raise ValueError(f"bad initial_speed_range {self.initial_speed_range}")

@@ -11,6 +11,10 @@
 * A bisection finds the braking-feasibility cap from ``brake_margin`` signs.
 * A full scan takes the braking-feasibility cap as the smallest per-step
   root over every braking step, the closed form before its candidate set.
+
+The grid and the enumerator take general halfspaces :class:`AffineRow`;
+:func:`affine_rows` states a shield instance (its rows and reachability
+box) in that form.
 """
 
 import itertools
@@ -18,6 +22,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class AffineRow:
+    """Halfspace ``p[:-1] . v + p[-1] * slack <= q`` over ``n`` speed
+    commands and the shared slack: ``p[-1]`` is 0 for a hard row and
+    negative for a soft one."""
+
+    p: tuple
+    q: float
+    label: str
+
+
+def affine_rows(rows, lo, hi):
+    """The shield rows of one scalar instance and its box ``[lo, hi]`` as
+    :class:`AffineRow` halfspaces, the box rows first."""
+    box = [AffineRow((1.0, 0.0), hi, "reach_hi"), AffineRow((-1.0, 0.0), -lo, "reach_lo")]
+    return box + [AffineRow((r.a, -1.0 if r.kind == "soft" else 0.0), r.q, r.label)
+                  for r in rows]
 
 
 def _split_rows(rows, n):
@@ -119,15 +142,6 @@ class EnumeratedSolution:
     objective: float
 
 
-@dataclass(frozen=True)
-class _SlackRow:
-    """Non-negativity row for the shared slack variable."""
-
-    p: tuple
-    q: float
-    label: str
-
-
 def enumerate_qp(v_nom, rows, k_eps):
     """Minimise ``||v - v_nom||^2 + k_eps * slack`` subject to the rows by
     exact active-set enumeration: every candidate active set is solved in
@@ -145,7 +159,7 @@ def enumerate_qp(v_nom, rows, k_eps):
             raise ValueError(
                 f"constraint {row.label!r} has {len(row.p)} coefficients, expected {n + 1}"
             )
-    slack_row = _SlackRow(p=(0.0,) * n + (-1.0,), q=0.0, label="slack_nonneg")
+    slack_row = AffineRow(p=(0.0,) * n + (-1.0,), q=0.0, label="slack_nonneg")
     rows = list(rows) + [slack_row]
 
     dim = n + 1
@@ -240,51 +254,71 @@ def scan_cap(gap, v_hi, v_lead, brake, tau, dt, closing=0.0):
     return max(cap, 0.0)
 
 
-def check_instance(v_nom, rows, k_eps, tol_obj=1e-6, tol_kkt=1e-8):
-    """Verify one instance against the oracles; returns 1 when a solve
-    happened (0 for consistently-infeasible instances).
+def _agrees_with_grid(v_nom, rows, k_eps, point, objective, oracle_obj, tol_obj):
+    """Check a solver's point against the grid optimum ``oracle_obj``: the
+    point keeps the hard rows, its objective recomputed independently
+    matches the reported one, and it is no worse than the grid's.  Returns
+    the objective scale of the tolerances."""
+    assert np.isfinite(oracle_obj), "oracle infeasible but solver returned a point"
+    hard, soft = _split_rows(rows, len(v_nom))
+    recomputed = oracle_objective_at(np.array([point]), v_nom, hard, soft, k_eps)[0]
+    assert np.isfinite(recomputed), "solver point violates hard rows"
+    assert abs(recomputed - objective) <= 1e-7 * (1.0 + abs(objective))
+    scale = 1.0 + abs(objective)
+    assert objective <= oracle_obj + tol_obj * scale
+    return scale
 
-    For one decision variable the shield's scalar ``solve_qp`` is checked:
-    the dense grid plus boundary candidates pins the optimum, so objectives
-    must agree within ``tol_obj`` both ways, and the enumerator's objective
-    at the enumerator's point within 1e-9 relative.  In higher dimensions the enumerator itself is
-    checked; direct grid descent cannot certify the optimum to that
-    precision (thin feasible valleys), so it must match or beat the grid
-    within ``tol_obj`` and carry KKT residuals below ``tol_kkt``.  Either
-    way the reported objective is recomputed independently from the
-    solution point.
+
+def check_scalar_instance(v_nom, rows, k_eps, lo, hi, tol_obj=1e-6):
+    """Verify ``shield.solve_qp`` on one instance of shield rows in the box
+    ``[lo, hi]``; returns 1 when a solve happened (0 for consistently
+    infeasible instances).
+
+    The dense grid plus boundary candidates pins the optimum, so the
+    objectives must agree within ``tol_obj`` both ways, and with the
+    enumerator's objective at the enumerator's point within 1e-9 relative.
     """
     from mergeshield.shield import ShieldFault, solve_qp
 
-    n = len(v_nom)
-    oracle_obj, _ = grid_search_min(v_nom, rows, k_eps)
+    affine = affine_rows(rows, lo, hi)
+    oracle_obj, _ = grid_search_min((v_nom,), affine, k_eps)
     try:
-        if n == 1:
-            sol = solve_qp(v_nom[0], rows, k_eps)
-            point = (sol.v_safe,)
-        else:
-            sol = enumerate_qp(v_nom, rows, k_eps)
-            point = sol.v_safe
+        sol = solve_qp(v_nom, rows, k_eps, lo, hi)
     except ShieldFault:
         assert not np.isfinite(oracle_obj), "solver infeasible but oracle found a point"
         return 0
-    assert np.isfinite(oracle_obj), "oracle infeasible but solver returned a point"
-    hard, soft = _split_rows(rows, n)
-    recomputed = oracle_objective_at(np.array([point]), v_nom, hard, soft, k_eps)[0]
-    assert np.isfinite(recomputed), "solver point violates hard rows"
-    assert abs(recomputed - sol.objective) <= 1e-7 * (1.0 + abs(sol.objective))
-    scale = 1.0 + abs(sol.objective)
-    assert sol.objective <= oracle_obj + tol_obj * scale
-    if n == 1:
-        assert oracle_obj <= sol.objective + tol_obj * scale
-        # compare true objectives at both points: the enumerator's point
-        # may sit about 1e-12 off the scalar solver's
-        enumerated = enumerate_qp(v_nom, rows, k_eps)
-        at_enumerated = oracle_objective_at(np.array([enumerated.v_safe]), v_nom, hard, soft,
-                                            k_eps)[0]
-        assert abs(at_enumerated - sol.objective) <= 1e-9 * scale
-    else:
-        assert kkt_residuals(v_nom, rows, k_eps, sol) < tol_kkt
+    scale = _agrees_with_grid((v_nom,), affine, k_eps, (sol.v_safe,), sol.objective,
+                              oracle_obj, tol_obj)
+    assert oracle_obj <= sol.objective + tol_obj * scale
+    # compare true objectives at both points: the enumerator's point may sit
+    # about 1e-12 off the scalar solver's
+    enumerated = enumerate_qp((v_nom,), affine, k_eps)
+    hard, soft = _split_rows(affine, 1)
+    at_enumerated = oracle_objective_at(np.array([enumerated.v_safe]), (v_nom,), hard, soft,
+                                        k_eps)[0]
+    assert abs(at_enumerated - sol.objective) <= 1e-9 * scale
+    return 1
+
+
+def check_instance(v_nom, rows, k_eps, tol_obj=1e-6, tol_kkt=1e-8):
+    """Verify the enumerator on one instance of two or more commands;
+    returns 1 when a solve happened (0 for consistently infeasible
+    instances).
+
+    Direct grid descent cannot certify the optimum to the enumerator's
+    precision (thin feasible valleys), so the enumerator must match or beat
+    the grid within ``tol_obj`` and carry KKT residuals below ``tol_kkt``.
+    """
+    from mergeshield.shield import ShieldFault
+
+    oracle_obj, _ = grid_search_min(v_nom, rows, k_eps)
+    try:
+        sol = enumerate_qp(v_nom, rows, k_eps)
+    except ShieldFault:
+        assert not np.isfinite(oracle_obj), "solver infeasible but oracle found a point"
+        return 0
+    _agrees_with_grid(v_nom, rows, k_eps, sol.v_safe, sol.objective, oracle_obj, tol_obj)
+    assert kkt_residuals(v_nom, rows, k_eps, sol) < tol_kkt
     return 1
 
 

@@ -85,3 +85,36 @@ def test_echo_covers_every_config_field():
 def test_removed_key_is_unknown(tmp_path, section, key):
     errors = _errors(tmp_path, f"{section}:\n  {key}: -3.0\n")
     assert errors == [f"{section}.{key}: unknown key"]
+
+
+@pytest.mark.parametrize("section, cls, key, value", [
+    ("scenario", ScenarioConfig, "episode_steps", 0),
+    ("scenario", ScenarioConfig, "episode_steps", -3),
+    ("vehicle", VehicleParams, "width", 0.0),
+    ("vehicle", VehicleParams, "width", -1.0),
+])
+def test_bad_value_fails_in_code_and_in_yaml(tmp_path, section, cls, key, value):
+    # an episode without steps would fail late in the metrics, and a
+    # footprint without width never overlaps, so no collision is seen
+    with pytest.raises(ValueError, match=key):
+        cls(**{key: value})
+    errors = _errors(tmp_path, f"{section}:\n  {key}: {value}\n")
+    assert len(errors) == 1 and errors[0].startswith(f"{section}: ")
+    assert key in errors[0]
+
+
+@pytest.mark.parametrize("allow, warned", [(False, True), (True, False)])
+def test_offrange_vehicle_count_warns_unless_allowed(tmp_path, allow, warned):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"scenario:\n  n_vehicles: 40\nrun:\n  allow_offrange: {str(allow).lower()}\n")
+    report = validate_config(path)
+    assert report.ok
+    assert bool(report.warnings) == warned
+    if warned:
+        assert report.warnings[0].startswith("scenario.n_vehicles: 40 is outside")
+
+
+def test_reference_vehicle_count_never_warns(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("scenario:\n  n_vehicles: 11\n")
+    assert validate_config(path).warnings == []

@@ -5,11 +5,15 @@ import math
 import pytest
 
 from mergeshield.metrics import (
+    EpisodeSummary,
     UndefinedMetricError,
+    aggregate_summaries,
     average_speed,
     merging_percentage,
     min_time_headway,
+    read_summaries,
     summarize_episode,
+    write_summaries,
 )
 from mergeshield.records import EpisodeRecord, StepRecord, VehicleRow
 from mergeshield.reward import V_FLOOR
@@ -109,3 +113,66 @@ class TestAverageSpeed:
             average_speed(record(wrecks))
         with pytest.raises(ValueError):
             average_speed(record(initial=(row(0, 100.0),)))
+
+
+def summary(seed, min_headway, avg_speed, merging_pct, collisions=0, merged=0, ramp=0):
+    return EpisodeSummary(
+        seed=seed, steps=150, shield_mode="mass", policy="random",
+        min_headway=min_headway, avg_speed=avg_speed, merging_pct=merging_pct,
+        collisions=collisions, merged_count=merged, ramp_count=ramp,
+    )
+
+
+class TestAggregateSummaries:
+    def test_mean_and_standard_error_over_n_minus_one(self):
+        agg = aggregate_summaries([summary(0, 1.0, 10.0, 50.0), summary(1, 2.0, 14.0, 100.0),
+                                   summary(2, 3.0, 18.0, 0.0)])
+        assert agg["episodes"] == 3
+        # sample variance of (1, 2, 3) is 1, of (10, 14, 18) is 16, of (50, 100, 0) is 2500
+        assert (agg["min_headway_mean"], agg["min_headway_se"]) == (2.0, math.sqrt(1.0 / 3))
+        assert (agg["avg_speed_mean"], agg["avg_speed_se"]) == (14.0, math.sqrt(16.0 / 3))
+        assert agg["merging_pct_mean"] == 50.0
+        assert agg["merging_pct_se"] == pytest.approx(math.sqrt(2500.0 / 3))
+        assert agg["min_headway_min"] == 1.0
+
+    def test_one_episode_has_zero_error_and_none_has_no_value(self):
+        one = aggregate_summaries([summary(0, 1.5, 20.0, 25.0)])
+        assert (one["min_headway_mean"], one["min_headway_se"]) == (1.5, 0.0)
+        assert (one["avg_speed_mean"], one["avg_speed_se"]) == (20.0, 0.0)
+        assert (one["merging_pct_mean"], one["merging_pct_se"]) == (25.0, 0.0)
+        empty = aggregate_summaries([])
+        assert empty["episodes"] == 0
+        for key in ("min_headway_mean", "min_headway_se", "min_headway_min", "avg_speed_mean",
+                    "avg_speed_se", "merging_pct_mean", "merging_pct_se", "merging_pct_pooled"):
+            assert empty[key] is None, key
+        assert empty["collisions_total"] == 0
+
+    def test_infinite_headway_and_undefined_merging_are_left_out(self):
+        agg = aggregate_summaries([summary(0, math.inf, 10.0, None),
+                                   summary(1, 2.0, 20.0, 40.0)])
+        assert (agg["min_headway_mean"], agg["min_headway_se"]) == (2.0, 0.0)
+        assert agg["min_headway_min"] == 2.0
+        assert (agg["merging_pct_mean"], agg["merging_pct_se"]) == (40.0, 0.0)
+        assert agg["avg_speed_mean"] == 15.0
+        only_inf = aggregate_summaries([summary(0, math.inf, 10.0, None)])
+        assert only_inf["min_headway_mean"] is None and only_inf["min_headway_min"] is None
+        assert only_inf["merging_pct_mean"] is None
+
+    def test_pooled_merging_and_collision_total(self):
+        # pooled over vehicles, not the mean of per-episode shares
+        agg = aggregate_summaries([summary(0, 1.0, 10.0, 100.0, collisions=2, merged=1, ramp=1),
+                                   summary(1, 1.0, 10.0, 0.0, collisions=1, merged=0, ramp=3)])
+        assert agg["merging_pct_pooled"] == 25.0
+        assert agg["merging_pct_mean"] == 50.0
+        assert agg["collisions_total"] == 3
+        none_on_ramp = aggregate_summaries([summary(0, 1.0, 10.0, None)])
+        assert none_on_ramp["merging_pct_pooled"] is None
+
+    def test_write_read_keeps_infinite_headways(self, tmp_path):
+        summaries = [summary(0, math.inf, 10.0, None), summary(1, 0.75, 12.5, 50.0, 1, 1, 2)]
+        path = tmp_path / "summaries.jsonl"
+        write_summaries(summaries, path)
+        back = read_summaries(path)
+        assert back == summaries
+        assert math.isinf(back[0].min_headway)
+        assert aggregate_summaries(back) == aggregate_summaries(summaries)

@@ -12,7 +12,12 @@ from pathlib import Path
 import pytest
 
 import mergeshield
+from mergeshield.config import RunConfig
+from mergeshield.episode import run_episode
 from mergeshield.policy import POLICY_KINDS, Policy, PolicySpec, build_policy
+from mergeshield.records import episode_lines
+from mergeshield.shield import ShieldConfig
+from mergeshield.world import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -65,6 +70,19 @@ def test_bench_trace_points_resolve():
             assert vars(importlib.import_module(importer)).get(attr) is target, (name, importer)
     for name, module_name, attr in tracer.COUNT_POINTS:
         assert callable(vars(importlib.import_module(module_name)).get(attr)), name
+    # the tracer's hooks read the shield's rows and outcomes: run them on a
+    # short episode that builds caps and soft floors, and require that
+    # tracing leaves its record unchanged
+    cfg = RunConfig(scenario=ScenarioConfig(episode_steps=30), shield=ShieldConfig(mode="mass"),
+                    policy=PolicySpec(kind="random"))
+    plain = episode_lines(run_episode(cfg, 0)[0])
+    with tracer.Tracer() as traced:
+        tracer.install_layer_tracing(traced)
+        lines = episode_lines(run_episode(cfg, 0)[0])
+    assert traced.absent == []
+    assert lines == plain
+    assert traced.counts["shield.solve_qp.soft"] > 0
+    assert traced.counts["shield.brake_guard.rows"] > 0
 
 
 #: exported names still waiting for their caller: the batch surface that a

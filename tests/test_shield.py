@@ -7,7 +7,8 @@ import pytest
 from mergeshield.dynamics import VehicleParams
 from mergeshield.road import RoadNetwork
 from mergeshield.shield import (
-    AffineConstraint,
+    FEAS_TOL,
+    Row,
     ShieldConfig,
     ShieldFault,
     allow_lane_change,
@@ -27,7 +28,7 @@ from mergeshield.topology import build_topology
 from mergeshield.world import plan_motion, MotionPlan
 
 from conftest import make_vehicle, make_world
-from qp_oracle import bisect_cap, scan_cap
+from qp_oracle import AffineRow, bisect_cap, check_instance, check_scalar_instance, scan_cap
 
 CFG = ShieldConfig(mode="mass")
 
@@ -68,7 +69,7 @@ class TestLongitudinalCbf:
             cfg = replace(CFG, tau=tau)
             ego, leader = place_pair(gap, v_e, 20.0)
             row = longitudinal_cbf(ego, leader, cfg, 20.0)
-            assert row.p == (math.cos(ego.state.psi) * cfg.dt + tau, 0.0)
+            assert row.a == math.cos(ego.state.psi) * cfg.dt + tau
             h = encoded_h(row, ego, leader, 20.0, cfg)
             assert h == pytest.approx(gap - tau * v_e, abs=1e-12)
 
@@ -78,7 +79,7 @@ class TestLongitudinalCbf:
         ego, leader = place_pair(18.0, 24.0, 22.0)
         v_next = 21.5
         row = longitudinal_cbf(ego, leader, CFG, v_next)
-        v_cmd = (row.q - 1e-9) / row.p[0]
+        v_cmd = (row.q - 1e-9) / row.a
         gap_next = 18.0 + (v_next - math.cos(ego.state.psi) * v_cmd) * CFG.dt - CFG.lag_margin
         h_next = gap_next - CFG.tau * v_cmd
         assert h_next >= (1.0 - CFG.eta) * (18.0 - CFG.tau * 24.0) - 1e-6
@@ -103,7 +104,7 @@ class TestLateralCbfs:
         h = 12.0 - 0.5 * v_wc
         assert row.kind == "soft"
         assert row.label == "lat_rear:1"
-        assert row.p == (-CFG.dt, -1.0)
+        assert row.a == -CFG.dt
         assert row.q == pytest.approx(CFG.eta * h - v_wc * CFG.dt)
         assert allow_lane_change(ego, None, ar, CFG)
 
@@ -172,8 +173,8 @@ class TestLaneChangeFeasible:
             frozen = make_vehicle(1, 100.0 + gap + 5.0, 20.0, lane=0, road=road)
             stopped = make_vehicle(1, 100.0 + gap + 5.0, 0.0, lane=0, road=road)
             frozen.crashed = stopped.crashed = True
-            verdict = lane_change_feasible(ego, frozen, None, CFG)
-            assert verdict == lane_change_feasible(ego, stopped, None, CFG), gap
+            verdict = lane_change_feasible(ego, frozen, None, CFG, {})
+            assert verdict == lane_change_feasible(ego, stopped, None, CFG, {}), gap
             verdicts.append(verdict)
         assert not verdicts[0] and verdicts[-1]
 
@@ -252,18 +253,41 @@ class TestBrakeCap:
         assert min(kinds.values()) > 500
 
 
+def random_scalar_instance(rng, v_cap=40.0):
+    """Random instance of the shape the shield builds: a reachability box
+    near the nominal (sometimes empty by float noise or by far), up to four
+    speed caps and at most one soft floor, each bound near the box."""
+    v_nom = float(rng.uniform(0.0, v_cap))
+    k_eps = float(rng.choice([5.0, 50.0, 1000.0, 1e6]))
+    lo = max(0.0, v_nom - float(rng.uniform(-1.0, 6.0)))
+    if rng.random() < 0.8:
+        hi = min(v_cap, lo + float(rng.uniform(0.0, 8.0)))
+    else:
+        hi = lo - float(rng.choice([0.0, 1e-10, 1.0]))
+    rows = []
+    for j in range(int(rng.integers(0, 5))):
+        a = float(rng.uniform(0.01, 2.0))
+        rows.append(Row(a, a * float(rng.uniform(lo - 0.5, hi + 8.0)), f"cap{j}"))
+    if rng.random() < 0.6:
+        a = -float(rng.uniform(0.01, 1.0))
+        rows.insert(int(rng.integers(0, len(rows) + 1)),
+                    Row(a, a * float(rng.uniform(lo - 4.0, hi + 4.0)), "floor", "soft"))
+    return v_nom, rows, k_eps, lo, hi
+
+
 def random_qp_instance(rng, v_cap=40.0):
-    """Random instance over the decision box [0, v_cap] (the box rows are
-    part of the instance, as in every filter call)."""
-    n = int(rng.choice([1, 1, 1, 2, 2, 3]))
+    """Random general instance of two or three commands over the decision
+    box [0, v_cap] (the box rows are part of the instance), for the
+    enumerator oracle."""
+    n = int(rng.choice([2, 2, 3]))
     v_nom = tuple(float(x) for x in rng.uniform(0.0, v_cap, size=n))
     k_eps = float(rng.choice([5.0, 50.0, 1000.0, 1e6]))
     rows = []
     for i in range(n):
         p_hi = tuple(1.0 if j == i else 0.0 for j in range(n)) + (0.0,)
         p_lo = tuple(-1.0 if j == i else 0.0 for j in range(n)) + (0.0,)
-        rows.append(AffineConstraint(p=p_hi, q=v_cap, kind="hard", label=f"box_hi{i}"))
-        rows.append(AffineConstraint(p=p_lo, q=0.0, kind="hard", label=f"box_lo{i}"))
+        rows.append(AffineRow(p=p_hi, q=v_cap, label=f"box_hi{i}"))
+        rows.append(AffineRow(p=p_lo, q=0.0, label=f"box_lo{i}"))
     n_rows = int(rng.integers(0, 5))
     for j in range(n_rows):
         p_dec = rng.uniform(-1.0, 1.0, size=n)
@@ -274,42 +298,71 @@ def random_qp_instance(rng, v_cap=40.0):
         slackish = float(rng.uniform(-5.0, 15.0))
         q = float(p_dec @ point + slackish)
         p = tuple(p_dec) + ((-1.0,) if soft else (0.0,))
-        rows.append(
-            AffineConstraint(p=p, q=q, kind="soft" if soft else "hard", label=f"r{j}")
-        )
+        rows.append(AffineRow(p=p, q=q, label=f"r{j}"))
     return v_nom, rows, k_eps
 
 
 class TestSolveQP:
     def test_unconstrained_returns_nominal(self):
-        sol = solve_qp(25.0, [], 1e6)
+        sol = solve_qp(25.0, [], 1e6, 0.0, 40.0)
         assert sol.v_safe == 25.0
         assert sol.slack == 0.0
         assert sol.objective == 0.0
+        assert sol.active == ()
 
     def test_single_halfspace_projection(self):
-        row = AffineConstraint(p=(1.0, 0.0), q=20.0, kind="hard", label="cap")
-        sol = solve_qp(25.0, [row], 1e6)
+        sol = solve_qp(25.0, [Row(1.0, 20.0, "cap")], 1e6, 0.0, 40.0)
         assert sol.v_safe == pytest.approx(20.0)
-        assert "cap" in sol.active
+        assert sol.active == ("cap",)
 
     def test_soft_row_yields_under_pressure(self):
-        # conflicting hard and soft rows: slack absorbs the difference
-        hard = AffineConstraint(p=(1.0, 0.0), q=10.0, kind="hard", label="hi")
-        soft = AffineConstraint(p=(-1.0, -1.0), q=-15.0, kind="soft", label="lo_soft")
-        sol = solve_qp(12.0, [hard, soft], 1e6)
+        # a cap under the soft floor: the slack absorbs the difference
+        hard = Row(1.0, 10.0, "hi")
+        soft = Row(-1.0, -15.0, "lo_soft", "soft")
+        sol = solve_qp(12.0, [hard, soft], 1e6, 0.0, 40.0)
         assert sol.v_safe == pytest.approx(10.0)
         assert sol.slack == pytest.approx(5.0)
+        assert sol.active == ("hi", "lo_soft")
 
-    def test_soft_row_needs_negative_slack_coefficient(self):
-        with pytest.raises(ValueError, match="negative slack"):
-            AffineConstraint(p=(1.0, 1.0), q=0.0, kind="soft")
+    def test_cheap_slack_stops_at_the_stationary_point(self):
+        # k_eps = 4 makes the floor at 15 worth only part of the climb from 12:
+        # the optimum 12 + k_eps / 2 = 14 keeps one unit of slack
+        sol = solve_qp(12.0, [Row(-1.0, -15.0, "floor", "soft")], 4.0, 0.0, 40.0)
+        assert sol.v_safe == 14.0
+        assert sol.slack == 1.0
+        assert sol.active == ("floor",)
+        free = solve_qp(12.0, [Row(-1.0, -15.0, "floor", "soft")], 1e6, 0.0, 40.0)
+        assert (free.v_safe, free.slack, free.active) == (15.0, 0.0, ("floor",))
+
+    def test_tied_caps_keep_the_first_label(self):
+        rows = [Row(1.0, 20.0, "first"), Row(2.0, 40.0, "second")]
+        assert solve_qp(25.0, rows, 1e6, 0.0, 40.0).active == ("first",)
+        assert solve_qp(25.0, rows[::-1], 1e6, 0.0, 40.0).active == ("second",)
+
+    @pytest.mark.parametrize("rows", [
+        [Row(0.0, 1.0, "flat")],
+        [Row(-1.0, -5.0, "hard_floor")],
+        [Row(1.0, math.inf, "inf_cap")],
+        [Row(math.nan, 1.0, "nan_cap")],
+        [Row(1.0, 1.0, "soft_cap", "soft")],
+        [Row(0.0, -1.0, "flat_soft", "soft")],
+        [Row(-1.0, math.nan, "nan_floor", "soft")],
+        [Row(-1.0, -5.0, "floor1", "soft"), Row(1.0, 30.0, "cap"),
+         Row(-1.0, -6.0, "floor2", "soft")],
+        [Row(1.0, 30.0, "cap", "lateral")],
+    ], ids=["flat_cap", "hard_floor", "inf_cap", "nan_cap", "soft_cap", "flat_soft",
+            "nan_floor", "second_soft", "unknown_kind"])
+    def test_rows_outside_the_shape_raise(self, rows):
+        # only speed caps and one soft floor occur; anything else fails loudly
+        with pytest.raises(ValueError, match="not finite|neither a speed cap"):
+            solve_qp(20.0, rows, 1e6, 0.0, 40.0)
 
     def test_hard_infeasible_raises(self):
-        r1 = AffineConstraint(p=(1.0, 0.0), q=10.0, kind="hard", label="hi")
-        r2 = AffineConstraint(p=(-1.0, 0.0), q=-20.0, kind="hard", label="lo")
         with pytest.raises(ShieldFault):
-            solve_qp(15.0, [r1, r2], 1e6)
+            solve_qp(15.0, [Row(1.0, 10.0, "hi")], 1e6, 20.0, 30.0)
+        # an interval empty by at most FEAS_TOL is pinned to its lower end
+        sol = solve_qp(15.0, [Row(1.0, 20.0 - FEAS_TOL, "hi")], 1e6, 20.0, 30.0)
+        assert sol.v_safe == 20.0
 
     def test_matches_grid_oracle_on_random_instances(self):
         # one command: the scalar solver matches the dense grid (plus the
@@ -317,55 +370,34 @@ class TestSolveQP:
         # Two or three commands: the reference enumerator must match or beat
         # every independently evaluated grid point, with optimality
         # certified by the KKT residuals.
-        from qp_oracle import check_instance
-
         rng = np.random.default_rng(12)
-        box_rng = np.random.default_rng(13)
-        checked = 0
-        for _ in range(120):
-            v_nom, rows, k_eps = random_qp_instance(rng)
-            checked += check_instance(v_nom, rows, k_eps)
-            if len(v_nom) == 1:
-                # a reachability box passed as bounds solves exactly as its
-                # two rows, in the order the rows used to be built; empty
-                # boxes included
-                lo = max(0.0, v_nom[0] - float(box_rng.uniform(-1.0, 6.0)))
-                if box_rng.random() < 0.7:
-                    hi = lo + float(box_rng.uniform(0.0, 8.0))
-                else:
-                    hi = lo - float(box_rng.choice([0.0, 1e-10, 1.0]))
-                box = [
-                    AffineConstraint(p=(1.0, 0.0), q=hi, kind="hard", label="reach_hi"),
-                    AffineConstraint(p=(-1.0, 0.0), q=-lo, kind="hard", label="reach_lo"),
-                ]
-                try:
-                    as_rows = solve_qp(v_nom[0], box + rows, k_eps)
-                except ShieldFault:
-                    with pytest.raises(ShieldFault):
-                        solve_qp(v_nom[0], rows, k_eps, lo, hi)
-                    continue
-                assert solve_qp(v_nom[0], rows, k_eps, lo, hi) == as_rows
-        assert checked > 60
+        solved = faulted = sloped = 0
+        for _ in range(150):
+            v_nom, rows, k_eps, lo, hi = random_scalar_instance(rng)
+            if check_scalar_instance(v_nom, rows, k_eps, lo, hi):
+                solved += 1
+                sloped += solve_qp(v_nom, rows, k_eps, lo, hi).slack > 0.0
+            else:
+                faulted += 1
+        assert solved > 100 and faulted > 10 and sloped > 20
+        rng = np.random.default_rng(13)
+        checked = sum(check_instance(*random_qp_instance(rng)) for _ in range(40))
+        assert checked > 20
 
     def test_oracle_slack_on_an_active_slack_row(self):
         # a 2-D instance on which the enumerator's KKT solve used to leave its
         # point 7e-11 outside soft row r0 with slack_nonneg active, which
         # k_eps = 1e6 lifted 7e-5 above the grid's objective (drawn from the
         # seed-12 instance stream when the box draws shared its generator)
-        from qp_oracle import check_instance
-
-        def row(p, q, label):
-            return AffineConstraint(p=p, q=q, kind="soft" if p[-1] else "hard", label=label)
-
         rows = [
-            row((1.0, 0.0, 0.0), 40.0, "box_hi0"),
-            row((-1.0, 0.0, 0.0), 0.0, "box_lo0"),
-            row((0.0, 1.0, 0.0), 40.0, "box_hi1"),
-            row((0.0, -1.0, 0.0), 0.0, "box_lo1"),
-            row((-0.45893781484543994, -0.9747275141021376, -1.0), -17.860521494240324, "r0"),
-            row((-0.7262122389306618, 0.6497158510047865, 0.0), 19.195684829381438, "r1"),
-            row((-0.8589136566974238, 0.7601010078394426, 0.0), 2.009855445562467, "r2"),
-            row((0.6497990722921243, -0.42856780373697845, -1.0), 20.503320970125618, "r3"),
+            AffineRow((1.0, 0.0, 0.0), 40.0, "box_hi0"),
+            AffineRow((-1.0, 0.0, 0.0), 0.0, "box_lo0"),
+            AffineRow((0.0, 1.0, 0.0), 40.0, "box_hi1"),
+            AffineRow((0.0, -1.0, 0.0), 0.0, "box_lo1"),
+            AffineRow((-0.45893781484543994, -0.9747275141021376, -1.0), -17.860521494240324, "r0"),
+            AffineRow((-0.7262122389306618, 0.6497158510047865, 0.0), 19.195684829381438, "r1"),
+            AffineRow((-0.8589136566974238, 0.7601010078394426, 0.0), 2.009855445562467, "r2"),
+            AffineRow((0.6497990722921243, -0.42856780373697845, -1.0), 20.503320970125618, "r3"),
         ]
         assert check_instance((3.073530818031238, 16.97787102118959), rows, 1e6) == 1
 
@@ -455,8 +487,7 @@ class TestFilterHss:
         from mergeshield import shield
 
         def guard_at(q):
-            return lambda *a, **k: AffineConstraint(p=(1.0, 0.0), q=q, kind="hard",
-                                                    label="brake:1")
+            return lambda *a, **k: Row(1.0, q, "brake:1")
 
         reach_lo = 25.0 + (-5.0) * CFG.dt
         for below in (0.0, 1e-15, 1e-12, 1e-9):
