@@ -1,4 +1,4 @@
-"""Run configuration: defaults, YAML loading, validation, CLI overrides.
+"""Run configuration: defaults, YAML loading, validation and the header echo.
 
 A run config bundles the scenario, road geometry, vehicle limits, shield,
 reward and policy selections plus batch options.  The YAML schema mirrors
@@ -48,11 +48,9 @@ class RunConfig:
 
     def resolved(self) -> "RunConfig":
         """Wire cross-section values: the shield takes the scenario's tau
-        and dt, the reward takes tau and the road's merge length."""
-        shield = replace(self.shield, tau=self.scenario.tau, dt=self.scenario.dt)
-        reward = replace(self.reward, tau=self.scenario.tau,
-                         merge_length=self.road.merge_length)
-        return replace(self, shield=shield, reward=reward)
+        and dt."""
+        return replace(self, shield=replace(self.shield, tau=self.scenario.tau,
+                                            dt=self.scenario.dt))
 
 
 @dataclass
@@ -92,13 +90,21 @@ _RUN_KEYS = {
 
 _REWARD_EXTRA = {"function"}
 
-#: section keys that :meth:`RunConfig.resolved` overwrites from another section
+#: section keys whose value comes from another section: :meth:`RunConfig.resolved`
+#: overwrites the shield's, and the reward reads the scenario's and road's
 _DERIVED = {
     ("shield", "tau"): "scenario.tau",
     ("shield", "dt"): "scenario.dt",
     ("reward", "tau"): "scenario.tau",
     ("reward", "merge_length"): "road.merge_length",
 }
+
+
+def _is_a(value, kind) -> bool:
+    """YAML typing of a run value: a bool is no number, an int is a float."""
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _build_section(name, cls, data, report):
@@ -151,13 +157,21 @@ def _parse(data, report) -> RunConfig | None:
         return None
 
     run = data.get("run", {}) or {}
+    if not isinstance(run, dict):
+        report.errors.append("run: must be a mapping")
+        run = {}
     run_kwargs = {}
     for key, value in run.items():
         if key not in _RUN_KEYS:
             report.errors.append(f"run.{key}: unknown key")
             continue
-        if value is not None:
-            run_kwargs[key] = value
+        if value is None:
+            continue
+        kind = _RUN_KEYS[key]
+        if not _is_a(value, kind):
+            report.errors.append(f"run.{key}: must be {kind.__name__}")
+            continue
+        run_kwargs[key] = value
 
     cfg = RunConfig(
         scenario=parts["scenario"],
@@ -221,52 +235,23 @@ def validate_config(path) -> ValidationReport:
 
 
 def resolved_dict(cfg: RunConfig) -> dict:
-    """Simulation-semantics config echo recorded in episode headers (policy
-    and batch options excluded: a record must not depend on who produced
-    the actions)."""
+    """Simulation-semantics config echo recorded in episode headers: every
+    field of the scenario, road, vehicle, shield and reward sections in
+    declaration order, the reward function first.  ``n_ramp`` is echoed
+    resolved and ``initial_speed_range`` as a list, so the echo equals what
+    a header reads back.  Policy and batch options are left out: a record
+    must not depend on who produced the actions."""
     cfg = cfg.resolved()
-    lo, hi = cfg.scenario.initial_speed_range
-    return {
-        "scenario": {
-            "n_vehicles": cfg.scenario.n_vehicles,
-            "n_ramp": cfg.scenario.resolved_n_ramp(),
-            "comm_range": cfg.scenario.comm_range,
-            "perception_n": cfg.scenario.perception_n,
-            "tau": cfg.scenario.tau,
-            "dt": cfg.scenario.dt,
-            "episode_steps": cfg.scenario.episode_steps,
-            "spawn_spacing_min": cfg.scenario.spawn_spacing_min,
-            "initial_speed_range": [lo, hi],
-            "dv_step": cfg.scenario.dv_step,
-        },
-        "road": {
-            "highway_lanes": cfg.road.highway_lanes,
-            "lane_width": cfg.road.lane_width,
-            "merge_start": cfg.road.merge_start,
-            "merge_length": cfg.road.merge_length,
-        },
-        "vehicle": {
-            "length": cfg.vehicle.length,
-            "width": cfg.vehicle.width,
-            "a_max": cfg.vehicle.a_max,
-            "a_min": cfg.vehicle.a_min,
-            "v_cap": cfg.vehicle.v_cap,
-        },
-        "shield": {
-            "mode": cfg.shield.mode,
-            "tau": cfg.shield.tau,
-            "eta": cfg.shield.eta,
-            "k_eps": cfg.shield.k_eps,
-            "lag_margin": cfg.shield.lag_margin,
-        },
-        "reward": {
-            "function": cfg.reward_kind,
-            "w_c": cfg.reward.w_c,
-            "w_s": cfg.reward.w_s,
-            "w_h": cfg.reward.w_h,
-            "w_m": cfg.reward.w_m,
-            "v_min": cfg.reward.v_min,
-            "v_max": cfg.reward.v_max,
-        },
-    }
-
+    echo = {}
+    for name in _SECTIONS:
+        if name == "policy":
+            continue
+        section = getattr(cfg, name)
+        # the shield's dt is always the scenario's, echoed there; its tau is
+        # just as derived, but headers have always carried it
+        echo[name] = {f.name: getattr(section, f.name) for f in fields(section)
+                      if (name, f.name) != ("shield", "dt")}
+    echo["scenario"]["n_ramp"] = cfg.scenario.resolved_n_ramp()
+    echo["scenario"]["initial_speed_range"] = list(cfg.scenario.initial_speed_range)
+    echo["reward"] = {"function": cfg.reward_kind, **echo["reward"]}
+    return echo

@@ -17,7 +17,7 @@ from mergeshield.records import EpisodeRecord, snapshot_step, snapshot_vehicle
 from mergeshield.reward import fleet_rewards
 from mergeshield.world import World, observe, spawn, step_world
 
-__all__ = ["build_world", "run_episode"]
+__all__ = ["build_world", "run_episode", "is_violation"]
 
 
 def build_world(cfg: RunConfig, seed: int) -> World:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from mergeshield.records import EpisodeRecord
 from mergeshield.reward import V_FLOOR
@@ -54,18 +54,10 @@ class EpisodeSummary:
     ramp_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "steps": self.steps,
-            "shield_mode": self.shield_mode,
-            "policy": self.policy,
-            "min_headway": None if math.isinf(self.min_headway) else self.min_headway,
-            "avg_speed": self.avg_speed,
-            "merging_pct": self.merging_pct,
-            "collisions": self.collisions,
-            "merged_count": self.merged_count,
-            "ramp_count": self.ramp_count,
-        }
+        d = asdict(self)
+        if math.isinf(self.min_headway):
+            d["min_headway"] = None
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeSummary":
@@ -242,22 +234,14 @@ def read_summaries(path) -> list:
     return out
 
 
-AGGREGATE_COLUMNS = [
-    "episodes",
-    "min_headway_mean", "min_headway_se", "min_headway_min",
-    "avg_speed_mean", "avg_speed_se",
-    "merging_pct_mean", "merging_pct_se", "merging_pct_pooled",
-    "collisions_total",
-]
-
-
 def write_aggregate_csv(aggregate: dict, path) -> None:
+    """A schema row, then the aggregate's keys and values in its own order."""
     import os
 
     tmp = str(path) + ".tmp"
     with open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["schema", "mergeshield.aggregate/1"])
-        writer.writerow(AGGREGATE_COLUMNS)
-        writer.writerow([aggregate[c] for c in AGGREGATE_COLUMNS])
+        writer.writerow(aggregate)
+        writer.writerow(aggregate.values())
     os.replace(tmp, path)

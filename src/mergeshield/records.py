@@ -2,11 +2,13 @@
 
 One episode serialises to line-delimited JSON: a header line (schema,
 seed, resolved config, initial snapshot), one line per step, and a final
-summary line.  Construction order of every dict is fixed and floats use
-the default full-precision repr, so identical runs serialise to identical
-bytes.  The record deliberately excludes the policy kind: a replayed
-action stream must reproduce the file bit for bit regardless of who
-produced the actions (the summary carries the policy as metadata).
+summary line.  A vehicle row, the config echo and the summary list their
+keys in the declaration order of the fields behind them (a row nests its
+shield fields in one ``shield`` object), and floats use the default
+full-precision repr, so identical runs serialise to identical bytes.  The
+record deliberately excludes the policy kind: a replayed action stream
+must reproduce the file bit for bit regardless of who produced the
+actions (the summary carries the policy as metadata).
 
 Step lines are written straight from the :class:`VehicleRow` tuples with
 no intermediate dicts; the bytes are those ``json.dumps`` writes for the
@@ -27,7 +29,8 @@ if TYPE_CHECKING:
     from mergeshield.world import World
 
 __all__ = ["SCHEMA", "VehicleRow", "StepRecord", "EpisodeRecord",
-           "snapshot_vehicle", "snapshot_step", "write_episode", "read_episode"]
+           "snapshot_vehicle", "snapshot_step", "episode_lines", "write_episode",
+           "read_episode"]
 
 SCHEMA = "mergeshield.episode/1"
 
@@ -36,7 +39,8 @@ class VehicleRow(NamedTuple):
     """One vehicle at one step (post-step state plus what produced it).
 
     A named tuple: immutable like a frozen dataclass, and several times
-    cheaper to build, which matters at one row per vehicle per step.
+    cheaper to build, which matters at one row per vehicle per step.  A row
+    without an action serialises its state fields only.
     """
 
     vid: int
@@ -67,56 +71,30 @@ class VehicleRow(NamedTuple):
     reward_overall: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "vid": self.vid,
-            "lane": self.lane,
-            "target_lane": self.target_lane,
-            "x": self.x,
-            "y": self.y,
-            "v_x": self.v_x,
-            "v_y": self.v_y,
-            "psi": self.psi,
-            "speed": self.speed,
-            "x_m": self.x_m,
-            "length": self.length,
-            "width": self.width,
-            "spawned_on_ramp": self.spawned_on_ramp,
-            "merged": self.merged,
-            "merge_failed": self.merge_failed,
-            "crashed": self.crashed,
-        }
-        if self.action is not None:
-            d["action"] = self.action
-            d["shield"] = {
-                "v_nominal": self.v_nominal,
-                "v_safe": self.v_safe,
-                "v_cbf": self.v_cbf,
-                "lane_change_allowed": self.lane_change_allowed,
-                "slack": self.slack,
-                "active": list(self.active),
-                "fault": self.fault,
-            }
-            d["reward"] = self.reward
-            d["reward_overall"] = self.reward_overall
+        if self.action is None:
+            return dict(zip(_STATE_FIELDS, self))
+        d: dict = {}
+        for name, value in zip(self._fields, self):
+            if name in _SHIELD_FIELDS:
+                d.setdefault("shield", {})[name] = value
+            else:
+                d[name] = value
+        d["shield"]["active"] = list(self.active)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "VehicleRow":
-        shield = d.get("shield") or {}
-        return cls(
-            vid=d["vid"], lane=d["lane"], target_lane=d["target_lane"],
-            x=d["x"], y=d["y"], v_x=d["v_x"], v_y=d["v_y"], psi=d["psi"],
-            speed=d["speed"], x_m=d["x_m"], length=d["length"], width=d["width"],
-            spawned_on_ramp=d["spawned_on_ramp"], merged=d["merged"],
-            merge_failed=d["merge_failed"], crashed=d["crashed"],
-            action=d.get("action"),
-            v_nominal=shield.get("v_nominal"), v_safe=shield.get("v_safe"),
-            v_cbf=shield.get("v_cbf"),
-            lane_change_allowed=shield.get("lane_change_allowed"),
-            slack=shield.get("slack"), active=tuple(shield.get("active", ())),
-            fault=shield.get("fault"),
-            reward=d.get("reward"), reward_overall=d.get("reward_overall"),
-        )
+        values = {**d, **(d.get("shield") or {})}
+        values["active"] = tuple(values.get("active", ()))
+        return cls(**{name: values[name] for name in cls._fields
+                      if name in values or name in _STATE_FIELDS})
+
+
+#: the fields every row carries, and the fields nested in the ``shield``
+#: object of a row that carries an action; the rest sit beside them
+_STATE_FIELDS = VehicleRow._fields[:VehicleRow._fields.index("action")]
+_SHIELD_FIELDS = VehicleRow._fields[VehicleRow._fields.index("v_nominal"):
+                                    VehicleRow._fields.index("reward")]
 
 
 @dataclass(frozen=True)

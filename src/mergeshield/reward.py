@@ -38,7 +38,8 @@ class RewardWeights:
 
     ``w_c`` only enters the default flavour.  The custom flavour uses
     ``w_h = 1, w_s = 4, w_m = 8``: merging is prioritised, speed second,
-    small headway third.
+    small headway third.  The desired headway ``tau`` and the merge
+    length are the scenario's and the road's, read from the world.
     """
 
     w_c: float = 200.0
@@ -47,16 +48,10 @@ class RewardWeights:
     w_m: float = 8.0
     v_min: float = 10.0
     v_max: float = 30.0
-    tau: float = 0.5
-    merge_length: float = 100.0
 
     def __post_init__(self):
         if not (0.0 < self.v_min < self.v_max):
             raise ValueError(f"need 0 < v_min < v_max, got [{self.v_min}, {self.v_max}]")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if not self.merge_length > 0:
-            raise ValueError("merge_length must be positive")
 
 
 def headway_reward(dx_ol: float, v_e: float, tau: float) -> float:
@@ -93,13 +88,15 @@ def _leader_gap(world: "World", vehicle: "Vehicle") -> float | None:
 
 
 def custom_reward(vehicle: "Vehicle", weights: RewardWeights, world: "World") -> float:
-    """Shielded-driving reward: no collision term by design."""
+    """Shielded-driving reward: no collision term by design.  The desired
+    headway is the scenario's ``tau`` and the merge penalty scales with the
+    road's merge length."""
     gap = _leader_gap(world, vehicle)
-    r_h = 0.0 if gap is None else headway_reward(gap, vehicle.state.speed, weights.tau)
+    r_h = 0.0 if gap is None else headway_reward(gap, vehicle.state.speed, world.scenario.tau)
     r_s = speed_reward(vehicle.state.speed, weights.v_min, weights.v_max)
     r_m = 0.0
     if vehicle.lane == world.road.ramp_lane:
-        r_m = merge_reward(vehicle.x_m(world.road), weights.merge_length)
+        r_m = merge_reward(vehicle.x_m(world.road), world.road.merge_length)
     return weights.w_h * r_h + weights.w_s * r_s + weights.w_m * r_m
 
 

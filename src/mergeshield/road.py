@@ -39,10 +39,6 @@ class RoadNetwork:
     def ramp_lane(self) -> int:
         return self.highway_lanes
 
-    @property
-    def lanes(self) -> tuple:
-        return tuple(range(self.highway_lanes + 1))
-
     def centerline_y(self, lane: int) -> float:
         return lane * self.lane_width
 

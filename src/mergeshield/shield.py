@@ -39,6 +39,8 @@ if TYPE_CHECKING:
 __all__ = [
     "Row",
     "bumper_gap",
+    "brake_margin",
+    "brake_cap",
     "ShieldConfig",
     "ShieldOutcome",
     "ShieldFault",
@@ -48,6 +50,7 @@ __all__ = [
     "brake_guard",
     "lateral_rear_row",
     "allow_lane_change",
+    "lane_change_feasible",
     "solve_qp",
     "filter_vehicle",
     "joint_safe_control",

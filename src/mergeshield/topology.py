@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from mergeshield.world import Vehicle, World
 
-__all__ = ["InteractionTopology", "build_topology", "evaluation_order"]
+__all__ = ["InteractionTopology", "cutting_in", "build_topology", "evaluation_order"]
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,6 @@ class Vehicle:
     params: VehicleParams
     lane: int
     target_lane: int
-    behavior: BehaviorAction = BehaviorAction.FOLLOW_LANE
     spawned_on_ramp: bool = False
     merged: bool = False
     merge_failed: bool = False
@@ -528,7 +527,6 @@ def step_world(world: World, joint_actions: dict) -> World:
     plans = {}
     for vehicle in live:
         action = joint_actions.get(vehicle.vid, BehaviorAction.FOLLOW_LANE)
-        vehicle.behavior = action
         plans[vehicle.vid] = plan_motion(vehicle, action, road, cfg.dv_step)
 
     topology = build_topology(world.vehicles, world)

@@ -56,7 +56,9 @@ def test_shield_and_reward_take_scenario_values(tmp_path):
     path.write_text("scenario:\n  tau: 0.7\n  dt: 0.05\nroad:\n  merge_length: 120.0\n")
     cfg = load_config(path)
     assert (cfg.shield.tau, cfg.shield.dt) == (0.7, 0.05)
-    assert (cfg.reward.tau, cfg.reward.merge_length) == (0.7, 120.0)
+    # the reward reads tau and the merge length from the world, so its
+    # section holds no copy of either
+    assert cfg.reward == RewardWeights()
     programmatic = RunConfig(scenario=ScenarioConfig(tau=0.7, dt=0.05),
                              road=RoadNetwork(merge_length=120.0),
                              shield=ShieldConfig(tau=0.9)).resolved()
@@ -118,3 +120,29 @@ def test_reference_vehicle_count_never_warns(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("scenario:\n  n_vehicles: 11\n")
     assert validate_config(path).warnings == []
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("episodes", '"x"', "int"),
+    ("episodes", "2.0", "int"),
+    ("episodes", "true", "int"),
+    ("out_dir", "3", "str"),
+    ("emit_trajectories", "1", "bool"),
+    ("headway_violation_threshold", '"abc"', "float"),
+    ("headway_violation_threshold", "true", "float"),
+    ("allow_offrange", "0", "bool"),
+])
+def test_wrongly_typed_run_value_is_reported(tmp_path, key, value, kind):
+    errors = _errors(tmp_path, f"run:\n  {key}: {value}\n")
+    assert errors == [f"run.{key}: must be {kind}"]
+
+
+def test_int_run_value_passes_as_float(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("run:\n  headway_violation_threshold: 1\n  episodes: 3\n")
+    cfg = load_config(path)
+    assert (cfg.headway_violation_threshold, cfg.episodes) == (1, 3)
+
+
+def test_run_section_must_be_a_mapping(tmp_path):
+    assert _errors(tmp_path, "run: [1, 2]\n") == ["run: must be a mapping"]

@@ -13,6 +13,7 @@ from mergeshield.metrics import (
     min_time_headway,
     read_summaries,
     summarize_episode,
+    write_aggregate_csv,
     write_summaries,
 )
 from mergeshield.records import EpisodeRecord, StepRecord, VehicleRow
@@ -172,7 +173,19 @@ class TestAggregateSummaries:
         summaries = [summary(0, math.inf, 10.0, None), summary(1, 0.75, 12.5, 50.0, 1, 1, 2)]
         path = tmp_path / "summaries.jsonl"
         write_summaries(summaries, path)
+        assert '"min_headway":null' in path.read_text().splitlines()[0]
         back = read_summaries(path)
         assert back == summaries
         assert math.isinf(back[0].min_headway)
         assert aggregate_summaries(back) == aggregate_summaries(summaries)
+
+
+def test_aggregate_csv_rows(tmp_path):
+    path = tmp_path / "aggregate.csv"
+    write_aggregate_csv(aggregate_summaries([summary(0, 1.0, 10.0, 50.0, 1, 1, 2)]), path)
+    assert path.read_text().splitlines() == [
+        "schema,mergeshield.aggregate/1",
+        "episodes,min_headway_mean,min_headway_se,min_headway_min,avg_speed_mean,avg_speed_se,"
+        "merging_pct_mean,merging_pct_se,merging_pct_pooled,collisions_total",
+        "1,1.0,0.0,1.0,10.0,0.0,50.0,0.0,50.0,1",
+    ]

@@ -85,11 +85,23 @@ def test_bench_trace_points_resolve():
     assert traced.counts["shield.brake_guard.rows"] > 0
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_definition_is_exported(name):
+    # the caller check below sees only exported names, so a public function
+    # or class left out of __all__ would escape it
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    assert sorted(defined - set(importlib.import_module(f"mergeshield.{name}").__all__)) == []
+
+
 #: exported names still waiting for their caller: the batch surface that a
 #: run entry point will drive (load a config; write and read episode
-#: files, summaries and the aggregate).  A mention in a docstring is no call.
+#: files, summaries and the aggregate; flag safety violations).  A mention
+#: in a docstring is no call.
 AWAITING_CALLER = {
     "mergeshield.config.load_config",
+    "mergeshield.episode.is_violation",
     "mergeshield.records.write_episode",
     "mergeshield.records.read_episode",
     "mergeshield.metrics.aggregate_summaries",

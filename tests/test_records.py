@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -62,6 +63,15 @@ def test_write_read_round_trip(tmp_path, mode, policy):
         assert got.topology == {vid: tuple(p) for vid, p in want.topology.items()}
     assert again.summary == record.summary == summary.to_dict()
     assert summarize_episode(again, mode, policy).to_dict() == again.summary
+
+
+@pytest.mark.parametrize("action", [2, None])
+def test_row_dict_is_what_its_json_reads_back(action):
+    # ``active`` is a list in the dict, as JSON reads it, and a tuple in the row
+    r = row(action=action)
+    d = r.to_dict()
+    assert json.loads(_dump(d)) == d
+    assert VehicleRow.from_dict(d) == r
 
 
 def test_vehicle_row_is_immutable():

@@ -15,6 +15,7 @@ from mergeshield.reward import (
     speed_reward,
 )
 from mergeshield.road import RoadNetwork
+from mergeshield.world import ScenarioConfig
 
 from conftest import make_vehicle, make_world
 
@@ -92,6 +93,18 @@ class TestCustomReward:
         ego = make_vehicle(0, road.merge_end, 10.0, lane=road.ramp_lane, road=road)
         w = make_world([ego], road=road)
         assert custom_reward(ego, W, w) == pytest.approx(0.0 + 0.0 + 8.0 * (-1.0))
+
+    def test_takes_tau_and_merge_length_from_the_world(self):
+        # the weights carry neither: the leader sits at the scenario's
+        # desired headway, the ramp vehicle at the end of a 120 m merge
+        road = RoadNetwork(merge_length=120.0)
+        scenario = ScenarioConfig(tau=0.7)
+        ego = make_vehicle(0, 100.0, 30.0, road=road)
+        leader = make_vehicle(1, 100.0 + 5.0 + 0.7 * 30.0, 30.0, road=road)
+        ramp = make_vehicle(2, road.merge_end, 10.0, lane=road.ramp_lane, road=road)
+        w = make_world([ego, leader, ramp], road=road, scenario=scenario)
+        assert custom_reward(ego, W, w) == pytest.approx(4.0)
+        assert custom_reward(ramp, W, w) == pytest.approx(-8.0)
 
     def test_matches_hand_composition_on_random_states(self):
         rng = np.random.default_rng(6)

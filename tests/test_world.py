@@ -97,7 +97,7 @@ def perception_cases(draw):
         xs = [0.0] + [sign * dx for dx in half for sign in (1.0, -1.0)]
     vehicles = []
     for vid, dx in enumerate(xs):
-        lane = draw(st.sampled_from(road.lanes))
+        lane = draw(st.sampled_from(range(road.ramp_lane + 1)))
         dy = draw(st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.25, -1.75, 3.0]))
         v = make_vehicle(vid, centre + dx, 20.0, lane=lane, road=road,
                          y=road.centerline_y(lane) + dy)
@@ -117,11 +117,11 @@ def random_layout(rng, road, comm):
     xs = rng.uniform(0.0, 400.0, size=5)  # fewer positions than vehicles: ties in x
     vehicles = []
     for vid in range(10):
-        lane = int(rng.choice(road.lanes))
+        lane = int(rng.choice(range(road.ramp_lane + 1)))
         y = None
         if rng.random() < 0.5:
             y = road.centerline_y(lane) + float(rng.uniform(-1.5, 1.5))
-        target = int(rng.choice(road.lanes)) if rng.random() < 0.3 else lane
+        target = int(rng.choice(range(road.ramp_lane + 1))) if rng.random() < 0.3 else lane
         v = make_vehicle(vid, float(rng.choice(xs)), float(rng.uniform(5, 30)),
                          lane=lane, road=road, y=y, target_lane=target)
         v.crashed = bool(rng.random() < 0.2)
@@ -203,7 +203,7 @@ class TestSpawn:
         vehicles = spawn(cfg, road, np.random.default_rng(0))
         assert len(vehicles) == n
         assert min(v.state.x for v in vehicles) < 20.0  # behind the old highway limit
-        for lane in road.lanes:
+        for lane in range(road.ramp_lane + 1):
             queue = sorted((v for v in vehicles if v.lane == lane), key=lambda v: -v.state.x)
             for leader, follower in zip(queue, queue[1:]):
                 gap = bumper_gap(follower, leader)
@@ -289,7 +289,8 @@ class TestNeighbors:
             for ego in vehicles:
                 first = {}
                 for _ in range(3):
-                    for target in (ego.target_lane, int(rng.choice(road.lanes)), ego.target_lane):
+                    other = int(rng.choice(range(road.ramp_lane + 1)))
+                    for target in (ego.target_lane, other, ego.target_lane):
                         flipped += target != ego.target_lane
                         ego.target_lane = target
                         adj = _perception_adjacent(road, ego)
