@@ -3,14 +3,17 @@
 A run config bundles the scenario, road geometry, vehicle limits, shield,
 reward and policy selections plus batch options.  The YAML schema mirrors
 the dataclasses section by section; unknown sections or keys, keys another
-section sets and bad values are errors reported with their path.  The reference
-scenario runs 7 to 11 vehicles; other counts run too, and validation warns
-about them unless ``run.allow_offrange`` is set.
+section sets, values not of their field's declared type and bad values are
+errors reported with their path.  The reference scenario runs 7 to 11
+vehicles; other counts run too, and validation warns about them unless
+``run.allow_offrange`` is set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -80,13 +83,9 @@ _SECTIONS = {
     "policy": PolicySpec,
 }
 
-_RUN_KEYS = {
-    "episodes": int,
-    "out_dir": str,
-    "emit_trajectories": bool,
-    "headway_violation_threshold": float,
-    "allow_offrange": bool,
-}
+#: batch options under ``run``: every other field of :class:`RunConfig`, by type
+_RUN_KEYS = {k: kind for k, kind in get_type_hints(RunConfig).items()
+             if k not in _SECTIONS and k != "reward_kind"}
 
 _REWARD_EXTRA = {"function"}
 
@@ -101,14 +100,28 @@ _DERIVED = {
 
 
 def _is_a(value, kind) -> bool:
-    """YAML typing of a run value: a bool is no number, an int is a float."""
+    """YAML typing of a config value against its field annotation: a bool
+    is no number, an int is a float, ``X | None`` takes an X or null and a
+    ``tuple`` is a pair of numbers."""
+    if get_origin(kind) is UnionType:
+        return any(_is_a(value, k) for k in get_args(kind))
+    if kind is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(_is_a(v, float) for v in value))
     if isinstance(value, bool) and kind is not bool:
         return False
     return isinstance(value, (int, float) if kind is float else kind)
 
 
+def _type_name(kind) -> str:
+    if get_origin(kind) is UnionType:
+        return " or ".join(_type_name(k) for k in get_args(kind) if k is not type(None))
+    return "a pair of numbers" if kind is tuple else kind.__name__
+
+
 def _build_section(name, cls, data, report):
-    allowed = {f.name for f in fields(cls) if not f.name.startswith("_")}
+    hints = get_type_hints(cls)
+    allowed = {f.name for f in fields(cls)}
     extra = _REWARD_EXTRA if name == "reward" else set()
     kwargs = {}
     for key, value in data.items():
@@ -120,11 +133,15 @@ def _build_section(name, cls, data, report):
         if key not in allowed:
             report.errors.append(f"{name}.{key}: unknown key")
             continue
-        if key == "initial_speed_range" and isinstance(value, list):
+        # explicit nulls are dropped so dataclass defaults apply
+        if value is None:
+            continue
+        if not _is_a(value, hints[key]):
+            report.errors.append(f"{name}.{key}: must be {_type_name(hints[key])}")
+            continue
+        if key == "initial_speed_range":
             value = tuple(value)
         kwargs[key] = value
-    # drop explicit nulls so dataclass defaults apply
-    kwargs = {k: v for k, v in kwargs.items() if v is not None}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -146,12 +163,13 @@ def _parse(data, report) -> RunConfig | None:
         if not isinstance(section, dict):
             report.errors.append(f"{name}: must be a mapping")
             section = {}
+        if name == "reward":
+            reward_kind = section.get("function", "custom")
         built = _build_section(name, cls, section, report)
         if built is None:
             return None
         parts[name] = built
 
-    reward_kind = (data.get("reward") or {}).get("function", "custom")
     if reward_kind not in ("default", "custom"):
         report.errors.append(f"reward.function: must be default or custom, got {reward_kind!r}")
         return None
@@ -169,7 +187,7 @@ def _parse(data, report) -> RunConfig | None:
             continue
         kind = _RUN_KEYS[key]
         if not _is_a(value, kind):
-            report.errors.append(f"run.{key}: must be {kind.__name__}")
+            report.errors.append(f"run.{key}: must be {_type_name(kind)}")
             continue
         run_kwargs[key] = value
 

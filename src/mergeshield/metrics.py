@@ -72,13 +72,9 @@ def _lane_width(record: EpisodeRecord) -> float:
     return record.config["road"]["lane_width"]
 
 
-def _n_lanes(record: EpisodeRecord) -> int:
-    return record.config["road"]["highway_lanes"] + 1
-
-
-def _metric_lane(row, lane_width: float, n_lanes: int) -> int:
-    idx = round(row.y / lane_width)
-    return min(max(idx, 0), n_lanes - 1)
+def _metric_lane(row, lane_width: float) -> int:
+    """0 for the through lane, 1 for the ramp."""
+    return min(max(round(row.y / lane_width), 0), 1)
 
 
 def _rows_iter(record: EpisodeRecord):
@@ -102,14 +98,13 @@ def min_time_headway(record: EpisodeRecord) -> float:
     if _had_collision(record):
         return 0.0
     lane_width = _lane_width(record)
-    n_lanes = _n_lanes(record)
     best = math.inf
     for rows in _rows_iter(record):
         lanes: dict = {}
         for r in rows:
             if r.crashed:
                 continue
-            lanes.setdefault(_metric_lane(r, lane_width, n_lanes), []).append(r)
+            lanes.setdefault(_metric_lane(r, lane_width), []).append(r)
         for members in lanes.values():
             members.sort(key=lambda r: (-r.x, r.vid))
             for leader, follower in zip(members, members[1:]):

@@ -106,7 +106,7 @@ def default_reward(vehicle: "Vehicle", weights: RewardWeights, world: "World") -
     return weights.w_c * r_c + custom_reward(vehicle, weights, world)
 
 
-def fleet_rewards(world: "World", weights: RewardWeights, kind: str = "custom", *,
+def fleet_rewards(world: "World", weights: RewardWeights, kind: str, *,
                   vids) -> dict:
     """Per-vehicle (individual, neighbourhood-averaged) rewards of the
     vehicles ``vids``.

@@ -1,31 +1,36 @@
 """Merging-road geometry.
 
-One through highway lane (index 0, centreline y = 0) plus an on-ramp
-acceleration lane (index ``highway_lanes``, one lane width to the right,
-increasing y).  The ramp runs parallel to the highway; lane changes between
-ramp and highway are geometrically possible only inside the merge window
-``[merge_start, merge_end]``.  Arc position along the highway reference line
-equals the x coordinate for every lane, which makes longitudinal gaps
-comparable across lanes.
+The paper's congested on-ramp merge: one through lane (index 0, centreline
+y = 0) and the on-ramp acceleration lane (index 1, ``ramp_lane``, one lane
+width to the right, increasing y).  There is exactly one through lane
+because that is the scenario evaluated, and because perception models one
+adjacent lane per vehicle: the other lane.  A second through lane would
+put a vehicle cutting in from the far side outside every neighbour query
+and so outside the shield.  The ramp runs parallel to the highway; lane
+changes between ramp and highway are geometrically possible only inside
+the merge window ``[merge_start, merge_end]``.  Arc position along the
+highway reference line equals the x coordinate in both lanes, which makes
+longitudinal gaps comparable across lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["RoadNetwork"]
 
 
 @dataclass(frozen=True)
 class RoadNetwork:
-    highway_lanes: int = 1
+    #: the ramp's lane index; the through lane is 0
+    ramp_lane: ClassVar[int] = 1
+
     lane_width: float = 4.0
     merge_start: float = 200.0
     merge_length: float = 100.0
 
     def __post_init__(self):
-        if self.highway_lanes < 1:
-            raise ValueError("need at least one highway lane")
         if not self.lane_width > 0:
             raise ValueError(f"lane_width must be positive, got {self.lane_width}")
         if not self.merge_length > 0:
@@ -35,10 +40,6 @@ class RoadNetwork:
     def merge_end(self) -> float:
         return self.merge_start + self.merge_length
 
-    @property
-    def ramp_lane(self) -> int:
-        return self.highway_lanes
-
     def centerline_y(self, lane: int) -> float:
         return lane * self.lane_width
 
@@ -46,12 +47,9 @@ class RoadNetwork:
         return self.merge_start <= x <= self.merge_end
 
     def shift_lane(self, lane: int, direction: int, x: float) -> int | None:
-        """Target lane for a left (-1) or right (+1) change, if reachable."""
+        """The other lane, if a left (-1) or right (+1) change from ``lane``
+        leads there and ``x`` lies inside the merge window; else None."""
         target = lane + direction
-        if target < 0 or target > self.ramp_lane:
+        if target != 1 - lane or not self.in_merge_window(x):
             return None
-        if target == self.ramp_lane or lane == self.ramp_lane:
-            # ramp adjacency only inside the merge window
-            if not self.in_merge_window(x):
-                return None
         return target

@@ -16,9 +16,10 @@ all of step k+1.  The index holds only the fleet's longitudinal order;
 each query walks outward from the ego along it and computes distances
 for the candidates it meets, so no pair is measured that no query reads.
 Answers are memoised on the index: the policy, topology, shield, lane gate
-and reward share one :class:`Neighborhood` per vehicle and
-perception-adjacent lane, and observation and reward one perceived group
-per vehicle.
+and reward share one :class:`Neighborhood` per vehicle, and observation
+and reward one perceived group per vehicle.  The road has two lanes, so a
+vehicle's perception-adjacent lane is always the other one, whether or not
+it is changing lanes.
 
 Lateral maneuvers: the point-mass integrator accelerates along the
 heading and never turns, so holding speed leaves the lateral velocity
@@ -167,8 +168,7 @@ class NeighborIndex:
     Distances are computed on demand, one ``hypot(dx, dy)`` per candidate
     a query meets; ``hypot`` is sign-symmetric, so both vehicles of a pair
     see the same distance bit for bit.  ``near`` memoises :func:`neighbors`
-    by ``(vid, perception-adjacent lane)`` and ``seen`` memoises
-    :func:`perceived` by vid.
+    and ``seen`` memoises :func:`perceived`, both by vid.
     """
 
     step_index: int
@@ -264,7 +264,8 @@ class World:
 
 def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
           params: VehicleParams | None = None) -> list:
-    """Place vehicles on highway and ramp behind the merge section.
+    """Place vehicles on the through lane and the ramp behind the merge
+    section.
 
     Same-lane bumper gaps respect ``spawn_spacing_min`` and the follower
     headway threshold; follower speeds are additionally capped so every
@@ -282,7 +283,7 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
     vehicles: list = []
     vid = 0
     for front_x, count, lane in (
-        (road.merge_start - 10.0, n_highway, road.highway_lanes - 1),
+        (road.merge_start - 10.0, n_highway, 0),
         (road.merge_start - 30.0, n_ramp, road.ramp_lane),
     ):
         x = front_x
@@ -311,24 +312,6 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
             lead_speed = speed
             vid += 1
     return vehicles
-
-
-def _perception_adjacent(road: RoadNetwork, vehicle: Vehicle) -> int | None:
-    """Lane scanned for adjacent leaders/rears.
-
-    The target lane while changing; otherwise the physically neighbouring
-    lane (ramp for the rightmost through lane and vice versa).  Perception
-    is not gated by the merge window: a merging vehicle ahead matters to a
-    highway follower before the follower reaches the window.
-    """
-    if vehicle.lc_phase == "changing":
-        return vehicle.target_lane
-    lane = vehicle.lane
-    if lane == road.ramp_lane:
-        return road.highway_lanes - 1
-    if lane == road.highway_lanes - 1:
-        return road.ramp_lane
-    return lane + 1
 
 
 def neighbor_index(world: World) -> NeighborIndex:
@@ -362,23 +345,24 @@ def _first_in_range(lane: list, i: int, step: int, ego: Vehicle,
 
 
 def neighbors(world: World, ego: Vehicle) -> Neighborhood:
-    """Nearest same-lane leader plus adjacent-lane leader and rear vehicle,
-    all within communication range.
+    """Nearest same-lane leader plus leader and rear vehicle in the other
+    lane, all within communication range.
 
     A lookup in the state's :func:`neighbor_index`: from the ego's slot in
-    its own lane and in the perception-adjacent lane, walk outward to the
-    first vehicle in range.  Walking, rather than taking the next slot,
-    stays exact when the nearest vehicle by x is out of Euclidean range
-    through a lateral offset.  The answer is memoised on the index by the
-    ego's id and perception-adjacent lane, so repeat calls within one state
-    return the same object, and one made after the ego's ``target_lane``
-    changed walks its new adjacent lane.
+    its own lane and in the other lane, walk outward to the first vehicle
+    in range.  Walking, rather than taking the next slot, stays exact when
+    the nearest vehicle by x is out of Euclidean range through a lateral
+    offset.  The other lane is scanned along the whole road, not only in
+    the merge window: a merging vehicle ahead matters to a highway
+    follower before the follower reaches the window.  The answer is
+    memoised on the index by the ego's id, so repeat calls within one
+    state return the same object.
     """
     index = neighbor_index(world)
-    adj = _perception_adjacent(world.road, ego)
-    near = index.near.get((ego.vid, adj))
+    near = index.near.get(ego.vid)
     if near is not None:
         return near
+    adj = 1 - ego.lane
     comm = world.scenario.comm_range
     c_ol = _first_in_range(index.lanes[ego.lane], index.slot[ego.vid] + 1, 1, ego, comm)
     c_oal = c_oar = None
@@ -387,7 +371,7 @@ def neighbors(world: World, ego: Vehicle) -> Neighborhood:
         i = bisect_left(index.keys[adj], (ego.state.x, -ego.vid))
         c_oal = _first_in_range(lane, i, 1, ego, comm)
         c_oar = _first_in_range(lane, i - 1, -1, ego, comm)
-    near = index.near[(ego.vid, adj)] = Neighborhood(c_ol=c_ol, c_oal=c_oal, c_oar=c_oar)
+    near = index.near[ego.vid] = Neighborhood(c_ol=c_ol, c_oal=c_oal, c_oar=c_oar)
     return near
 
 
@@ -427,7 +411,7 @@ def observe(world: World, ego: Vehicle) -> list:
 
 
 def plan_motion(ego: Vehicle, action: BehaviorAction, road: RoadNetwork,
-                dv_step: float = 2.0) -> MotionPlan:
+                dv_step: float) -> MotionPlan:
     """Translate a behavioural action into a nominal speed and lane target.
 
     Lane actions degrade to follow when no adjacent lane is reachable at the

@@ -146,3 +146,48 @@ def test_int_run_value_passes_as_float(tmp_path):
 
 def test_run_section_must_be_a_mapping(tmp_path):
     assert _errors(tmp_path, "run: [1, 2]\n") == ["run: must be a mapping"]
+
+
+def test_reward_section_must_be_a_mapping(tmp_path):
+    assert _errors(tmp_path, "reward: [1]\n") == ["reward: must be a mapping"]
+
+
+def test_highway_lanes_is_gone(tmp_path):
+    # the road is the through lane plus the ramp; perception shows one
+    # adjacent lane, so a second through lane would escape the shield
+    with pytest.raises(TypeError, match="highway_lanes"):
+        RoadNetwork(highway_lanes=2)
+    assert _errors(tmp_path, "road:\n  highway_lanes: 1\n") == ["road.highway_lanes: unknown key"]
+
+
+@pytest.mark.parametrize("section, key, value, kind", [
+    ("road", "merge_start", '"abc"', "float"),
+    ("scenario", "n_vehicles", '"9"', "int"),
+    ("shield", "eta", '"0.5"', "float"),
+    ("scenario", "n_ramp", "1.5", "int"),
+    ("scenario", "initial_speed_range", "[10, abc]", "a pair of numbers"),
+    ("scenario", "initial_speed_range", "[10, 20, 30]", "a pair of numbers"),
+    ("scenario", "initial_speed_range", "20", "a pair of numbers"),
+    ("vehicle", "length", "true", "float"),
+    ("shield", "mode", "3", "str"),
+    ("policy", "kind", "[random]", "str"),
+])
+def test_wrongly_typed_section_value_is_reported(tmp_path, section, key, value, kind):
+    errors = _errors(tmp_path, f"{section}:\n  {key}: {value}\n")
+    assert errors == [f"{section}.{key}: must be {kind}"]
+
+
+def test_section_values_of_their_declared_types_pass(tmp_path):
+    # an int passes as a float, null keeps the default of an optional
+    # field and a list of two numbers is a speed range
+    path = tmp_path / "run.yaml"
+    path.write_text("road:\n  merge_start: 2000\nscenario:\n  n_ramp: null\n"
+                    "  initial_speed_range: [10, 20.5]\n")
+    cfg = load_config(path)
+    assert cfg.road.merge_start == 2000
+    assert cfg.scenario.n_ramp is None
+    assert cfg.scenario.initial_speed_range == (10, 20.5)
+    want = RunConfig(road=RoadNetwork(merge_start=2000),
+                     scenario=ScenarioConfig(initial_speed_range=(10, 20.5)))
+    assert resolved_dict(cfg) == resolved_dict(want)
+

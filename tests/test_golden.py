@@ -1,9 +1,12 @@
 """Golden digests of whole episode records.
 
 Each case hashes the bytes ``write_episode`` would write for one short
-episode.  A change that moves any simulated number, shield decision or
-record field changes a digest; such a change must update the digest here
-and state the behavioural reason in ``CHANGES.md``.
+episode, as two digests: the header line (config echo and initial
+snapshot) and the step and summary lines.  A change that moves any
+simulated number, shield decision or record field changes a digest; such a
+change must update the digest here and state the behavioural reason in
+``CHANGES.md``.  A change to the config echo alone moves only the header
+digest.
 """
 
 import hashlib
@@ -18,11 +21,21 @@ from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig
 
-#: (shield mode, policy, seed) -> sha256 of the record; 80-step episodes.
+#: (shield mode, policy, seed) -> sha256 of the (header, steps and summary)
+#: of the record; 80-step episodes.
 GOLDEN = {
-    ("mass", "random", 1): "6ccd2c5bff1083784d0b292a91948e95538fc2ea6a2d46f7de7e2d02f2d2fefd",
-    ("hss", "heuristic", 2): "14922b98b34ab42bb35707e80cf2dc61e8909ce7a27593a9e8f3e97520ef1774",
-    ("none", "random", 0): "0f1bc7b81c5a6dfda13eab99f39937f2b611c442951beef7fb61c9e8603684a2",
+    ("mass", "random", 1): (
+        "c930f829b046dd02e526c43adfe382ba21cca79c41bb3a974fad4b65b90a07c1",
+        "9856bbaa93935a766b5514e23af77a206214bb777d677d730358fa479de045cc",
+    ),
+    ("hss", "heuristic", 2): (
+        "9276d8ec785d9343fb3e7b87fbfa674692b13598e7b74b5c239c470e9e2300eb",
+        "8409f0d60d14d0f81923a4424f0a30251c84aea0e89d132f65f30b011f5068d1",
+    ),
+    ("none", "random", 0): (
+        "929fe2e4572233739231166679f214561774825d3d7fc40ddea9749333ae714a",
+        "a07724bbed2fe489accb16ab77adebb9d1bcf4484747972ad6be3dfe15ccf401",
+    ),
 }
 
 
@@ -55,12 +68,18 @@ COVERAGE = {
 #: 40 vehicles on a long road, mass shield, heuristic policy, seed 0, 40
 #: steps: hundreds of binding brake caps from highway speed and about four
 #: neighbour queries per vehicle and step
-DENSE_GOLDEN = "2739c7945453c11e50d74fba766d1d1eb226e244b053efeff3036f42449f565f"
+DENSE_GOLDEN = (
+    "3204e99e9a159b65741f2a74714e0fcf60d8d355ae9585eb2b5bda12f2f97982",
+    "bc8b75dab14aba6398405987071c88cb3a4dde776366ba39b78f76e72b2dc858",
+)
 
 
-def digest(record):
-    text = "\n".join(episode_lines(record)) + "\n"
-    return hashlib.sha256(text.encode()).hexdigest()
+def digests(record):
+    """sha256 of the header line and of the step and summary lines, each
+    block newline-terminated as in the written file."""
+    lines = episode_lines(record)
+    return tuple(hashlib.sha256(("\n".join(block) + "\n").encode()).hexdigest()
+                 for block in (lines[:1], lines[1:]))
 
 
 @pytest.mark.parametrize("mode,policy,seed", sorted(GOLDEN))
@@ -72,7 +91,7 @@ def test_episode_record_digest(mode, policy, seed):
     )
     record, summary = run_episode(cfg, seed)
     assert COVERAGE[(mode, policy, seed)](record, summary)
-    assert digest(record) == GOLDEN[(mode, policy, seed)]
+    assert digests(record) == GOLDEN[(mode, policy, seed)]
 
 
 def test_dense_episode_record_digest():
@@ -84,4 +103,4 @@ def test_dense_episode_record_digest():
         allow_offrange=True,
     )
     record, _ = run_episode(cfg, 0)
-    assert digest(record) == DENSE_GOLDEN
+    assert digests(record) == DENSE_GOLDEN

@@ -36,7 +36,7 @@ def record(*steps, initial=()):
     """A record of the given per-step row tuples on the default road."""
     return EpisodeRecord(
         seed=0,
-        config={"road": {"highway_lanes": 1, "lane_width": LANE_WIDTH}},
+        config={"road": {"lane_width": LANE_WIDTH}},
         initial=tuple(initial),
         steps=[StepRecord(step=k, vehicles=tuple(rows), topology={})
                for k, rows in enumerate(steps)],
@@ -84,6 +84,17 @@ class TestMinTimeHeadway:
         highway_leader = row(2, 140.0)
         assert min_time_headway(record((near_highway, ramp_leader, highway_leader))) == \
             gap(highway_leader, near_highway) / 20.0
+
+    def test_off_road_rows_count_in_the_nearer_of_the_two_lanes(self):
+        # the road has a through lane and a ramp: a row past the ramp's
+        # outer edge pairs with the ramp, one left of the highway with it
+        ramp_leader = row(1, 130.0, lane=1, y=LANE_WIDTH)
+        past_ramp = row(0, 100.0, lane=1, y=2.5 * LANE_WIDTH)
+        assert min_time_headway(record((past_ramp, ramp_leader))) == gap(ramp_leader, past_ramp) / 20.0
+        highway_leader = row(2, 140.0)
+        left_of_highway = row(0, 100.0, y=-0.75 * LANE_WIDTH)
+        assert min_time_headway(record((left_of_highway, highway_leader))) == \
+            gap(highway_leader, left_of_highway) / 20.0
 
 
 class TestMergingPercentage:

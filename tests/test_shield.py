@@ -596,7 +596,7 @@ class TestJointSafeControl:
         vehicles = [make_vehicle(0, 100.0, 20.0), make_vehicle(1, 120.0, 20.0)]
         w = make_world(vehicles, shield_mode="none")
         topo = build_topology(w.vehicles, w)
-        plans = {v.vid: plan_motion(v, BehaviorAction.FOLLOW_LANE, w.road) for v in vehicles}
+        plans = {v.vid: plan_motion(v, BehaviorAction.FOLLOW_LANE, w.road, w.scenario.dv_step) for v in vehicles}
         outcomes = joint_safe_control(w, topo, plans)
         for vid, plan in plans.items():
             assert outcomes[vid].v_safe == plan.v_target

@@ -14,7 +14,6 @@ def naive_topology(vehicles, world):
     """Deliberately plain transcription of the construction rules, written
     against the raw definitions rather than the production helpers."""
     comm = world.scenario.comm_range
-    road = world.road
 
     def ahead(a, b):
         return (a.state.x, -a.vid) > (b.state.x, -b.vid)
@@ -23,13 +22,7 @@ def naive_topology(vehicles, world):
         return math.hypot(a.state.x - b.state.x, a.state.y - b.state.y) <= comm
 
     def adjacent_lane_of(ego):
-        if ego.target_lane != ego.lane:
-            return ego.target_lane
-        if ego.lane == road.ramp_lane:
-            return road.highway_lanes - 1
-        if ego.lane == road.highway_lanes - 1:
-            return road.ramp_lane
-        return ego.lane + 1
+        return 1 - ego.lane
 
     result = {}
     for ego in vehicles:

@@ -11,7 +11,6 @@ from mergeshield.policy import BehaviorAction
 from mergeshield.road import RoadNetwork
 from mergeshield.world import (
     ScenarioConfig,
-    _perception_adjacent,
     bumper_gap,
     neighbors,
     observe,
@@ -32,9 +31,10 @@ def is_ahead(a, b):
 
 
 def brute_force_neighbors(world, ego):
-    """O(n^2) rescan of the neighbour definitions."""
+    """O(n^2) rescan of the neighbour definitions; the adjacent lane is
+    the other of the road's two lanes."""
     comm = world.scenario.comm_range
-    adj = _perception_adjacent(world.road, ego)
+    adj = 1 - ego.lane
     ol = oal = oar = None
     for o in world.vehicles:
         if o.vid == ego.vid:
@@ -44,7 +44,7 @@ def brute_force_neighbors(world, ego):
         if o.lane == ego.lane and is_ahead(o, ego):
             if ol is None or is_ahead(ol, o):
                 ol = o
-        if adj is not None and o.lane == adj:
+        if o.lane == adj:
             if is_ahead(o, ego):
                 if oal is None or is_ahead(oal, o):
                     oal = o
@@ -82,7 +82,7 @@ def perception_cases(draw):
     mirrored about one x.  Positions and lateral offsets lie on exact
     binary grids, so mirror images and swapped (dx, dy) give exact distance
     ties; some vehicles are crashed and some off their centreline."""
-    road = RoadNetwork(highway_lanes=draw(st.integers(1, 2)))
+    road = RoadNetwork()
     scenario = ScenarioConfig(perception_n=draw(st.integers(1, 8)),
                               comm_range=draw(st.integers(1, 120)) / 2.0)
     shape = draw(st.sampled_from(["spread", "one_x", "mirror"]))
@@ -133,7 +133,7 @@ def random_layout(rng, road, comm):
         vehicles.append(v)
         return v
 
-    adj = 1  # perception-adjacent lane of lane 0 on every road used here
+    adj = 1  # the perception-adjacent lane of lane 0
     # forward: hypot(comm - 0.3, 15) > comm >= hypot(comm - 0.2, 1)
     ego = add(-1000.0, 0)
     add(-1000.0 + comm - 0.3, 0, dy=15.0)
@@ -238,8 +238,8 @@ class TestNeighbors:
         # and in-range vehicles behind out-of-range ones
         rng = np.random.default_rng(9)
         comm = ScenarioConfig().comm_range
-        for layout in range(50):
-            road = RoadNetwork(highway_lanes=1 + layout % 2)
+        road = RoadNetwork()
+        for _ in range(50):
             vehicles, walks = random_layout(rng, road, comm)
             w = make_world(vehicles, road=road)
             for ego in vehicles:
@@ -275,30 +275,27 @@ class TestNeighbors:
             assert all(a is b for a, b in zip((near.c_ol, near.c_oal, near.c_oar),
                                               brute_force_neighbors(w, ego)))
 
-    def test_repeat_calls_share_one_answer_per_adjacent_lane(self):
+    def test_repeat_calls_share_one_answer_per_vehicle(self):
         # within one state, calls before and after target_lane flips each
-        # match the rescan, and a repeat for the same adjacent lane returns
-        # the object the first call built
+        # match the rescan and return the object the first call built: the
+        # adjacent lane is the other lane whatever target_lane says
         rng = np.random.default_rng(10)
         comm = ScenarioConfig().comm_range
+        road = RoadNetwork()
         flipped = 0
-        for layout in range(20):
-            road = RoadNetwork(highway_lanes=1 + layout % 3)
+        for _ in range(20):
             vehicles, _ = random_layout(rng, road, comm)
             w = make_world(vehicles, road=road)
             for ego in vehicles:
-                first = {}
+                first = neighbors(w, ego)
                 for _ in range(3):
-                    other = int(rng.choice(range(road.ramp_lane + 1)))
-                    for target in (ego.target_lane, other, ego.target_lane):
+                    for target in (ego.target_lane, 1 - ego.target_lane, ego.target_lane):
                         flipped += target != ego.target_lane
                         ego.target_lane = target
-                        adj = _perception_adjacent(road, ego)
                         near = neighbors(w, ego)
                         want = brute_force_neighbors(w, ego)
                         assert all(a is b for a, b in zip((near.c_ol, near.c_oal, near.c_oar), want))
-                        assert neighbors(w, ego) is near
-                        assert first.setdefault(adj, near) is near
+                        assert near is first
         assert flipped > 500
 
     def test_follows_the_state_across_steps(self):
@@ -368,7 +365,7 @@ class TestObserve:
 class TestPlanMotion:
     def test_follow_keeps_speed(self):
         v = make_vehicle(0, 100.0, 25.0)
-        plan = plan_motion(v, BehaviorAction.FOLLOW_LANE, RoadNetwork())
+        plan = plan_motion(v, BehaviorAction.FOLLOW_LANE, RoadNetwork(), dv_step=2.0)
         assert plan.v_target == 25.0
         assert plan.target_lane == v.lane
         assert not plan.lane_request
@@ -386,22 +383,28 @@ class TestPlanMotion:
     def test_ramp_vehicle_left_in_merge_window(self):
         road = RoadNetwork()
         v = make_vehicle(0, road.merge_start + 10.0, 20.0, lane=road.ramp_lane, road=road)
-        plan = plan_motion(v, BehaviorAction.LANE_LEFT, road)
+        plan = plan_motion(v, BehaviorAction.LANE_LEFT, road, dv_step=2.0)
         assert plan.lane_request
-        assert plan.target_lane == road.highway_lanes - 1
+        assert plan.target_lane == 0
 
     def test_lane_change_degrades_outside_window(self):
         road = RoadNetwork()
         v = make_vehicle(0, 50.0, 20.0, lane=road.ramp_lane, road=road)
-        plan = plan_motion(v, BehaviorAction.LANE_LEFT, road)
+        plan = plan_motion(v, BehaviorAction.LANE_LEFT, road, dv_step=2.0)
         assert not plan.lane_request
         assert plan.target_lane == v.lane
 
     def test_no_left_from_leftmost_lane(self):
         road = RoadNetwork()
         v = make_vehicle(0, 250.0, 20.0, lane=0, road=road)
-        plan = plan_motion(v, BehaviorAction.LANE_LEFT, road)
+        plan = plan_motion(v, BehaviorAction.LANE_LEFT, road, dv_step=2.0)
         assert not plan.lane_request
+
+    def test_no_right_from_the_ramp(self):
+        road = RoadNetwork()
+        v = make_vehicle(0, 250.0, 20.0, lane=road.ramp_lane, road=road)
+        plan = plan_motion(v, BehaviorAction.LANE_RIGHT, road, dv_step=2.0)
+        assert not plan.lane_request and plan.target_lane == road.ramp_lane
 
 
 class TestStepWorld:
@@ -431,6 +434,30 @@ class TestStepWorld:
         states1 = {v.vid: v.state for v in w1.vehicles}
         states2 = {v.vid: v.state for v in w2.vehicles}
         assert states1 == states2
+
+    @pytest.mark.parametrize("mode", ["none", "hss", "mass"])
+    def test_granted_lane_changes_cross_between_the_two_lanes_in_the_window(self, mode):
+        # random actions ask for every change, legal or not; a granted one
+        # sets target_lane to the other lane of a vehicle inside the window
+        granted = 0
+        for seed in range(4):
+            w = spawned_world(seed=seed, shield_mode=mode, n_vehicles=11)
+            road = w.road
+            rng = np.random.default_rng(seed)
+            for _ in range(150):
+                before = {v.vid: (v.lane, v.target_lane, v.state.x) for v in w.live_vehicles()}
+                step_world(w, {vid: BehaviorAction(int(rng.integers(0, len(BehaviorAction))))
+                               for vid in before})
+                for v in w.vehicles:
+                    if v.vid not in before:
+                        continue
+                    lane, target, x = before[v.vid]
+                    assert v.lane in (0, 1) and v.target_lane in (0, 1)
+                    if v.target_lane != target:
+                        granted += 1
+                        assert target == lane and v.target_lane == 1 - lane
+                        assert road.in_merge_window(x)
+        assert granted > 0
 
     def test_lane_label_changes_only_after_completion(self):
         road = RoadNetwork()
