@@ -99,24 +99,45 @@ _DERIVED = {
 }
 
 
+#: magnitudes a nonzero config float may have.  Every float is a physical
+#: quantity in SI units; the shield counts braking steps of ``|a_min| * dt``
+#: and squares them, which a NaN, an infinity or a magnitude far outside
+#: this range carries out of the float range.
+FLOAT_MAGNITUDES = (1e-9, 1e9)
+_FINITE = "a finite float, 0 or of magnitude {:g} to {:g}".format(*FLOAT_MAGNITUDES)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_a(value, kind) -> bool:
     """YAML typing of a config value against its field annotation: a bool
-    is no number, an int is a float, ``X | None`` takes an X or null and a
-    ``tuple`` is a pair of numbers."""
+    is no number, a float is a number (an int too) that is 0 or of a
+    magnitude in :data:`FLOAT_MAGNITUDES`, ``X | None`` takes an X or
+    null and a ``tuple`` is a pair of floats."""
     if get_origin(kind) is UnionType:
         return any(_is_a(value, k) for k in get_args(kind))
     if kind is tuple:
         return (isinstance(value, (list, tuple)) and len(value) == 2
                 and all(_is_a(v, float) for v in value))
+    if kind is float:
+        lo, hi = FLOAT_MAGNITUDES
+        return _is_number(value) and (value == 0 or lo <= abs(value) <= hi)
     if isinstance(value, bool) and kind is not bool:
         return False
-    return isinstance(value, (int, float) if kind is float else kind)
+    return isinstance(value, kind)
 
 
-def _type_name(kind) -> str:
+def _type_name(kind, value) -> str:
+    """What a value of ``kind`` must be, worded for the rejected ``value``:
+    a number rejected as a float is told the float rule."""
     if get_origin(kind) is UnionType:
-        return " or ".join(_type_name(k) for k in get_args(kind) if k is not type(None))
-    return "a pair of numbers" if kind is tuple else kind.__name__
+        return " or ".join(_type_name(k, value) for k in get_args(kind) if k is not type(None))
+    if kind is tuple:
+        numbers = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+        return f"a pair of numbers, each {_FINITE}" if numbers else "a pair of numbers"
+    return _FINITE if kind is float and _is_number(value) else kind.__name__
 
 
 def _build_section(name, cls, data, report):
@@ -137,7 +158,7 @@ def _build_section(name, cls, data, report):
         if value is None:
             continue
         if not _is_a(value, hints[key]):
-            report.errors.append(f"{name}.{key}: must be {_type_name(hints[key])}")
+            report.errors.append(f"{name}.{key}: must be {_type_name(hints[key], value)}")
             continue
         if key == "initial_speed_range":
             value = tuple(value)
@@ -150,11 +171,13 @@ def _build_section(name, cls, data, report):
 
 
 def _parse(data, report) -> RunConfig | None:
+    """Check every section and ``run``; the config, or None once any
+    error is reported."""
     if not isinstance(data, dict):
         report.errors.append("top level must be a mapping of sections")
         return None
     unknown = set(data) - set(_SECTIONS) - {"run"}
-    for key in sorted(unknown):
+    for key in sorted(unknown, key=str):
         report.errors.append(f"{key}: unknown section")
 
     parts = {}
@@ -166,13 +189,11 @@ def _parse(data, report) -> RunConfig | None:
         if name == "reward":
             reward_kind = section.get("function", "custom")
         built = _build_section(name, cls, section, report)
-        if built is None:
-            return None
-        parts[name] = built
+        if built is not None:
+            parts[name] = built
 
     if reward_kind not in ("default", "custom"):
         report.errors.append(f"reward.function: must be default or custom, got {reward_kind!r}")
-        return None
 
     run = data.get("run", {}) or {}
     if not isinstance(run, dict):
@@ -187,27 +208,17 @@ def _parse(data, report) -> RunConfig | None:
             continue
         kind = _RUN_KEYS[key]
         if not _is_a(value, kind):
-            report.errors.append(f"run.{key}: must be {_type_name(kind)}")
+            report.errors.append(f"run.{key}: must be {_type_name(kind, value)}")
             continue
         run_kwargs[key] = value
 
-    cfg = RunConfig(
-        scenario=parts["scenario"],
-        road=parts["road"],
-        vehicle=parts["vehicle"],
-        shield=parts["shield"],
-        reward=parts["reward"],
-        reward_kind=reward_kind,
-        policy=parts["policy"],
-        **run_kwargs,
-    )
+    # a section that failed keeps its default here, so run is still checked
+    cfg = RunConfig(reward_kind=reward_kind, **parts, **run_kwargs)
     if cfg.episodes < 1:
         report.errors.append("run.episodes: must be >= 1")
-        return None
     if not cfg.headway_violation_threshold > 0:
         report.errors.append("run.headway_violation_threshold: must be positive")
-        return None
-    return cfg.resolved()
+    return None if report.errors else cfg.resolved()
 
 
 def _range_warnings(cfg: RunConfig, report: ValidationReport) -> None:

@@ -58,11 +58,9 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
         else:
             observations = {}
         actions = policy.decide(k, world, observations)
-        step_world(world, actions)
+        outcomes, topology = step_world(world, actions)
         reward_pairs = fleet_rewards(world, cfg.reward, cfg.reward_kind, vids=actions)
-        record.steps.append(
-            snapshot_step(world, k, actions, world.last_outcomes, reward_pairs)
-        )
+        record.steps.append(snapshot_step(world, k, actions, outcomes, topology, reward_pairs))
     summary = summarize_episode(record, cfg.shield.mode, cfg.policy.kind)
     record.summary = summary.to_dict()
     return record, summary

@@ -18,20 +18,14 @@ from mergeshield.reward import V_FLOOR
 
 __all__ = [
     "EpisodeSummary",
-    "UndefinedMetricError",
     "min_time_headway",
     "average_speed",
-    "merging_percentage",
     "summarize_episode",
     "aggregate_summaries",
     "write_summaries",
     "read_summaries",
     "write_aggregate_csv",
 ]
-
-
-class UndefinedMetricError(ValueError):
-    """The requested metric has no value on this record set."""
 
 
 @dataclass(frozen=True)
@@ -133,30 +127,11 @@ def _final_rows(record: EpisodeRecord):
     return record.steps[-1].vehicles if record.steps else record.initial
 
 
-def merging_percentage(records: list) -> float:
-    """Share of ramp-spawned vehicles that merged, over the record set."""
-    merged = 0
-    spawned = 0
-    for record in records:
-        for r in _final_rows(record):
-            if r.spawned_on_ramp:
-                spawned += 1
-                if r.merged:
-                    merged += 1
-    if spawned == 0:
-        raise UndefinedMetricError("no ramp-spawned vehicles in the record set")
-    return 100.0 * merged / spawned
-
-
 def summarize_episode(record: EpisodeRecord, shield_mode: str, policy: str) -> EpisodeSummary:
     final = _final_rows(record)
     collisions = sum(1 for r in final if r.crashed)
     ramp = sum(1 for r in final if r.spawned_on_ramp)
     merged = sum(1 for r in final if r.spawned_on_ramp and r.merged)
-    try:
-        pct = merging_percentage([record])
-    except UndefinedMetricError:
-        pct = None
     return EpisodeSummary(
         seed=record.seed,
         steps=len(record.steps),
@@ -164,7 +139,7 @@ def summarize_episode(record: EpisodeRecord, shield_mode: str, policy: str) -> E
         policy=policy,
         min_headway=min_time_headway(record),
         avg_speed=average_speed(record),
-        merging_pct=pct,
+        merging_pct=100.0 * merged / ramp if ramp else None,
         collisions=collisions,
         merged_count=merged,
         ramp_count=ramp,

@@ -97,14 +97,14 @@ def heuristic_policy(vehicle: "Vehicle", world: "World") -> BehaviorAction:
     # highway vehicle: give way near the merge section when ramp traffic is
     # present, but never yield below a crawl (stopped queues help nobody)
     if vehicle.state.x < road.merge_end and v > 8.0:
-        # the ramp lane is sorted by x; every vehicle that can pass the
-        # |dx| < 60 test lies in [fl(x - 60), fl(x + 60)]
+        # the fleet is sorted by x; every vehicle that can pass the
+        # |dx| < 60 test lies in [fl(x - 60), fl(x + 60)]; the ego is off
+        # the ramp or has failed its merge, so the filter skips it
         index = neighbor_index(world)
-        keys = index.keys.get(road.ramp_lane, ())
-        lo = bisect.bisect_left(keys, (vehicle.state.x - 60.0,))
-        hi = bisect.bisect_right(keys, (vehicle.state.x + 60.0, math.inf))
-        for other in index.lanes.get(road.ramp_lane, ())[lo:hi]:
-            if other.vid == vehicle.vid or other.crashed or other.merge_failed:
+        lo = bisect.bisect_left(index.xs, vehicle.state.x - 60.0)
+        hi = bisect.bisect_right(index.xs, vehicle.state.x + 60.0)
+        for other in index.ordered[lo:hi]:
+            if other.lane != road.ramp_lane or other.crashed or other.merge_failed:
                 continue
             if not (road.merge_start - 50.0 <= other.state.x <= road.merge_end):
                 continue

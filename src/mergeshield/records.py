@@ -153,7 +153,7 @@ def snapshot_vehicle(world: "World", vehicle, action=None, outcome=None,
 
 
 def snapshot_step(world: "World", step_index: int, actions: dict, outcomes: dict,
-                  rewards: dict) -> StepRecord:
+                  topology: dict, rewards: dict) -> StepRecord:
     rows = []
     for vehicle in sorted(world.vehicles, key=lambda v: v.vid):
         action = actions.get(vehicle.vid)
@@ -166,8 +166,7 @@ def snapshot_step(world: "World", step_index: int, actions: dict, outcomes: dict
                 reward_overall=None if pair is None else pair[1],
             )
         )
-    return StepRecord(step=step_index, vehicles=tuple(rows),
-                      topology=dict(world.last_topology))
+    return StepRecord(step=step_index, vehicles=tuple(rows), topology=topology)
 
 
 def _dump(obj) -> str:

@@ -477,10 +477,10 @@ def joint_safe_control(world: "World", topology: "InteractionTopology",
     outcomes of everything it depends on.
     """
     from mergeshield.topology import evaluation_order
-    from mergeshield.world import neighbors
+    from mergeshield.world import neighbor_index, neighbors
 
     config = world.shield
-    order = evaluation_order(topology, world.vehicles)
+    order = evaluation_order(topology, neighbor_index(world))
     outcomes: dict = {}
     by_id = {v.vid: v for v in world.vehicles}
     for vid in order:

@@ -5,8 +5,9 @@ ahead of it in the common longitudinal coordinate.  A lane follower depends
 on its leader; a vehicle cutting in between a follower and its leader takes
 the leader's place; a lane-changing vehicle depends on both its current
 leader and the target-lane leader.  Rear vehicles are never parents, which
-keeps the graph acyclic, and the descending-position order is therefore
-always a valid evaluation order.
+keeps the graph acyclic, and the reversed fleet order of the state's
+neighbour index, front to back, is therefore always a valid evaluation
+order.
 
 The shield reads its leaders from this map in both modes: ``mass`` credits
 each parent with its resolved safe command, ``hss`` with its worst case.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from mergeshield.world import Vehicle, World
+    from mergeshield.world import NeighborIndex, Vehicle, World
 
 __all__ = ["InteractionTopology", "cutting_in", "build_topology", "evaluation_order"]
 
@@ -65,22 +66,20 @@ def build_topology(vehicles: list, world: "World") -> InteractionTopology:
     return InteractionTopology(entries=entries)
 
 
-def evaluation_order(topology: InteractionTopology, vehicles: list) -> list:
-    """Vehicle ids sorted front to back (ties by id); parents come first.
+def evaluation_order(topology: InteractionTopology, index: "NeighborIndex") -> list:
+    """Vehicle ids front to back (ties by id), the index's fleet order
+    reversed; parents come first.
 
-    The parent-ahead invariant makes this a topological order; a violated
-    edge means the invariant broke, which is an internal error.
+    The parent-ahead invariant makes this a topological order; a parent
+    that does not rank above its child means the invariant broke, which is
+    an internal error.
     """
-    ordered = sorted(vehicles, key=lambda v: (-v.state.x, v.vid))
-    ids = [v.vid for v in ordered]
-    index = {vid: i for i, vid in enumerate(ids)}
+    rank = index.rank
     for vid, parents in topology.entries.items():
-        if vid not in index:
-            continue
         for pid in parents:
-            if index[pid] >= index[vid]:
+            if rank[pid] <= rank[vid]:
                 raise RuntimeError(
                     f"interaction topology violates the parent-ahead invariant: "
                     f"{pid} -> {vid}"
                 )
-    return ids
+    return [v.vid for v in reversed(index.ordered)]

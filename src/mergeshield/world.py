@@ -5,21 +5,19 @@ topology, the joint safety-shield pass, low-level tracking, simultaneous
 integration of all vehicles from the same pre-step snapshot, collision
 detection and merge bookkeeping.
 
-Perception queries (:func:`neighbors`, :func:`observe`, :func:`perceived`)
-read one :class:`NeighborIndex` per world state instead of rescanning the
-fleet.  World state changes only inside ``step_world``, which ends by
-incrementing ``step_index``, so the index is built lazily on the first
-query at a step index and reused until the next step: the one built at
-step k serves that step's observations, policy, topology, shield and lane
-gate, and the one built after ``step_world`` serves step k's rewards and
-all of step k+1.  The index holds only the fleet's longitudinal order;
-each query walks outward from the ego along it and computes distances
-for the candidates it meets, so no pair is measured that no query reads.
-Answers are memoised on the index: the policy, topology, shield, lane gate
-and reward share one :class:`Neighborhood` per vehicle, and observation
-and reward one perceived group per vehicle.  The road has two lanes, so a
-vehicle's perception-adjacent lane is always the other one, whether or not
-it is changing lanes.
+Each world state has one fleet order, the :class:`NeighborIndex`: the
+fleet sorted by ``(x, -vid)``.  Perception queries (:func:`neighbors`,
+:func:`observe`, :func:`perceived`), the heuristic's ramp window, the
+shield's evaluation order and the collision sweep all read it.  It holds
+only ids and positions; lanes and flags are read live, so the merge
+bookkeeping, which moves no vehicle, leaves it valid.  ``step_world``
+advances ``step_index`` and builds the post-step index right after
+integration; it serves that step's collision sweep and rewards and all of
+the next step.  Queries walk outward from the ego along the order and
+measure only the candidates they meet.  Answers are memoised on the
+index, one :class:`Neighborhood` and one perceived group per vehicle.
+The road has two lanes, so a vehicle's perception-adjacent lane is always
+the other one, whether or not it is changing lanes.
 
 Lateral maneuvers: the point-mass integrator accelerates along the
 heading and never turns, so holding speed leaves the lateral velocity
@@ -32,7 +30,7 @@ the integrator itself stays untouched.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -158,23 +156,19 @@ class Neighborhood:
 
 @dataclass(frozen=True)
 class NeighborIndex:
-    """Perception facts of one world state, built once per step index.
+    """The fleet order of one world state, built once per step index.
 
-    ``lanes`` maps each lane to its vehicles, crashed ones included, in
-    ascending ``(x, -vid)`` order (greater x ahead, ties to the smaller id);
-    ``keys`` holds those sort keys per lane and ``slot`` each vehicle's
-    position in its lane.  ``ordered`` is the whole fleet in the same
-    order, with its ``xs`` and ``ys`` and each vehicle's ``rank`` in it.
-    Distances are computed on demand, one ``hypot(dx, dy)`` per candidate
-    a query meets; ``hypot`` is sign-symmetric, so both vehicles of a pair
-    see the same distance bit for bit.  ``near`` memoises :func:`neighbors`
-    and ``seen`` memoises :func:`perceived`, both by vid.
+    ``ordered`` is the whole fleet, crashed vehicles included, in ascending
+    ``(x, -vid)`` order (greater x ahead, ties to the smaller id), with its
+    ``xs`` and ``ys`` and each vehicle's ``rank`` in it.  It holds no lane:
+    queries read each vehicle's lane as they pass it.  Distances are
+    computed on demand, one ``hypot(dx, dy)`` per candidate a query meets;
+    ``hypot`` is sign-symmetric, so both vehicles of a pair see the same
+    distance bit for bit.  ``near`` memoises :func:`neighbors` and ``seen``
+    memoises :func:`perceived`, both by vid.
     """
 
     step_index: int
-    lanes: dict
-    keys: dict
-    slot: dict
     ordered: list
     xs: list
     ys: list
@@ -185,19 +179,9 @@ class NeighborIndex:
     @classmethod
     def build(cls, world: "World") -> "NeighborIndex":
         ordered = sorted(world.vehicles, key=lambda v: (v.state.x, -v.vid))
-        lanes: dict = {}
-        keys: dict = {}
-        slot: dict = {}
-        rank: dict = {}
-        for i, v in enumerate(ordered):
-            rank[v.vid] = i
-            lane = lanes.setdefault(v.lane, [])
-            slot[v.vid] = len(lane)
-            lane.append(v)
-            keys.setdefault(v.lane, []).append((v.state.x, -v.vid))
-        return cls(step_index=world.step_index, lanes=lanes, keys=keys, slot=slot,
-                   ordered=ordered, xs=[v.state.x for v in ordered],
-                   ys=[v.state.y for v in ordered], rank=rank)
+        return cls(step_index=world.step_index, ordered=ordered,
+                   xs=[v.state.x for v in ordered], ys=[v.state.y for v in ordered],
+                   rank={v.vid: i for i, v in enumerate(ordered)})
 
     def nearest(self, vid: int, n: int, comm: float) -> list:
         """The ``n`` others nearest to vehicle ``vid`` within ``comm``, by
@@ -251,9 +235,6 @@ class World:
     shield: ShieldConfig
     vehicles: list
     step_index: int = 0
-    #: most recent per-vehicle shield outcomes, refreshed by step_world
-    last_outcomes: dict = field(default_factory=dict)
-    last_topology: dict = field(default_factory=dict)
     #: perception index of the state at ``step_index``; see :func:`neighbor_index`
     _neighbor_index: NeighborIndex | None = field(default=None, init=False, repr=False,
                                                   compare=False)
@@ -317,9 +298,10 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
 def neighbor_index(world: World) -> NeighborIndex:
     """The :class:`NeighborIndex` of the world's current state.
 
-    Built on the first call at a ``step_index`` and reused by every later
-    call at the same index; ``step_world`` is the only code that changes
-    the state, and it advances ``step_index``.
+    Reused by every call at the same ``step_index``; ``step_world`` is the
+    only code that moves vehicles, and it advances ``step_index`` and
+    builds the new state's index itself.  The first state of an episode is
+    indexed on the first call.
     """
     index = world._neighbor_index
     if index is None or index.step_index != world.step_index:
@@ -327,50 +309,51 @@ def neighbor_index(world: World) -> NeighborIndex:
     return index
 
 
-def _first_in_range(lane: list, i: int, step: int, ego: Vehicle,
-                    comm: float) -> Vehicle | None:
-    """First vehicle of ``lane`` within ``comm`` of the ego, walking from
-    position ``i`` by ``step``; the walk stops once ``|dx|`` alone exceeds
-    ``comm``, as the lane is sorted by x."""
-    ex, ey = ego.state.x, ego.state.y
-    while 0 <= i < len(lane):
-        o = lane[i]
-        dx = o.state.x - ex
-        if abs(dx) > comm:
-            return None
-        if math.hypot(dx, o.state.y - ey) <= comm:
-            return o
-        i += step
-    return None
-
-
 def neighbors(world: World, ego: Vehicle) -> Neighborhood:
     """Nearest same-lane leader plus leader and rear vehicle in the other
     lane, all within communication range.
 
-    A lookup in the state's :func:`neighbor_index`: from the ego's slot in
-    its own lane and in the other lane, walk outward to the first vehicle
-    in range.  Walking, rather than taking the next slot, stays exact when
-    the nearest vehicle by x is out of Euclidean range through a lateral
-    offset.  The other lane is scanned along the whole road, not only in
-    the merge window: a merging vehicle ahead matters to a highway
-    follower before the follower reaches the window.  The answer is
-    memoised on the index by the ego's id, so repeat calls within one
-    state return the same object.
+    A walk along the state's fleet order (:func:`neighbor_index`) from the
+    ego's rank: ahead to the first in-range vehicle of the ego's lane
+    (``c_ol``) and of the other lane (``c_oal``), behind to the first
+    in-range vehicle of the other lane (``c_oar``), reading each vehicle's
+    lane as it is passed.  A walk stops once ``|dx|`` alone exceeds the
+    range.  Walking past the nearest vehicle by x stays exact when that one
+    is out of Euclidean range through a lateral offset.  The other lane is
+    scanned along the whole road, not only in the merge window: a merging
+    vehicle ahead matters to a highway follower before the follower
+    reaches the window.  The answer is memoised on the index by the ego's
+    id, so repeat calls within one state return the same object.
     """
     index = neighbor_index(world)
     near = index.near.get(ego.vid)
     if near is not None:
         return near
-    adj = 1 - ego.lane
     comm = world.scenario.comm_range
-    c_ol = _first_in_range(index.lanes[ego.lane], index.slot[ego.vid] + 1, 1, ego, comm)
-    c_oal = c_oar = None
-    lane = index.lanes.get(adj)
-    if lane is not None:
-        i = bisect_left(index.keys[adj], (ego.state.x, -ego.vid))
-        c_oal = _first_in_range(lane, i, 1, ego, comm)
-        c_oar = _first_in_range(lane, i - 1, -1, ego, comm)
+    ordered, xs, ys = index.ordered, index.xs, index.ys
+    r = index.rank[ego.vid]
+    ex, ey, lane = xs[r], ys[r], ego.lane
+    c_ol = c_oal = c_oar = None
+    for j in range(r + 1, len(xs)):
+        dx = xs[j] - ex
+        if dx > comm:
+            break
+        o = ordered[j]
+        if o.lane == lane:
+            if c_ol is None and math.hypot(dx, ys[j] - ey) <= comm:
+                c_ol = o
+        elif c_oal is None and math.hypot(dx, ys[j] - ey) <= comm:
+            c_oal = o
+        if c_ol is not None and c_oal is not None:
+            break
+    for j in range(r - 1, -1, -1):
+        dx = xs[j] - ex
+        if -dx > comm:
+            break
+        o = ordered[j]
+        if o.lane != lane and math.hypot(dx, ys[j] - ey) <= comm:
+            c_oar = o
+            break
     near = index.near[ego.vid] = Neighborhood(c_ol=c_ol, c_oal=c_oal, c_oar=c_oar)
     return near
 
@@ -473,14 +456,15 @@ def _rect_overlap(a: Vehicle, b: Vehicle) -> bool:
     )
 
 
-def _mark_collisions(vehicles: list) -> None:
+def _mark_collisions(ordered: list) -> None:
     """Flag both vehicles of every overlapping rectangle pair as crashed.
 
-    Sweeps in x: overlapping centres are less than half the summed lengths
-    apart, which in floating point never exceeds the longest length.
+    ``ordered`` is the fleet in ascending x, as :class:`NeighborIndex`
+    holds it.  Sweeps in x: overlapping centres are less than half the
+    summed lengths apart, which in floating point never exceeds the longest
+    length.
     """
-    longest = max((v.params.length for v in vehicles), default=0.0)
-    ordered = sorted(vehicles, key=lambda v: v.state.x)
+    longest = max((v.params.length for v in ordered), default=0.0)
     for i, a in enumerate(ordered):
         for j in range(i + 1, len(ordered)):
             b = ordered[j]
@@ -493,13 +477,15 @@ def _mark_collisions(vehicles: list) -> None:
                 b.crashed = True
 
 
-def step_world(world: World, joint_actions: dict) -> World:
-    """Advance the world one step under the given behavioural actions.
+def step_world(world: World, joint_actions: dict) -> tuple:
+    """Advance the world one step under the given behavioural actions;
+    returns the step's shield outcomes and topology entries, both by
+    vehicle id.
 
     Pipeline: plan -> topology -> joint shield -> tracking -> simultaneous
-    integration -> collision flags -> merge bookkeeping.  All vehicles
-    integrate from the same pre-step snapshot, so the vehicle iteration
-    order cannot leak into the result.
+    integration -> post-step index -> collision flags -> merge bookkeeping.
+    All vehicles integrate from the same pre-step snapshot, so the vehicle
+    iteration order cannot leak into the result.
     """
     from mergeshield.topology import build_topology
 
@@ -535,9 +521,11 @@ def step_world(world: World, joint_actions: dict) -> World:
 
     for vehicle in live:
         vehicle.state = new_states[vehicle.vid]
+    world.step_index += 1
 
-    # collisions: axis-aligned rectangle overlap on the post-step snapshot
-    _mark_collisions(world.vehicles)
+    # collisions: axis-aligned rectangle overlap on the post-step snapshot;
+    # no query fills the index's memos before the bookkeeping below ends
+    _mark_collisions(neighbor_index(world).ordered)
 
     # merge bookkeeping
     for vehicle in live:
@@ -556,8 +544,4 @@ def step_world(world: World, joint_actions: dict) -> World:
             and vehicle.rear > road.merge_end
         ):
             vehicle.merge_failed = True
-
-    world.step_index += 1
-    world.last_outcomes = outcomes
-    world.last_topology = topology.entries
-    return world
+    return outcomes, topology.entries

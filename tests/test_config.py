@@ -1,9 +1,18 @@
-from dataclasses import fields
+import math
+import re
+from dataclasses import fields, replace
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergeshield.config import _DERIVED, RunConfig, load_config, resolved_dict, validate_config
 from mergeshield.dynamics import VehicleParams
+from mergeshield.episode import run_episode
+from mergeshield.records import episode_lines
 from mergeshield.reward import RewardWeights
 from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig
@@ -191,3 +200,129 @@ def test_section_values_of_their_declared_types_pass(tmp_path):
                      scenario=ScenarioConfig(initial_speed_range=(10, 20.5)))
     assert resolved_dict(cfg) == resolved_dict(want)
 
+
+
+FLOAT_RULE = "a finite float, 0 or of magnitude 1e-09 to 1e+09"
+
+
+@pytest.mark.parametrize("text, path", [
+    ("road: {merge_start: .nan}", "road.merge_start"),
+    ("road: {merge_length: .inf}", "road.merge_length"),
+    ("road: {lane_width: .inf}", "road.lane_width"),
+    ("scenario: {comm_range: .inf}", "scenario.comm_range"),
+    ("scenario: {dt: .inf}", "scenario.dt"),
+    ("vehicle: {v_cap: .inf}", "vehicle.v_cap"),
+    ("shield: {k_eps: .inf}", "shield.k_eps"),
+    ("shield: {lag_margin: .nan}", "shield.lag_margin"),
+    ("reward: {v_max: .inf}", "reward.v_max"),
+    ("run: {headway_violation_threshold: -.inf}", "run.headway_violation_threshold"),
+    ("road: {merge_start: 1" + "0" * 400 + "}", "road.merge_start"),
+    ("road: {merge_start: 2.0e+9}", "road.merge_start"),
+    ("scenario: {dt: 1.0e-300}", "scenario.dt"),
+    ("vehicle: {a_min: -5.0e-324}", "vehicle.a_min"),
+])
+def test_non_finite_or_out_of_range_float_is_reported(tmp_path, text, path):
+    # the header echo cannot hold a NaN or an infinity, and braking steps
+    # of |a_min| * dt squared leave the float range for magnitudes far
+    # outside the rule's (an int beyond the float range overflows at once)
+    assert _errors(tmp_path, text + "\n") == [f"{path}: must be {FLOAT_RULE}"]
+
+
+def test_speed_range_with_an_infinity_is_reported(tmp_path):
+    assert _errors(tmp_path, "scenario: {initial_speed_range: [10, .inf]}\n") == \
+        [f"scenario.initial_speed_range: must be a pair of numbers, each {FLOAT_RULE}"]
+
+
+def test_zero_and_floats_at_the_magnitude_limits_pass(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("road: {merge_start: 0}\nscenario: {dt: 1.0e-9}\nvehicle: {v_cap: 1.0e+9}\n")
+    cfg = load_config(path)
+    assert (cfg.road.merge_start, cfg.scenario.dt, cfg.vehicle.v_cap) == (0, 1e-9, 1e9)
+
+
+@pytest.mark.parametrize("text, errors", [
+    ('scenario: {episode_steps: 0}\nvehicle: {width: 0.0}\nrun: {episodes: "x"}\n',
+     ["scenario: episode_steps must be >= 1", "vehicle: width must be positive, got 0.0",
+      "run.episodes: must be int"]),
+    ("reward: {function: x}\nrun: {episodes: x}\n",
+     ["reward.function: must be default or custom, got 'x'", "run.episodes: must be int"]),
+    ("run: {episodes: 0, headway_violation_threshold: 0}\nfoo: 1\n1: 2\n",
+     ["1: unknown section", "foo: unknown section", "run.episodes: must be >= 1",
+      "run.headway_violation_threshold: must be positive"]),
+])
+def test_every_failing_section_is_reported(tmp_path, text, errors):
+    assert _errors(tmp_path, text) == errors
+
+
+def _schema_hints():
+    """Each YAML section's keys with their field annotations."""
+    hints = {name: {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
+             for name, cls in ECHOED_SECTIONS.items()}
+    hints["reward"]["function"] = str
+    hints["policy"] = {"kind": str}
+    hints["run"] = {k: kind for k, kind in get_type_hints(RunConfig).items()
+                    if k not in ECHOED_SECTIONS and k not in ("policy", "reward_kind")}
+    return hints
+
+
+SCHEMA_HINTS = _schema_hints()
+WRONG_VALUES = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.integers(-3, 12), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b"]), st.integers(-3, 3), max_size=2),
+)
+#: small values of each annotated type, so no config asks for a large
+#: fleet or a long run
+TYPED_VALUES = {
+    int: st.integers(-3, 12),
+    float: st.one_of(st.integers(-3, 12), st.floats(-1e3, 1e3)),
+    str: st.sampled_from(("none", "hss", "mass", "random", "heuristic", "default", "custom", "x")),
+    bool: st.booleans(),
+    tuple: st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+}
+
+
+def _typed(kind):
+    if get_origin(kind) is UnionType:
+        return st.one_of([st.none() if k is type(None) else _typed(k) for k in get_args(kind)])
+    return TYPED_VALUES[kind]
+
+
+@st.composite
+def yaml_configs(draw):
+    """YAML mappings of known and unknown sections and keys; four in five
+    values of a known key are of its declared type, the rest of any type."""
+    names = draw(st.lists(st.sampled_from([*SCHEMA_HINTS, "bogus"]), unique=True, max_size=5))
+    data = {}
+    for name in names:
+        if draw(st.integers(0, 9)) == 0:
+            data[name] = draw(WRONG_VALUES)  # a section that is no mapping
+            continue
+        hints = SCHEMA_HINTS.get(name, {})
+        section = {}
+        for key in draw(st.lists(st.sampled_from([*hints, "bogus"]), unique=True, max_size=4)):
+            if key in hints and draw(st.integers(0, 4)):
+                section[key] = draw(_typed(hints[key]))
+            else:
+                section[key] = draw(st.one_of(*TYPED_VALUES.values(), WRONG_VALUES))
+        data[name] = section
+    return data
+
+
+ERROR_PATH = re.compile(r"top level|[A-Za-z_]\w*(\.\w+)?: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=yaml_configs())
+def test_validated_config_runs_or_every_error_has_its_path(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("cfg") / "run.yaml"
+    path.write_text(yaml.safe_dump(data))
+    report = validate_config(path)
+    if report.ok:
+        cfg = report.config
+        cfg = replace(cfg, scenario=replace(cfg.scenario, episode_steps=3))
+        record, _ = run_episode(cfg, 0)
+        episode_lines(record)
+    else:
+        assert all(ERROR_PATH.match(e) for e in report.errors), report.errors

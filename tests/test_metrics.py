@@ -6,10 +6,8 @@ import pytest
 
 from mergeshield.metrics import (
     EpisodeSummary,
-    UndefinedMetricError,
     aggregate_summaries,
     average_speed,
-    merging_percentage,
     min_time_headway,
     read_summaries,
     summarize_episode,
@@ -102,12 +100,10 @@ class TestMergingPercentage:
         final = (row(0, 300.0, spawned_on_ramp=True, merged=True),
                  row(1, 280.0, lane=1, y=LANE_WIDTH, spawned_on_ramp=True),
                  row(2, 320.0))
-        assert merging_percentage([record(final)]) == 50.0
+        assert summarize_episode(record(final), "mass", "random").merging_pct == 50.0
 
     def test_undefined_without_a_ramp_vehicle(self):
         rec = record((row(0, 100.0), row(1, 130.0)))
-        with pytest.raises(UndefinedMetricError):
-            merging_percentage([rec])
         summary = summarize_episode(rec, "mass", "random")
         assert summary.merging_pct is None
         assert summary.to_dict()["merging_pct"] is None

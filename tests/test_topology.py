@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mergeshield.road import RoadNetwork
 from mergeshield.topology import build_topology, evaluation_order
-from mergeshield.world import ScenarioConfig
+from mergeshield.world import ScenarioConfig, neighbor_index
 
 from conftest import make_vehicle, make_world
 
@@ -178,7 +179,7 @@ class TestEvaluationOrder:
         follower = make_vehicle(0, 100.0, 20.0)
         w = make_world([follower, leader])
         topo = build_topology(w.vehicles, w)
-        assert evaluation_order(topo, w.vehicles) == [1, 0]
+        assert evaluation_order(topo, neighbor_index(w)) == [1, 0]
 
     def test_unconstrained_order_is_descending_position(self):
         vehicles = [
@@ -189,7 +190,24 @@ class TestEvaluationOrder:
         from mergeshield.topology import InteractionTopology
 
         topo = InteractionTopology(entries={0: (), 1: (), 2: ()})
-        assert evaluation_order(topo, vehicles) == [0, 2, 1]
+        assert evaluation_order(topo, neighbor_index(make_world(vehicles))) == [0, 2, 1]
+
+    def test_matches_descending_position_sort_with_ties(self):
+        # x on a 5 m grid, so many vehicles share a position; the reversed
+        # fleet order must equal a plain front-to-back sort, ties by id
+        rng = np.random.default_rng(23)
+        road = RoadNetwork()
+        ties = 0
+        for _ in range(200):
+            vehicles = random_snapshot(rng, road)
+            for v in vehicles:
+                v.state = replace(v.state, x=5.0 * float(rng.integers(0, 8)))
+            vehicles = [vehicles[i] for i in rng.permutation(len(vehicles))]
+            w = make_world(vehicles, road=road)
+            expected = [v.vid for v in sorted(vehicles, key=lambda v: (-v.state.x, v.vid))]
+            assert evaluation_order(build_topology(vehicles, w), neighbor_index(w)) == expected
+            ties += len(vehicles) - len({v.state.x for v in vehicles})
+        assert ties > 0
 
     def test_parents_always_evaluated_first(self):
         rng = np.random.default_rng(55)
@@ -198,7 +216,7 @@ class TestEvaluationOrder:
             vehicles = random_snapshot(rng, road)
             w = make_world(vehicles, road=road)
             topo = build_topology(vehicles, w)
-            order = evaluation_order(topo, vehicles)
+            order = evaluation_order(topo, neighbor_index(w))
             index = {vid: i for i, vid in enumerate(order)}
             for vid, parents in topo.entries.items():
                 for pid in parents:
@@ -210,5 +228,8 @@ class TestEvaluationOrder:
         a = make_vehicle(0, 100.0, 20.0)
         b = make_vehicle(1, 130.0, 20.0)
         bogus = InteractionTopology(entries={0: (1,), 1: (0,)})
+        index = neighbor_index(make_world([a, b]))
         with pytest.raises(RuntimeError, match="parent-ahead"):
-            evaluation_order(bogus, [a, b])
+            evaluation_order(bogus, index)
+        with pytest.raises(RuntimeError, match="parent-ahead"):
+            evaluation_order(InteractionTopology(entries={0: (0,)}), index)

@@ -476,7 +476,7 @@ class TestStepWorld:
         assert flips <= 1
 
     def test_collision_sweep_flags_what_all_pairs_flags(self):
-        from mergeshield.world import _mark_collisions, _rect_overlap
+        from mergeshield.world import _mark_collisions, _rect_overlap, neighbor_index
 
         def all_pairs(vehicles):
             ordered = sorted(vehicles, key=lambda v: v.vid)
@@ -502,7 +502,7 @@ class TestStepWorld:
                 vehicle.crashed = bool(rng.random() < 0.1)
                 fleet.append(vehicle)
             reference = copy.deepcopy(fleet)
-            _mark_collisions(fleet)
+            _mark_collisions(neighbor_index(make_world(fleet)).ordered)
             all_pairs(reference)
             assert [v.crashed for v in fleet] == [v.crashed for v in reference]
             flagged += sum(v.crashed for v in fleet)
@@ -538,9 +538,9 @@ class TestStepWorld:
         for _ in range(60):
             pre_follower = follower.state
             pre_leader = leader.state
-            step_world(w, {0: BehaviorAction.SPEED_UP, 1: BehaviorAction.FOLLOW_LANE})
-            out = w.last_outcomes[0]
-            leader_cmd = w.last_outcomes[1].v_safe
+            outcomes, _ = step_world(w, {0: BehaviorAction.SPEED_UP, 1: BehaviorAction.FOLLOW_LANE})
+            out = outcomes[0]
+            leader_cmd = outcomes[1].v_safe
 
             gap = (pre_leader.x - 2.5) - (pre_follower.x + 2.5)
             v_e = pre_follower.speed
