@@ -104,7 +104,7 @@ _DERIVED = {
 #: and squares them, which a NaN, an infinity or a magnitude far outside
 #: this range carries out of the float range.
 FLOAT_MAGNITUDES = (1e-9, 1e9)
-_FINITE = "a finite float, 0 or of magnitude {:g} to {:g}".format(*FLOAT_MAGNITUDES)
+_FLOAT_RULE = "a finite float, 0 or of magnitude {:g} to {:g}".format(*FLOAT_MAGNITUDES)
 
 
 def _is_number(value) -> bool:
@@ -136,8 +136,8 @@ def _type_name(kind, value) -> str:
         return " or ".join(_type_name(k, value) for k in get_args(kind) if k is not type(None))
     if kind is tuple:
         numbers = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
-        return f"a pair of numbers, each {_FINITE}" if numbers else "a pair of numbers"
-    return _FINITE if kind is float and _is_number(value) else kind.__name__
+        return f"a pair of numbers, each {_FLOAT_RULE}" if numbers else "a pair of numbers"
+    return _FLOAT_RULE if kind is float and _is_number(value) else kind.__name__
 
 
 def _build_section(name, cls, data, report):

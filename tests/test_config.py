@@ -201,7 +201,6 @@ def test_section_values_of_their_declared_types_pass(tmp_path):
     assert resolved_dict(cfg) == resolved_dict(want)
 
 
-
 FLOAT_RULE = "a finite float, 0 or of magnitude 1e-09 to 1e+09"
 
 
