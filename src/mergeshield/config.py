@@ -15,9 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-import yaml
-
-from mergeshield.dynamics import VehicleParams
+from mergeshield.dynamics import FLOAT_MAGNITUDES, VehicleParams
 from mergeshield.policy import PolicySpec
 from mergeshield.reward import RewardWeights
 from mergeshield.road import RoadNetwork
@@ -99,11 +97,6 @@ _DERIVED = {
 }
 
 
-#: magnitudes a nonzero config float may have.  Every float is a physical
-#: quantity in SI units; the shield counts braking steps of ``|a_min| * dt``
-#: and squares them, which a NaN, an infinity or a magnitude far outside
-#: this range carries out of the float range.
-FLOAT_MAGNITUDES = (1e-9, 1e9)
 _FLOAT_RULE = "a finite float, 0 or of magnitude {:g} to {:g}".format(*FLOAT_MAGNITUDES)
 
 
@@ -242,6 +235,9 @@ def validate_config(path) -> ValidationReport:
     """Parse and check the YAML run config at ``path``.  Errors carry their
     path; a vehicle count outside the reference range is a warning unless
     ``run.allow_offrange`` is set."""
+    # imported here so that running episodes never loads the YAML parser
+    import yaml
+
     report = ValidationReport()
     try:
         with open(path) as f:

@@ -14,7 +14,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["VehicleParams", "VehicleState", "step"]
+__all__ = ["VehicleParams", "VehicleState", "check_magnitude", "step"]
+
+#: magnitudes a nonzero physical float may have.  Every float is a
+#: quantity in SI units; the shield counts braking steps of ``|a_min| * dt``
+#: and squares them, which a NaN, an infinity or a magnitude far outside
+#: this range carries out of the float range.
+FLOAT_MAGNITUDES = (1e-9, 1e9)
+
+
+def check_magnitude(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and
+    of a magnitude in :data:`FLOAT_MAGNITUDES`."""
+    lo, hi = FLOAT_MAGNITUDES
+    if not lo <= abs(value) <= hi:
+        raise ValueError(f"{name} must be a finite float of magnitude {lo:g} to {hi:g}, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +52,8 @@ class VehicleParams:
             raise ValueError(f"width must be positive, got {self.width}")
         if not (self.a_min < 0 < self.a_max):
             raise ValueError(f"need a_min < 0 < a_max, got [{self.a_min}, {self.a_max}]")
+        check_magnitude("a_min", self.a_min)
+        check_magnitude("a_max", self.a_max)
         if not self.v_cap > 0:
             raise ValueError(f"v_cap must be positive, got {self.v_cap}")
 

@@ -8,21 +8,23 @@ during it, are rewarded for it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from mergeshield.config import RunConfig, resolved_dict
 from mergeshield.metrics import EpisodeSummary, summarize_episode
 from mergeshield.policy import Policy, build_policy
 from mergeshield.records import EpisodeRecord, snapshot_step, snapshot_vehicle
 from mergeshield.reward import fleet_rewards
+from mergeshield.seedstream import SeedPool
 from mergeshield.world import World, observe, spawn, step_world
 
 __all__ = ["build_world", "run_episode", "is_violation"]
 
 
 def build_world(cfg: RunConfig, seed: int) -> World:
+    """The episode's initial world: the fleet spawned from the stream of
+    ``np.random.default_rng(seed)``, which :mod:`mergeshield.seedstream`
+    reproduces bit for bit without numpy."""
     cfg = cfg.resolved()
-    rng = np.random.default_rng(seed)
+    rng = SeedPool(seed).generator()
     vehicles = spawn(cfg.scenario, cfg.road, rng, params=cfg.vehicle)
     return World(road=cfg.road, scenario=cfg.scenario, shield=cfg.shield,
                  vehicles=vehicles)
@@ -43,10 +45,7 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
     record = EpisodeRecord(
         seed=seed,
         config=resolved_dict(cfg),
-        initial=tuple(
-            snapshot_vehicle(world, v)
-            for v in sorted(world.vehicles, key=lambda v: v.vid)
-        ),
+        initial=tuple(snapshot_vehicle(world, v) for v in world.vehicles),
     )
 
     for k in range(cfg.scenario.episode_steps):

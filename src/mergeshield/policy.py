@@ -4,7 +4,11 @@ Policies map the world state to one of five behavioural actions per live
 vehicle per step.  A policy sees the step index, the world and, if it asks
 for them, one observation per live vehicle; rewards are recorded but never
 handed back.  The random policy's action is a pure function of (seed, step
-index, vehicle id); the heuristic's is a pure function of the world state.
+index, vehicle id), drawn from the stream of numpy's
+``default_rng(SeedSequence(entropy=seed, spawn_key=(step,)))``, which
+:mod:`mergeshield.seedstream` reproduces bit for bit in integer arithmetic
+(numpy is not needed); the heuristic's is a pure function of the world
+state.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
+from mergeshield.seedstream import SeedPool
 
 if TYPE_CHECKING:
     from mergeshield.world import Vehicle, World
@@ -146,28 +150,28 @@ _ACTIONS = tuple(BehaviorAction)
 class RandomPolicy(Policy):
     """Seeded uniform policy; deterministic per (seed, step, vehicle id).
 
-    One generator per step draws a vector indexed by vehicle id.  A longer
-    draw from the same generator starts with the shorter one, so a
-    vehicle's action does not depend on the fleet's size, on which vehicles
-    are crashed or on the order of calls.
+    One generator per step draws a vector indexed by vehicle id: numpy's
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(step,)))
+    .integers(0, 5, size)``, computed by :class:`SeedPool`, which mixes the
+    seed into the entropy pool once per episode and each step's key into a
+    copy of it.  A longer draw from the same generator starts with the
+    shorter one, so a vehicle's action does not depend on the fleet's size,
+    on which vehicles are crashed or on the order of calls.
     """
 
     needs_observations = False
 
     def __init__(self, seed: int = 0):
-        self.seed = int(seed)
+        self.start_episode(seed)
 
     def start_episode(self, seed):
-        self.seed = int(seed)
+        self._pool = SeedPool(seed)
 
     def decide(self, step_index, world, observations):
         live = [v.vid for v in world.vehicles if not v.crashed]
         if not live:
             return {}
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(step_index,))
-        )
-        draws = rng.integers(0, len(_ACTIONS), size=1 + max(live)).tolist()
+        draws = self._pool.generator(step_index).integers(len(_ACTIONS), 1 + max(live))
         return {vid: _ACTIONS[draws[vid]] for vid in live}
 
 

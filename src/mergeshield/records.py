@@ -155,7 +155,7 @@ def snapshot_vehicle(world: "World", vehicle, action=None, outcome=None,
 def snapshot_step(world: "World", step_index: int, actions: dict, outcomes: dict,
                   topology: dict, rewards: dict) -> StepRecord:
     rows = []
-    for vehicle in sorted(world.vehicles, key=lambda v: v.vid):
+    for vehicle in world.vehicles:
         action = actions.get(vehicle.vid)
         outcome = outcomes.get(vehicle.vid)
         pair = rewards.get(vehicle.vid)

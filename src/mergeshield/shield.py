@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
+from mergeshield.dynamics import check_magnitude
+
 if TYPE_CHECKING:
     from mergeshield.topology import InteractionTopology
     from mergeshield.world import World
@@ -101,6 +103,7 @@ class ShieldConfig:
             raise ValueError("k_eps must be positive")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        check_magnitude("dt", self.dt)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from mergeshield.dynamics import VehicleParams, VehicleState, step
+from mergeshield.dynamics import VehicleParams, VehicleState, check_magnitude, step
 from mergeshield.policy import BehaviorAction
 from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig, brake_cap, bumper_gap, joint_safe_control
@@ -97,6 +95,7 @@ class ScenarioConfig:
             raise ValueError("tau must be positive")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        check_magnitude("dt", self.dt)
         if self.episode_steps < 1:
             raise ValueError("episode_steps must be >= 1")
         lo, hi = self.initial_speed_range
@@ -230,6 +229,9 @@ class NeighborIndex:
 
 @dataclass
 class World:
+    """The simulated state.  ``vehicles`` is sorted by vid once, here;
+    records list the fleet in that order and sort nothing themselves."""
+
     road: RoadNetwork
     scenario: ScenarioConfig
     shield: ShieldConfig
@@ -239,11 +241,14 @@ class World:
     _neighbor_index: NeighborIndex | None = field(default=None, init=False, repr=False,
                                                   compare=False)
 
+    def __post_init__(self):
+        self.vehicles = sorted(self.vehicles, key=lambda v: v.vid)
+
     def live_vehicles(self) -> list:
         return [v for v in self.vehicles if not v.crashed]
 
 
-def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
+def spawn(config: ScenarioConfig, road: RoadNetwork, rng,
           params: VehicleParams | None = None) -> list:
     """Place vehicles on the through lane and the ramp behind the merge
     section.
@@ -254,7 +259,11 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
     no runtime filter could honour the headway guarantee.  Each queue
     extends backwards as far as its count needs; the road has no start, so
     rear vehicles may spawn at negative x.
-    Deterministic for a given generator state.
+
+    ``rng`` is anything with ``uniform(lo, hi)``: a
+    :class:`mergeshield.seedstream.Generator`, or a numpy ``Generator``,
+    whose draws it equals for the same seed.  Deterministic for a given
+    generator state; the list is in vid order.
     """
     params = params or VehicleParams()
     n_ramp = min(config.resolved_n_ramp(), config.n_vehicles)
@@ -270,9 +279,9 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng: np.random.Generator,
         x = front_x
         lead_speed = None
         for i in range(count):
-            speed = float(rng.uniform(lo, hi))
+            speed = rng.uniform(lo, hi)
             if i > 0:
-                gap = max(config.spawn_spacing_min, config.tau * speed) + float(rng.uniform(0.0, 8.0))
+                gap = max(config.spawn_spacing_min, config.tau * speed) + rng.uniform(0.0, 8.0)
                 gap = max(gap, config.tau * speed)
                 x = x - gap - params.length
                 # spawn a metre inside the braking-feasibility envelope so

@@ -239,6 +239,41 @@ def test_zero_and_floats_at_the_magnitude_limits_pass(tmp_path):
     assert (cfg.road.merge_start, cfg.scenario.dt, cfg.vehicle.v_cap) == (0, 1e-9, 1e9)
 
 
+@pytest.mark.parametrize("cls, key, value", [
+    (ScenarioConfig, "dt", 1e-300),
+    (ScenarioConfig, "dt", math.inf),
+    (ShieldConfig, "dt", 1e-300),
+    (ShieldConfig, "dt", 2e9),
+    (VehicleParams, "a_min", -1e-300),
+    (VehicleParams, "a_min", -math.inf),
+    (VehicleParams, "a_max", 1e-10),
+    (VehicleParams, "a_max", math.nan),
+])
+def test_dataclass_built_in_code_applies_the_float_rule(cls, key, value):
+    with pytest.raises(ValueError, match=key):
+        cls(**{key: value})
+
+
+def test_float_rule_repros_fail_before_the_shield():
+    # both used to crash inside the shield: ZeroDivisionError in
+    # brake_margin and OverflowError in brake_cap
+    with pytest.raises(ValueError, match="dt must be a finite float of magnitude"):
+        run_episode(RunConfig(scenario=ScenarioConfig(dt=1e-300, episode_steps=3)), 0)
+    with pytest.raises(ValueError, match="a_min must be a finite float of magnitude"):
+        run_episode(RunConfig(vehicle=VehicleParams(a_min=-1e-300),
+                              scenario=ScenarioConfig(episode_steps=3)), 0)
+
+
+@pytest.mark.parametrize("dt, accel", [(1e-9, 1e-9), (1e-9, 1e9), (1e9, 1e-9), (1e9, 1e9)])
+@pytest.mark.parametrize("mode", ["hss", "mass"])
+def test_episode_runs_at_the_magnitude_limits(dt, accel, mode):
+    cfg = RunConfig(scenario=ScenarioConfig(dt=dt, episode_steps=3),
+                    vehicle=VehicleParams(a_min=-accel, a_max=accel),
+                    shield=ShieldConfig(mode=mode))
+    record, summary = run_episode(cfg, 0)
+    assert len(record.steps) == 3 and len(episode_lines(record)) == 5
+
+
 @pytest.mark.parametrize("text, errors", [
     ('scenario: {episode_steps: 0}\nvehicle: {width: 0.0}\nrun: {episodes: "x"}\n',
      ["scenario: episode_steps must be >= 1", "vehicle: width must be positive, got 0.0",

@@ -5,7 +5,10 @@ caller."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -32,6 +35,55 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(mergeshield.__path__))
 @pytest.mark.parametrize("name", MODULES)
 def test_module_imports(name):
     importlib.import_module(f"mergeshield.{name}")
+
+
+def _run_fresh(code: str, *args) -> list:
+    """Run ``code`` in a fresh interpreter that imports this package; its
+    output lines.  pytest itself has numpy and yaml loaded, so only a fresh
+    interpreter shows what the package imports."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_running_episodes_loads_neither_numpy_nor_yaml():
+    lines = _run_fresh(f"""
+import importlib, sys
+for name in {MODULES!r}:
+    importlib.import_module("mergeshield." + name)
+from mergeshield.config import RunConfig
+from mergeshield.episode import run_episode
+from mergeshield.policy import PolicySpec
+from mergeshield.records import episode_lines
+from mergeshield.world import ScenarioConfig
+for kind in ("random", "heuristic"):
+    cfg = RunConfig(scenario=ScenarioConfig(episode_steps=3), policy=PolicySpec(kind=kind))
+    print(len(episode_lines(run_episode(cfg, 0)[0])))
+print(sorted(m for m in ("numpy", "yaml") if m in sys.modules))
+""")
+    assert lines == ["5", "5", "[]"]
+
+
+def test_load_config_imports_yaml_when_called(tmp_path):
+    good, bad = tmp_path / "good.yaml", tmp_path / "bad.yaml"
+    good.write_text("scenario: {n_vehicles: 7, dt: 0.05}\n")
+    bad.write_text("scenario: {n_vehicles: 7\n")
+    lines = _run_fresh("""
+import sys
+from mergeshield.config import ConfigError, load_config
+print("yaml" in sys.modules)
+cfg = load_config(sys.argv[1])
+print(cfg.scenario.n_vehicles, cfg.shield.dt)
+try:
+    load_config(sys.argv[2])
+except ConfigError as exc:
+    print(exc)
+""", str(good), str(bad))
+    assert lines[:2] == ["False", "7 0.05"]
+    assert lines[2].startswith("parse error (line 2, column 1): expected ',' or '}'")
 
 
 @pytest.mark.parametrize("name", ["mergeshield"] + [f"mergeshield.{m}" for m in MODULES])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mergeshield.dynamics import VehicleParams, VehicleState
 from mergeshield.policy import BehaviorAction
 from mergeshield.road import RoadNetwork
+from mergeshield.seedstream import SeedPool
 from mergeshield.world import (
     ScenarioConfig,
     bumper_gap,
@@ -149,6 +150,13 @@ def random_layout(rng, road, comm):
 
 
 class TestSpawn:
+    @pytest.mark.parametrize("seed", [0, 7, 4_000_000_000])
+    def test_seedstream_spawns_what_numpy_spawns(self, seed):
+        cfg = ScenarioConfig(n_vehicles=11)
+        road = RoadNetwork()
+        assert (spawn(cfg, road, SeedPool(seed).generator())
+                == spawn(cfg, road, np.random.default_rng(seed)))
+
     def test_deterministic(self):
         cfg = ScenarioConfig(n_vehicles=9)
         road = RoadNetwork()
@@ -405,6 +413,30 @@ class TestPlanMotion:
         v = make_vehicle(0, 250.0, 20.0, lane=road.ramp_lane, road=road)
         plan = plan_motion(v, BehaviorAction.LANE_RIGHT, road, dv_step=2.0)
         assert not plan.lane_request and plan.target_lane == road.ramp_lane
+
+
+class TestWorldOrder:
+    @pytest.mark.parametrize("kind", ["random", "heuristic"])
+    def test_shuffled_fleet_records_the_same_bytes(self, monkeypatch, kind):
+        # World sorts its fleet by vid once; records read that order and
+        # sort nothing themselves
+        from mergeshield import episode
+        from mergeshield.config import RunConfig
+        from mergeshield.policy import PolicySpec
+        from mergeshield.records import episode_lines
+
+        cfg = RunConfig(scenario=ScenarioConfig(episode_steps=40, n_vehicles=11),
+                        policy=PolicySpec(kind=kind))
+        want = episode_lines(episode.run_episode(cfg, 3)[0])
+
+        def shuffled_spawn(*args, **kwargs):
+            vehicles = spawn(*args, **kwargs)
+            np.random.default_rng(0).shuffle(vehicles)
+            assert [v.vid for v in vehicles] != sorted(v.vid for v in vehicles)
+            return vehicles
+
+        monkeypatch.setattr(episode, "spawn", shuffled_spawn)
+        assert episode_lines(episode.run_episode(cfg, 3)[0]) == want
 
 
 class TestStepWorld:
