@@ -36,6 +36,18 @@ GOLDEN = {
         "929fe2e4572233739231166679f214561774825d3d7fc40ddea9749333ae714a",
         "a07724bbed2fe489accb16ab77adebb9d1bcf4484747972ad6be3dfe15ccf401",
     ),
+    ("mass", "heuristic", 2): (
+        "fe7156b995228982b9177e2dac7abc7bdef877ad87cbbef1fb5ea56b5e4b6dfd",
+        "cafab650e53049d03679904150e30804d97c1a7e8d176e765835a7841754fffc",
+    ),
+    ("hss", "random", 1): (
+        "b237f4fabaf5abe0d27f8ee829231be826960a9676940fce332ff43312c67119",
+        "fc54b1e7841721df378ee9be14e9224b7fb6cd1a5a59dbd8eec9b2ad39fc80d9",
+    ),
+    ("none", "heuristic", 2): (
+        "7f43f38e2855bf8f93ff85d87a3a36aec61af65669f36c4a48837dd17b6f37c2",
+        "9562141f18ef1294521380bd72b257af0b5de1fbd61dd005910907cbc65160c3",
+    ),
 }
 
 
@@ -62,6 +74,9 @@ COVERAGE = {
     ("mass", "random", 1): _binds_soft_lateral_row,
     ("hss", "heuristic", 2): _merges_and_faults,
     ("none", "random", 0): _collides,
+    ("mass", "heuristic", 2): _merges_and_faults,
+    ("hss", "random", 1): _binds_soft_lateral_row,
+    ("none", "heuristic", 2): _collides,
 }
 
 
