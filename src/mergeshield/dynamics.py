@@ -7,12 +7,19 @@ direction before each step, and ``step`` accelerates along that heading.
 Integration is explicit forward Euler at a fixed ``dt``: positions use the
 pre-step velocities, so a speed command issued this step moves the vehicle
 only from the next step on.
+
+A :class:`VehicleState` is a named tuple that stores its planar speed once,
+when it is built: every layer reads the speed several times per step.
+Each way of making a state, including ``_replace``, ``_make``, pickling and
+copying, goes through the constructor, so the stored speed always matches
+the velocity components.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["VehicleParams", "VehicleState", "check_magnitude", "step"]
 
@@ -58,20 +65,49 @@ class VehicleParams:
             raise ValueError(f"v_cap must be positive, got {self.v_cap}")
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Planar kinematic state: positions, velocity components, heading."""
+class _StateFields(NamedTuple):
+    x: float
+    y: float
+    v_x: float
+    v_y: float
+    psi: float
+    speed: float
 
-    x: float = 0.0
-    y: float = 0.0
-    v_x: float = 0.0
-    v_y: float = 0.0
-    psi: float = 0.0
 
-    @property
-    def speed(self) -> float:
-        """Planar speed sqrt(v_x^2 + v_y^2)."""
-        return math.hypot(self.v_x, self.v_y)
+#: the constructor's arguments: every field but ``speed``
+_INPUTS = _StateFields._fields[:5]
+
+
+class VehicleState(_StateFields):
+    """Planar kinematic state: positions, velocity components, heading, and
+    the planar speed ``hypot(v_x, v_y)``.
+
+    Built from ``x, y, v_x, v_y, psi`` alone, by position or keyword; the
+    speed is computed once, here, and cannot be passed in.  ``_replace``,
+    ``_make`` (which takes the five inputs) and ``__getnewargs__`` (used by
+    ``pickle`` and ``copy``) all go through this constructor, so no path
+    keeps a speed that no longer matches ``v_x`` and ``v_y``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float = 0.0, y: float = 0.0, v_x: float = 0.0, v_y: float = 0.0,
+                psi: float = 0.0):
+        return tuple.__new__(cls, (x, y, v_x, v_y, psi, math.hypot(v_x, v_y)))
+
+    @classmethod
+    def _make(cls, iterable) -> "VehicleState":
+        return cls(*iterable)
+
+    def _replace(self, /, **changes) -> "VehicleState":
+        state = self._make(map(changes.pop, _INPUTS, self))
+        if changes:
+            raise ValueError(f"cannot replace {sorted(changes)}; "
+                             f"a VehicleState is built from {_INPUTS}")
+        return state
+
+    def __getnewargs__(self) -> tuple:
+        return self[:5]
 
 
 def step(state: VehicleState, params: VehicleParams, a: float, dt: float) -> VehicleState:
@@ -96,4 +132,4 @@ def step(state: VehicleState, params: VehicleParams, a: float, dt: float) -> Veh
         v_x *= scale
         v_y *= scale
 
-    return VehicleState(x=x, y=y, v_x=v_x, v_y=v_y, psi=state.psi)
+    return VehicleState(x, y, v_x, v_y, state.psi)

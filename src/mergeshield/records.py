@@ -38,8 +38,10 @@ SCHEMA = "mergeshield.episode/1"
 class VehicleRow(NamedTuple):
     """One vehicle at one step (post-step state plus what produced it).
 
-    A named tuple: immutable like a frozen dataclass, and several times
-    cheaper to build, which matters at one row per vehicle per step.  A row
+    A named tuple, as is every value built once per vehicle and step
+    (``VehicleState``, ``MotionPlan``, ``Neighborhood``, ``shield.Row``,
+    ``QPSolution``, ``ShieldOutcome`` and this row): immutable like a
+    frozen dataclass, and several times cheaper to build or copy.  A row
     without an action serialises its state fields only.
     """
 

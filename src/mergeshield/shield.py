@@ -29,7 +29,7 @@ into full braking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from mergeshield.dynamics import check_magnitude
@@ -106,8 +106,7 @@ class ShieldConfig:
         check_magnitude("dt", self.dt)
 
 
-@dataclass(frozen=True)
-class ShieldOutcome:
+class ShieldOutcome(NamedTuple):
     """Filtered longitudinal command and audit data for one vehicle-step.
 
     ``v_nominal`` is the reachability-clamped nominal command, so
@@ -124,8 +123,10 @@ class ShieldOutcome:
     fault: bool = False
 
 
-@dataclass(frozen=True)
-class QPSolution:
+class QPSolution(NamedTuple):
+    """The filtered command, the slack it uses, the labels of the rows that
+    bind there and the objective value."""
+
     v_safe: float
     slack: float
     active: tuple
@@ -415,7 +416,7 @@ def solve_qp(v_nominal: float, rows: list, k_eps: float, lo: float,
     free = None
     if floor <= hi:
         v, active = _clamp(v_nominal, floor, hi, floor_label, hi_label)
-        free = QPSolution(v_safe=v, slack=0.0, active=active, objective=(v - v_nominal) ** 2)
+        free = QPSolution(v, 0.0, active, (v - v_nominal) ** 2)
     if soft is None:
         return free
     v, active = _clamp(v_nominal - 0.5 * k_eps * soft.a, lo, hi, lo_label, hi_label,
@@ -424,17 +425,19 @@ def solve_qp(v_nominal: float, rows: list, k_eps: float, lo: float,
     objective = (v - v_nominal) ** 2 + k_eps * slack
     if free is not None and free.objective <= objective:
         return free
-    return QPSolution(v_safe=v, slack=slack, active=active, objective=objective)
+    return QPSolution(v, slack, active, objective)
 
 
 def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
-                   config: ShieldConfig) -> ShieldOutcome:
+                   config: ShieldConfig, lane_change_allowed: bool = True) -> ShieldOutcome:
     """Filter one vehicle's nominal speed command.
 
     ``leaders`` holds ``(leader, credited next speed)`` pairs, each adding a
     headway cap and a brake guard; while the ego changes lanes, an adjacent
     rear vehicle ``c_oar`` adds the soft rear floor.  The QP is solved in the
     reachability box, and a hard fault falls back to full braking.
+    ``lane_change_allowed``, the lane gate's verdict, is recorded on the
+    outcome as given.
     """
     v = ego.state.speed
     lo = max(0.0, v + ego.params.a_min * config.dt)
@@ -451,23 +454,11 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
     try:
         sol = solve_qp(v_nom_step, rows, config.k_eps, lo, hi)
     except ShieldFault:
-        return ShieldOutcome(
-            v_nominal=v_nom_step,
-            v_safe=lo,
-            v_cbf=lo - v_nom_step,
-            slack_used=0.0,
-            active_constraints=("fault",),
-            fault=True,
-        )
+        return ShieldOutcome(v_nom_step, lo, lo - v_nom_step, lane_change_allowed, 0.0,
+                             ("fault",), True)
     v_safe = sol.v_safe
-    return ShieldOutcome(
-        v_nominal=v_nom_step,
-        v_safe=v_safe,
-        v_cbf=v_safe - v_nom_step,
-        slack_used=sol.slack,
-        active_constraints=sol.active,
-        fault=False,
-    )
+    return ShieldOutcome(v_nom_step, v_safe, v_safe - v_nom_step, lane_change_allowed,
+                         sol.slack, sol.active, False)
 
 
 def joint_safe_control(world: "World", topology: "InteractionTopology",
@@ -492,10 +483,7 @@ def joint_safe_control(world: "World", topology: "InteractionTopology",
             continue
         plan = nominal_plans[vid]
         if config.mode == "none":
-            out = ShieldOutcome(
-                v_nominal=plan.v_target, v_safe=plan.v_target, v_cbf=0.0,
-                lane_change_allowed=True,
-            )
+            out = ShieldOutcome(plan.v_target, plan.v_target, 0.0)
         else:
             near = neighbors(world, vehicle)
             parents = [by_id[pid] for pid in topology.parents(vid)]
@@ -510,10 +498,10 @@ def joint_safe_control(world: "World", topology: "InteractionTopology",
                 own = [] if c_ol is None else [c_ol]
                 rest = [p for p in parents if c_ol is None or p.vid != c_ol.vid]
                 leaders = [(p, worst_case_speed(p, config)) for p in own + rest]
-            out = filter_vehicle(vehicle, leaders, near.c_oar, plan.v_target, config)
-            if plan.lane_request:
-                allowed = allow_lane_change(vehicle, near.c_oal, near.c_oar, config) and \
-                    lane_change_feasible(vehicle, near.c_oal, near.c_oar, config, outcomes)
-                out = replace(out, lane_change_allowed=allowed)
+            # the gate reads only outcomes resolved before this vehicle's
+            allowed = not plan.lane_request or (
+                allow_lane_change(vehicle, near.c_oal, near.c_oar, config)
+                and lane_change_feasible(vehicle, near.c_oal, near.c_oar, config, outcomes))
+            out = filter_vehicle(vehicle, leaders, near.c_oar, plan.v_target, config, allowed)
         outcomes[vid] = out
     return outcomes

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from mergeshield.dynamics import VehicleParams, VehicleState, check_magnitude, step
 from mergeshield.policy import BehaviorAction
@@ -137,8 +138,7 @@ class Vehicle:
         return min(max(self.state.x - road.merge_start, 0.0), road.merge_length)
 
 
-@dataclass(frozen=True)
-class MotionPlan:
+class MotionPlan(NamedTuple):
     """Nominal control target produced from one behavioural action."""
 
     v_target: float
@@ -146,8 +146,9 @@ class MotionPlan:
     lane_request: bool = False
 
 
-@dataclass(frozen=True)
-class Neighborhood:
+class Neighborhood(NamedTuple):
+    """Own-lane leader, other-lane leader and other-lane rear vehicle."""
+
     c_ol: Vehicle | None = None
     c_oal: Vehicle | None = None
     c_oar: Vehicle | None = None
@@ -363,7 +364,7 @@ def neighbors(world: World, ego: Vehicle) -> Neighborhood:
         if o.lane != lane and math.hypot(dx, ys[j] - ey) <= comm:
             c_oar = o
             break
-    near = index.near[ego.vid] = Neighborhood(c_ol=c_ol, c_oal=c_oal, c_oar=c_oar)
+    near = index.near[ego.vid] = Neighborhood(c_ol, c_oal, c_oar)
     return near
 
 
@@ -426,7 +427,7 @@ def plan_motion(ego: Vehicle, action: BehaviorAction, road: RoadNetwork,
             if shifted is not None:
                 target_lane = shifted
                 lane_request = True
-    return MotionPlan(v_target=v_target, target_lane=target_lane, lane_request=lane_request)
+    return MotionPlan(v_target, target_lane, lane_request)
 
 
 def _maneuver_overlay(world: World, vehicle: Vehicle) -> VehicleState:
@@ -449,13 +450,13 @@ def _maneuver_overlay(world: World, vehicle: Vehicle) -> VehicleState:
         if abs(dy) < 0.02:
             if s.y == target_y and s.v_y == 0.0 and s.psi == 0.0:
                 return s
-            return replace(s, y=target_y, v_y=0.0, v_x=speed, psi=0.0)
+            return VehicleState(s.x, target_y, speed, 0.0, 0.0)
         v_lat_mag = min(RECENTER_LATERAL_SPEED, 0.7 * speed, abs(dy) / dt)
 
     v_y = math.copysign(v_lat_mag, dy) if dy != 0.0 else 0.0
     v_x = math.sqrt(max(speed * speed - v_y * v_y, 0.0))
     psi = math.atan2(v_y, v_x) if speed > 0.0 else 0.0
-    return replace(s, v_x=v_x, v_y=v_y, psi=psi)
+    return VehicleState(s.x, s.y, v_x, v_y, psi)
 
 
 def _rect_overlap(a: Vehicle, b: Vehicle) -> bool:

@@ -9,6 +9,12 @@ from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig, Vehicle, World, spawn
 
 
+def assert_speed_exact(state):
+    """The stored speed is ``hypot(v_x, v_y)`` of the stored components, bit
+    for bit."""
+    assert state.speed.hex() == math.hypot(state.v_x, state.v_y).hex()
+
+
 @pytest.fixture
 def road():
     return RoadNetwork()

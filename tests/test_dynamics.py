@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mergeshield.dynamics import VehicleParams, VehicleState, step
+
+from conftest import assert_speed_exact
 
 
 def euler_reference(state, a, dt):
@@ -112,3 +116,84 @@ class TestParams:
             VehicleParams(a_min=1.0)
         with pytest.raises(ValueError):
             VehicleParams(v_cap=-1.0)
+
+
+def random_inputs(rng):
+    return (float(rng.uniform(-100, 100)), float(rng.uniform(-10, 10)),
+            float(rng.uniform(-5, 45)), float(rng.uniform(-5, 5)), float(rng.uniform(-0.7, 0.7)))
+
+
+class TestVehicleState:
+    """A state stores its speed once, when built; every way of building one
+    goes through the constructor, so the speed never goes stale."""
+
+    def test_positional_and_keyword_construction(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            x, y, v_x, v_y, psi = random_inputs(rng)
+            by_position = VehicleState(x, y, v_x, v_y, psi)
+            by_keyword = VehicleState(psi=psi, v_y=v_y, v_x=v_x, y=y, x=x)
+            assert by_position == by_keyword
+            assert by_position[:5] == (x, y, v_x, v_y, psi)
+            assert_speed_exact(by_position)
+        assert VehicleState() == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert VehicleState(v_x=3.0, v_y=-4.0).speed == 5.0
+
+    def test_speed_cannot_be_passed_in(self):
+        with pytest.raises(TypeError):
+            VehicleState(x=1.0, v_x=3.0, speed=99.0)
+        with pytest.raises(TypeError):
+            VehicleState(1.0, 0.0, 3.0, 0.0, 0.0, 99.0)
+        with pytest.raises(ValueError):
+            VehicleState(v_x=3.0)._replace(speed=99.0)
+        with pytest.raises(TypeError):
+            VehicleState._make((1.0, 0.0, 3.0, 0.0, 0.0, 99.0))
+
+    def test_replace_recomputes_the_speed(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            s = VehicleState(*random_inputs(rng))
+            v_x = float(rng.uniform(-5, 45))
+            moved = s._replace(v_x=v_x)
+            assert moved[:5] == (s.x, s.y, v_x, s.v_y, s.psi)
+            assert_speed_exact(moved)
+            assert s._replace(x=s.x + 1.0).speed == s.speed
+            assert s._replace() == s
+        with pytest.raises(ValueError):
+            s._replace(heading=0.0)
+
+    def test_make_takes_the_five_inputs(self):
+        s = VehicleState._make(iter((1.0, 2.0, 6.0, -8.0, 0.1)))
+        assert s == VehicleState(1.0, 2.0, 6.0, -8.0, 0.1)
+        assert s.speed == 10.0
+
+    def test_step_stores_the_speed_of_its_result(self):
+        # a high cap and a low one, so both the plain step and the v_cap
+        # rescale are exercised
+        rng = np.random.default_rng(33)
+        rescaled = 0
+        for v_cap in (40.0, 20.0):
+            params = VehicleParams(v_cap=v_cap)
+            for _ in range(200):
+                x, y, v_x, v_y, psi = random_inputs(rng)
+                s = VehicleState(x, y, abs(v_x), v_y, psi)
+                a = float(rng.uniform(-5, 5))
+                assert_speed_exact(step(s, params, a, dt=0.1))
+                rescaled += euler_reference(s, a, 0.1).speed > v_cap
+        assert rescaled > 0
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda s: pickle.loads(pickle.dumps(s)),
+        lambda s: pickle.loads(pickle.dumps(s, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-protocol-0", "copy", "deepcopy"])
+    def test_pickle_and_copy_rebuild_through_the_constructor(self, round_trip):
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            s = VehicleState(*random_inputs(rng))
+            back = round_trip(s)
+            assert type(back) is VehicleState
+            assert back == s
+            assert_speed_exact(back)
+        assert s.__getnewargs__() == tuple(s)[:5]

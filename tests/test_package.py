@@ -1,6 +1,6 @@
 """Every module, exported name, entry point, policy kind and benchmark
-trace point the package names exists, and every exported name has a
-caller."""
+trace point the package names exists, every exported name has a caller,
+and the values built per vehicle and step stay cheap tuples."""
 
 import ast
 import importlib
@@ -229,3 +229,35 @@ def test_every_exported_name_has_a_caller():
                 for n in importlib.import_module(f"mergeshield.{m}").__all__}
     assert sorted(exported - uses - AWAITING_CALLER) == []
     assert sorted(AWAITING_CALLER - exported) == []
+
+
+#: the values built for every vehicle at every step
+STEP_PATH_TYPES = ("dynamics.VehicleState", "world.MotionPlan", "world.Neighborhood",
+                   "shield.ShieldOutcome", "shield.QPSolution")
+
+
+@pytest.mark.parametrize("path", STEP_PATH_TYPES)
+def test_step_path_values_are_tuples(path):
+    # a frozen dataclass costs several times a named tuple to build, and
+    # the step builds these once per vehicle
+    module, _, name = path.partition(".")
+    assert issubclass(getattr(importlib.import_module(f"mergeshield.{module}"), name), tuple)
+
+
+@pytest.mark.parametrize("name", ["world", "shield"])
+def test_step_path_calls_no_dataclasses_replace(name):
+    # dataclasses.replace costs more than building the value afresh
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    modules = {"dataclasses"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "dataclasses")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found += [alias.name for alias in node.names if alias.name == "replace"]
+        elif isinstance(node, ast.Attribute) and node.attr == "replace":
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                found.append(f"{node.value.id}.replace")
+    assert found == []

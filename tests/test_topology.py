@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,7 +200,7 @@ class TestEvaluationOrder:
         for _ in range(200):
             vehicles = random_snapshot(rng, road)
             for v in vehicles:
-                v.state = replace(v.state, x=5.0 * float(rng.integers(0, 8)))
+                v.state = v.state._replace(x=5.0 * float(rng.integers(0, 8)))
             vehicles = [vehicles[i] for i in rng.permutation(len(vehicles))]
             w = make_world(vehicles, road=road)
             expected = [v.vid for v in sorted(vehicles, key=lambda v: (-v.state.x, v.vid))]

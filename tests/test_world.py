@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from mergeshield.world import (
     step_world,
 )
 
-from conftest import make_vehicle, make_world, spawned_world
+from conftest import assert_speed_exact, make_vehicle, make_world, spawned_world
 
 
 def is_ahead(a, b):
@@ -413,6 +414,68 @@ class TestPlanMotion:
         v = make_vehicle(0, 250.0, 20.0, lane=road.ramp_lane, road=road)
         plan = plan_motion(v, BehaviorAction.LANE_RIGHT, road, dv_step=2.0)
         assert not plan.lane_request and plan.target_lane == road.ramp_lane
+
+
+class TestValueTypes:
+    """The per-vehicle-step values are immutable tuples, and a state's stored
+    speed matches its components on every path that builds one."""
+
+    def test_maneuver_overlay_keeps_the_speed_exact(self):
+        from mergeshield.world import _maneuver_overlay
+
+        road = RoadNetwork()
+        y0 = road.centerline_y(0)
+        settled = make_vehicle(0, 100.0, 20.0, road=road)
+        snapping = make_vehicle(1, 130.0, 21.3, road=road, y=y0 + 0.013, psi=0.004)
+        recentring = make_vehicle(2, 160.0, 22.7, road=road, y=y0 - 0.4, psi=-0.01)
+        changing = make_vehicle(3, road.merge_start + 10.0, 19.1, lane=road.ramp_lane,
+                                road=road, target_lane=0)
+        w = make_world([settled, snapping, recentring, changing], road=road)
+        assert _maneuver_overlay(w, settled) is settled.state
+        snapped = _maneuver_overlay(w, snapping)
+        assert (snapped.y, snapped.v_y, snapped.psi) == (y0, 0.0, 0.0)
+        assert snapped.v_x == snapping.state.speed
+        for vehicle in (recentring, changing):
+            turned = _maneuver_overlay(w, vehicle)
+            assert turned.v_y != 0.0 and turned.psi != vehicle.state.psi
+            assert_speed_exact(turned)
+        assert_speed_exact(snapped)
+
+    def test_pickled_world_steps_like_the_original(self):
+        actions = list(BehaviorAction)
+        w = spawned_world(seed=8, n_vehicles=9)
+        for t in range(10):
+            step_world(w, {v.vid: actions[(v.vid + t) % len(actions)] for v in w.vehicles})
+        clones = [pickle.loads(pickle.dumps(w)), copy.deepcopy(w)]
+        for t in range(10, 40):
+            joint = {v.vid: actions[(v.vid + t) % len(actions)] for v in w.vehicles}
+            for world in (w, *clones):
+                step_world(world, dict(joint))
+        for clone in clones:
+            assert [v.state for v in clone.vehicles] == [v.state for v in w.vehicles]
+        for v in clones[0].vehicles:
+            assert_speed_exact(v.state)
+
+    @pytest.mark.parametrize("kind", ["VehicleState", "MotionPlan", "Neighborhood",
+                                      "ShieldOutcome", "QPSolution"])
+    def test_fields_cannot_be_assigned(self, kind):
+        from mergeshield.shield import solve_qp
+
+        w = spawned_world(seed=3, n_vehicles=5)
+        ego = w.vehicles[1]
+        value = {
+            "VehicleState": lambda: ego.state,
+            "MotionPlan": lambda: plan_motion(ego, BehaviorAction.SPEED_UP, w.road, 2.0),
+            "Neighborhood": lambda: neighbors(w, ego),
+            "ShieldOutcome": lambda: step_world(w, {})[0][ego.vid],
+            "QPSolution": lambda: solve_qp(20.0, [], 1e6, 19.5, 20.5),
+        }[kind]()
+        assert type(value).__name__ == kind
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            value.extra = None
 
 
 class TestWorldOrder:
