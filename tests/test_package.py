@@ -247,17 +247,10 @@ def test_step_path_values_are_tuples(path):
 @pytest.mark.parametrize("name", ["world", "shield"])
 def test_step_path_calls_no_dataclasses_replace(name):
     # dataclasses.replace costs more than building the value afresh
-    tree = ast.parse((SRC / f"{name}.py").read_text())
-    modules = {"dataclasses"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules.update(alias.asname or alias.name for alias in node.names
-                           if alias.name == "dataclasses")
     found = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
         if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
             found += [alias.name for alias in node.names if alias.name == "replace"]
-        elif isinstance(node, ast.Attribute) and node.attr == "replace":
-            if isinstance(node.value, ast.Name) and node.value.id in modules:
-                found.append(f"{node.value.id}.replace")
+        elif isinstance(node, ast.Attribute) and _dotted(node) == "dataclasses.replace":
+            found.append("dataclasses.replace")
     assert found == []
