@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from mergeshield import shield as _shield
 from mergeshield.seedstream import SeedPool
 
 if TYPE_CHECKING:
@@ -72,20 +73,17 @@ def heuristic_policy(vehicle: "Vehicle", world: "World") -> BehaviorAction:
     speed up under a generous headway and give way when a ramp vehicle is
     working the merge section.
     """
-    from mergeshield import shield as shield_mod
-    from mergeshield.world import neighbor_index, neighbors
-
     road = world.road
     cfg = world.scenario
     v = vehicle.state.speed
 
-    if vehicle.lc_phase == "changing":
+    if vehicle.target_lane != vehicle.lane:
         return BehaviorAction.FOLLOW_LANE
 
     if vehicle.lane == road.ramp_lane and not vehicle.merge_failed:
-        near = neighbors(world, vehicle)
+        near = _world.neighbors(world, vehicle)
         if road.in_merge_window(vehicle.state.x):
-            if shield_mod.allow_lane_change(vehicle, near.c_oal, near.c_oar, world.shield):
+            if _shield.allow_lane_change(vehicle, near.c_oal, near.c_oar, world.shield):
                 return BehaviorAction.LANE_LEFT
             if near.c_oal is not None:
                 gap_leader_v = near.c_oal.state.speed
@@ -104,7 +102,7 @@ def heuristic_policy(vehicle: "Vehicle", world: "World") -> BehaviorAction:
         # the fleet is sorted by x; every vehicle that can pass the
         # |dx| < 60 test lies in [fl(x - 60), fl(x + 60)]; the ego is off
         # the ramp or has failed its merge, so the filter skips it
-        index = neighbor_index(world)
+        index = _world.neighbor_index(world)
         lo = bisect.bisect_left(index.xs, vehicle.state.x - 60.0)
         hi = bisect.bisect_right(index.xs, vehicle.state.x + 60.0)
         for other in index.ordered[lo:hi]:
@@ -116,8 +114,9 @@ def heuristic_policy(vehicle: "Vehicle", world: "World") -> BehaviorAction:
             if abs(dx) < 60.0 and math.hypot(dx, other.state.y - vehicle.state.y) <= cfg.comm_range:
                 return BehaviorAction.SLOW_DOWN
 
-    near = neighbors(world, vehicle)
-    gap_ok = near.c_ol is None or (near.c_ol.state.x - vehicle.state.x) > 2.0 * cfg.tau * max(v, 1.0) + 15.0
+    c_ol = _world.neighbors(world, vehicle).c_ol
+    gap_ok = c_ol is None or (
+        c_ol.state.x - vehicle.state.x > 2.0 * cfg.tau * (1.0 if 1.0 > v else v) + 15.0)
     if gap_ok and v < cfg.initial_speed_range[1]:
         return BehaviorAction.SPEED_UP
     return BehaviorAction.FOLLOW_LANE
@@ -191,3 +190,9 @@ def build_policy(spec: PolicySpec) -> Policy:
     if spec.kind == "random":
         return RandomPolicy()
     return HeuristicPolicy()
+
+
+# bound last: ``world`` imports BehaviorAction from this module.  The
+# heuristic reads the world's functions as module attributes at call time,
+# so a patched ``world.neighbors`` is seen here too.
+from mergeshield import world as _world

@@ -158,16 +158,10 @@ def snapshot_step(world: "World", step_index: int, actions: dict, outcomes: dict
                   topology: dict, rewards: dict) -> StepRecord:
     rows = []
     for vehicle in world.vehicles:
-        action = actions.get(vehicle.vid)
-        outcome = outcomes.get(vehicle.vid)
-        pair = rewards.get(vehicle.vid)
-        rows.append(
-            snapshot_vehicle(
-                world, vehicle, action=action, outcome=outcome,
-                reward=None if pair is None else pair[0],
-                reward_overall=None if pair is None else pair[1],
-            )
-        )
+        vid = vehicle.vid
+        reward, reward_overall = rewards.get(vid, (None, None))
+        rows.append(snapshot_vehicle(world, vehicle, actions.get(vid), outcomes.get(vid),
+                                     reward, reward_overall))
     return StepRecord(step=step_index, vehicles=tuple(rows), topology=topology)
 
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from mergeshield import world as _world
+
 if TYPE_CHECKING:
     from mergeshield.world import Vehicle, World
 
@@ -62,13 +64,14 @@ def headway_reward(dx_ol: float, v_e: float, tau: float) -> float:
     """
     if not dx_ol > 0:
         raise ValueError(f"leader gap must be positive, got {dx_ol}")
-    v = max(v_e, V_FLOOR)
+    v = V_FLOOR if V_FLOOR > v_e else v_e
     return -math.log(dx_ol / (tau * v))
 
 
 def speed_reward(v_e: float, v_min: float, v_max: float) -> float:
     """Linear ramp between the desired speed band, saturated at 1."""
-    return min((v_e - v_min) / (v_max - v_min), 1.0)
+    r = (v_e - v_min) / (v_max - v_min)
+    return 1.0 if 1.0 < r else r
 
 
 def merge_reward(x_m: float, merge_length: float) -> float:
@@ -78,12 +81,10 @@ def merge_reward(x_m: float, merge_length: float) -> float:
 
 
 def _leader_gap(world: "World", vehicle: "Vehicle") -> float | None:
-    from mergeshield.world import bumper_gap, neighbors
-
-    c_ol = neighbors(world, vehicle).c_ol
+    c_ol = _world.neighbors(world, vehicle).c_ol
     if c_ol is None:
         return None
-    gap = bumper_gap(vehicle, c_ol)
+    gap = _world.bumper_gap(vehicle, c_ol)
     return gap if gap > 0 else None
 
 
@@ -117,21 +118,17 @@ def fleet_rewards(world: "World", weights: RewardWeights, kind: str, *,
     each, and only for the named vehicles and the members of their
     perceived groups, which can include wrecks.
     """
-    from mergeshield.world import perceived
-
     fn = {"default": default_reward, "custom": custom_reward}[kind]
     individual: dict = {}
-
-    def score(v) -> float:
-        r = individual.get(v.vid)
-        if r is None:
-            r = individual[v.vid] = fn(v, weights, world)
-        return r
-
     wanted = set(vids)
     out = {}
     for v in world.vehicles:
         if v.vid in wanted:
-            group = [v] + perceived(world, v)
-            out[v.vid] = (score(v), sum(score(o) for o in group) / len(group))
+            scores = []
+            for o in [v] + _world.perceived(world, v):
+                r = individual.get(o.vid)
+                if r is None:
+                    r = individual[o.vid] = fn(o, weights, world)
+                scores.append(r)
+            out[v.vid] = (scores[0], sum(scores) / len(scores))
     return out

@@ -167,18 +167,19 @@ def brake_margin(gap: float, v_follow: float, v_lead: float, brake: float,
     dv = brake * dt
     m_f = math.ceil(v_follow / dv - 1e-12)
     m_l = math.ceil(v_lead / dv - 1e-12) if v_lead > 0.0 else 0
-
-    def h_at(k):
-        s_l = _travel(v_lead, m_l, k, dv)
-        s_f = _travel(v_follow, m_f, k, dv)
-        return gap + dt * (s_l - s_f) - tau * max(0.0, v_follow - k * dv)
-
     k_star = int((v_follow - tau * brake) / dv) if v_follow > tau * brake else 0
-    candidates = {0, m_l, m_l + 1, k_star, k_star + 1, m_f}
     margin = math.inf
-    for k in candidates:
+    for k in {0, m_l, m_l + 1, k_star, k_star + 1, m_f}:
         if 0 <= k <= m_f:
-            margin = min(margin, h_at(k))
+            # _travel of both vehicles inlined; the follower has not
+            # stopped before step k <= m_f
+            kl = m_l if m_l < k else k
+            s_l = kl * v_lead - dv * kl * (kl - 1) * 0.5
+            s_f = k * v_follow - dv * k * (k - 1) * 0.5
+            v_k = v_follow - k * dv
+            h = gap + dt * (s_l - s_f) - tau * (v_k if v_k > 0.0 else 0.0)
+            if h < margin:
+                margin = h
     return margin
 
 
@@ -229,20 +230,24 @@ def brake_cap(gap: float, v_hi: float, v_lead: float, brake: float,
             root = a / b
         else:  # k = 0 without closing: the gap itself is negative
             return 0.0
-        cap = min(cap, root)
-    return max(cap, 0.0)
+        if root < cap:
+            cap = root
+    return 0.0 if 0.0 > cap else cap
 
 
 def worst_case_speed(leader, config: ShieldConfig) -> float:
     """Next speed of a leader that brakes as hard as it can; 0 once crashed."""
     if leader.crashed:
         return 0.0
-    return max(0.0, leader.state.speed + leader.params.a_min * config.dt)
+    v = leader.state.speed + leader.params.a_min * config.dt
+    return v if v > 0.0 else 0.0
 
 
 def _rear_speed(c_oar, config: ShieldConfig) -> float:
     """Next speed of an adjacent rear vehicle that accelerates as hard as it can."""
-    return min(c_oar.params.v_cap, c_oar.state.speed + c_oar.params.a_max * config.dt)
+    v_cap = c_oar.params.v_cap
+    v = c_oar.state.speed + c_oar.params.a_max * config.dt
+    return v if v < v_cap else v_cap
 
 
 def longitudinal_cbf(ego, leader, config: ShieldConfig,
@@ -440,16 +445,21 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
     outcome as given.
     """
     v = ego.state.speed
-    lo = max(0.0, v + ego.params.a_min * config.dt)
-    hi = min(ego.params.v_cap, v + ego.params.a_max * config.dt)
-    v_nom_step = min(max(v_nominal, lo), hi)
+    params = ego.params
+    # the box and min(max(v_nominal, lo), hi) without the calls, ties as theirs
+    lo = v + params.a_min * config.dt
+    lo = lo if lo > 0.0 else 0.0
+    hi = v + params.a_max * config.dt
+    hi = hi if hi < params.v_cap else params.v_cap
+    v_nom_step = lo if lo > v_nominal else v_nominal
+    v_nom_step = hi if hi < v_nom_step else v_nom_step
     rows = []
     for leader, v_next in leaders:
         rows.append(longitudinal_cbf(ego, leader, config, v_next))
         guard = brake_guard(ego, leader, config, v_next, hi)
         if guard is not None:
             rows.append(guard)
-    if ego.lc_phase == "changing" and c_oar is not None:
+    if ego.target_lane != ego.lane and c_oar is not None:
         rows.append(lateral_rear_row(ego, c_oar, config))
     try:
         sol = solve_qp(v_nom_step, rows, config.k_eps, lo, hi)

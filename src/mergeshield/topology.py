@@ -37,7 +37,7 @@ class InteractionTopology:
 def cutting_in(ego, c_ol, c_oal) -> bool:
     """Adjacent leader mid-change into the ego's lane, inserting between the
     ego and its current leader (or with no current leader ahead)."""
-    if c_oal is None or c_oal.lc_phase != "changing" or c_oal.target_lane != ego.lane:
+    if c_oal is None or c_oal.target_lane == c_oal.lane or c_oal.target_lane != ego.lane:
         return False
     if not ((c_oal.state.x, -c_oal.vid) > (ego.state.x, -ego.vid)):
         return False
@@ -59,7 +59,7 @@ def build_topology(vehicles: list, world: "World") -> InteractionTopology:
         parents = [c_ol] if c_ol is not None else []
         if cutting_in(ego, c_ol, c_oal):
             parents = [c_oal]
-        if ego.lc_phase == "changing" and c_oal is not None:
+        if ego.target_lane != ego.lane and c_oal is not None:
             if all(p.vid != c_oal.vid for p in parents):
                 parents.append(c_oal)
         entries[ego.vid] = tuple(p.vid for p in parents)

@@ -124,10 +124,6 @@ class Vehicle:
     crashed: bool = False
 
     @property
-    def lc_phase(self) -> str:
-        return "changing" if self.target_lane != self.lane else "not_changing"
-
-    @property
     def rear(self) -> float:
         return self.state.x - 0.5 * self.params.length
 
@@ -135,7 +131,9 @@ class Vehicle:
         """Distance travelled inside the merge section while on the ramp."""
         if self.lane != road.ramp_lane:
             return 0.0
-        return min(max(self.state.x - road.merge_start, 0.0), road.merge_length)
+        d = self.state.x - road.merge_start
+        d = 0.0 if 0.0 > d else d
+        return road.merge_length if road.merge_length < d else d
 
 
 class MotionPlan(NamedTuple):
@@ -283,7 +281,6 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng,
             speed = rng.uniform(lo, hi)
             if i > 0:
                 gap = max(config.spawn_spacing_min, config.tau * speed) + rng.uniform(0.0, 8.0)
-                gap = max(gap, config.tau * speed)
                 x = x - gap - params.length
                 # spawn a metre inside the braking-feasibility envelope so
                 # the first shield step starts with margin, not on the edge
@@ -416,11 +413,14 @@ def plan_motion(ego: Vehicle, action: BehaviorAction, road: RoadNetwork,
         v_target = v + dv_step
     elif action == BehaviorAction.SLOW_DOWN:
         v_target = v - dv_step
-    v_target = min(max(v_target, 0.0), ego.params.v_cap)
+    # min(max(v_target, 0.0), v_cap) without the calls; a tie keeps v_target
+    v_target = 0.0 if 0.0 > v_target else v_target
+    v_cap = ego.params.v_cap
+    v_target = v_cap if v_cap < v_target else v_target
 
     target_lane = ego.target_lane
     lane_request = False
-    if ego.lc_phase != "changing" and action in (BehaviorAction.LANE_LEFT, BehaviorAction.LANE_RIGHT):
+    if target_lane == ego.lane and action in (BehaviorAction.LANE_LEFT, BehaviorAction.LANE_RIGHT):
         if not ego.merge_failed:
             direction = -1 if action == BehaviorAction.LANE_LEFT else 1
             shifted = road.shift_lane(ego.lane, direction, ego.state.x)
@@ -444,17 +444,25 @@ def _maneuver_overlay(world: World, vehicle: Vehicle) -> VehicleState:
     target_y = road.centerline_y(vehicle.target_lane)
     dy = target_y - s.y
 
-    if vehicle.lc_phase == "changing":
-        v_lat_mag = min(LANE_CHANGE_LATERAL_SPEED, 0.7 * speed, abs(dy) / dt)
+    if vehicle.target_lane != vehicle.lane:
+        v_lat_mag = LANE_CHANGE_LATERAL_SPEED
     else:
         if abs(dy) < 0.02:
             if s.y == target_y and s.v_y == 0.0 and s.psi == 0.0:
                 return s
             return VehicleState(s.x, target_y, speed, 0.0, 0.0)
-        v_lat_mag = min(RECENTER_LATERAL_SPEED, 0.7 * speed, abs(dy) / dt)
+        v_lat_mag = RECENTER_LATERAL_SPEED
+    # min(v_lat_mag, 0.7 * speed, abs(dy) / dt), left to right
+    bound = 0.7 * speed
+    if bound < v_lat_mag:
+        v_lat_mag = bound
+    bound = abs(dy) / dt
+    if bound < v_lat_mag:
+        v_lat_mag = bound
 
     v_y = math.copysign(v_lat_mag, dy) if dy != 0.0 else 0.0
-    v_x = math.sqrt(max(speed * speed - v_y * v_y, 0.0))
+    v_x2 = speed * speed - v_y * v_y
+    v_x = math.sqrt(0.0 if 0.0 > v_x2 else v_x2)
     psi = math.atan2(v_y, v_x) if speed > 0.0 else 0.0
     return VehicleState(s.x, s.y, v_x, v_y, psi)
 
@@ -525,9 +533,11 @@ def step_world(world: World, joint_actions: dict) -> tuple:
         out = outcomes[vehicle.vid]
         staged = _maneuver_overlay(world, vehicle)
         speed = staged.speed
+        params = vehicle.params
         a = (out.v_safe - speed) / dt
-        a = min(max(a, vehicle.params.a_min), vehicle.params.a_max)
-        new_states[vehicle.vid] = step(staged, vehicle.params, a, dt)
+        a = params.a_min if params.a_min > a else a
+        a = params.a_max if params.a_max < a else a
+        new_states[vehicle.vid] = step(staged, params, a, dt)
 
     for vehicle in live:
         vehicle.state = new_states[vehicle.vid]
@@ -541,7 +551,7 @@ def step_world(world: World, joint_actions: dict) -> tuple:
     for vehicle in live:
         if vehicle.crashed:
             continue
-        if vehicle.lc_phase == "changing":
+        if vehicle.target_lane != vehicle.lane:
             target_y = road.centerline_y(vehicle.target_lane)
             if abs(vehicle.state.y - target_y) < LANE_CHANGE_DONE_FRACTION * road.lane_width:
                 was_ramp = vehicle.lane == road.ramp_lane

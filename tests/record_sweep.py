@@ -1,0 +1,80 @@
+"""Byte-identity sweep: one sha256 per whole episode record.
+
+Prints one line ``mode policy n seed sha256`` per episode of the grid
+{none, hss, mass} x {random, heuristic} x n in {9, 11} x seeds 0-9
+(150-step episodes, default road), then the dense case (40 vehicles,
+merge section at 2000 m, ``mass`` shield, heuristic policy) on seeds 0-1.
+Each digest covers every line ``records.episode_lines`` writes: header,
+steps and summary.  Uses only the public config and episode API, so it
+runs unchanged against any checkout's ``src``.
+
+A change meant to keep records byte-identical is checked by diffing the
+output on the parent and on the change::
+
+    python3 tests/record_sweep.py --src /path/to/parent/src > before.txt
+    python3 tests/record_sweep.py > after.txt
+    diff before.txt after.txt
+
+pytest does not collect this file (it is not named ``test_*.py``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+MODES = ("none", "hss", "mass")
+POLICIES = ("random", "heuristic")
+FLEET_SIZES = (9, 11)
+SEEDS = range(10)
+DENSE_SEEDS = range(2)
+
+
+def cases():
+    """(mode, policy, n, seed, merge_start) of every episode, in print order."""
+    for mode in MODES:
+        for policy in POLICIES:
+            for n in FLEET_SIZES:
+                for seed in SEEDS:
+                    yield mode, policy, n, seed, None
+    for seed in DENSE_SEEDS:
+        yield "mass", "heuristic", 40, seed, 2000.0
+
+
+def record_digest(mode: str, policy: str, n: int, seed: int, merge_start) -> str:
+    from mergeshield.config import RunConfig
+    from mergeshield.episode import run_episode
+    from mergeshield.policy import PolicySpec
+    from mergeshield.records import episode_lines
+    from mergeshield.road import RoadNetwork
+    from mergeshield.shield import ShieldConfig
+    from mergeshield.world import ScenarioConfig
+
+    cfg = RunConfig(
+        scenario=ScenarioConfig(n_vehicles=n),
+        road=RoadNetwork() if merge_start is None else RoadNetwork(merge_start=merge_start),
+        shield=ShieldConfig(mode=mode),
+        policy=PolicySpec(kind=policy),
+        allow_offrange=n > 11,
+    )
+    record, _ = run_episode(cfg, seed)
+    return hashlib.sha256(("\n".join(episode_lines(record)) + "\n").encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the mergeshield package (default: this checkout's src)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import mergeshield
+    print(f"mergeshield from {Path(mergeshield.__file__).parent}", file=sys.stderr)
+    for mode, policy, n, seed, merge_start in cases():
+        print(mode, policy, n, seed, record_digest(mode, policy, n, seed, merge_start), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

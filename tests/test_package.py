@@ -254,3 +254,70 @@ def test_step_path_calls_no_dataclasses_replace(name):
         elif isinstance(node, ast.Attribute) and _dotted(node) == "dataclasses.replace":
             found.append("dataclasses.replace")
     assert found == []
+
+
+#: the functions run for every vehicle at every step, by module
+STEP_PATH_FUNCTIONS = (
+    ("policy", "heuristic_policy"),
+    ("reward", "custom_reward"),
+    ("reward", "default_reward"),
+    ("reward", "_leader_gap"),
+    ("reward", "fleet_rewards"),
+    ("world", "neighbors"),
+    ("world", "perceived"),
+    ("world", "plan_motion"),
+    ("world", "_maneuver_overlay"),
+    ("shield", "filter_vehicle"),
+    ("shield", "longitudinal_cbf"),
+    ("shield", "brake_guard"),
+    ("shield", "brake_cap"),
+    ("shield", "brake_margin"),
+    ("records", "snapshot_vehicle"),
+)
+
+
+@pytest.mark.parametrize("module,name", STEP_PATH_FUNCTIONS)
+def test_step_path_functions_make_no_needless_calls(module, name):
+    # a function-level import statement costs about a microsecond per run
+    # and never shows in a profile; a nested def, lambda or generator is an
+    # object built and called on every run
+    defs = [node for node in ast.parse((SRC / f"{module}.py").read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert len(defs) == 1
+    found = [type(node).__name__ for stmt in defs[0].body for node in ast.walk(stmt)
+             if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef,
+                                  ast.AsyncFunctionDef, ast.Lambda, ast.GeneratorExp))]
+    assert found == []
+
+
+def test_policy_and_reward_look_up_perception_at_call_time(monkeypatch):
+    # the benchmark's tracer patches world.neighbors once for every caller
+    from mergeshield import world as world_mod
+    from mergeshield.episode import build_world
+    from mergeshield.policy import heuristic_policy
+    from mergeshield.reward import RewardWeights, fleet_rewards
+
+    seen = {"neighbors": [], "perceived": []}
+
+    def counting(name):
+        fn = getattr(world_mod, name)
+
+        def wrapper(world, ego):
+            seen[name].append(ego.vid)
+            return fn(world, ego)
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(world_mod, name, counting(name))
+    world = build_world(RunConfig(policy=PolicySpec(kind="heuristic")), 0)
+    vids = [v.vid for v in world.vehicles]
+    ramp = {v.vid for v in world.vehicles if v.lane == world.road.ramp_lane}
+    for vehicle in world.vehicles:
+        heuristic_policy(vehicle, world)
+    # every ramp vehicle asks for its gap in the first branch, some highway
+    # vehicle in the last
+    assert ramp < set(seen["neighbors"]) and seen["perceived"] == []
+    seen["neighbors"].clear()
+    fleet_rewards(world, RewardWeights(), "custom", vids=vids)
+    # one perceived group and one leader gap per vehicle
+    assert seen["perceived"] == vids and sorted(seen["neighbors"]) == vids

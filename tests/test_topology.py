@@ -143,7 +143,7 @@ class TestBuildTopology:
                 assert len(parents) <= 2
                 child = by_id[vid]
                 if len(parents) == 2:
-                    assert child.lc_phase == "changing"
+                    assert child.target_lane != child.lane
                 for pid in parents:
                     parent = by_id[pid]
                     assert (parent.state.x, -parent.vid) > (child.state.x, -child.vid)

@@ -1,18 +1,30 @@
 import copy
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mergeshield import shield as shield_mod
+from mergeshield import world as world_mod
 from mergeshield.dynamics import VehicleParams, VehicleState
 from mergeshield.policy import BehaviorAction
+from mergeshield.reward import headway_reward, speed_reward
 from mergeshield.road import RoadNetwork
 from mergeshield.seedstream import SeedPool
+from mergeshield.shield import (
+    QPSolution,
+    ShieldOutcome,
+    _rear_speed,
+    filter_vehicle,
+    worst_case_speed,
+)
 from mergeshield.world import (
     ScenarioConfig,
+    Vehicle,
     bumper_gap,
     neighbors,
     observe,
@@ -414,6 +426,93 @@ class TestPlanMotion:
         v = make_vehicle(0, 250.0, 20.0, lane=road.ramp_lane, road=road)
         plan = plan_motion(v, BehaviorAction.LANE_RIGHT, road, dv_step=2.0)
         assert not plan.lane_request and plan.target_lane == road.ramp_lane
+
+
+#: both zeros and a few magnitudes; every value also serves as a bound, so
+#: exact ties with each bound are drawn
+CLAMPED = st.sampled_from([-0.0, 0.0, -2.5, -1.0, 1.0, 2.5, 30.0])
+
+
+def _hex(*values):
+    return [v.hex() for v in values]
+
+
+class TestScalarClamps:
+    """The step path clamps scalars by comparisons that keep the builtins'
+    tie rule, so each result equals ``min(max(...))`` bit for bit, the sign
+    of a zero included."""
+
+    @given(v=CLAMPED, dv_step=CLAMPED, v_cap=CLAMPED,
+           action=st.sampled_from([BehaviorAction.FOLLOW_LANE, BehaviorAction.SPEED_UP,
+                                   BehaviorAction.SLOW_DOWN]))
+    def test_plan_motion_speed_target(self, v, dv_step, v_cap, action):
+        ego = SimpleNamespace(state=SimpleNamespace(speed=v, x=0.0),
+                              params=SimpleNamespace(v_cap=v_cap),
+                              lane=0, target_lane=0, merge_failed=False)
+        raw = {BehaviorAction.SPEED_UP: v + dv_step,
+               BehaviorAction.SLOW_DOWN: v - dv_step}.get(action, v)
+        plan = plan_motion(ego, action, RoadNetwork(), dv_step)
+        assert _hex(plan.v_target) == _hex(min(max(raw, 0.0), v_cap))
+
+    @given(v=CLAMPED, v_nominal=CLAMPED, a_min=CLAMPED, a_max=CLAMPED, v_cap=CLAMPED,
+           dt=st.sampled_from([0.1, 1.0]))
+    def test_filter_vehicle_reach_box_and_nominal(self, v, v_nominal, a_min, a_max, v_cap, dt):
+        ego = SimpleNamespace(state=SimpleNamespace(speed=v),
+                              params=SimpleNamespace(a_min=a_min, a_max=a_max, v_cap=v_cap),
+                              lane=0, target_lane=0)
+        seen = []
+
+        def solve_qp(v_nom, rows, k_eps, lo, hi):
+            seen.append((v_nom, lo, hi))
+            return QPSolution(v_nom, 0.0, (), 0.0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shield_mod, "solve_qp", solve_qp)
+            out = filter_vehicle(ego, [], None, v_nominal, SimpleNamespace(dt=dt, k_eps=1e6))
+        lo = max(0.0, v + a_min * dt)
+        hi = min(v_cap, v + a_max * dt)
+        v_nom = min(max(v_nominal, lo), hi)
+        assert _hex(*seen[0]) == _hex(v_nom, lo, hi)
+        assert _hex(out.v_nominal) == _hex(v_nom)
+
+    @given(v_safe=CLAMPED, a_min=CLAMPED, a_max=CLAMPED)
+    def test_step_world_acceleration(self, v_safe, a_min, a_max):
+        params = SimpleNamespace(length=5.0, width=2.0, a_min=a_min, a_max=a_max, v_cap=40.0)
+        world = make_world([Vehicle(0, VehicleState(0.0, 0.0, 0.0, 0.0, 0.0), params, 0, 0)],
+                           scenario=ScenarioConfig(dt=1.0))
+        seen = []
+
+        def step(state, params, a, dt):
+            seen.append(a)
+            return state
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(world_mod, "joint_safe_control",
+                       lambda world, topology, plans: {0: ShieldOutcome(v_safe, v_safe, 0.0)})
+            mp.setattr(world_mod, "step", step)
+            step_world(world, {})
+        # at rest on its centreline, so the unclamped command is
+        # (v_safe - 0.0) / 1.0, which is v_safe with its sign
+        assert _hex(*seen) == _hex(min(max(v_safe, a_min), a_max))
+
+    @given(x=CLAMPED, start=CLAMPED, length=CLAMPED)
+    def test_merge_progress(self, x, start, length):
+        vehicle = SimpleNamespace(state=SimpleNamespace(x=x), lane=1)
+        road = SimpleNamespace(ramp_lane=1, merge_start=start, merge_length=length)
+        assert _hex(Vehicle.x_m(vehicle, road)) == _hex(min(max(x - start, 0.0), length))
+
+    @given(v=CLAMPED, a=CLAMPED, v_cap=CLAMPED)
+    def test_worst_case_leader_and_rear_speeds(self, v, a, v_cap):
+        vehicle = SimpleNamespace(state=SimpleNamespace(speed=v), crashed=False,
+                                  params=SimpleNamespace(a_min=a, a_max=a, v_cap=v_cap))
+        config = SimpleNamespace(dt=1.0)
+        assert _hex(worst_case_speed(vehicle, config)) == _hex(max(0.0, v + a * 1.0))
+        assert _hex(_rear_speed(vehicle, config)) == _hex(min(v_cap, v + a * 1.0))
+
+    @given(v=CLAMPED)
+    def test_reward_speed_floor_and_cap(self, v):
+        assert _hex(speed_reward(v, 0.0, 1.0)) == _hex(min((v - 0.0) / 1.0, 1.0))
+        assert _hex(headway_reward(2.0, v, 0.5)) == _hex(-math.log(2.0 / (0.5 * max(v, 1.0))))
 
 
 class TestValueTypes:
