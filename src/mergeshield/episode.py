@@ -59,7 +59,9 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
         actions = policy.decide(k, world, observations)
         outcomes, topology = step_world(world, actions)
         reward_pairs = fleet_rewards(world, cfg.reward, cfg.reward_kind, vids=actions)
-        record.steps.append(snapshot_step(world, k, actions, outcomes, topology, reward_pairs))
+        previous = record.steps[-1].vehicles if record.steps else record.initial
+        record.steps.append(snapshot_step(world, k, actions, outcomes, topology, reward_pairs,
+                                          previous))
     summary = summarize_episode(record, cfg.shield.mode, cfg.policy.kind)
     record.summary = summary.to_dict()
     return record, summary

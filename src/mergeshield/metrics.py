@@ -66,19 +66,15 @@ def _lane_width(record: EpisodeRecord) -> float:
     return record.config["road"]["lane_width"]
 
 
-def _metric_lane(row, lane_width: float) -> int:
-    """0 for the through lane, 1 for the ramp."""
-    return min(max(round(row.y / lane_width), 0), 1)
-
-
 def _rows_iter(record: EpisodeRecord):
     yield record.initial
     for step in record.steps:
         yield step.vehicles
 
 
-def _had_collision(record: EpisodeRecord) -> bool:
-    return any(any(r.crashed for r in rows) for rows in _rows_iter(record))
+def _ahead_first(row) -> tuple:
+    """Sort key of a lane's rows: front first, ties by id."""
+    return (-row.x, row.vid)
 
 
 def min_time_headway(record: EpisodeRecord) -> float:
@@ -86,26 +82,34 @@ def min_time_headway(record: EpisodeRecord) -> float:
 
     Egos below the speed floor are excluded; a collision anywhere in the
     episode yields 0.0; +inf reports an episode without any interaction.
+    The record is walked once, and the walk ends at the first crashed row.
+    A wreck stays in every later step, so the last rows are looked at first.
+    The lane order cannot change the min: no ratio is NaN, and none is a
+    negative zero, as vehicle lengths are positive.
     """
     if not record.steps and not record.initial:
         raise ValueError("empty record")
-    if _had_collision(record):
+    if any(r.crashed for r in _final_rows(record)):
         return 0.0
     lane_width = _lane_width(record)
     best = math.inf
     for rows in _rows_iter(record):
-        lanes: dict = {}
+        through = []
+        ramp = []
         for r in rows:
             if r.crashed:
-                continue
-            lanes.setdefault(_metric_lane(r, lane_width), []).append(r)
-        for members in lanes.values():
-            members.sort(key=lambda r: (-r.x, r.vid))
+                return 0.0
+            # the metric lane: the nearest centreline, clamped to the two lanes
+            (ramp if round(r.y / lane_width) > 0 else through).append(r)
+        for members in (through, ramp):
+            members.sort(key=_ahead_first)
             for leader, follower in zip(members, members[1:]):
                 if follower.speed < V_FLOOR:
                     continue
                 gap = (leader.x - 0.5 * leader.length) - (follower.x + 0.5 * follower.length)
-                best = min(best, gap / follower.speed)
+                headway = gap / follower.speed
+                if headway < best:
+                    best = headway
     return best
 
 

@@ -17,6 +17,13 @@ the non-zero floats it has recently written, as positions and speeds recur
 from step to step.  Zeros are written afresh each time: ``0.0 == -0.0``
 and both hash alike, so a remembered zero would print the other zero's
 sign.
+
+A wreck never moves again, so its row is one fact: from the second step
+after a vehicle crashed, :func:`snapshot_step` hands on the previous step's
+row object (rows are immutable named tuples) instead of building an equal
+one.  The encoder keeps the text of each vehicle's last wreck row and
+reuses it only for that same object (``is``, never ``==``, for the same
+reason zeros are not remembered).
 """
 
 from __future__ import annotations
@@ -155,10 +162,25 @@ def snapshot_vehicle(world: "World", vehicle, action=None, outcome=None,
 
 
 def snapshot_step(world: "World", step_index: int, actions: dict, outcomes: dict,
-                  topology: dict, rewards: dict) -> StepRecord:
+                  topology: dict, rewards: dict, previous: tuple) -> StepRecord:
+    """The post-step rows of the fleet, in ``world.vehicles`` order.
+
+    ``previous`` holds the rows of the step before, in the same order (the
+    initial snapshot before step 0).  A vehicle that is crashed, has no
+    action and was already a wreck without an action in ``previous`` keeps
+    that row object: a wreck never moves, so the row it would get is equal
+    field for field.  A vehicle that crashed during the last step carries
+    that step's action in its row, so it gets one new wreck row, shared
+    from then on.
+    """
     rows = []
-    for vehicle in world.vehicles:
+    for i, vehicle in enumerate(world.vehicles):
         vid = vehicle.vid
+        if vehicle.crashed and vid not in actions:
+            before = previous[i]
+            if before.crashed and before.action is None:
+                rows.append(before)
+                continue
         reward, reward_overall = rewards.get(vid, (None, None))
         rows.append(snapshot_vehicle(world, vehicle, actions.get(vid), outcomes.get(vid),
                                      reward, reward_overall))
@@ -186,7 +208,9 @@ def _step_encoder():
     takes its slot.  The table never grows, shrinks or is rebuilt; a dict
     memo cleared whenever it filled up left the heap fragmented and raised
     the peak memory of a 40-vehicle episode by about half a megabyte.  The
-    JSON string of every active label is kept for the encoder's lifetime.
+    JSON string of every active label is kept for the encoder's lifetime,
+    and so is the text of each vehicle's last wreck row (crashed, without
+    an action), returned again only for that same row object.
     A field that is not a float goes through ``_dump``, so an ``int`` in a
     float field is written as ``json.dumps`` would write it; NaN and
     infinities raise ``ValueError``, as they do under ``allow_nan=False``.
@@ -195,6 +219,8 @@ def _step_encoder():
     floats: list = [None] * _FLOAT_SLOTS
     reprs: list = [None] * _FLOAT_SLOTS
     labels: dict = {}
+    wreck_rows: dict = {}
+    wreck_texts: dict = {}
 
     def num(v) -> str:
         if v.__class__ is not float:
@@ -220,6 +246,8 @@ def _step_encoder():
         (vid, lane, target_lane, x, y, v_x, v_y, psi, speed, x_m, length, width,
          spawned_on_ramp, merged, merge_failed, crashed, action, v_nominal, v_safe,
          v_cbf, lane_change_allowed, slack, active, fault, reward, reward_overall) = r
+        if crashed and action is None and wreck_rows.get(vid) is r:
+            return wreck_texts[vid]
         head = (f'{{"vid":{vid},"lane":{lane},"target_lane":{target_lane},'
                 f'"x":{num(x)},"y":{num(y)},"v_x":{num(v_x)},"v_y":{num(v_y)},'
                 f'"psi":{num(psi)},"speed":{num(speed)},"x_m":{num(x_m)},'
@@ -227,7 +255,11 @@ def _step_encoder():
                 f'"spawned_on_ramp":{_LITERAL[spawned_on_ramp]},"merged":{_LITERAL[merged]},'
                 f'"merge_failed":{_LITERAL[merge_failed]},"crashed":{_LITERAL[crashed]}')
         if action is None:
-            return head + "}"
+            text = head + "}"
+            if crashed:
+                wreck_rows[vid] = r
+                wreck_texts[vid] = text
+            return text
         return (f'{head},"action":{action},"shield":{{"v_nominal":{num(v_nominal)},'
                 f'"v_safe":{num(v_safe)},"v_cbf":{num(v_cbf)},'
                 f'"lane_change_allowed":{_LITERAL[lane_change_allowed]},"slack":{num(slack)},'

@@ -117,6 +117,10 @@ def fleet_rewards(world: "World", weights: RewardWeights, kind: str, *,
     an earlier step gets no reward.  Individual rewards are computed once
     each, and only for the named vehicles and the members of their
     perceived groups, which can include wrecks.
+
+    The group average adds left to right from ``0 + own``, the order a
+    plain ``sum`` used before Python 3.12 made float sums compensated, so
+    records are the same bytes on every supported Python.
     """
     fn = {"default": default_reward, "custom": custom_reward}[kind]
     individual: dict = {}
@@ -124,11 +128,15 @@ def fleet_rewards(world: "World", weights: RewardWeights, kind: str, *,
     out = {}
     for v in world.vehicles:
         if v.vid in wanted:
-            scores = []
-            for o in [v] + _world.perceived(world, v):
+            own = individual.get(v.vid)
+            if own is None:
+                own = individual[v.vid] = fn(v, weights, world)
+            total = 0 + own
+            group = _world.perceived(world, v)
+            for o in group:
                 r = individual.get(o.vid)
                 if r is None:
                     r = individual[o.vid] = fn(o, weights, world)
-                scores.append(r)
-            out[v.vid] = (scores[0], sum(scores) / len(scores))
+                total += r
+            out[v.vid] = (own, total / (1 + len(group)))
     return out

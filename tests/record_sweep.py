@@ -15,6 +15,13 @@ output on the parent and on the change::
     python3 tests/record_sweep.py > after.txt
     diff before.txt after.txt
 
+Records are the same bytes on every supported Python (3.10 on), so the
+output does not depend on the interpreter either.  To check that, run the
+sweep under a second installed interpreter and diff it the same way::
+
+    python3.12 tests/record_sweep.py > other.txt
+    diff after.txt other.txt
+
 pytest does not collect this file (it is not named ``test_*.py``).
 """
 

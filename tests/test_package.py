@@ -273,6 +273,7 @@ STEP_PATH_FUNCTIONS = (
     ("shield", "brake_cap"),
     ("shield", "brake_margin"),
     ("records", "snapshot_vehicle"),
+    ("records", "snapshot_step"),
 )
 
 

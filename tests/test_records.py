@@ -142,3 +142,90 @@ def test_non_finite_floats_raise(bad, name):
         oracle_line(step)
     with pytest.raises(ValueError):
         step_lines([step])
+
+
+def test_a_repeated_wreck_row_encodes_as_the_oracle():
+    # the same row object in every step, then a different wreck row for
+    # the same vehicle: the kept text serves only the object it was made for
+    wreck = row(3, action=None, crashed=True, y=-0.0, v_y=0.0)
+    steps = [StepRecord(step=k, vehicles=(row(0, x=10.0 + k), wreck), topology={})
+             for k in range(3)]
+    steps.append(StepRecord(step=3, vehicles=(row(0), row(3, action=None, crashed=True, x=7.5)),
+                            topology={}))
+    steps.append(StepRecord(step=4, vehicles=(wreck,), topology={}))
+    assert step_lines(steps) == [oracle_line(step) for step in steps]
+
+
+def test_an_equal_wreck_row_is_written_with_its_own_zero_signs():
+    first = row(3, action=None, crashed=True, y=0.0)
+    second = row(3, action=None, crashed=True, y=-0.0)
+    assert first == second and first is not second
+    steps = [StepRecord(step=k, vehicles=(r,), topology={})
+             for k, r in enumerate((first, second, first))]
+    got = step_lines(steps)
+    assert got == [oracle_line(step) for step in steps]
+    assert '"y":0.0' in got[0] and '"y":-0.0' in got[1] and '"y":0.0' in got[2]
+
+
+def wreck_episode(policy=None):
+    """An unshielded random episode in which several vehicles crash early."""
+    cfg = RunConfig(scenario=ScenarioConfig(episode_steps=60),
+                    shield=ShieldConfig(mode="none"), policy=PolicySpec(kind="random"))
+    record, _ = run_episode(cfg, 1, policy)
+    return record
+
+
+def test_a_wreck_shares_its_row_from_its_second_wreck_step_on():
+    record = wreck_episode()
+    shared = 0
+    for i, first in enumerate(record.initial):
+        rows = [first] + [step.vehicles[i] for step in record.steps]
+        assert all(r.vid == first.vid for r in rows)
+        crash = next((k for k, r in enumerate(rows) if r.crashed), None)
+        if crash is None:
+            assert all(a is not b for a, b in zip(rows, rows[1:]))
+            continue
+        assert crash > 0 and rows[crash].action is not None
+        later = rows[crash + 1:]  # empty for a crash in the last step
+        if later:
+            assert later[0] is not rows[crash] and later[0].crashed
+            assert later[0].action is None
+            assert all(r is later[0] for r in later)
+            shared += len(later) - 1
+    assert shared > 0
+    assert episode_lines(record)[1:-1] == [oracle_line(step) for step in record.steps]
+
+
+def test_a_wreck_given_an_action_records_it():
+    # policies act for live vehicles only; one that also acts for the
+    # wrecks on even steps still finds each action in the wreck's row
+    from mergeshield.policy import BehaviorAction, RandomPolicy
+
+    class AlsoWrecks(RandomPolicy):
+        def decide(self, step_index, world, observations):
+            actions = super().decide(step_index, world, observations)
+            if step_index % 2 == 0:
+                actions.update({v.vid: BehaviorAction.FOLLOW_LANE
+                                for v in world.vehicles if v.crashed})
+            return actions
+
+    record = wreck_episode(AlsoWrecks())
+    wrecks = 0
+    for before, step in zip(record.steps, record.steps[1:]):
+        for was, now in zip(before.vehicles, step.vehicles):
+            if was.crashed:
+                wrecks += 1
+                assert (now.action is not None) == (step.step % 2 == 0)
+    assert wrecks
+    assert episode_lines(record)[1:-1] == [oracle_line(step) for step in record.steps]
+
+
+def test_a_re_read_record_encodes_to_the_same_bytes(tmp_path):
+    # rows read back are distinct objects, so no wreck text is reused
+    record = wreck_episode()
+    path = tmp_path / "episode.jsonl"
+    write_episode(record, path)
+    again = read_episode(path)
+    assert again.steps[-1].vehicles[0] is not again.steps[-2].vehicles[0]
+    assert episode_lines(again) == episode_lines(record)
+    assert path.read_text() == "\n".join(episode_lines(again)) + "\n"

@@ -212,6 +212,30 @@ class TestOverallReward:
         group = [vehicles[i] for i in (2, 1, 3, 0)]  # by distance, ties by id
         assert some[2][1] == sum(default_reward(v, W, w) for v in group) / 4
 
+    def test_group_mean_adds_left_to_right(self, monkeypatch):
+        # Python 3.12 made sum() of floats compensated; the record must not
+        # depend on the interpreter, so the mean adds in group order
+        import mergeshield.reward as reward_mod
+        from mergeshield.world import perceived
+
+        values = {0: 1e16, 1: 1.0, 2: -1e16}
+        monkeypatch.setattr(reward_mod, "custom_reward",
+                            lambda vehicle, weights, world: values[vehicle.vid])
+        road = RoadNetwork()
+        w = make_world([make_vehicle(i, 100.0 + 20.0 * i, 20.0, road=road) for i in range(3)],
+                       road=road)
+        fleet = fleet_rewards(w, W, "custom", vids=[0, 1, 2])
+        compensated = 0
+        for ego in w.vehicles:
+            group = [values[ego.vid]] + [values[o.vid] for o in perceived(w, ego)]
+            total = 0
+            for value in group:
+                total += value
+            assert fleet[ego.vid][0] == values[ego.vid]
+            assert fleet[ego.vid][1].hex() == (total / len(group)).hex()
+            compensated += math.fsum(group) != total
+        assert compensated  # the values tell the two summations apart
+
     def test_episode_rewards_only_vehicles_that_acted(self):
         from mergeshield.config import RunConfig
         from mergeshield.episode import run_episode
