@@ -46,10 +46,10 @@ class VehicleRow(NamedTuple):
     """One vehicle at one step (post-step state plus what produced it).
 
     A named tuple, as is every value built once per vehicle and step
-    (``VehicleState``, ``MotionPlan``, ``Neighborhood``, ``shield.Row``,
-    ``QPSolution``, ``ShieldOutcome`` and this row): immutable like a
-    frozen dataclass, and several times cheaper to build or copy.  A row
-    without an action serialises its state fields only.
+    (``VehicleState``, ``MotionPlan``, ``Neighborhood``, ``QPSolution``,
+    ``ShieldOutcome`` and this row): immutable like a frozen dataclass,
+    and several times cheaper to build or copy.  A row without an action
+    serialises its state fields only.
     """
 
     vid: int

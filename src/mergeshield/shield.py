@@ -1,13 +1,13 @@
-"""Safety layer: barrier rows, a scalar QP filter, lane-change gating.
+"""Safety layer: speed caps, a soft floor, a scalar QP filter, lane gating.
 
-Every row bounds the one speed command ``v``.  A hard row ``a * v <= q``
-with ``a > 0`` caps it; the one soft row ``a * v - slack <= q`` with
-``a < 0`` sets a floor that a slack may relax.  The interaction topology
-names the leaders that constrain each vehicle in both shield modes; the
-mode only picks the next speed a leader is credited with: its resolved
-safe command in ``mass`` mode, its worst-case braking in ``hss`` mode,
-which also keeps the own-lane leader that a cutting-in vehicle
-displaced.  Per vehicle and step the filter builds
+Every barrier bounds the one speed command ``v``: each hard one is a cap
+``v <= cap``, and the one soft row ``a * v - slack <= q`` with ``a < 0``
+sets a floor that a slack may relax.  The interaction topology names the
+leaders that constrain each vehicle in both shield modes; the mode only
+picks the next speed a leader is credited with: its resolved safe command
+in ``mass`` mode, its worst-case braking in ``hss`` mode, which also keeps
+the own-lane leader that a cutting-in vehicle displaced.  Per vehicle and
+step the filter takes
 
 * a headway cap per leader: the time-headway barrier
   ``h = gap - tau * v`` propagated one step with decay ``eta``, crediting
@@ -20,10 +20,10 @@ displaced.  Per vehicle and step the filter builds
 * a soft rear floor toward the adjacent rear vehicle during an ongoing lane
   change, relaxed by the slack.
 
-The QP minimises ``(v - v_nominal)^2 + k_eps * slack`` over the one command
-inside the reachability box (one-step actuator envelope) in closed form
-(:func:`solve_qp`); caps below the box raise a fault that callers turn
-into full braking.
+The caps lower the top of the reachability box (one-step actuator
+envelope) to their minimum.  The QP minimises ``(v - v_nominal)^2 +
+k_eps * slack`` inside that box in closed form (:func:`solve_qp`); caps
+below the box raise a fault that callers turn into full braking.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ __all__ = [
     "ShieldFault",
     "QPSolution",
     "worst_case_speed",
-    "longitudinal_cbf",
+    "headway_cap",
     "brake_guard",
     "lateral_rear_row",
     "allow_lane_change",
@@ -64,13 +64,13 @@ class ShieldFault(RuntimeError):
 
 
 class Row(NamedTuple):
-    """One barrier row over the speed command ``v``: ``a * v <= q`` when
-    ``kind`` is ``"hard"``, ``a * v - slack <= q`` when it is ``"soft"``."""
+    """The soft floor ``a * v - slack <= q`` (``a < 0``) over the speed
+    command; ``kind`` stays only for the benchmark's tracer to count by."""
 
     a: float
     q: float
     label: str
-    kind: str = "hard"
+    kind: str = "soft"
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,8 @@ class ShieldConfig:
     Worst cases are each vehicle's own acceleration limits
     (``VehicleParams.a_min`` / ``a_max``), and the lateral rows use the
     same headway ``tau`` as the longitudinal ones.  ``lag_margin`` tightens
-    every hard longitudinal row to absorb the one-step position lag of the
-    explicit Euler integrator (commands move positions only one step
-    later).
+    every cap to absorb the one-step position lag of the explicit Euler
+    integrator (commands move positions only one step later).
     """
 
     mode: str = "mass"
@@ -124,8 +123,8 @@ class ShieldOutcome(NamedTuple):
 
 
 class QPSolution(NamedTuple):
-    """The filtered command, the slack it uses, the labels of the rows that
-    bind there and the objective value."""
+    """The filtered command, the slack it uses, the labels of the bounds
+    that bind there and the objective value."""
 
     v_safe: float
     slack: float
@@ -250,33 +249,32 @@ def _rear_speed(c_oar, config: ShieldConfig) -> float:
     return v if v < v_cap else v_cap
 
 
-def longitudinal_cbf(ego, leader, config: ShieldConfig,
-                     v_leader_next: float) -> Row:
-    """Headway barrier row for one leader, propagated one step.
+def headway_cap(ego, leader, config: ShieldConfig, v_leader_next: float) -> float:
+    """Headway cap toward one leader, the barrier propagated one step.
 
     ``h = gap - tau * v_e`` must decay no faster than ``(1 - eta)`` per
     step.  The ego advance is credited at the commanded speed times
     ``cos(psi)``; the leader advance at its credited next speed
-    ``v_leader_next``.  The row is tightened by ``lag_margin``.
+    ``v_leader_next``.  The cap is tightened by ``lag_margin``.  Raises
+    ``ValueError`` when it is not finite.
     """
     dt = config.dt
     tau = config.tau
-    gap = bumper_gap(ego, leader)
-    v_e = ego.state.speed
-    g_e = math.cos(ego.state.psi)
-    g_o = math.cos(leader.state.psi)
     q = (
-        config.eta * gap
-        + (1.0 - config.eta) * tau * v_e
-        + g_o * v_leader_next * dt
+        config.eta * bumper_gap(ego, leader)
+        + (1.0 - config.eta) * tau * ego.state.speed
+        + math.cos(leader.state.psi) * v_leader_next * dt
         - config.lag_margin
     )
-    return Row(g_e * dt + tau, q, f"headway:{leader.vid}")
+    cap = q / (math.cos(ego.state.psi) * dt + tau)
+    if not math.isfinite(cap):
+        raise ValueError(f"headway cap toward vehicle {leader.vid} is not finite")
+    return cap
 
 
 def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float,
-                v_hi: float) -> Row | None:
-    """Braking-feasibility row: cap the command so a joint worst-case
+                v_hi: float) -> float | None:
+    """Braking-feasibility cap: the largest command whose joint worst-case
     braking run from the next state keeps the headway barrier satisfied.
 
     ``v_leader_next`` is the leader's credited next speed and ``v_hi`` the
@@ -291,11 +289,11 @@ def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float,
                     closing=math.cos(ego.state.psi) * dt)
     if cap >= v_hi:
         return None
-    return Row(1.0, cap, f"brake:{leader.vid}")
+    return cap
 
 
 def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> Row:
-    """Soft barrier row toward the adjacent rear vehicle during a lane change.
+    """Soft floor toward the adjacent rear vehicle during a lane change.
 
     ``h = gap - tau * v_ar`` with ``v_ar`` the rear vehicle's worst-case
     (full acceleration) next speed, propagated one step.  It is soft so a
@@ -307,7 +305,7 @@ def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> Row:
     v_ar_wc = _rear_speed(c_oar, config)
     h_now = gap - config.tau * v_ar_wc
     q = config.eta * h_now - v_ar_wc * dt
-    return Row(-g_e * dt, q, f"lat_rear:{c_oar.vid}", "soft")
+    return Row(-g_e * dt, q, f"lat_rear:{c_oar.vid}")
 
 
 def allow_lane_change(ego, c_oal, c_oar, config: ShieldConfig) -> bool:
@@ -363,8 +361,8 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     return True
 
 
-#: hard-row infeasibility that :func:`solve_qp` absorbs: a box emptied by
-#: at most this much is pinned to its lower end instead of faulting
+#: cap infeasibility that :func:`solve_qp` absorbs: caps that push the box
+#: top below its lower end by at most this much pin it there, not a fault
 FEAS_TOL = 1e-9
 
 
@@ -377,45 +375,35 @@ def _clamp(v, lo, hi, lo_label, hi_label, active=()):
     return v, active
 
 
-def solve_qp(v_nominal: float, rows: list, k_eps: float, lo: float,
-             hi: float) -> QPSolution:
+def solve_qp(v_nominal: float, rows, k_eps: float, lo: float, hi: float,
+             hi_label: str = "reach_hi") -> QPSolution:
     """Minimise ``(v - v_nominal)^2 + k_eps * slack`` over one speed command
-    in the reachability box ``[lo, hi]`` (labelled ``reach_lo`` and
-    ``reach_hi``).
+    in the box ``[lo, hi]``: the reachability box with its top lowered by
+    the caps, its bounds labelled ``reach_lo`` and ``hi_label``.
 
-    The rows have the shapes the shield builds.  Each hard row is a cap
-    ``a * v <= q`` with ``a > 0`` that lowers ``hi`` to ``q / a``.  At most
-    one soft row ``a * v - slack <= q`` with ``a < 0`` sets a floor
-    ``q / a`` that the slack relaxes at ``k_eps`` per unit.  Without a soft
-    row the optimum is the nominal clamped into the box.  With one, the
-    objective is convex and piecewise quadratic in ``v`` with its kink at
-    the floor, so the optimum is the cheaper of the nominal clamped into
-    the box above the floor (no slack) and the row's stationary point
-    ``v_nominal - k_eps * a / 2`` clamped into the box.
+    ``rows`` holds at most the one soft floor, a finite :class:`Row`
+    ``a * v - slack <= q`` with ``a < 0`` whose floor ``q / a`` the slack
+    relaxes at ``k_eps`` per unit; any other row raises ``ValueError``.
+    Without it the optimum is the nominal clamped into the box.  With it,
+    the objective is convex and piecewise quadratic in ``v`` with its kink
+    at the floor, so the optimum is the cheaper of the nominal clamped
+    into the box above the floor (no slack) and the floor's stationary
+    point ``v_nominal - k_eps * a / 2`` clamped into the box.
 
-    ``active`` names the rows that bind at the chosen point.  Raises
+    ``active`` names the bounds that bind at the chosen point.  Raises
     :class:`ShieldFault` when ``lo > hi + FEAS_TOL``; a box empty by less
-    is pinned to ``lo``.  Raises ``ValueError`` for a non-finite row, a
-    hard row with ``a <= 0``, a soft row with ``a >= 0`` or a second soft
-    row.
+    is pinned to ``lo``.
     """
-    lo_label, hi_label = "reach_lo", "reach_hi"
     soft = None
     for row in rows:
-        a, q = row.a, row.q
-        if not (math.isfinite(a) and math.isfinite(q)):
-            raise ValueError(f"row {row.label!r} is not finite")
-        if row.kind == "hard" and a > 0.0:
-            if q / a < hi:
-                hi, hi_label = q / a, row.label
-        elif row.kind == "soft" and a < 0.0 and soft is None:
-            soft = row
-        else:
-            raise ValueError(f"row {row.label!r} is neither a speed cap nor the one soft floor")
+        if soft is not None or row.kind != "soft" or not (
+                -math.inf < row.a < 0.0 and math.isfinite(row.q)):
+            raise ValueError(f"row {row.label!r} is not the one finite soft floor")
+        soft = row
     if lo > hi + FEAS_TOL:
-        raise ShieldFault("hard rows infeasible")
+        raise ShieldFault("caps infeasible")
     hi = max(hi, lo)
-    floor, floor_label = lo, lo_label
+    floor, floor_label = lo, "reach_lo"
     if soft is not None and soft.q / soft.a > lo:
         floor, floor_label = soft.q / soft.a, soft.label
     free = None
@@ -424,7 +412,7 @@ def solve_qp(v_nominal: float, rows: list, k_eps: float, lo: float,
         free = QPSolution(v, 0.0, active, (v - v_nominal) ** 2)
     if soft is None:
         return free
-    v, active = _clamp(v_nominal - 0.5 * k_eps * soft.a, lo, hi, lo_label, hi_label,
+    v, active = _clamp(v_nominal - 0.5 * k_eps * soft.a, lo, hi, "reach_lo", hi_label,
                        (soft.label,))
     slack = max(0.0, soft.a * v - soft.q)
     objective = (v - v_nominal) ** 2 + k_eps * slack
@@ -440,7 +428,8 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
     ``leaders`` holds ``(leader, credited next speed)`` pairs, each adding a
     headway cap and a brake guard; while the ego changes lanes, an adjacent
     rear vehicle ``c_oar`` adds the soft rear floor.  The QP is solved in the
-    reachability box, and a hard fault falls back to full braking.
+    reachability box with its top lowered to the smallest cap, the first
+    one of a tie labelling it, and a fault falls back to full braking.
     ``lane_change_allowed``, the lane gate's verdict, is recorded on the
     outcome as given.
     """
@@ -453,16 +442,20 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
     hi = hi if hi < params.v_cap else params.v_cap
     v_nom_step = lo if lo > v_nominal else v_nominal
     v_nom_step = hi if hi < v_nom_step else v_nom_step
-    rows = []
+    cap, bound, binder = hi, None, None
     for leader, v_next in leaders:
-        rows.append(longitudinal_cbf(ego, leader, config, v_next))
+        headway = headway_cap(ego, leader, config, v_next)
+        if headway < cap:
+            cap, bound, binder = headway, "headway", leader
         guard = brake_guard(ego, leader, config, v_next, hi)
-        if guard is not None:
-            rows.append(guard)
+        if guard is not None and guard < cap:
+            cap, bound, binder = guard, "brake", leader
+    label = "reach_hi" if binder is None else f"{bound}:{binder.vid}"
+    floors = ()
     if ego.target_lane != ego.lane and c_oar is not None:
-        rows.append(lateral_rear_row(ego, c_oar, config))
+        floors = (lateral_rear_row(ego, c_oar, config),)
     try:
-        sol = solve_qp(v_nom_step, rows, config.k_eps, lo, hi)
+        sol = solve_qp(v_nom_step, floors, config.k_eps, lo, cap, label)
     except ShieldFault:
         return ShieldOutcome(v_nom_step, lo, lo - v_nom_step, lane_change_allowed, 0.0,
                              ("fault",), True)

@@ -13,8 +13,8 @@
   root over every braking step, the closed form before its candidate set.
 
 The grid and the enumerator take general halfspaces :class:`AffineRow`;
-:func:`affine_rows` states a shield instance (its rows and reachability
-box) in that form.
+:func:`affine_rows` states a shield instance (its caps, soft floors and
+reachability box) in that form, the caps as hard rows.
 """
 
 import itertools
@@ -35,12 +35,13 @@ class AffineRow:
     label: str
 
 
-def affine_rows(rows, lo, hi):
-    """The shield rows of one scalar instance and its box ``[lo, hi]`` as
-    :class:`AffineRow` halfspaces, the box rows first."""
+def affine_rows(caps, floors, lo, hi):
+    """One scalar instance as :class:`AffineRow` halfspaces: its box
+    ``[lo, hi]`` first, then each cap ``(a, q, label)`` meaning
+    ``a * v <= q`` as a hard row, then each soft floor ``shield.Row``."""
     box = [AffineRow((1.0, 0.0), hi, "reach_hi"), AffineRow((-1.0, 0.0), -lo, "reach_lo")]
-    return box + [AffineRow((r.a, -1.0 if r.kind == "soft" else 0.0), r.q, r.label)
-                  for r in rows]
+    return (box + [AffineRow((a, 0.0), q, label) for a, q, label in caps]
+            + [AffineRow((r.a, -1.0), r.q, r.label) for r in floors])
 
 
 def _split_rows(rows, n):
@@ -269,24 +270,30 @@ def _agrees_with_grid(v_nom, rows, k_eps, point, objective, oracle_obj, tol_obj)
     return scale
 
 
-def check_scalar_instance(v_nom, rows, k_eps, lo, hi, tol_obj=1e-6):
-    """Verify ``shield.solve_qp`` on one instance of shield rows in the box
-    ``[lo, hi]``; returns 1 when a solve happened (0 for consistently
-    infeasible instances).
+def check_scalar_instance(v_nom, caps, floors, k_eps, lo, hi, tol_obj=1e-6):
+    """Verify ``shield.solve_qp`` on one instance of caps ``(a, q, label)``
+    and soft floors in the box ``[lo, hi]``; returns the solution, or None
+    for a consistently infeasible instance.
 
-    The dense grid plus boundary candidates pins the optimum, so the
-    objectives must agree within ``tol_obj`` both ways, and with the
+    The solver gets the caps as the shield hands them over, folded into
+    the box top ``min(q / a)``; the grid and the enumerator get them as
+    hard rows.  The dense grid plus boundary candidates pins the optimum,
+    so the objectives must agree within ``tol_obj`` both ways, and with the
     enumerator's objective at the enumerator's point within 1e-9 relative.
     """
     from mergeshield.shield import ShieldFault, solve_qp
 
-    affine = affine_rows(rows, lo, hi)
+    affine = affine_rows(caps, floors, lo, hi)
     oracle_obj, _ = grid_search_min((v_nom,), affine, k_eps)
+    top, top_label = hi, "reach_hi"
+    for a, q, label in caps:
+        if q / a < top:
+            top, top_label = q / a, label
     try:
-        sol = solve_qp(v_nom, rows, k_eps, lo, hi)
+        sol = solve_qp(v_nom, floors, k_eps, lo, top, top_label)
     except ShieldFault:
         assert not np.isfinite(oracle_obj), "solver infeasible but oracle found a point"
-        return 0
+        return None
     scale = _agrees_with_grid((v_nom,), affine, k_eps, (sol.v_safe,), sol.objective,
                               oracle_obj, tol_obj)
     assert oracle_obj <= sol.objective + tol_obj * scale
@@ -297,7 +304,7 @@ def check_scalar_instance(v_nom, rows, k_eps, lo, hi, tol_obj=1e-6):
     at_enumerated = oracle_objective_at(np.array([enumerated.v_safe]), (v_nom,), hard, soft,
                                         k_eps)[0]
     assert abs(at_enumerated - sol.objective) <= 1e-9 * scale
-    return 1
+    return sol
 
 
 def check_instance(v_nom, rows, k_eps, tol_obj=1e-6, tol_kkt=1e-8):

@@ -268,10 +268,11 @@ STEP_PATH_FUNCTIONS = (
     ("world", "plan_motion"),
     ("world", "_maneuver_overlay"),
     ("shield", "filter_vehicle"),
-    ("shield", "longitudinal_cbf"),
+    ("shield", "headway_cap"),
     ("shield", "brake_guard"),
     ("shield", "brake_cap"),
     ("shield", "brake_margin"),
+    ("shield", "solve_qp"),
     ("records", "snapshot_vehicle"),
     ("records", "snapshot_step"),
 )

@@ -20,8 +20,8 @@ from mergeshield.shield import (
     filter_vehicle,
     joint_safe_control,
     lane_change_feasible,
+    headway_cap,
     lateral_rear_row,
-    longitudinal_cbf,
     solve_qp,
     worst_case_speed,
 )
@@ -41,25 +41,32 @@ def place_pair(gap, v_e, v_l, tau=0.5):
     return ego, leader
 
 
-def encoded_h(row, ego, leader, v_next, cfg=CFG):
-    """Barrier value a headway row decays from, solved out of its ``q``:
+def encoded_h(cap, ego, leader, v_next, cfg=CFG):
+    """Barrier value a headway cap decays from, solved out of
+    ``cap = q / (cos(psi_e) * dt + tau)`` with
     ``q = eta * gap + (1 - eta) * tau * v_e + cos(psi_l) * v_next * dt - lag``."""
     gap = bumper_gap(ego, leader)
+    q = cap * (math.cos(ego.state.psi) * cfg.dt + cfg.tau)
     advance = math.cos(leader.state.psi) * v_next * cfg.dt - cfg.lag_margin
-    return (gap + advance - row.q) / (1.0 - cfg.eta)
+    return (gap + advance - q) / (1.0 - cfg.eta)
 
 
 class TestLongitudinalCbf:
     def test_direct_substitution(self):
         ego, leader = place_pair(20.0, 25.0, 25.0)
-        row = longitudinal_cbf(ego, leader, CFG, 25.0)
-        assert encoded_h(row, ego, leader, 25.0) == pytest.approx(20.0 - 12.5)
-        assert row.kind == "hard"
+        cap = headway_cap(ego, leader, CFG, 25.0)
+        assert encoded_h(cap, ego, leader, 25.0) == pytest.approx(20.0 - 12.5)
 
     def test_boundary_of_safe_set(self):
         ego, leader = place_pair(12.5, 25.0, 25.0)
-        row = longitudinal_cbf(ego, leader, CFG, 25.0)
-        assert encoded_h(row, ego, leader, 25.0) == pytest.approx(0.0, abs=1e-12)
+        cap = headway_cap(ego, leader, CFG, 25.0)
+        assert encoded_h(cap, ego, leader, 25.0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("v_next", [math.inf, math.nan])
+    def test_cap_that_is_not_finite_raises(self, v_next):
+        ego, leader = place_pair(20.0, 25.0, 25.0)
+        with pytest.raises(ValueError, match="not finite"):
+            headway_cap(ego, leader, CFG, v_next)
 
     def test_h_matches_scalar_evaluation_on_random_triples(self):
         rng = np.random.default_rng(2)
@@ -69,18 +76,15 @@ class TestLongitudinalCbf:
             tau = float(rng.uniform(0.2, 1.5))
             cfg = replace(CFG, tau=tau)
             ego, leader = place_pair(gap, v_e, 20.0)
-            row = longitudinal_cbf(ego, leader, cfg, 20.0)
-            assert row.a == math.cos(ego.state.psi) * cfg.dt + tau
-            h = encoded_h(row, ego, leader, 20.0, cfg)
+            h = encoded_h(headway_cap(ego, leader, cfg, 20.0), ego, leader, 20.0, cfg)
             assert h == pytest.approx(gap - tau * v_e, abs=1e-12)
 
     def test_row_encodes_one_step_propagation(self):
-        # a command satisfying the row keeps h from decaying faster than
+        # a command under the cap keeps h from decaying faster than
         # (1 - eta) per step in the credited one-step model
         ego, leader = place_pair(18.0, 24.0, 22.0)
         v_next = 21.5
-        row = longitudinal_cbf(ego, leader, CFG, v_next)
-        v_cmd = (row.q - 1e-9) / row.a
+        v_cmd = headway_cap(ego, leader, CFG, v_next) - 1e-9
         gap_next = 18.0 + (v_next - math.cos(ego.state.psi) * v_cmd) * CFG.dt - CFG.lag_margin
         h_next = gap_next - CFG.tau * v_cmd
         assert h_next >= (1.0 - CFG.eta) * (18.0 - CFG.tau * 24.0) - 1e-6
@@ -197,7 +201,7 @@ class TestBrakeCap:
             # a missing draw credits the worst case or tops out at the reach box
             credit = max(0.0, v_l + leader.params.a_min * CFG.dt) if v_next is None else v_next
             top = min(ego.params.v_cap, v_e + ego.params.a_max * CFG.dt) if v_hi is None else v_hi
-            row = brake_guard(ego, leader, CFG, credit, top)
+            cap = brake_guard(ego, leader, CFG, credit, top)
 
             def margin_at(v):
                 gap_next = gap + (math.cos(psi_l) * credit - math.cos(psi_e) * v) * CFG.dt \
@@ -207,12 +211,12 @@ class TestBrakeCap:
             want = bisect_cap(margin_at, top)
             if want is None:
                 kinds["none"] += 1
-                assert row is None
+                assert cap is None
                 continue
-            assert row is not None
-            assert (row.q == 0.0) == (want == 0.0)
+            assert cap is not None
+            assert (cap == 0.0) == (want == 0.0)
             kinds["zero" if want == 0.0 else "cap"] += 1
-            assert row.q == pytest.approx(want, abs=1e-9)
+            assert cap == pytest.approx(want, abs=1e-9)
         assert min(kinds.values()) > 50
 
     def test_spawn_cap_matches_bisection_oracle(self):
@@ -257,7 +261,8 @@ class TestBrakeCap:
 def random_scalar_instance(rng, v_cap=40.0):
     """Random instance of the shape the shield builds: a reachability box
     near the nominal (sometimes empty by float noise or by far), up to four
-    speed caps and at most one soft floor, each bound near the box."""
+    speed caps ``(a, q, label)`` meaning ``a * v <= q`` and at most one soft
+    floor, each bound near the box."""
     v_nom = float(rng.uniform(0.0, v_cap))
     k_eps = float(rng.choice([5.0, 50.0, 1000.0, 1e6]))
     lo = max(0.0, v_nom - float(rng.uniform(-1.0, 6.0)))
@@ -265,15 +270,15 @@ def random_scalar_instance(rng, v_cap=40.0):
         hi = min(v_cap, lo + float(rng.uniform(0.0, 8.0)))
     else:
         hi = lo - float(rng.choice([0.0, 1e-10, 1.0]))
-    rows = []
+    caps = []
     for j in range(int(rng.integers(0, 5))):
         a = float(rng.uniform(0.01, 2.0))
-        rows.append(Row(a, a * float(rng.uniform(lo - 0.5, hi + 8.0)), f"cap{j}"))
+        caps.append((a, a * float(rng.uniform(lo - 0.5, hi + 8.0)), f"cap{j}"))
+    floors = []
     if rng.random() < 0.6:
         a = -float(rng.uniform(0.01, 1.0))
-        rows.insert(int(rng.integers(0, len(rows) + 1)),
-                    Row(a, a * float(rng.uniform(lo - 4.0, hi + 4.0)), "floor", "soft"))
-    return v_nom, rows, k_eps, lo, hi
+        floors.append(Row(a, a * float(rng.uniform(lo - 4.0, hi + 4.0)), "floor"))
+    return v_nom, caps, floors, k_eps, lo, hi
 
 
 def random_qp_instance(rng, v_cap=40.0):
@@ -312,15 +317,14 @@ class TestSolveQP:
         assert sol.active == ()
 
     def test_single_halfspace_projection(self):
-        sol = solve_qp(25.0, [Row(1.0, 20.0, "cap")], 1e6, 0.0, 40.0)
-        assert sol.v_safe == pytest.approx(20.0)
+        sol = solve_qp(25.0, [], 1e6, 0.0, 20.0, "cap")
+        assert sol.v_safe == 20.0
         assert sol.active == ("cap",)
 
     def test_soft_row_yields_under_pressure(self):
         # a cap under the soft floor: the slack absorbs the difference
-        hard = Row(1.0, 10.0, "hi")
-        soft = Row(-1.0, -15.0, "lo_soft", "soft")
-        sol = solve_qp(12.0, [hard, soft], 1e6, 0.0, 40.0)
+        soft = Row(-1.0, -15.0, "lo_soft")
+        sol = solve_qp(12.0, [soft], 1e6, 0.0, 10.0, "hi")
         assert sol.v_safe == pytest.approx(10.0)
         assert sol.slack == pytest.approx(5.0)
         assert sol.active == ("hi", "lo_soft")
@@ -328,41 +332,37 @@ class TestSolveQP:
     def test_cheap_slack_stops_at_the_stationary_point(self):
         # k_eps = 4 makes the floor at 15 worth only part of the climb from 12:
         # the optimum 12 + k_eps / 2 = 14 keeps one unit of slack
-        sol = solve_qp(12.0, [Row(-1.0, -15.0, "floor", "soft")], 4.0, 0.0, 40.0)
+        sol = solve_qp(12.0, [Row(-1.0, -15.0, "floor")], 4.0, 0.0, 40.0)
         assert sol.v_safe == 14.0
         assert sol.slack == 1.0
         assert sol.active == ("floor",)
-        free = solve_qp(12.0, [Row(-1.0, -15.0, "floor", "soft")], 1e6, 0.0, 40.0)
+        free = solve_qp(12.0, [Row(-1.0, -15.0, "floor")], 1e6, 0.0, 40.0)
         assert (free.v_safe, free.slack, free.active) == (15.0, 0.0, ("floor",))
 
-    def test_tied_caps_keep_the_first_label(self):
-        rows = [Row(1.0, 20.0, "first"), Row(2.0, 40.0, "second")]
-        assert solve_qp(25.0, rows, 1e6, 0.0, 40.0).active == ("first",)
-        assert solve_qp(25.0, rows[::-1], 1e6, 0.0, 40.0).active == ("second",)
-
     @pytest.mark.parametrize("rows", [
-        [Row(0.0, 1.0, "flat")],
-        [Row(-1.0, -5.0, "hard_floor")],
-        [Row(1.0, math.inf, "inf_cap")],
-        [Row(math.nan, 1.0, "nan_cap")],
-        [Row(1.0, 1.0, "soft_cap", "soft")],
-        [Row(0.0, -1.0, "flat_soft", "soft")],
-        [Row(-1.0, math.nan, "nan_floor", "soft")],
-        [Row(-1.0, -5.0, "floor1", "soft"), Row(1.0, 30.0, "cap"),
-         Row(-1.0, -6.0, "floor2", "soft")],
+        [Row(0.0, 1.0, "flat", "hard")],
+        [Row(-1.0, -5.0, "hard_floor", "hard")],
+        [Row(1.0, math.inf, "inf_cap", "hard")],
+        [Row(math.nan, 1.0, "nan_cap", "hard")],
+        [Row(1.0, 1.0, "soft_cap")],
+        [Row(0.0, -1.0, "flat_soft")],
+        [Row(-1.0, math.nan, "nan_floor")],
+        [Row(-1.0, -5.0, "floor1"), Row(-1.0, -6.0, "floor2")],
+        [Row(-1.0, -5.0, "floor"), Row(1.0, 30.0, "cap", "hard")],
         [Row(1.0, 30.0, "cap", "lateral")],
     ], ids=["flat_cap", "hard_floor", "inf_cap", "nan_cap", "soft_cap", "flat_soft",
-            "nan_floor", "second_soft", "unknown_kind"])
+            "nan_floor", "second_soft", "hard_cap", "unknown_kind"])
     def test_rows_outside_the_shape_raise(self, rows):
-        # only speed caps and one soft floor occur; anything else fails loudly
-        with pytest.raises(ValueError, match="not finite|neither a speed cap"):
+        # caps arrive folded into the box top; a row is only ever the one
+        # soft floor, and anything else fails loudly
+        with pytest.raises(ValueError, match="not the one finite soft floor"):
             solve_qp(20.0, rows, 1e6, 0.0, 40.0)
 
     def test_hard_infeasible_raises(self):
         with pytest.raises(ShieldFault):
-            solve_qp(15.0, [Row(1.0, 10.0, "hi")], 1e6, 20.0, 30.0)
+            solve_qp(15.0, [], 1e6, 20.0, 10.0, "hi")
         # an interval empty by at most FEAS_TOL is pinned to its lower end
-        sol = solve_qp(15.0, [Row(1.0, 20.0 - FEAS_TOL, "hi")], 1e6, 20.0, 30.0)
+        sol = solve_qp(15.0, [], 1e6, 20.0, 20.0 - FEAS_TOL, "hi")
         assert sol.v_safe == 20.0
 
     def test_matches_grid_oracle_on_random_instances(self):
@@ -374,10 +374,10 @@ class TestSolveQP:
         rng = np.random.default_rng(12)
         solved = faulted = sloped = 0
         for _ in range(150):
-            v_nom, rows, k_eps, lo, hi = random_scalar_instance(rng)
-            if check_scalar_instance(v_nom, rows, k_eps, lo, hi):
+            sol = check_scalar_instance(*random_scalar_instance(rng))
+            if sol is not None:
                 solved += 1
-                sloped += solve_qp(v_nom, rows, k_eps, lo, hi).slack > 0.0
+                sloped += sol.slack > 0.0
             else:
                 faulted += 1
         assert solved > 100 and faulted > 10 and sloped > 20
@@ -487,8 +487,8 @@ class TestFilterHss:
         # the command to reach_lo, the speed the fallback would command
         from mergeshield import shield
 
-        def guard_at(q):
-            return lambda *a, **k: Row(1.0, q, "brake:1")
+        def guard_at(cap):
+            return lambda *a, **k: cap
 
         reach_lo = 25.0 + (-5.0) * CFG.dt
         for below in (0.0, 1e-15, 1e-12, 1e-9):
@@ -583,6 +583,49 @@ class TestFilterMass:
         assert out == filter_vehicle(ego, [(leader, 0.0)], None, 22.0, CFG)
         assert out.v_safe < filter_vehicle(ego, [(leader, 18.0)], None, 22.0, CFG).v_safe
 
+    def test_tied_caps_keep_the_first_label(self, monkeypatch):
+        # a cap replaces the running minimum only when strictly smaller: on
+        # a tie the box top keeps its label, a leader's headway cap beats
+        # its guard, and an earlier leader beats a later one
+        from mergeshield import shield
+
+        ego = make_vehicle(0, 100.0, 25.0)
+        first, second = make_vehicle(1, 150.0, 25.0), make_vehicle(2, 200.0, 25.0)
+        top = 25.0 + ego.params.a_max * CFG.dt
+        caps, tops = {}, []
+        solve = shield.solve_qp
+
+        def recording_solve(v_nominal, rows, k_eps, lo, hi, hi_label):
+            tops.append((hi, hi_label))
+            return solve(v_nominal, rows, k_eps, lo, hi, hi_label)
+
+        monkeypatch.setattr(shield, "headway_cap",
+                            lambda ego, leader, config, v_next: caps["headway", leader.vid])
+        monkeypatch.setattr(shield, "brake_guard",
+                            lambda ego, leader, config, v_next, v_hi: caps["brake", leader.vid])
+        monkeypatch.setattr(shield, "solve_qp", recording_solve)
+
+        def fold(leaders, given):
+            caps.clear()
+            caps.update(given)
+            out = filter_vehicle(ego, [(p, 25.0) for p in leaders], None, 30.0, CFG)
+            hi, hi_label = tops[-1]
+            assert hi == min(v for v in given.values() if v is not None)
+            assert out.v_safe == hi
+            return hi_label
+
+        assert fold([first], {("headway", 1): top, ("brake", 1): None}) == "reach_hi"
+        assert fold([first], {("headway", 1): 24.8, ("brake", 1): 24.8}) == "headway:1"
+        assert fold([first], {("headway", 1): 24.9, ("brake", 1): 24.8}) == "brake:1"
+        two = {("headway", 1): 24.8, ("brake", 1): None,
+               ("headway", 2): 24.8, ("brake", 2): None}
+        assert fold([first, second], two) == "headway:1"
+        assert fold([second, first], two) == "headway:2"
+        two = {("headway", 1): 24.9, ("brake", 1): 24.8,
+               ("headway", 2): 24.8, ("brake", 2): None}
+        assert fold([first, second], two) == "brake:1"
+        assert fold([second, first], two) == "headway:2"
+
     def test_deterministic(self):
         ego, leader = place_pair(20.0, 25.0, 20.0)
         parent_out = resolved(leader, 20.0)
@@ -592,6 +635,46 @@ class TestFilterMass:
 
 
 class TestJointSafeControl:
+    @pytest.mark.parametrize("kind", ["random", "heuristic"])
+    def test_mass_is_never_more_restrictive_than_hss(self, monkeypatch, kind):
+        # on every snapshot of mass episodes, resolving the same plans and
+        # topology once more in hss mode: crediting parents their resolved
+        # commands may only raise the safe command and widen the lane grants
+        from mergeshield import world as world_mod
+        from mergeshield.config import RunConfig
+        from mergeshield.episode import run_episode
+        from mergeshield.policy import PolicySpec
+        from mergeshield.world import ScenarioConfig, World
+
+        seen = {"steps": 0, "faster": 0, "requests": 0, "hss_grants": 0}
+
+        def both_modes(world, topology, plans):
+            mass = joint_safe_control(world, topology, plans)
+            twin = World(world.road, world.scenario, replace(world.shield, mode="hss"),
+                         world.vehicles, world.step_index)
+            hss = joint_safe_control(twin, topology, plans)
+            assert mass.keys() == hss.keys()
+            for vid, out in mass.items():
+                assert out.v_safe >= hss[vid].v_safe, (world.step_index, vid)
+                assert out.lane_change_allowed or not hss[vid].lane_change_allowed, \
+                    (world.step_index, vid)
+                seen["faster"] += out.v_safe > hss[vid].v_safe
+                if plans[vid].lane_request:
+                    seen["requests"] += 1
+                    seen["hss_grants"] += hss[vid].lane_change_allowed
+            seen["steps"] += 1
+            return mass
+
+        monkeypatch.setattr(world_mod, "joint_safe_control", both_modes)
+        cfg = RunConfig(scenario=ScenarioConfig(), shield=ShieldConfig(mode="mass"),
+                        policy=PolicySpec(kind=kind))
+        for seed in range(4):
+            run_episode(cfg, seed)
+        # both sides of each comparison occur: commands that mass raises, and
+        # lane requests that hss grants as well as ones it denies
+        assert seen["steps"] > 400 and seen["faster"] > 100
+        assert seen["requests"] > seen["hss_grants"] > 0
+
     def test_mode_none_is_pass_through(self):
         vehicles = [make_vehicle(0, 100.0, 20.0), make_vehicle(1, 120.0, 20.0)]
         w = make_world(vehicles, shield_mode="none")

@@ -462,7 +462,7 @@ class TestScalarClamps:
                               lane=0, target_lane=0)
         seen = []
 
-        def solve_qp(v_nom, rows, k_eps, lo, hi):
+        def solve_qp(v_nom, rows, k_eps, lo, hi, hi_label):
             seen.append((v_nom, lo, hi))
             return QPSolution(v_nom, 0.0, (), 0.0)
 
