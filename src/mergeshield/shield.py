@@ -243,7 +243,9 @@ def worst_case_speed(leader, config: ShieldConfig) -> float:
 
 
 def _rear_speed(c_oar, config: ShieldConfig) -> float:
-    """Next speed of an adjacent rear vehicle that accelerates as hard as it can."""
+    """Next speed of an adjacent rear vehicle at full acceleration; 0 once crashed."""
+    if c_oar.crashed:
+        return 0.0
     v_cap = c_oar.params.v_cap
     v = c_oar.state.speed + c_oar.params.a_max * config.dt
     return v if v < v_cap else v_cap
@@ -353,7 +355,8 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
         if brake_margin(gap1 - sigma, v_e_hi, v_al_next, -ego.params.a_min, tau, dt) < 0.0:
             return False
     if c_oar is not None:
-        gap1 = bumper_gap(c_oar, ego) + (v_e - c_oar.state.speed) * dt
+        v_ar = 0.0 if c_oar.crashed else c_oar.state.speed
+        gap1 = bumper_gap(c_oar, ego) + (v_e - v_ar) * dt
         v_ar_hi = _rear_speed(c_oar, config)
         v_e_lo = max(0.0, v_e + ego.params.a_min * dt)
         if brake_margin(gap1 - sigma, v_ar_hi, v_e_lo, -c_oar.params.a_min, tau, dt) < 0.0:

@@ -183,6 +183,21 @@ class TestLaneChangeFeasible:
             verdicts.append(verdict)
         assert not verdicts[0] and verdicts[-1]
 
+    def test_wreck_behind_ignores_its_frozen_speed(self):
+        # a wreck behind never closes in either: the gates and the rear
+        # floor must treat it as standing still, not as accelerating
+        road = RoadNetwork()
+        ego = make_vehicle(0, 100.0, 15.0, lane=road.ramp_lane, road=road, target_lane=0)
+        for gap in np.arange(0.0, 40.0, 0.5):
+            frozen = make_vehicle(1, 100.0 - gap - 5.0, 20.0, lane=0, road=road)
+            stopped = make_vehicle(1, 100.0 - gap - 5.0, 0.0, lane=0, road=road)
+            frozen.crashed = stopped.crashed = True
+            assert allow_lane_change(ego, None, frozen, CFG) == \
+                allow_lane_change(ego, None, stopped, CFG), gap
+            assert lane_change_feasible(ego, None, frozen, CFG, {}) == \
+                lane_change_feasible(ego, None, stopped, CFG, {}), gap
+            assert lateral_rear_row(ego, frozen, CFG) == lateral_rear_row(ego, stopped, CFG), gap
+
 
 class TestBrakeCap:
     def test_guard_matches_bisection_oracle(self):
