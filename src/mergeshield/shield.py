@@ -400,7 +400,7 @@ def solve_qp(v_nominal: float, rows, k_eps: float, lo: float, hi: float,
     soft = None
     for row in rows:
         if soft is not None or row.kind != "soft" or not (
-                -math.inf < row.a < 0.0 and math.isfinite(row.q)):
+                math.isfinite(row.a) and row.a < 0.0 and math.isfinite(row.q)):
             raise ValueError(f"row {row.label!r} is not the one finite soft floor")
         soft = row
     if lo > hi + FEAS_TOL:

@@ -18,9 +18,9 @@ from mergeshield.shield import (
     brake_margin,
     bumper_gap,
     filter_vehicle,
+    headway_cap,
     joint_safe_control,
     lane_change_feasible,
-    headway_cap,
     lateral_rear_row,
     solve_qp,
     worst_case_speed,
