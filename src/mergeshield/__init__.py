@@ -11,7 +11,7 @@ interaction topology (``mass``).
 __version__ = "0.1.0"
 
 from mergeshield.dynamics import VehicleParams, VehicleState, step
-from mergeshield.policy import BehaviorAction
+from mergeshield.world import BehaviorAction
 
 __all__ = [
     "BehaviorAction",

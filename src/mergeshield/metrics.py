@@ -10,7 +10,9 @@ recomputing reproduces the stored summary exactly.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 
 from mergeshield.records import EpisodeRecord
@@ -187,9 +189,6 @@ def aggregate_summaries(summaries: list) -> dict:
 
 
 def write_summaries(summaries: list, path) -> None:
-    import json
-    import os
-
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as f:
         for s in summaries:
@@ -198,8 +197,6 @@ def write_summaries(summaries: list, path) -> None:
 
 
 def read_summaries(path) -> list:
-    import json
-
     out = []
     with open(path) as f:
         for line in f:
@@ -210,8 +207,6 @@ def read_summaries(path) -> list:
 
 def write_aggregate_csv(aggregate: dict, path) -> None:
     """A schema row, then the aggregate's keys and values in its own order."""
-    import os
-
     tmp = str(path) + ".tmp"
     with open(tmp, "w", newline="") as f:
         writer = csv.writer(f)

@@ -1,32 +1,35 @@
-"""Discrete behavioural action space and built-in decision policies.
+"""Built-in decision policies.
 
-Policies map the world state to one of five behavioural actions per live
-vehicle per step.  A policy sees the step index, the world and, if it asks
-for them, one observation per live vehicle; rewards are recorded but never
-handed back.  The random policy's action is a pure function of (seed, step
-index, vehicle id), drawn from the stream of numpy's
+Policies map the world state to one of the five behavioural actions of
+:class:`mergeshield.world.BehaviorAction` per live vehicle per step.  A
+policy sees the step index, the world and, if it asks for them, one
+observation per live vehicle; rewards are recorded but never handed back.
+The random policy's action is a pure function of (seed, step index,
+vehicle id), drawn from the stream of numpy's
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(step,)))``, which
 :mod:`mergeshield.seedstream` reproduces bit for bit in integer arithmetic
 (numpy is not needed); the heuristic's is a pure function of the world
-state.
+state.  The heuristic reads the world's perception queries as attributes
+of the ``world`` module at call time, so a patched ``world.neighbors`` is
+seen here too.
 """
 
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from mergeshield import shield as _shield
+from mergeshield import world as _world
 from mergeshield.seedstream import SeedPool
+from mergeshield.world import BehaviorAction
 
 if TYPE_CHECKING:
     from mergeshield.world import Vehicle, World
 
 __all__ = [
-    "BehaviorAction",
     "POLICY_KINDS",
     "PolicySpec",
     "Policy",
@@ -35,19 +38,6 @@ __all__ = [
     "heuristic_policy",
     "build_policy",
 ]
-
-
-class BehaviorAction(enum.IntEnum):
-    """Behavioural decision issued once per vehicle per step.
-
-    Integer values are the encoding used by episode records.
-    """
-
-    LANE_RIGHT = 0
-    LANE_LEFT = 1
-    FOLLOW_LANE = 2
-    SPEED_UP = 3
-    SLOW_DOWN = 4
 
 
 #: decision-makers :func:`build_policy` can build
@@ -190,9 +180,3 @@ def build_policy(spec: PolicySpec) -> Policy:
     if spec.kind == "random":
         return RandomPolicy()
     return HeuristicPolicy()
-
-
-# bound last: ``world`` imports BehaviorAction from this module.  The
-# heuristic reads the world's functions as module attributes at call time,
-# so a patched ``world.neighbors`` is seen here too.
-from mergeshield import world as _world

@@ -29,6 +29,7 @@ reason zeros are not remembered).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -286,8 +287,6 @@ def episode_lines(record: EpisodeRecord) -> list:
 
 
 def write_episode(record: EpisodeRecord, path) -> None:
-    import os
-
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as f:
         f.write("\n".join(episode_lines(record)) + "\n")
@@ -295,21 +294,40 @@ def write_episode(record: EpisodeRecord, path) -> None:
 
 
 def read_episode(path) -> EpisodeRecord:
+    """The record written to ``path``.  A line that is not a JSON object,
+    or a header or step line that lacks a field or holds one of the wrong
+    shape, raises ``ValueError`` naming the path and the line's 1-based
+    number in the file."""
+    lines = []
     with open(path) as f:
-        lines = [json.loads(line) for line in f if line.strip()]
-    if not lines or lines[0].get("kind") != "header":
+        for n, text in enumerate(f, 1):
+            if not text.strip():
+                continue
+            try:
+                d = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {n}: not JSON ({exc.msg})") from None
+            if not isinstance(d, dict):
+                raise ValueError(f"{path}, line {n}: not a JSON object")
+            lines.append((n, d))
+    if not lines or lines[0][1].get("kind") != "header":
         raise ValueError(f"{path}: not an episode record (missing header line)")
-    header = lines[0]
-    if header.get("schema") != SCHEMA:
-        raise ValueError(f"{path}: unsupported schema {header.get('schema')!r}")
-    record = EpisodeRecord(
-        seed=header["seed"],
-        config=header["config"],
-        initial=tuple(VehicleRow.from_dict(v) for v in header["initial"]),
-    )
-    for d in lines[1:]:
-        if d.get("kind") == "step":
-            record.steps.append(StepRecord.from_dict(d))
-        elif d.get("kind") == "summary":
-            record.summary = {k: v for k, v in d.items() if k != "kind"}
+    n, d = lines[0]
+    if d.get("schema") != SCHEMA:
+        raise ValueError(f"{path}: unsupported schema {d.get('schema')!r}")
+    try:
+        record = EpisodeRecord(
+            seed=d["seed"],
+            config=d["config"],
+            initial=tuple(VehicleRow.from_dict(v) for v in d["initial"]),
+        )
+        for n, d in lines[1:]:
+            if d.get("kind") == "step":
+                record.steps.append(StepRecord.from_dict(d))
+            elif d.get("kind") == "summary":
+                record.summary = {k: v for k, v in d.items() if k != "kind"}
+    except (KeyError, TypeError, AttributeError) as exc:
+        # only header and step lines are parsed field by field
+        raise ValueError(f"{path}, line {n}: malformed {d['kind']} line "
+                         f"({type(exc).__name__}: {exc})") from None
     return record

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from mergeshield import world as _world
+from mergeshield.shield import bumper_gap
 
 if TYPE_CHECKING:
     from mergeshield.world import Vehicle, World
@@ -84,7 +85,7 @@ def _leader_gap(world: "World", vehicle: "Vehicle") -> float | None:
     c_ol = _world.neighbors(world, vehicle).c_ol
     if c_ol is None:
         return None
-    gap = _world.bumper_gap(vehicle, c_ol)
+    gap = bumper_gap(vehicle, c_ol)
     return gap if gap > 0 else None
 
 

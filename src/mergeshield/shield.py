@@ -24,6 +24,10 @@ The caps lower the top of the reachability box (one-step actuator
 envelope) to their minimum.  The QP minimises ``(v - v_nominal)^2 +
 k_eps * slack`` inside that box in closed form (:func:`solve_qp`); caps
 below the box raise a fault that callers turn into full braking.
+
+:func:`joint_safe_control` reads no world: ``step_world`` hands it the
+config, the topology, the plans, each live vehicle's neighbourhood and the
+state's neighbour index, all worked out once per step.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from mergeshield.dynamics import check_magnitude
+from mergeshield.topology import InteractionTopology, evaluation_order
 
 if TYPE_CHECKING:
-    from mergeshield.topology import InteractionTopology
-    from mergeshield.world import World
+    from mergeshield.world import NeighborIndex
 
 __all__ = [
     "Row",
@@ -467,22 +471,20 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
                          sol.slack, sol.active, False)
 
 
-def joint_safe_control(world: "World", topology: "InteractionTopology",
-                       nominal_plans: dict) -> dict:
+def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
+                       nominal_plans: dict, near: dict, index: "NeighborIndex") -> dict:
     """Resolve every vehicle in dependency order and gate lane requests.
 
-    Each vehicle's leaders are its topology parents; ``hss`` adds the
-    own-lane leader when a cut-in displaced it.  Parents are always ahead,
-    so the front-to-back evaluation order hands each vehicle the resolved
-    outcomes of everything it depends on.
+    ``near`` holds each live vehicle's ``Neighborhood`` by vid, and
+    ``index`` is the snapshot's neighbour index, which gives the fleet and
+    its order.  Each vehicle's leaders are its topology parents; ``hss``
+    adds the own-lane leader when a cut-in displaced it.  Parents are always
+    ahead, so the front-to-back evaluation order hands each vehicle the
+    resolved outcomes of everything it depends on.
     """
-    from mergeshield.topology import evaluation_order
-    from mergeshield.world import neighbor_index, neighbors
-
-    config = world.shield
-    order = evaluation_order(topology, neighbor_index(world))
+    order = evaluation_order(topology, index)
     outcomes: dict = {}
-    by_id = {v.vid: v for v in world.vehicles}
+    by_id = {v.vid: v for v in index.ordered}
     for vid in order:
         vehicle = by_id[vid]
         if vehicle.crashed or vid not in nominal_plans:
@@ -491,7 +493,7 @@ def joint_safe_control(world: "World", topology: "InteractionTopology",
         if config.mode == "none":
             out = ShieldOutcome(plan.v_target, plan.v_target, 0.0)
         else:
-            near = neighbors(world, vehicle)
+            c_ol, c_oal, c_oar = near[vid]
             parents = [by_id[pid] for pid in topology.parents(vid)]
             if config.mode == "mass":
                 # crashed parents are never resolved, so they get the worst case
@@ -500,14 +502,13 @@ def joint_safe_control(world: "World", topology: "InteractionTopology",
             else:
                 # on a cut-in the topology hands the ego to the merging
                 # vehicle; the worst case also keeps the leader it displaced
-                c_ol = near.c_ol
                 own = [] if c_ol is None else [c_ol]
                 rest = [p for p in parents if c_ol is None or p.vid != c_ol.vid]
                 leaders = [(p, worst_case_speed(p, config)) for p in own + rest]
             # the gate reads only outcomes resolved before this vehicle's
             allowed = not plan.lane_request or (
-                allow_lane_change(vehicle, near.c_oal, near.c_oar, config)
-                and lane_change_feasible(vehicle, near.c_oal, near.c_oar, config, outcomes))
-            out = filter_vehicle(vehicle, leaders, near.c_oar, plan.v_target, config, allowed)
+                allow_lane_change(vehicle, c_oal, c_oar, config)
+                and lane_change_feasible(vehicle, c_oal, c_oar, config, outcomes))
+            out = filter_vehicle(vehicle, leaders, c_oar, plan.v_target, config, allowed)
         outcomes[vid] = out
     return outcomes

@@ -11,6 +11,11 @@ order.
 
 The shield reads its leaders from this map in both modes: ``mass`` credits
 each parent with its resolved safe command, ``hss`` with its worst case.
+
+The parent map and the evaluation order are pure functions of the facts
+``step_world`` works out once per step and hands down, the live vehicles'
+neighbourhoods and the state's neighbour index; this module imports
+nothing from the package at run time.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from mergeshield.world import NeighborIndex, Vehicle, World
+    from mergeshield.world import NeighborIndex
 
 __all__ = ["InteractionTopology", "cutting_in", "build_topology", "evaluation_order"]
 
@@ -44,17 +49,15 @@ def cutting_in(ego, c_ol, c_oal) -> bool:
     return c_ol is None or ((c_ol.state.x, -c_ol.vid) > (c_oal.state.x, -c_oal.vid))
 
 
-def build_topology(vehicles: list, world: "World") -> InteractionTopology:
-    """Construct the parent map from the current world snapshot."""
-    from mergeshield.world import neighbors
-
+def build_topology(vehicles: list, near: dict) -> InteractionTopology:
+    """Construct the parent map of one snapshot from ``near``, each live
+    vehicle's ``Neighborhood`` by vid; a crashed vehicle has no parents."""
     entries: dict = {}
     for ego in vehicles:
         if ego.crashed:
             entries[ego.vid] = ()
             continue
-        near = neighbors(world, ego)
-        c_ol, c_oal = near.c_ol, near.c_oal
+        c_ol, c_oal, _ = near[ego.vid]
 
         parents = [c_ol] if c_ol is not None else []
         if cutting_in(ego, c_ol, c_oal):

@@ -1,9 +1,14 @@
-"""Vehicle population, perception queries and the per-step simulation loop.
+"""Vehicle population, behavioural actions, perception queries and the
+per-step simulation loop.
 
 ``step_world`` composes, per step: behavioural planning, interaction
 topology, the joint safety-shield pass, low-level tracking, simultaneous
 integration of all vehicles from the same pre-step snapshot, collision
-detection and merge bookkeeping.
+detection and merge bookkeeping.  It finds each live vehicle's
+:func:`neighbors` once and hands them, with the state's index, to the
+topology and the shield as data.  Every caller looks :func:`neighbors` up
+at call time (the policy and the reward as an attribute of this module),
+so one patch of the attribute reaches them all.
 
 Each world state has one fleet order, the :class:`NeighborIndex`: the
 fleet sorted by ``(x, -vid)``.  Perception queries (:func:`neighbors`,
@@ -29,17 +34,19 @@ the integrator itself stays untouched.
 
 from __future__ import annotations
 
+import enum
 import math
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from mergeshield import topology as _topology
 from mergeshield.dynamics import VehicleParams, VehicleState, check_magnitude, step
-from mergeshield.policy import BehaviorAction
 from mergeshield.road import RoadNetwork
-from mergeshield.shield import ShieldConfig, brake_cap, bumper_gap, joint_safe_control
+from mergeshield.shield import ShieldConfig, brake_cap, joint_safe_control
 
 __all__ = [
+    "BehaviorAction",
     "ScenarioConfig",
     "Vehicle",
     "MotionPlan",
@@ -53,7 +60,6 @@ __all__ = [
     "perceived",
     "plan_motion",
     "step_world",
-    "bumper_gap",
 ]
 
 #: lateral speed of a lane-change maneuver [m/s]
@@ -64,6 +70,20 @@ RECENTER_LATERAL_SPEED = 0.5
 LANE_CHANGE_DONE_FRACTION = 0.1
 
 
+class BehaviorAction(enum.IntEnum):
+    """Behavioural decision issued once per vehicle per step, which
+    :func:`plan_motion` turns into a nominal speed and lane target.
+
+    Integer values are the encoding used by episode records.
+    """
+
+    LANE_RIGHT = 0
+    LANE_LEFT = 1
+    FOLLOW_LANE = 2
+    SPEED_UP = 3
+    SLOW_DOWN = 4
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Episode geometry-independent scenario knobs.
@@ -71,7 +91,8 @@ class ScenarioConfig:
     The reference scenario runs 7 to 11 connected vehicles through a 100 m
     merge section with a 0.5 s headway threshold and 180 m communication
     range.  Config validation warns about a vehicle count outside 7 to 11
-    unless the run sets ``allow_offrange``.
+    unless the run sets ``allow_offrange``.  ``n_ramp``, when given, lies
+    in ``[0, n_vehicles]``; unset, it is a third of the fleet, at least 1.
     """
 
     n_vehicles: int = 9
@@ -88,6 +109,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_vehicles < 1:
             raise ValueError("n_vehicles must be >= 1")
+        if self.n_ramp is not None and not 0 <= self.n_ramp <= self.n_vehicles:
+            raise ValueError(f"n_ramp must lie in [0, n_vehicles = {self.n_vehicles}], "
+                             f"got {self.n_ramp}")
         if not self.comm_range > 0:
             raise ValueError("comm_range must be positive")
         if self.perception_n < 0:
@@ -265,7 +289,7 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng,
     generator state; the list is in vid order.
     """
     params = params or VehicleParams()
-    n_ramp = min(config.resolved_n_ramp(), config.n_vehicles)
+    n_ramp = config.resolved_n_ramp()
     n_highway = config.n_vehicles - n_ramp
     lo, hi = config.initial_speed_range
 
@@ -500,25 +524,27 @@ def step_world(world: World, joint_actions: dict) -> tuple:
     returns the step's shield outcomes and topology entries, both by
     vehicle id.
 
-    Pipeline: plan -> topology -> joint shield -> tracking -> simultaneous
-    integration -> post-step index -> collision flags -> merge bookkeeping.
-    All vehicles integrate from the same pre-step snapshot, so the vehicle
-    iteration order cannot leak into the result.
+    Pipeline: plan and perceive -> topology -> joint shield -> tracking ->
+    simultaneous integration -> post-step index -> collision flags -> merge
+    bookkeeping.  Each live vehicle's neighbourhood is found once, here,
+    and the topology and the shield read it from the one map.  All vehicles
+    integrate from the same pre-step snapshot, so the vehicle iteration
+    order cannot leak into the result.
     """
-    from mergeshield.topology import build_topology
-
     road = world.road
     cfg = world.scenario
     dt = cfg.dt
 
     live = world.live_vehicles()
     plans = {}
+    near = {}
     for vehicle in live:
         action = joint_actions.get(vehicle.vid, BehaviorAction.FOLLOW_LANE)
         plans[vehicle.vid] = plan_motion(vehicle, action, road, cfg.dv_step)
+        near[vehicle.vid] = neighbors(world, vehicle)
 
-    topology = build_topology(world.vehicles, world)
-    outcomes = joint_safe_control(world, topology, plans)
+    topology = _topology.build_topology(world.vehicles, near)
+    outcomes = joint_safe_control(world.shield, topology, plans, near, neighbor_index(world))
 
     # apply lane-change permissions before integration
     for vehicle in live:

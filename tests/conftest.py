@@ -6,7 +6,7 @@ import pytest
 from mergeshield.dynamics import VehicleParams, VehicleState
 from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig
-from mergeshield.world import ScenarioConfig, Vehicle, World, spawn
+from mergeshield.world import ScenarioConfig, Vehicle, World, neighbors, spawn
 
 
 def assert_speed_exact(state):
@@ -42,6 +42,12 @@ def make_world(vehicles, road=None, scenario=None, shield_mode="mass", **shield_
     scenario = scenario or ScenarioConfig()
     shield = ShieldConfig(mode=shield_mode, tau=scenario.tau, dt=scenario.dt, **shield_kw)
     return World(road=road, scenario=scenario, shield=shield, vehicles=list(vehicles))
+
+
+def neighborhoods(world):
+    """Each live vehicle's ``Neighborhood`` by vid: the map ``step_world``
+    hands the topology and the shield."""
+    return {v.vid: neighbors(world, v) for v in world.live_vehicles()}
 
 
 def spawned_world(seed=0, shield_mode="mass", **scenario_kw):

@@ -15,8 +15,9 @@ from mergeshield.episode import run_episode
 from mergeshield.records import episode_lines
 from mergeshield.reward import RewardWeights
 from mergeshield.road import RoadNetwork
+from mergeshield.seedstream import SeedPool
 from mergeshield.shield import ShieldConfig
-from mergeshield.world import ScenarioConfig
+from mergeshield.world import ScenarioConfig, spawn
 
 #: config sections echoed in record headers, by the dataclass behind each
 ECHOED_SECTIONS = {
@@ -103,15 +104,27 @@ def test_removed_key_is_unknown(tmp_path, section, key):
     ("scenario", ScenarioConfig, "episode_steps", -3),
     ("vehicle", VehicleParams, "width", 0.0),
     ("vehicle", VehicleParams, "width", -1.0),
+    ("scenario", ScenarioConfig, "n_ramp", -1),
+    ("scenario", ScenarioConfig, "n_ramp", 10),
 ])
 def test_bad_value_fails_in_code_and_in_yaml(tmp_path, section, cls, key, value):
-    # an episode without steps would fail late in the metrics, and a
-    # footprint without width never overlaps, so no collision is seen
+    # an episode without steps would fail late in the metrics, a footprint
+    # without width never overlaps, so no collision is seen, and a ramp
+    # count outside the default fleet of 9 spawned another fleet than the
+    # header echoed
     with pytest.raises(ValueError, match=key):
         cls(**{key: value})
     errors = _errors(tmp_path, f"{section}:\n  {key}: {value}\n")
     assert len(errors) == 1 and errors[0].startswith(f"{section}: ")
     assert key in errors[0]
+
+
+@pytest.mark.parametrize("n_ramp", [0, 9])
+def test_n_ramp_at_either_bound_spawns_that_many_ramp_vehicles(n_ramp):
+    cfg = ScenarioConfig(n_vehicles=9, n_ramp=n_ramp)
+    vehicles = spawn(cfg, RoadNetwork(), SeedPool(0).generator())
+    assert len(vehicles) == 9
+    assert sum(v.spawned_on_ramp for v in vehicles) == n_ramp
 
 
 @pytest.mark.parametrize("allow, warned", [(False, True), (True, False)])

@@ -86,6 +86,67 @@ except ConfigError as exc:
     assert lines[2].startswith("parse error (line 2, column 1): expected ',' or '}'")
 
 
+def _module_level(body):
+    """The statements that run when a module is imported: everything outside
+    function bodies and ``if TYPE_CHECKING:`` blocks."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and _dotted(node.test) in ("TYPE_CHECKING",
+                                                                "typing.TYPE_CHECKING"):
+            yield from _module_level(node.orelse)
+            continue
+        yield node
+        for name in ("body", "orelse", "handlers", "finalbody"):
+            yield from _module_level(getattr(node, name, []))
+
+
+def _package_imports(path) -> set:
+    """The package modules that the module at ``path`` imports when it is
+    imported."""
+    found = set()
+    for node in _module_level(ast.parse(path.read_text()).body):
+        if isinstance(node, ast.ImportFrom) and node.module == "mergeshield":
+            found.update(alias.name for alias in node.names if alias.name in MODULES)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mergeshield."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("mergeshield."))
+    return found
+
+
+def test_module_graph_is_acyclic():
+    # each module's run-time imports of the package sit at its top, so the
+    # import graph they span has a topological order
+    graph = {name: _package_imports(SRC / f"{name}.py") for name in MODULES}
+    assert graph["policy"] >= {"world"} and graph["world"] >= {"shield", "topology"}
+    order = []
+    waiting = dict(graph)
+    while waiting:
+        ready = sorted(name for name, deps in waiting.items() if deps <= set(order))
+        assert ready, f"import cycle among {sorted(waiting)}"
+        order += ready
+        for name in ready:
+            del waiting[name]
+
+
+def test_no_function_imports():
+    # an import inside a function hides a dependency from the module graph
+    # and runs on every call; only the YAML parser waits for its one caller
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Import):
+                        found.update(f"{path.stem}.{node.name}: {alias.name}"
+                                     for alias in inner.names)
+                    elif isinstance(inner, ast.ImportFrom):
+                        found.add(f"{path.stem}.{node.name}: {inner.module}")
+    assert sorted(found) == ["config.validate_config: yaml"]
+
+
 @pytest.mark.parametrize("name", ["mergeshield"] + [f"mergeshield.{m}" for m in MODULES])
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
@@ -323,3 +384,38 @@ def test_policy_and_reward_look_up_perception_at_call_time(monkeypatch):
     fleet_rewards(world, RewardWeights(), "custom", vids=vids)
     # one perceived group and one leader gap per vehicle
     assert seen["perceived"] == vids and sorted(seen["neighbors"]) == vids
+
+
+@pytest.mark.parametrize("mode", ["none", "hss", "mass"])
+def test_step_world_looks_up_perception_and_topology_at_call_time(monkeypatch, mode):
+    # the benchmark's tracer patches world.neighbors and
+    # topology.build_topology as module attributes: step_world must call the
+    # patched ones, and find each live vehicle's neighbourhood once
+    from mergeshield import topology as topology_mod
+    from mergeshield import world as world_mod
+    from mergeshield.episode import build_world
+
+    neighbors, build_topology = world_mod.neighbors, topology_mod.build_topology
+    seen = {"neighbors": [], "build_topology": 0}
+
+    def counting_neighbors(world, ego):
+        seen["neighbors"].append(ego.vid)
+        return neighbors(world, ego)
+
+    def counting_build_topology(vehicles, near):
+        seen["build_topology"] += 1
+        return build_topology(vehicles, near)
+
+    monkeypatch.setattr(world_mod, "neighbors", counting_neighbors)
+    monkeypatch.setattr(topology_mod, "build_topology", counting_build_topology)
+    cfg = RunConfig(shield=ShieldConfig(mode=mode), policy=PolicySpec(kind="random"))
+    world = build_world(cfg, 0)
+    policy = build_policy(cfg.policy)
+    for k in range(40):
+        actions = policy.decide(k, world, {})
+        live = [v.vid for v in world.live_vehicles()]
+        seen["neighbors"].clear()
+        seen["build_topology"] = 0
+        world_mod.step_world(world, actions)
+        assert sorted(seen["neighbors"]) == live
+        assert seen["build_topology"] == 1

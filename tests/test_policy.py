@@ -3,8 +3,9 @@ from collections import Counter
 
 import numpy as np
 
-from mergeshield.policy import BehaviorAction, RandomPolicy, heuristic_policy
+from mergeshield.policy import RandomPolicy, heuristic_policy
 from mergeshield.road import RoadNetwork
+from mergeshield.world import BehaviorAction
 
 from conftest import make_vehicle, make_world
 

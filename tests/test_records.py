@@ -199,7 +199,8 @@ def test_a_wreck_shares_its_row_from_its_second_wreck_step_on():
 def test_a_wreck_given_an_action_records_it():
     # policies act for live vehicles only; one that also acts for the
     # wrecks on even steps still finds each action in the wreck's row
-    from mergeshield.policy import BehaviorAction, RandomPolicy
+    from mergeshield.policy import RandomPolicy
+    from mergeshield.world import BehaviorAction
 
     class AlsoWrecks(RandomPolicy):
         def decide(self, step_index, world, observations):
@@ -229,3 +230,24 @@ def test_a_re_read_record_encodes_to_the_same_bytes(tmp_path):
     assert again.steps[-1].vehicles[0] is not again.steps[-2].vehicles[0]
     assert episode_lines(again) == episode_lines(record)
     assert path.read_text() == "\n".join(episode_lines(again)) + "\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("{oops", "not JSON"),
+    ("[1, 2]", "not a JSON object"),
+    ("no step", "malformed step line (KeyError: 'vehicles')"),
+])
+def test_read_episode_names_the_file_line_of_a_bad_line(tmp_path, bad, message):
+    # the bad line is the second step, on file line 4 behind a blank line
+    cfg = RunConfig(scenario=ScenarioConfig(episode_steps=3))
+    lines = episode_lines(run_episode(cfg, 0)[0])
+    if bad == "no step":
+        step = json.loads(lines[2])
+        del step["vehicles"]
+        bad = json.dumps(step)
+    lines = [lines[0], "", lines[1], bad, *lines[3:]]
+    path = tmp_path / "episode.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_episode(path)
+    assert str(info.value).startswith(f"{path}, line 4: {message}")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mergeshield.dynamics import VehicleParams
-from mergeshield.policy import BehaviorAction
 from mergeshield.road import RoadNetwork
 from mergeshield.shield import (
     FEAS_TOL,
@@ -26,9 +25,9 @@ from mergeshield.shield import (
     worst_case_speed,
 )
 from mergeshield.topology import build_topology
-from mergeshield.world import plan_motion, MotionPlan
+from mergeshield.world import BehaviorAction, MotionPlan, neighbor_index, plan_motion
 
-from conftest import make_vehicle, make_world
+from conftest import make_vehicle, make_world, neighborhoods
 from qp_oracle import AffineRow, bisect_cap, check_instance, check_scalar_instance, scan_cap
 
 CFG = ShieldConfig(mode="mass")
@@ -418,13 +417,22 @@ class TestSolveQP:
         assert check_instance((3.073530818031238, 16.97787102118959), rows, 1e6) == 1
 
 
+def resolve(w, plans, topo=None):
+    """The shield's outcomes for ``plans`` on the world's snapshot, under
+    ``topo`` or the topology built from it, as ``step_world`` resolves them."""
+    near = neighborhoods(w)
+    if topo is None:
+        topo = build_topology(w.vehicles, near)
+    return joint_safe_control(w.shield, topo, plans, near, neighbor_index(w))
+
+
 def hss_outcome(gap, v_e, v_l, v_nominal):
     """The ego's ``hss`` outcome behind one leader that holds its speed."""
     ego, leader = place_pair(gap, v_e, v_l)
     w = make_world([ego, leader], shield_mode="hss")
     plans = {0: MotionPlan(v_target=v_nominal, target_lane=0),
              1: MotionPlan(v_target=v_l, target_lane=0)}
-    return joint_safe_control(w, build_topology(w.vehicles, w), plans)[0]
+    return resolve(w, plans)[0]
 
 
 def resolved(vehicle, v_nominal, cfg=None):
@@ -524,7 +532,7 @@ class TestFilterMass:
         for mode in ("mass", "hss"):
             w = make_world([make_vehicle(0, 100.0, 25.0)], shield_mode=mode)
             plans = {0: MotionPlan(v_target=27.0, target_lane=0)}
-            outs[mode] = joint_safe_control(w, build_topology(w.vehicles, w), plans)[0]
+            outs[mode] = resolve(w, plans)[0]
         assert outs["mass"] == outs["hss"]
 
     def test_known_parent_never_more_restrictive_than_worst_case(self):
@@ -593,7 +601,7 @@ class TestFilterMass:
         leader.crashed = True
         w = make_world([ego, leader])
         plans = {0: MotionPlan(v_target=22.0, target_lane=0)}
-        out = joint_safe_control(w, build_topology(w.vehicles, w), plans)[0]
+        out = resolve(w, plans)[0]
         assert worst_case_speed(leader, CFG) == 0.0
         assert out == filter_vehicle(ego, [(leader, 0.0)], None, 22.0, CFG)
         assert out.v_safe < filter_vehicle(ego, [(leader, 18.0)], None, 22.0, CFG).v_safe
@@ -659,20 +667,18 @@ class TestJointSafeControl:
         from mergeshield.config import RunConfig
         from mergeshield.episode import run_episode
         from mergeshield.policy import PolicySpec
-        from mergeshield.world import ScenarioConfig, World
+        from mergeshield.world import ScenarioConfig
 
         seen = {"steps": 0, "faster": 0, "requests": 0, "hss_grants": 0}
 
-        def both_modes(world, topology, plans):
-            mass = joint_safe_control(world, topology, plans)
-            twin = World(world.road, world.scenario, replace(world.shield, mode="hss"),
-                         world.vehicles, world.step_index)
-            hss = joint_safe_control(twin, topology, plans)
+        def both_modes(config, topology, plans, near, index):
+            mass = joint_safe_control(config, topology, plans, near, index)
+            hss = joint_safe_control(replace(config, mode="hss"), topology, plans, near, index)
             assert mass.keys() == hss.keys()
             for vid, out in mass.items():
-                assert out.v_safe >= hss[vid].v_safe, (world.step_index, vid)
+                assert out.v_safe >= hss[vid].v_safe, (index.step_index, vid)
                 assert out.lane_change_allowed or not hss[vid].lane_change_allowed, \
-                    (world.step_index, vid)
+                    (index.step_index, vid)
                 seen["faster"] += out.v_safe > hss[vid].v_safe
                 if plans[vid].lane_request:
                     seen["requests"] += 1
@@ -693,9 +699,9 @@ class TestJointSafeControl:
     def test_mode_none_is_pass_through(self):
         vehicles = [make_vehicle(0, 100.0, 20.0), make_vehicle(1, 120.0, 20.0)]
         w = make_world(vehicles, shield_mode="none")
-        topo = build_topology(w.vehicles, w)
+        topo = build_topology(w.vehicles, neighborhoods(w))
         plans = {v.vid: plan_motion(v, BehaviorAction.FOLLOW_LANE, w.road, w.scenario.dv_step) for v in vehicles}
-        outcomes = joint_safe_control(w, topo, plans)
+        outcomes = resolve(w, plans, topo)
         for vid, plan in plans.items():
             assert outcomes[vid].v_safe == plan.v_target
             assert outcomes[vid].v_cbf == 0.0
@@ -709,13 +715,13 @@ class TestJointSafeControl:
         mid = make_vehicle(1, 200.0 - 5.0 - gap_eq, v, road=road)
         back = make_vehicle(0, mid.state.x - 5.0 - gap_eq, v, road=road)
         w = make_world([back, mid, front], road=road)
-        topo = build_topology(w.vehicles, w)
+        topo = build_topology(w.vehicles, neighborhoods(w))
         plans = {
             2: MotionPlan(v_target=v - 2.0, target_lane=0),
             1: MotionPlan(v_target=v, target_lane=0),
             0: MotionPlan(v_target=v, target_lane=0),
         }
-        outcomes = joint_safe_control(w, topo, plans)
+        outcomes = resolve(w, plans, topo)
         # sequential hand computation in topology order
         front_hand = resolved(front, v - 2.0, w.shield)
         mid_hand = filter_vehicle(mid, [(front, front_hand.v_safe)], None, v, w.shield)
@@ -738,11 +744,11 @@ class TestJointSafeControl:
         outs = {}
         for mode in ("hss", "mass"):
             w = make_world([ego, merger, own], road=road, shield_mode=mode)
-            topo = build_topology(w.vehicles, w)
+            topo = build_topology(w.vehicles, neighborhoods(w))
             assert topo.parents(0) == (1,)
             plans = {v.vid: MotionPlan(v_target=v.state.speed + 3.0, target_lane=0)
                      for v in w.vehicles}
-            outs[mode] = joint_safe_control(w, topo, plans)[0]
+            outs[mode] = resolve(w, plans, topo)[0]
             assert not outs[mode].fault
         assert outs["hss"].active_constraints == ("brake:2",)
         assert not any(label.endswith(":2") for label in outs["mass"].active_constraints)

@@ -7,7 +7,7 @@ from mergeshield.road import RoadNetwork
 from mergeshield.topology import build_topology, evaluation_order
 from mergeshield.world import ScenarioConfig, neighbor_index
 
-from conftest import make_vehicle, make_world
+from conftest import make_vehicle, make_world, neighborhoods
 
 
 def naive_topology(vehicles, world):
@@ -82,14 +82,14 @@ def random_snapshot(rng, road):
 class TestBuildTopology:
     def test_single_vehicle(self):
         w = make_world([make_vehicle(0, 100.0, 20.0)])
-        topo = build_topology(w.vehicles, w)
+        topo = build_topology(w.vehicles, neighborhoods(w))
         assert topo.entries == {0: ()}
 
     def test_follower_leader_chain(self):
         leader = make_vehicle(1, 130.0, 20.0)
         follower = make_vehicle(0, 100.0, 20.0)
         w = make_world([follower, leader])
-        topo = build_topology(w.vehicles, w)
+        topo = build_topology(w.vehicles, neighborhoods(w))
         assert topo.entries[0] == (1,)
         assert topo.entries[1] == ()
 
@@ -99,7 +99,7 @@ class TestBuildTopology:
         leader = make_vehicle(1, 280.0, 20.0, lane=0, road=road)
         merger = make_vehicle(2, 240.0, 20.0, lane=road.ramp_lane, road=road, target_lane=0)
         w = make_world([ego, leader, merger])
-        topo = build_topology(w.vehicles, w)
+        topo = build_topology(w.vehicles, neighborhoods(w))
         assert topo.entries[0] == (2,)
 
     def test_changing_ego_has_two_parents(self):
@@ -108,7 +108,7 @@ class TestBuildTopology:
         own_leader = make_vehicle(1, 260.0, 20.0, lane=road.ramp_lane, road=road)
         target_leader = make_vehicle(2, 250.0, 20.0, lane=0, road=road)
         w = make_world([ego, own_leader, target_leader])
-        topo = build_topology(w.vehicles, w)
+        topo = build_topology(w.vehicles, neighborhoods(w))
         assert set(topo.entries[0]) == {1, 2}
 
     def test_rear_vehicles_never_parents(self):
@@ -116,7 +116,7 @@ class TestBuildTopology:
         ego = make_vehicle(0, 220.0, 20.0, lane=road.ramp_lane, road=road, target_lane=0)
         rear = make_vehicle(1, 190.0, 25.0, lane=0, road=road)
         w = make_world([ego, rear])
-        topo = build_topology(w.vehicles, w)
+        topo = build_topology(w.vehicles, neighborhoods(w))
         assert topo.entries[0] == ()
 
     def test_matches_naive_transcription(self):
@@ -125,7 +125,7 @@ class TestBuildTopology:
         for _ in range(300):
             vehicles = random_snapshot(rng, road)
             w = make_world(vehicles, road=road)
-            topo = build_topology(vehicles, w)
+            topo = build_topology(vehicles, neighborhoods(w))
             expected = naive_topology(vehicles, w)
             got = {vid: tuple(sorted(p)) for vid, p in topo.entries.items()}
             want = {vid: tuple(sorted(p)) for vid, p in expected.items()}
@@ -137,7 +137,7 @@ class TestBuildTopology:
         for _ in range(200):
             vehicles = random_snapshot(rng, road)
             w = make_world(vehicles, road=road)
-            topo = build_topology(vehicles, w)
+            topo = build_topology(vehicles, neighborhoods(w))
             by_id = {v.vid: v for v in vehicles}
             for vid, parents in topo.entries.items():
                 assert len(parents) <= 2
@@ -156,7 +156,7 @@ class TestBuildTopology:
             for v in vehicles:
                 v.target_lane = v.lane
             w = make_world(vehicles, road=road)
-            topo = build_topology(vehicles, w)
+            topo = build_topology(vehicles, neighborhoods(w))
             from mergeshield.world import neighbors
 
             for v in vehicles:
@@ -169,7 +169,8 @@ class TestBuildTopology:
         road = RoadNetwork()
         vehicles = random_snapshot(rng, road)
         w = make_world(vehicles, road=road)
-        assert build_topology(vehicles, w).entries == build_topology(vehicles, w).entries
+        near = neighborhoods(w)
+        assert build_topology(vehicles, near).entries == build_topology(vehicles, near).entries
 
 
 class TestEvaluationOrder:
@@ -177,7 +178,7 @@ class TestEvaluationOrder:
         leader = make_vehicle(1, 130.0, 20.0)
         follower = make_vehicle(0, 100.0, 20.0)
         w = make_world([follower, leader])
-        topo = build_topology(w.vehicles, w)
+        topo = build_topology(w.vehicles, neighborhoods(w))
         assert evaluation_order(topo, neighbor_index(w)) == [1, 0]
 
     def test_unconstrained_order_is_descending_position(self):
@@ -204,7 +205,8 @@ class TestEvaluationOrder:
             vehicles = [vehicles[i] for i in rng.permutation(len(vehicles))]
             w = make_world(vehicles, road=road)
             expected = [v.vid for v in sorted(vehicles, key=lambda v: (-v.state.x, v.vid))]
-            assert evaluation_order(build_topology(vehicles, w), neighbor_index(w)) == expected
+            topo = build_topology(vehicles, neighborhoods(w))
+            assert evaluation_order(topo, neighbor_index(w)) == expected
             ties += len(vehicles) - len({v.state.x for v in vehicles})
         assert ties > 0
 
@@ -214,7 +216,7 @@ class TestEvaluationOrder:
         for _ in range(100):
             vehicles = random_snapshot(rng, road)
             w = make_world(vehicles, road=road)
-            topo = build_topology(vehicles, w)
+            topo = build_topology(vehicles, neighborhoods(w))
             order = evaluation_order(topo, neighbor_index(w))
             index = {vid: i for i, vid in enumerate(order)}
             for vid, parents in topo.entries.items():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mergeshield import shield as shield_mod
 from mergeshield import world as world_mod
 from mergeshield.dynamics import VehicleParams, VehicleState
-from mergeshield.policy import BehaviorAction
 from mergeshield.reward import headway_reward, speed_reward
 from mergeshield.road import RoadNetwork
 from mergeshield.seedstream import SeedPool
@@ -19,13 +18,14 @@ from mergeshield.shield import (
     QPSolution,
     ShieldOutcome,
     _rear_speed,
+    bumper_gap,
     filter_vehicle,
     worst_case_speed,
 )
 from mergeshield.world import (
+    BehaviorAction,
     ScenarioConfig,
     Vehicle,
-    bumper_gap,
     neighbors,
     observe,
     perceived,
@@ -488,7 +488,8 @@ class TestScalarClamps:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(world_mod, "joint_safe_control",
-                       lambda world, topology, plans: {0: ShieldOutcome(v_safe, v_safe, 0.0)})
+                       lambda config, topology, plans, near, index:
+                       {0: ShieldOutcome(v_safe, v_safe, 0.0)})
             mp.setattr(world_mod, "step", step)
             step_world(world, {})
         # at rest on its centreline, so the unclamped command is
