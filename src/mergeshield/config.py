@@ -39,7 +39,6 @@ class RunConfig:
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     shield: ShieldConfig = field(default_factory=ShieldConfig)
     reward: RewardWeights = field(default_factory=RewardWeights)
-    reward_kind: str = "custom"
     policy: PolicySpec = field(default_factory=PolicySpec)
     episodes: int = 1
     out_dir: str | None = None
@@ -81,11 +80,6 @@ _SECTIONS = {
     "policy": PolicySpec,
 }
 
-#: batch options under ``run``: every other field of :class:`RunConfig`, by type
-_RUN_KEYS = {k: kind for k, kind in get_type_hints(RunConfig).items()
-             if k not in _SECTIONS and k != "reward_kind"}
-
-_REWARD_EXTRA = {"function"}
 
 #: section keys whose value comes from another section: :meth:`RunConfig.resolved`
 #: overwrites the shield's, and the reward reads the scenario's and road's
@@ -133,14 +127,19 @@ def _type_name(kind, value) -> str:
     return _FLOAT_RULE if kind is float and _is_number(value) else kind.__name__
 
 
-def _build_section(name, cls, data, report):
+def _section_values(name, cls, data, report) -> dict:
+    """The values of section ``name`` of ``data`` that pass their key's
+    checks, by key; every key that fails is reported with its path.  The
+    keys are the fields of ``cls`` that are not sections, so ``run`` holds
+    the batch options of :class:`RunConfig`."""
+    section = data.get(name) or {}
+    if not isinstance(section, dict):
+        report.errors.append(f"{name}: must be a mapping")
+        return {}
     hints = get_type_hints(cls)
-    allowed = {f.name for f in fields(cls)}
-    extra = _REWARD_EXTRA if name == "reward" else set()
-    kwargs = {}
-    for key, value in data.items():
-        if key in extra:
-            continue
+    allowed = {f.name for f in fields(cls)} - _SECTIONS.keys()
+    values = {}
+    for key, value in section.items():
         if (name, key) in _DERIVED:
             report.errors.append(f"{name}.{key}: taken from {_DERIVED[name, key]}; set it there")
             continue
@@ -150,17 +149,12 @@ def _build_section(name, cls, data, report):
         # explicit nulls are dropped so dataclass defaults apply
         if value is None:
             continue
-        if not _is_a(value, hints[key]):
-            report.errors.append(f"{name}.{key}: must be {_type_name(hints[key], value)}")
+        kind = hints[key]
+        if not _is_a(value, kind):
+            report.errors.append(f"{name}.{key}: must be {_type_name(kind, value)}")
             continue
-        if key == "initial_speed_range":
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        report.errors.append(f"{name}: {exc}")
-        return None
+        values[key] = tuple(value) if kind is tuple else value
+    return values
 
 
 def _parse(data, report) -> RunConfig | None:
@@ -175,38 +169,13 @@ def _parse(data, report) -> RunConfig | None:
 
     parts = {}
     for name, cls in _SECTIONS.items():
-        section = data.get(name, {}) or {}
-        if not isinstance(section, dict):
-            report.errors.append(f"{name}: must be a mapping")
-            section = {}
-        if name == "reward":
-            reward_kind = section.get("function", "custom")
-        built = _build_section(name, cls, section, report)
-        if built is not None:
-            parts[name] = built
-
-    if reward_kind not in ("default", "custom"):
-        report.errors.append(f"reward.function: must be default or custom, got {reward_kind!r}")
-
-    run = data.get("run", {}) or {}
-    if not isinstance(run, dict):
-        report.errors.append("run: must be a mapping")
-        run = {}
-    run_kwargs = {}
-    for key, value in run.items():
-        if key not in _RUN_KEYS:
-            report.errors.append(f"run.{key}: unknown key")
-            continue
-        if value is None:
-            continue
-        kind = _RUN_KEYS[key]
-        if not _is_a(value, kind):
-            report.errors.append(f"run.{key}: must be {_type_name(kind, value)}")
-            continue
-        run_kwargs[key] = value
+        try:
+            parts[name] = cls(**_section_values(name, cls, data, report))
+        except (TypeError, ValueError) as exc:
+            report.errors.append(f"{name}: {exc}")
 
     # a section that failed keeps its default here, so run is still checked
-    cfg = RunConfig(reward_kind=reward_kind, **parts, **run_kwargs)
+    cfg = RunConfig(**parts, **_section_values("run", RunConfig, data, report))
     if cfg.episodes < 1:
         report.errors.append("run.episodes: must be >= 1")
     if not cfg.headway_violation_threshold > 0:
@@ -262,9 +231,9 @@ def validate_config(path) -> ValidationReport:
 def resolved_dict(cfg: RunConfig) -> dict:
     """Simulation-semantics config echo recorded in episode headers: every
     field of the scenario, road, vehicle, shield and reward sections in
-    declaration order, the reward function first.  ``n_ramp`` is echoed
-    resolved and ``initial_speed_range`` as a list, so the echo equals what
-    a header reads back.  Policy and batch options are left out: a record
+    declaration order.  ``n_ramp`` is echoed resolved and
+    ``initial_speed_range`` as a list, so the echo equals what a header
+    reads back.  Policy and batch options are left out: a record
     must not depend on who produced the actions."""
     cfg = cfg.resolved()
     echo = {}
@@ -278,5 +247,4 @@ def resolved_dict(cfg: RunConfig) -> dict:
                       if (name, f.name) != ("shield", "dt")}
     echo["scenario"]["n_ramp"] = cfg.scenario.resolved_n_ramp()
     echo["scenario"]["initial_speed_range"] = list(cfg.scenario.initial_speed_range)
-    echo["reward"] = {"function": cfg.reward_kind, **echo["reward"]}
     return echo

@@ -58,7 +58,7 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
             observations = {}
         actions = policy.decide(k, world, observations)
         outcomes, topology = step_world(world, actions)
-        reward_pairs = fleet_rewards(world, cfg.reward, cfg.reward_kind, vids=actions)
+        reward_pairs = fleet_rewards(world, cfg.reward, vids=actions)
         previous = record.steps[-1].vehicles if record.steps else record.initial
         record.steps.append(snapshot_step(world, k, actions, outcomes, topology, reward_pairs,
                                           previous))

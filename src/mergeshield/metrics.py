@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from mergeshield.records import EpisodeRecord
+from mergeshield.records import EpisodeRecord, json_objects
 from mergeshield.reward import V_FLOOR
 
 __all__ = [
@@ -197,11 +197,15 @@ def write_summaries(summaries: list, path) -> None:
 
 
 def read_summaries(path) -> list:
+    """The summaries written to ``path``.  A line that is not a JSON object,
+    or an object that is not a summary, raises ``ValueError`` naming the
+    path and the line's 1-based number in the file."""
     out = []
-    with open(path) as f:
-        for line in f:
-            if line.strip():
-                out.append(EpisodeSummary.from_dict(json.loads(line)))
+    for n, d in json_objects(path):
+        try:
+            out.append(EpisodeSummary.from_dict(d))
+        except TypeError as exc:
+            raise ValueError(f"{path}, line {n}: not a summary ({exc})") from None
     return out
 
 

@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 
 __all__ = ["SCHEMA", "VehicleRow", "StepRecord", "EpisodeRecord",
            "snapshot_vehicle", "snapshot_step", "episode_lines", "write_episode",
-           "read_episode"]
+           "json_objects", "read_episode"]
 
 SCHEMA = "mergeshield.episode/1"
 
@@ -293,11 +293,10 @@ def write_episode(record: EpisodeRecord, path) -> None:
     os.replace(tmp, path)
 
 
-def read_episode(path) -> EpisodeRecord:
-    """The record written to ``path``.  A line that is not a JSON object,
-    or a header or step line that lacks a field or holds one of the wrong
-    shape, raises ``ValueError`` naming the path and the line's 1-based
-    number in the file."""
+def json_objects(path) -> list:
+    """The non-blank lines of the JSONL file ``path`` as (1-based line
+    number, object) pairs.  A line that is not a JSON object raises
+    ``ValueError`` naming the path and the line's number."""
     lines = []
     with open(path) as f:
         for n, text in enumerate(f, 1):
@@ -310,6 +309,15 @@ def read_episode(path) -> EpisodeRecord:
             if not isinstance(d, dict):
                 raise ValueError(f"{path}, line {n}: not a JSON object")
             lines.append((n, d))
+    return lines
+
+
+def read_episode(path) -> EpisodeRecord:
+    """The record written to ``path``.  A line that is not a JSON object,
+    or a header or step line that lacks a field or holds one of the wrong
+    shape, raises ``ValueError`` naming the path and the line's 1-based
+    number in the file."""
+    lines = json_objects(path)
     if not lines or lines[0][1].get("kind") != "header":
         raise ValueError(f"{path}: not an episode record (missing header line)")
     n, d = lines[0]

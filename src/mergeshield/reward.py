@@ -37,7 +37,8 @@ V_FLOOR = 1.0
 
 @dataclass(frozen=True)
 class RewardWeights:
-    """Weights and scales for both reward flavours.
+    """The reward flavour, ``default`` or ``custom``, with the weights and
+    scales of both.
 
     ``w_c`` only enters the default flavour.  The custom flavour uses
     ``w_h = 1, w_s = 4, w_m = 8``: merging is prioritised, speed second,
@@ -45,6 +46,7 @@ class RewardWeights:
     length are the scenario's and the road's, read from the world.
     """
 
+    function: str = "custom"
     w_c: float = 200.0
     w_s: float = 4.0
     w_h: float = 1.0
@@ -53,6 +55,8 @@ class RewardWeights:
     v_max: float = 30.0
 
     def __post_init__(self):
+        if self.function not in ("default", "custom"):
+            raise ValueError(f"function must be default or custom, got {self.function!r}")
         if not (0.0 < self.v_min < self.v_max):
             raise ValueError(f"need 0 < v_min < v_max, got [{self.v_min}, {self.v_max}]")
 
@@ -108,14 +112,13 @@ def default_reward(vehicle: "Vehicle", weights: RewardWeights, world: "World") -
     return weights.w_c * r_c + custom_reward(vehicle, weights, world)
 
 
-def fleet_rewards(world: "World", weights: RewardWeights, kind: str, *,
-                  vids) -> dict:
+def fleet_rewards(world: "World", weights: RewardWeights, *, vids) -> dict:
     """Per-vehicle (individual, neighbourhood-averaged) rewards of the
     vehicles ``vids``.
 
-    ``kind`` selects the reward flavour: ``default`` or ``custom``.  The
-    episode loop names the vehicles that acted this step, so a wreck from
-    an earlier step gets no reward.  Individual rewards are computed once
+    ``weights.function`` selects the reward flavour.  The episode loop
+    names the vehicles that acted this step, so a wreck from an earlier
+    step gets no reward.  Individual rewards are computed once
     each, and only for the named vehicles and the members of their
     perceived groups, which can include wrecks.
 
@@ -123,7 +126,7 @@ def fleet_rewards(world: "World", weights: RewardWeights, kind: str, *,
     plain ``sum`` used before Python 3.12 made float sums compensated, so
     records are the same bytes on every supported Python.
     """
-    fn = {"default": default_reward, "custom": custom_reward}[kind]
+    fn = {"default": default_reward, "custom": custom_reward}[weights.function]
     individual: dict = {}
     wanted = set(vids)
     out = {}

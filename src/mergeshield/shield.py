@@ -6,8 +6,10 @@ sets a floor that a slack may relax.  The interaction topology names the
 leaders that constrain each vehicle in both shield modes; the mode only
 picks the next speed a leader is credited with: its resolved safe command
 in ``mass`` mode, its worst-case braking in ``hss`` mode, which also keeps
-the own-lane leader that a cutting-in vehicle displaced.  Per vehicle and
-step the filter takes
+the own-lane leader that a cutting-in vehicle displaced.  The lane-change
+gate does not look at the mode: the adjacent leader ranks ahead of the ego,
+so it is always resolved first, and the gate credits a live one its
+resolved safe command in both modes.  Per vehicle and step the filter takes
 
 * a headway cap per leader: the time-headway barrier
   ``h = gap - tau * v`` propagated one step with decay ``eta``, crediting
@@ -339,7 +341,8 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     honoured once the interaction topology hands the pair over.
     ``resolved`` maps vehicle ids to the outcomes resolved so far this step:
     a live adjacent leader in it is credited its safe command, any other
-    its worst case.
+    its worst case.  The adjacent leader ranks ahead of the ego, so in
+    either shield mode a live one is always in it.
     """
     dt = config.dt
     tau = config.tau

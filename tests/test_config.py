@@ -9,7 +9,14 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mergeshield.config import _DERIVED, RunConfig, load_config, resolved_dict, validate_config
+from mergeshield.config import (
+    _DERIVED,
+    RunConfig,
+    ValidationReport,
+    load_config,
+    resolved_dict,
+    validate_config,
+)
 from mergeshield.dynamics import VehicleParams
 from mergeshield.episode import run_episode
 from mergeshield.records import episode_lines
@@ -84,7 +91,7 @@ def test_echo_covers_every_config_field():
         names = {f.name for f in fields(cls)}
         missing = {n for n in names - set(echo[section]) if (section, n) not in _DERIVED}
         assert missing == set(), section
-        extra = set(echo[section]) - names - ({"function"} if section == "reward" else set())
+        extra = set(echo[section]) - names
         assert extra == set(), section
 
 
@@ -172,6 +179,34 @@ def test_run_section_must_be_a_mapping(tmp_path):
 
 def test_reward_section_must_be_a_mapping(tmp_path):
     assert _errors(tmp_path, "reward: [1]\n") == ["reward: must be a mapping"]
+
+
+def test_report_lines_list_errors_then_warnings():
+    assert ValidationReport().lines() == ["config ok"]
+    report = ValidationReport(errors=["a: e1", "b: e2"], warnings=["c: w"])
+    assert report.lines() == ["error: a: e1", "error: b: e2", "warning: c: w"]
+    assert ValidationReport(warnings=["c: w"]).lines() == ["warning: c: w"]
+
+
+def test_bad_reward_function_fails_at_construction():
+    # a bad flavour fails where it is built, with its field named, not as
+    # a KeyError at the first reward
+    with pytest.raises(ValueError, match="function must be default or custom, got 'bogus'"):
+        RewardWeights(function="bogus")
+    with pytest.raises(ValueError, match="function must be default or custom"):
+        RunConfig(reward=RewardWeights(function="bogus"))
+
+
+@pytest.mark.parametrize("value, function", [("null", "custom"), ("default", "default"),
+                                             ("custom", "custom")])
+def test_reward_function_is_a_reward_key(tmp_path, value, function):
+    # null keeps the default like every other key, and the header echoes
+    # the flavour as the first reward key
+    path = tmp_path / "run.yaml"
+    path.write_text(f"reward:\n  function: {value}\n")
+    cfg = load_config(path)
+    assert cfg.reward == RewardWeights(function=function)
+    assert list(resolved_dict(cfg)["reward"].items())[0] == ("function", function)
 
 
 def test_highway_lanes_is_gone(tmp_path):
@@ -292,7 +327,7 @@ def test_episode_runs_at_the_magnitude_limits(dt, accel, mode):
      ["scenario: episode_steps must be >= 1", "vehicle: width must be positive, got 0.0",
       "run.episodes: must be int"]),
     ("reward: {function: x}\nrun: {episodes: x}\n",
-     ["reward.function: must be default or custom, got 'x'", "run.episodes: must be int"]),
+     ["reward: function must be default or custom, got 'x'", "run.episodes: must be int"]),
     ("run: {episodes: 0, headway_violation_threshold: 0}\nfoo: 1\n1: 2\n",
      ["1: unknown section", "foo: unknown section", "run.episodes: must be >= 1",
       "run.headway_violation_threshold: must be positive"]),
@@ -305,10 +340,9 @@ def _schema_hints():
     """Each YAML section's keys with their field annotations."""
     hints = {name: {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
              for name, cls in ECHOED_SECTIONS.items()}
-    hints["reward"]["function"] = str
     hints["policy"] = {"kind": str}
     hints["run"] = {k: kind for k, kind in get_type_hints(RunConfig).items()
-                    if k not in ECHOED_SECTIONS and k not in ("policy", "reward_kind")}
+                    if k not in ECHOED_SECTIONS and k != "policy"}
     return hints
 
 

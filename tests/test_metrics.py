@@ -187,6 +187,21 @@ class TestAggregateSummaries:
         assert aggregate_summaries(back) == aggregate_summaries(summaries)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("{oops", "not JSON"),
+    ("[1, 2]", "not a JSON object"),
+    ('{"a": 1}', "not a summary"),
+])
+def test_read_summaries_names_the_file_line_of_a_bad_line(tmp_path, bad, message):
+    # the bad line is file line 3, behind a summary and a blank line
+    path = tmp_path / "summaries.jsonl"
+    write_summaries([summary(0, 1.0, 10.0, 50.0)], path)
+    path.write_text(path.read_text() + "\n" + bad + "\n")
+    with pytest.raises(ValueError) as info:
+        read_summaries(path)
+    assert str(info.value).startswith(f"{path}, line 3: {message}")
+
+
 def test_aggregate_csv_rows(tmp_path):
     path = tmp_path / "aggregate.csv"
     write_aggregate_csv(aggregate_summaries([summary(0, 1.0, 10.0, 50.0, 1, 1, 2)]), path)

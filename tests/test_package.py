@@ -381,7 +381,7 @@ def test_policy_and_reward_look_up_perception_at_call_time(monkeypatch):
     # vehicle in the last
     assert ramp < set(seen["neighbors"]) and seen["perceived"] == []
     seen["neighbors"].clear()
-    fleet_rewards(world, RewardWeights(), "custom", vids=vids)
+    fleet_rewards(world, RewardWeights(), vids=vids)
     # one perceived group and one leader gap per vehicle
     assert seen["perceived"] == vids and sorted(seen["neighbors"]) == vids
 

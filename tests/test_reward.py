@@ -158,7 +158,7 @@ class TestOverallReward:
         ego = make_vehicle(0, 100.0, 20.0, road=road)
         w = make_world([ego], road=road)
         r = custom_reward(ego, W, w)
-        assert fleet_rewards(w, W, "custom", vids=[0]) == {0: (r, r)}
+        assert fleet_rewards(w, W, vids=[0]) == {0: (r, r)}
 
     def test_two_vehicle_mean(self):
         road = RoadNetwork()
@@ -167,7 +167,7 @@ class TestOverallReward:
         w = make_world([a, b], road=road)
         ra = custom_reward(a, W, w)
         rb = custom_reward(b, W, w)
-        fleet = fleet_rewards(w, W, "custom", vids=[0, 1])
+        fleet = fleet_rewards(w, W, vids=[0, 1])
         assert fleet[0] == (ra, pytest.approx((ra + rb) / 2))
         assert fleet[1] == (rb, pytest.approx((ra + rb) / 2))
 
@@ -183,7 +183,7 @@ class TestOverallReward:
             ]
             w = make_world(vehicles, road=road)
             by_id = {v.vid: v for v in vehicles}
-            fleet = fleet_rewards(w, W, "custom", vids=list(by_id))
+            fleet = fleet_rewards(w, W, vids=list(by_id))
             for ego in vehicles:
                 # brute-force neighbourhood mean
                 dists = sorted(
@@ -205,12 +205,13 @@ class TestOverallReward:
         vehicles = [make_vehicle(i, 100.0 + 25.0 * i, 18.0 + i, road=road) for i in range(4)]
         vehicles[1].crashed = vehicles[3].crashed = True
         w = make_world(vehicles, road=road)
-        full = fleet_rewards(w, W, "default", vids=range(4))
-        some = fleet_rewards(w, W, "default", vids=[2, 0, 1])
+        weights = RewardWeights(function="default")
+        full = fleet_rewards(w, weights, vids=range(4))
+        some = fleet_rewards(w, weights, vids=[2, 0, 1])
         assert sorted(some) == [0, 1, 2]
         assert all(some[vid] == full[vid] for vid in some)
         group = [vehicles[i] for i in (2, 1, 3, 0)]  # by distance, ties by id
-        assert some[2][1] == sum(default_reward(v, W, w) for v in group) / 4
+        assert some[2][1] == sum(default_reward(v, weights, w) for v in group) / 4
 
     def test_group_mean_adds_left_to_right(self, monkeypatch):
         # Python 3.12 made sum() of floats compensated; the record must not
@@ -224,7 +225,7 @@ class TestOverallReward:
         road = RoadNetwork()
         w = make_world([make_vehicle(i, 100.0 + 20.0 * i, 20.0, road=road) for i in range(3)],
                        road=road)
-        fleet = fleet_rewards(w, W, "custom", vids=[0, 1, 2])
+        fleet = fleet_rewards(w, W, vids=[0, 1, 2])
         compensated = 0
         for ego in w.vehicles:
             group = [values[ego.vid]] + [values[o.vid] for o in perceived(w, ego)]

@@ -28,7 +28,7 @@ from mergeshield.topology import build_topology
 from mergeshield.world import BehaviorAction, MotionPlan, neighbor_index, plan_motion
 
 from conftest import make_vehicle, make_world, neighborhoods
-from qp_oracle import AffineRow, bisect_cap, check_instance, check_scalar_instance, scan_cap
+from qp_oracle import bisect_cap, check_scalar_instance, scan_cap
 
 CFG = ShieldConfig(mode="mass")
 
@@ -295,33 +295,6 @@ def random_scalar_instance(rng, v_cap=40.0):
     return v_nom, caps, floors, k_eps, lo, hi
 
 
-def random_qp_instance(rng, v_cap=40.0):
-    """Random general instance of two or three commands over the decision
-    box [0, v_cap] (the box rows are part of the instance), for the
-    enumerator oracle."""
-    n = int(rng.choice([2, 2, 3]))
-    v_nom = tuple(float(x) for x in rng.uniform(0.0, v_cap, size=n))
-    k_eps = float(rng.choice([5.0, 50.0, 1000.0, 1e6]))
-    rows = []
-    for i in range(n):
-        p_hi = tuple(1.0 if j == i else 0.0 for j in range(n)) + (0.0,)
-        p_lo = tuple(-1.0 if j == i else 0.0 for j in range(n)) + (0.0,)
-        rows.append(AffineRow(p=p_hi, q=v_cap, label=f"box_hi{i}"))
-        rows.append(AffineRow(p=p_lo, q=0.0, label=f"box_lo{i}"))
-    n_rows = int(rng.integers(0, 5))
-    for j in range(n_rows):
-        p_dec = rng.uniform(-1.0, 1.0, size=n)
-        if np.all(np.abs(p_dec) < 1e-3):
-            p_dec[0] = 1.0
-        soft = rng.random() < 0.35
-        point = rng.uniform(0.0, v_cap, size=n)
-        slackish = float(rng.uniform(-5.0, 15.0))
-        q = float(p_dec @ point + slackish)
-        p = tuple(p_dec) + ((-1.0,) if soft else (0.0,))
-        rows.append(AffineRow(p=p, q=q, label=f"r{j}"))
-    return v_nom, rows, k_eps
-
-
 class TestSolveQP:
     def test_unconstrained_returns_nominal(self):
         sol = solve_qp(25.0, [], 1e6, 0.0, 40.0)
@@ -380,11 +353,8 @@ class TestSolveQP:
         assert sol.v_safe == 20.0
 
     def test_matches_grid_oracle_on_random_instances(self):
-        # one command: the scalar solver matches the dense grid (plus the
-        # analytic row boundaries) both ways and the enumerator's objective.
-        # Two or three commands: the reference enumerator must match or beat
-        # every independently evaluated grid point, with optimality
-        # certified by the KKT residuals.
+        # the solver matches the dense grid (plus the analytic row
+        # boundaries) both ways and the enumerator's objective
         rng = np.random.default_rng(12)
         solved = faulted = sloped = 0
         for _ in range(150):
@@ -395,26 +365,6 @@ class TestSolveQP:
             else:
                 faulted += 1
         assert solved > 100 and faulted > 10 and sloped > 20
-        rng = np.random.default_rng(13)
-        checked = sum(check_instance(*random_qp_instance(rng)) for _ in range(40))
-        assert checked > 20
-
-    def test_oracle_slack_on_an_active_slack_row(self):
-        # a 2-D instance on which the enumerator's KKT solve used to leave its
-        # point 7e-11 outside soft row r0 with slack_nonneg active, which
-        # k_eps = 1e6 lifted 7e-5 above the grid's objective (drawn from the
-        # seed-12 instance stream when the box draws shared its generator)
-        rows = [
-            AffineRow((1.0, 0.0, 0.0), 40.0, "box_hi0"),
-            AffineRow((-1.0, 0.0, 0.0), 0.0, "box_lo0"),
-            AffineRow((0.0, 1.0, 0.0), 40.0, "box_hi1"),
-            AffineRow((0.0, -1.0, 0.0), 0.0, "box_lo1"),
-            AffineRow((-0.45893781484543994, -0.9747275141021376, -1.0), -17.860521494240324, "r0"),
-            AffineRow((-0.7262122389306618, 0.6497158510047865, 0.0), 19.195684829381438, "r1"),
-            AffineRow((-0.8589136566974238, 0.7601010078394426, 0.0), 2.009855445562467, "r2"),
-            AffineRow((0.6497990722921243, -0.42856780373697845, -1.0), 20.503320970125618, "r3"),
-        ]
-        assert check_instance((3.073530818031238, 16.97787102118959), rows, 1e6) == 1
 
 
 def resolve(w, plans, topo=None):
@@ -695,6 +645,31 @@ class TestJointSafeControl:
         # lane requests that hss grants as well as ones it denies
         assert seen["steps"] > 400 and seen["faster"] > 100
         assert seen["requests"] > seen["hss_grants"] > 0
+
+    @pytest.mark.parametrize("mode", ["hss", "mass"])
+    def test_lane_gate_finds_a_live_adjacent_leader_resolved(self, monkeypatch, mode):
+        # the adjacent leader ranks ahead of the ego, so the front-to-back
+        # pass has resolved it in either mode, and the gate credits it its
+        # safe command in hss as well
+        from mergeshield import shield as shield_mod
+        from mergeshield.config import RunConfig
+        from mergeshield.episode import run_episode
+        from mergeshield.policy import PolicySpec
+
+        gate = shield_mod.lane_change_feasible
+        seen = {"leaders": 0}
+
+        def checking(ego, c_oal, c_oar, config, resolved):
+            if c_oal is not None and not c_oal.crashed:
+                assert c_oal.vid in resolved, (ego.vid, c_oal.vid)
+                seen["leaders"] += 1
+            return gate(ego, c_oal, c_oar, config, resolved)
+
+        monkeypatch.setattr(shield_mod, "lane_change_feasible", checking)
+        cfg = RunConfig(shield=ShieldConfig(mode=mode), policy=PolicySpec(kind="random"))
+        for seed in range(2):
+            run_episode(cfg, seed)
+        assert seen["leaders"] > 10
 
     def test_mode_none_is_pass_through(self):
         vehicles = [make_vehicle(0, 100.0, 20.0), make_vehicle(1, 120.0, 20.0)]
