@@ -46,6 +46,12 @@ class RunConfig:
     headway_violation_threshold: float = 0.45
     allow_offrange: bool = False
 
+    def __post_init__(self):
+        top, v_cap = self.scenario.initial_speed_range[1], self.vehicle.v_cap
+        if top > v_cap:
+            raise ValueError(f"scenario.initial_speed_range: top speed {top} "
+                             f"exceeds vehicle.v_cap = {v_cap}")
+
     def resolved(self) -> "RunConfig":
         """Wire cross-section values: the shield takes the scenario's tau
         and dt."""
@@ -174,12 +180,16 @@ def _parse(data, report) -> RunConfig | None:
         except (TypeError, ValueError) as exc:
             report.errors.append(f"{name}: {exc}")
 
-    # a section that failed keeps its default here, so run is still checked
-    cfg = RunConfig(**parts, **_section_values("run", RunConfig, data, report))
+    # run is checked on default sections, which pass the rule across them
+    cfg = RunConfig(**_section_values("run", RunConfig, data, report))
     if cfg.episodes < 1:
         report.errors.append("run.episodes: must be >= 1")
     if not cfg.headway_violation_threshold > 0:
         report.errors.append("run.headway_violation_threshold: must be positive")
+    try:
+        cfg = replace(cfg, **parts)
+    except ValueError as exc:  # the spawn speeds against the speed cap
+        report.errors.append(str(exc))
     return None if report.errors else cfg.resolved()
 
 

@@ -68,8 +68,8 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
 
 
 def is_violation(summary: EpisodeSummary, cfg: RunConfig) -> bool:
-    """Safety violation: a collision or a headway dip below the documented
-    threshold (tau minus the one-step integration slack)."""
+    """Safety violation: a collision or a min headway below
+    ``run.headway_violation_threshold``, which does not follow ``scenario.tau``."""
     return summary.collisions > 0 or (
         summary.min_headway < cfg.headway_violation_threshold
     )

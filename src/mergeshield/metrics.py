@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+#: the JSON values a summary field takes, by its annotation; a bool is none
+_JSON = {"int": int, "str": str, "float": (int, float), "float | None": (int, float, type(None))}
+
+
 @dataclass(frozen=True)
 class EpisodeSummary:
     """Headline evaluation quantities of one episode.
@@ -57,10 +61,13 @@ class EpisodeSummary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeSummary":
-        keep = {f.name for f in fields(cls)}
-        d = {k: v for k, v in d.items() if k in keep}
+        kinds = {f.name: f.type for f in fields(cls)}
+        d = {k: v for k, v in d.items() if k in kinds}
         if d.get("min_headway") is None:
             d["min_headway"] = math.inf
+        for k, v in d.items():
+            if isinstance(v, bool) or not isinstance(v, _JSON[kinds[k]]):
+                raise TypeError(f"{k} must be {kinds[k]}, got {v!r}")
         return cls(**d)
 
 
@@ -198,8 +205,8 @@ def write_summaries(summaries: list, path) -> None:
 
 def read_summaries(path) -> list:
     """The summaries written to ``path``.  A line that is not a JSON object,
-    or an object that is not a summary, raises ``ValueError`` naming the
-    path and the line's 1-based number in the file."""
+    or an object that is not a summary (a field missing or of a wrong type),
+    raises ``ValueError`` naming the path and the line's 1-based number."""
     out = []
     for n, d in json_objects(path):
         try:

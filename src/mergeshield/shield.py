@@ -2,14 +2,14 @@
 
 Every barrier bounds the one speed command ``v``: each hard one is a cap
 ``v <= cap``, and the one soft row ``a * v - slack <= q`` with ``a < 0``
-sets a floor that a slack may relax.  The interaction topology names the
-leaders that constrain each vehicle in both shield modes; the mode only
-picks the next speed a leader is credited with: its resolved safe command
-in ``mass`` mode, its worst-case braking in ``hss`` mode, which also keeps
-the own-lane leader that a cutting-in vehicle displaced.  The lane-change
-gate does not look at the mode: the adjacent leader ranks ahead of the ego,
-so it is always resolved first, and the gate credits a live one its
-resolved safe command in both modes.  Per vehicle and step the filter takes
+sets a floor that a slack may relax.  Every worst case is a bound of a
+vehicle's one-step speed box, :func:`reach`.  The shield modes differ in
+one credit rule, :func:`credited_speed`: a topology parent is credited its
+resolved safe command in ``mass`` mode and its box floor in ``hss`` mode,
+which also keeps the own-lane leader that a cutting-in vehicle displaced.
+The lane-change gate credits resolved outcomes in both modes: the adjacent
+leader ranks ahead of the ego, so a live one is always resolved first.
+Per vehicle and step the filter takes
 
 * a headway cap per leader: the time-headway barrier
   ``h = gap - tau * v`` propagated one step with decay ``eta``, crediting
@@ -22,10 +22,10 @@ resolved safe command in both modes.  Per vehicle and step the filter takes
 * a soft rear floor toward the adjacent rear vehicle during an ongoing lane
   change, relaxed by the slack.
 
-The caps lower the top of the reachability box (one-step actuator
-envelope) to their minimum.  The QP minimises ``(v - v_nominal)^2 +
-k_eps * slack`` inside that box in closed form (:func:`solve_qp`); caps
-below the box raise a fault that callers turn into full braking.
+The caps lower the top of the ego's reach box to their minimum.  The QP
+minimises ``(v - v_nominal)^2 + k_eps * slack`` inside that box in closed
+form (:func:`solve_qp`); caps below the box raise a fault that callers turn
+into full braking.
 
 :func:`joint_safe_control` reads no world: ``step_world`` hands it the
 config, the topology, the plans, each live vehicle's neighbourhood and the
@@ -53,7 +53,8 @@ __all__ = [
     "ShieldOutcome",
     "ShieldFault",
     "QPSolution",
-    "worst_case_speed",
+    "reach",
+    "credited_speed",
     "headway_cap",
     "brake_guard",
     "lateral_rear_row",
@@ -83,9 +84,10 @@ class Row(NamedTuple):
 class ShieldConfig:
     """Shield mode and constraint parameters.
 
-    Worst cases are each vehicle's own acceleration limits
-    (``VehicleParams.a_min`` / ``a_max``), and the lateral rows use the
-    same headway ``tau`` as the longitudinal ones.  ``lag_margin`` tightens
+    ``mode`` is the credit rule of :func:`joint_safe_control`; ``none``
+    passes every plan through.  Reach boxes use each vehicle's own
+    acceleration limits, and the lateral rows the same headway ``tau`` as
+    the longitudinal ones.  ``lag_margin`` (finite, not negative) tightens
     every cap to absorb the one-step position lag of the explicit Euler
     integrator (commands move positions only one step later).
     """
@@ -109,12 +111,14 @@ class ShieldConfig:
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         check_magnitude("dt", self.dt)
+        if not (math.isfinite(self.lag_margin) and self.lag_margin >= 0.0):
+            raise ValueError(f"lag_margin must be finite and >= 0, got {self.lag_margin!r}")
 
 
 class ShieldOutcome(NamedTuple):
     """Filtered longitudinal command and audit data for one vehicle-step.
 
-    ``v_nominal`` is the reachability-clamped nominal command, so
+    ``v_nominal`` is the nominal command clamped into the :func:`reach` box, so
     ``v_safe == v_nominal + v_cbf`` holds exactly and an untouched plan has
     ``v_cbf == 0``.
     """
@@ -240,21 +244,24 @@ def brake_cap(gap: float, v_hi: float, v_lead: float, brake: float,
     return 0.0 if 0.0 > cap else cap
 
 
-def worst_case_speed(leader, config: ShieldConfig) -> float:
-    """Next speed of a leader that brakes as hard as it can; 0 once crashed."""
-    if leader.crashed:
-        return 0.0
-    v = leader.state.speed + leader.params.a_min * config.dt
-    return v if v > 0.0 else 0.0
+def reach(vehicle, dt: float) -> tuple:
+    """One-step speed box ``(lo, hi)``, the next speeds of the hardest
+    braking and acceleration with the builtins' tie rules; ``(0.0, 0.0)``
+    for a wreck, which never moves again."""
+    if vehicle.crashed:
+        return 0.0, 0.0
+    v = vehicle.state.speed
+    params = vehicle.params
+    lo = v + params.a_min * dt
+    hi = v + params.a_max * dt
+    v_cap = params.v_cap
+    return (lo if lo > 0.0 else 0.0), (hi if hi < v_cap else v_cap)
 
 
-def _rear_speed(c_oar, config: ShieldConfig) -> float:
-    """Next speed of an adjacent rear vehicle at full acceleration; 0 once crashed."""
-    if c_oar.crashed:
-        return 0.0
-    v_cap = c_oar.params.v_cap
-    v = c_oar.state.speed + c_oar.params.a_max * config.dt
-    return v if v < v_cap else v_cap
+def credited_speed(vehicle, resolved: dict, dt: float) -> float:
+    """``vehicle``'s safe command if ``resolved`` holds it, else its box floor."""
+    out = resolved.get(vehicle.vid)
+    return reach(vehicle, dt)[0] if out is None else out.v_safe
 
 
 def headway_cap(ego, leader, config: ShieldConfig, v_leader_next: float) -> float:
@@ -286,7 +293,7 @@ def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float,
     braking run from the next state keeps the headway barrier satisfied.
 
     ``v_leader_next`` is the leader's credited next speed and ``v_hi`` the
-    top of the ego's reachability box.  Returns None when even ``v_hi`` is
+    top of the ego's :func:`reach` box.  Returns None when even ``v_hi`` is
     fine.
     """
     dt = config.dt
@@ -303,31 +310,26 @@ def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float,
 def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> Row:
     """Soft floor toward the adjacent rear vehicle during a lane change.
 
-    ``h = gap - tau * v_ar`` with ``v_ar`` the rear vehicle's worst-case
-    (full acceleration) next speed, propagated one step.  It is soft so a
-    squeezed lane-changer yields through the slack rather than faulting.
+    ``h = gap - tau * v_ar`` with ``v_ar`` the top of the rear vehicle's
+    :func:`reach` box, propagated one step.  It is soft so a squeezed
+    lane-changer yields through the slack rather than faulting.
     """
     dt = config.dt
-    g_e = math.cos(ego.state.psi)
-    gap = bumper_gap(c_oar, ego)
-    v_ar_wc = _rear_speed(c_oar, config)
-    h_now = gap - config.tau * v_ar_wc
-    q = config.eta * h_now - v_ar_wc * dt
-    return Row(-g_e * dt, q, f"lat_rear:{c_oar.vid}")
+    v_ar = reach(c_oar, dt)[1]
+    q = config.eta * (bumper_gap(c_oar, ego) - config.tau * v_ar) - v_ar * dt
+    return Row(-math.cos(ego.state.psi) * dt, q, f"lat_rear:{c_oar.vid}")
 
 
 def allow_lane_change(ego, c_oal, c_oar, config: ShieldConfig) -> bool:
     """True iff both lateral barriers hold at the current state:
     ``gap - tau * v_e`` toward the adjacent leader ``c_oal`` and
-    ``gap - tau * v_ar`` toward the adjacent rear vehicle ``c_oar`` at its
-    worst-case next speed (a missing neighbour imposes nothing)."""
+    ``gap - tau * v_ar`` toward the adjacent rear vehicle ``c_oar`` at the
+    top of its :func:`reach` box (a missing neighbour imposes nothing)."""
     tau = config.tau
-    if c_oal is not None:
-        if bumper_gap(ego, c_oal) - tau * ego.state.speed < 0.0:
-            return False
-    if c_oar is not None:
-        if bumper_gap(c_oar, ego) - tau * _rear_speed(c_oar, config) < 0.0:
-            return False
+    if c_oal is not None and bumper_gap(ego, c_oal) - tau * ego.state.speed < 0.0:
+        return False
+    if c_oar is not None and bumper_gap(c_oar, ego) - tau * reach(c_oar, config.dt)[1] < 0.0:
+        return False
     return True
 
 
@@ -339,33 +341,27 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     both new leader/follower pairs inside the braking-feasibility envelope
     after one worst-case step, otherwise the headway guarantee could not be
     honoured once the interaction topology hands the pair over.
-    ``resolved`` maps vehicle ids to the outcomes resolved so far this step:
-    a live adjacent leader in it is credited its safe command, any other
-    its worst case.  The adjacent leader ranks ahead of the ego, so in
-    either shield mode a live one is always in it.
+    The adjacent leader is credited from ``resolved``, the outcomes resolved
+    so far this step by vid, which in either shield mode holds a live one:
+    it ranks ahead of the ego.
     """
     dt = config.dt
     tau = config.tau
     sigma = config.lag_margin
     v_e = ego.state.speed
+    v_e_lo, v_e_hi = reach(ego, dt)
 
     if c_oal is not None:
         # a wreck never moves again, whatever speed it crashed at
         v_al = 0.0 if c_oal.crashed else c_oal.state.speed
         gap1 = bumper_gap(ego, c_oal) + (v_al - v_e) * dt
-        v_e_hi = min(ego.params.v_cap, v_e + ego.params.a_max * dt)
-        out = resolved.get(c_oal.vid)
-        if out is not None and not c_oal.crashed:
-            v_al_next = out.v_safe
-        else:
-            v_al_next = worst_case_speed(c_oal, config)
+        v_al_next = credited_speed(c_oal, resolved, dt)
         if brake_margin(gap1 - sigma, v_e_hi, v_al_next, -ego.params.a_min, tau, dt) < 0.0:
             return False
     if c_oar is not None:
         v_ar = 0.0 if c_oar.crashed else c_oar.state.speed
         gap1 = bumper_gap(c_oar, ego) + (v_e - v_ar) * dt
-        v_ar_hi = _rear_speed(c_oar, config)
-        v_e_lo = max(0.0, v_e + ego.params.a_min * dt)
+        v_ar_hi = reach(c_oar, dt)[1]
         if brake_margin(gap1 - sigma, v_ar_hi, v_e_lo, -c_oar.params.a_min, tau, dt) < 0.0:
             return False
     return True
@@ -388,7 +384,7 @@ def _clamp(v, lo, hi, lo_label, hi_label, active=()):
 def solve_qp(v_nominal: float, rows, k_eps: float, lo: float, hi: float,
              hi_label: str = "reach_hi") -> QPSolution:
     """Minimise ``(v - v_nominal)^2 + k_eps * slack`` over one speed command
-    in the box ``[lo, hi]``: the reachability box with its top lowered by
+    in the box ``[lo, hi]``: the :func:`reach` box with its top lowered by
     the caps, its bounds labelled ``reach_lo`` and ``hi_label``.
 
     ``rows`` holds at most the one soft floor, a finite :class:`Row`
@@ -437,19 +433,14 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
 
     ``leaders`` holds ``(leader, credited next speed)`` pairs, each adding a
     headway cap and a brake guard; while the ego changes lanes, an adjacent
-    rear vehicle ``c_oar`` adds the soft rear floor.  The QP is solved in the
-    reachability box with its top lowered to the smallest cap, the first
-    one of a tie labelling it, and a fault falls back to full braking.
-    ``lane_change_allowed``, the lane gate's verdict, is recorded on the
-    outcome as given.
+    rear vehicle ``c_oar`` adds the soft rear floor.  The QP is solved in
+    the ego's :func:`reach` box with its top lowered to the smallest cap,
+    the first one of a tie labelling it, and a fault falls back to full
+    braking.  ``lane_change_allowed``, the lane gate's verdict, is recorded
+    on the outcome as given.
     """
-    v = ego.state.speed
-    params = ego.params
-    # the box and min(max(v_nominal, lo), hi) without the calls, ties as theirs
-    lo = v + params.a_min * config.dt
-    lo = lo if lo > 0.0 else 0.0
-    hi = v + params.a_max * config.dt
-    hi = hi if hi < params.v_cap else params.v_cap
+    lo, hi = reach(ego, config.dt)
+    # min(max(v_nominal, lo), hi) without the calls, ties as theirs
     v_nom_step = lo if lo > v_nominal else v_nominal
     v_nom_step = hi if hi < v_nom_step else v_nom_step
     cap, bound, binder = hi, None, None
@@ -481,12 +472,14 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
     ``near`` holds each live vehicle's ``Neighborhood`` by vid, and
     ``index`` is the snapshot's neighbour index, which gives the fleet and
     its order.  Each vehicle's leaders are its topology parents; ``hss``
-    adds the own-lane leader when a cut-in displaced it.  Parents are always
-    ahead, so the front-to-back evaluation order hands each vehicle the
-    resolved outcomes of everything it depends on.
+    puts first the own-lane leader when a cut-in displaced it.  Each leader
+    is credited from ``credit``: the outcomes resolved so far in ``mass``,
+    none in ``hss``.  Parents are always ahead, so the front-to-back
+    evaluation order resolves each before its children.
     """
     order = evaluation_order(topology, index)
     outcomes: dict = {}
+    credit = outcomes if config.mode == "mass" else {}
     by_id = {v.vid: v for v in index.ordered}
     for vid in order:
         vehicle = by_id[vid]
@@ -497,18 +490,13 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
             out = ShieldOutcome(plan.v_target, plan.v_target, 0.0)
         else:
             c_ol, c_oal, c_oar = near[vid]
-            parents = [by_id[pid] for pid in topology.parents(vid)]
-            if config.mode == "mass":
-                # crashed parents are never resolved, so they get the worst case
-                leaders = [(p, outcomes[p.vid].v_safe if p.vid in outcomes
-                            else worst_case_speed(p, config)) for p in parents]
-            else:
+            leaders = [by_id[pid] for pid in topology.parents(vid)]
+            if config.mode == "hss" and c_ol is not None:
                 # on a cut-in the topology hands the ego to the merging
                 # vehicle; the worst case also keeps the leader it displaced
-                own = [] if c_ol is None else [c_ol]
-                rest = [p for p in parents if c_ol is None or p.vid != c_ol.vid]
-                leaders = [(p, worst_case_speed(p, config)) for p in own + rest]
-            # the gate reads only outcomes resolved before this vehicle's
+                leaders = [c_ol] + [p for p in leaders if p.vid != c_ol.vid]
+            leaders = [(p, credited_speed(p, credit, config.dt)) for p in leaders]
+            # ROADMAP item 4 (shared responsibility) flips the gate's `outcomes` to `credit`
             allowed = not plan.lane_request or (
                 allow_lane_change(vehicle, c_oal, c_oar, config)
                 and lane_change_feasible(vehicle, c_oal, c_oar, config, outcomes))

@@ -9,8 +9,8 @@ keeps the graph acyclic, and the reversed fleet order of the state's
 neighbour index, front to back, is therefore always a valid evaluation
 order.
 
-The shield reads its leaders from this map in both modes: ``mass`` credits
-each parent with its resolved safe command, ``hss`` with its worst case.
+The shield credits each parent by ``shield.credited_speed``: its resolved
+safe command in ``mass``, the floor of its ``shield.reach`` box in ``hss``.
 
 The parent map and the evaluation order are pure functions of the facts
 ``step_world`` works out once per step and hands down, the live vehicles'

@@ -126,6 +126,8 @@ class ScenarioConfig:
         lo, hi = self.initial_speed_range
         if not (0 <= lo <= hi):
             raise ValueError(f"bad initial_speed_range {self.initial_speed_range}")
+        if not self.dv_step > 0:
+            raise ValueError(f"dv_step must be positive, got {self.dv_step}")
 
     def resolved_n_ramp(self) -> int:
         if self.n_ramp is not None:

@@ -113,12 +113,17 @@ def test_removed_key_is_unknown(tmp_path, section, key):
     ("vehicle", VehicleParams, "width", -1.0),
     ("scenario", ScenarioConfig, "n_ramp", -1),
     ("scenario", ScenarioConfig, "n_ramp", 10),
+    ("scenario", ScenarioConfig, "dv_step", 0.0),
+    ("scenario", ScenarioConfig, "dv_step", -2.0),
+    ("shield", ShieldConfig, "lag_margin", -1.0),
 ])
 def test_bad_value_fails_in_code_and_in_yaml(tmp_path, section, cls, key, value):
     # an episode without steps would fail late in the metrics, a footprint
-    # without width never overlaps, so no collision is seen, and a ramp
-    # count outside the default fleet of 9 spawned another fleet than the
-    # header echoed
+    # without width never overlaps, so no collision is seen, a ramp count
+    # outside the default fleet of 9 spawned another fleet than the header
+    # echoed, a negative speed step makes SPEED_UP slow down, and a
+    # negative lag margin loosens every cap (seed 0 dipped to a 0.418 s
+    # headway)
     with pytest.raises(ValueError, match=key):
         cls(**{key: value})
     errors = _errors(tmp_path, f"{section}:\n  {key}: {value}\n")
@@ -296,6 +301,8 @@ def test_zero_and_floats_at_the_magnitude_limits_pass(tmp_path):
     (VehicleParams, "a_min", -math.inf),
     (VehicleParams, "a_max", 1e-10),
     (VehicleParams, "a_max", math.nan),
+    (ShieldConfig, "lag_margin", math.inf),
+    (ShieldConfig, "lag_margin", math.nan),
 ])
 def test_dataclass_built_in_code_applies_the_float_rule(cls, key, value):
     with pytest.raises(ValueError, match=key):
@@ -328,12 +335,33 @@ def test_episode_runs_at_the_magnitude_limits(dt, accel, mode):
       "run.episodes: must be int"]),
     ("reward: {function: x}\nrun: {episodes: x}\n",
      ["reward: function must be default or custom, got 'x'", "run.episodes: must be int"]),
+    ("scenario: {initial_speed_range: [30, 60]}\nrun: {episodes: 0}\n",
+     ["run.episodes: must be >= 1",
+      "scenario.initial_speed_range: top speed 60 exceeds vehicle.v_cap = 40.0"]),
     ("run: {episodes: 0, headway_violation_threshold: 0}\nfoo: 1\n1: 2\n",
      ["1: unknown section", "foo: unknown section", "run.episodes: must be >= 1",
       "run.headway_violation_threshold: must be positive"]),
 ])
 def test_every_failing_section_is_reported(tmp_path, text, errors):
     assert _errors(tmp_path, text) == errors
+
+
+@pytest.mark.parametrize("top, v_cap, ok", [(60.0, 40.0, False), (40.0, 40.0, True),
+                                            (60.0, 70.0, True)])
+def test_spawn_speeds_stay_under_the_speed_cap(tmp_path, top, v_cap, ok):
+    # a vehicle spawned above v_cap starts outside its own reach box: at
+    # (30, 60) seed 0 spawned two at up to 49.1 m/s, and step 0 faulted
+    scenario, vehicle = ScenarioConfig(initial_speed_range=(30.0, top)), VehicleParams(v_cap=v_cap)
+    path = tmp_path / "run.yaml"
+    path.write_text(f"scenario: {{initial_speed_range: [30.0, {top}]}}\nvehicle: {{v_cap: {v_cap}}}\n")
+    message = f"scenario.initial_speed_range: top speed {top} exceeds vehicle.v_cap = {v_cap}"
+    if ok:
+        RunConfig(scenario=scenario, vehicle=vehicle)
+        assert validate_config(path).ok
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(scenario=scenario, vehicle=vehicle)
+        assert _errors(tmp_path, path.read_text()) == [message]
 
 
 def _schema_hints():

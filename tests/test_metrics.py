@@ -1,5 +1,6 @@
 """The promises of the ``metrics`` docstrings, on hand-built records."""
 
+import json
 import math
 
 import pytest
@@ -191,6 +192,10 @@ class TestAggregateSummaries:
     ("{oops", "not JSON"),
     ("[1, 2]", "not a JSON object"),
     ('{"a": 1}', "not a summary"),
+    (json.dumps({**summary(0, 1.0, 10.0, 50.0).to_dict(), "min_headway": "abc"}),
+     "not a summary (min_headway must be float, got 'abc')"),
+    (json.dumps({**summary(0, 1.0, 10.0, 50.0).to_dict(), "collisions": True}),
+     "not a summary (collisions must be int, got True)"),
 ])
 def test_read_summaries_names_the_file_line_of_a_bad_line(tmp_path, bad, message):
     # the bad line is file line 3, behind a summary and a blank line

@@ -328,6 +328,8 @@ STEP_PATH_FUNCTIONS = (
     ("world", "perceived"),
     ("world", "plan_motion"),
     ("world", "_maneuver_overlay"),
+    ("shield", "reach"),
+    ("shield", "credited_speed"),
     ("shield", "filter_vehicle"),
     ("shield", "headway_cap"),
     ("shield", "brake_guard"),

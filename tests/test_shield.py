@@ -15,14 +15,16 @@ from mergeshield.shield import (
     brake_cap,
     brake_guard,
     brake_margin,
+    ShieldOutcome,
     bumper_gap,
+    credited_speed,
     filter_vehicle,
     headway_cap,
     joint_safe_control,
     lane_change_feasible,
     lateral_rear_row,
+    reach,
     solve_qp,
-    worst_case_speed,
 )
 from mergeshield.topology import build_topology
 from mergeshield.world import BehaviorAction, MotionPlan, neighbor_index, plan_motion
@@ -476,6 +478,38 @@ class TestFilterHss:
         assert out.v_safe == reach_lo
 
 
+class TestCreditRule:
+    def test_resolved_vehicle_is_credited_its_command_else_its_box_floor(self):
+        leader = make_vehicle(1, 150.0, 20.0)
+        floor = 20.0 + leader.params.a_min * CFG.dt
+        assert reach(leader, CFG.dt)[0] == floor
+        out = ShieldOutcome(21.0, 19.5, -1.5)
+        assert credited_speed(leader, {1: out}, CFG.dt) == 19.5
+        assert credited_speed(leader, {}, CFG.dt) == floor
+        assert credited_speed(leader, {2: out}, CFG.dt) == floor
+        # a wreck is never resolved, and its box is a standstill
+        leader.crashed = True
+        assert credited_speed(leader, {2: out}, CFG.dt) == 0.0
+
+    @pytest.mark.parametrize("mode", ["hss", "mass"])
+    def test_every_leader_speed_is_credited_from_the_mode_credit(self, mode, monkeypatch):
+        # mass hands in the outcomes resolved so far, hss an empty map
+        from mergeshield import shield
+
+        seen = []
+
+        def spy(vehicle, resolved, dt):
+            seen.append((vehicle.vid, dict(resolved)))
+            return credited_speed(vehicle, resolved, dt)
+
+        ego, leader = place_pair(30.0, 20.0, 20.0)
+        w = make_world([ego, leader], shield_mode=mode)
+        plans = {v.vid: MotionPlan(v_target=20.0, target_lane=0) for v in (ego, leader)}
+        monkeypatch.setattr(shield, "credited_speed", spy)
+        outs = resolve(w, plans)
+        assert seen == [(1, {1: outs[1]} if mode == "mass" else {})]
+
+
 class TestFilterMass:
     def test_no_parents_equals_hss_with_no_neighbors(self):
         outs = {}
@@ -494,7 +528,8 @@ class TestFilterMass:
             gap = float(rng.uniform(0.5 * v_e, 0.5 * v_e + 60.0))
             v_nom = float(rng.uniform(0.0, 35.0))
             ego, leader = place_pair(gap, v_e, v_l)
-            hss = filter_vehicle(ego, [(leader, worst_case_speed(leader, CFG))], None, v_nom, CFG)
+            hss = filter_vehicle(ego, [(leader, credited_speed(leader, {}, CFG.dt))], None, v_nom,
+                                 CFG)
             # truthful parent intention: the leader holds its speed
             parent_out = resolved(leader, v_l)
             mass = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, v_nom, CFG)
@@ -552,7 +587,7 @@ class TestFilterMass:
         w = make_world([ego, leader])
         plans = {0: MotionPlan(v_target=22.0, target_lane=0)}
         out = resolve(w, plans)[0]
-        assert worst_case_speed(leader, CFG) == 0.0
+        assert credited_speed(leader, {}, CFG.dt) == 0.0
         assert out == filter_vehicle(ego, [(leader, 0.0)], None, 22.0, CFG)
         assert out.v_safe < filter_vehicle(ego, [(leader, 18.0)], None, 22.0, CFG).v_safe
 

@@ -17,10 +17,9 @@ from mergeshield.seedstream import SeedPool
 from mergeshield.shield import (
     QPSolution,
     ShieldOutcome,
-    _rear_speed,
     bumper_gap,
     filter_vehicle,
-    worst_case_speed,
+    reach,
 )
 from mergeshield.world import (
     BehaviorAction,
@@ -459,7 +458,7 @@ class TestScalarClamps:
     def test_filter_vehicle_reach_box_and_nominal(self, v, v_nominal, a_min, a_max, v_cap, dt):
         ego = SimpleNamespace(state=SimpleNamespace(speed=v),
                               params=SimpleNamespace(a_min=a_min, a_max=a_max, v_cap=v_cap),
-                              lane=0, target_lane=0)
+                              lane=0, target_lane=0, crashed=False)
         seen = []
 
         def solve_qp(v_nom, rows, k_eps, lo, hi, hi_label):
@@ -502,13 +501,14 @@ class TestScalarClamps:
         road = SimpleNamespace(ramp_lane=1, merge_start=start, merge_length=length)
         assert _hex(Vehicle.x_m(vehicle, road)) == _hex(min(max(x - start, 0.0), length))
 
-    @given(v=CLAMPED, a=CLAMPED, v_cap=CLAMPED)
-    def test_worst_case_leader_and_rear_speeds(self, v, a, v_cap):
-        vehicle = SimpleNamespace(state=SimpleNamespace(speed=v), crashed=False,
-                                  params=SimpleNamespace(a_min=a, a_max=a, v_cap=v_cap))
-        config = SimpleNamespace(dt=1.0)
-        assert _hex(worst_case_speed(vehicle, config)) == _hex(max(0.0, v + a * 1.0))
-        assert _hex(_rear_speed(vehicle, config)) == _hex(min(v_cap, v + a * 1.0))
+    @given(v=CLAMPED, a_min=CLAMPED, a_max=CLAMPED, v_cap=CLAMPED,
+           dt=st.sampled_from([0.1, 1.0]), crashed=st.booleans())
+    def test_reach_box(self, v, a_min, a_max, v_cap, dt, crashed):
+        # a wreck never moves again, whatever speed it crashed at
+        vehicle = SimpleNamespace(state=SimpleNamespace(speed=v), crashed=crashed,
+                                  params=SimpleNamespace(a_min=a_min, a_max=a_max, v_cap=v_cap))
+        box = (0.0, 0.0) if crashed else (max(0.0, v + a_min * dt), min(v_cap, v + a_max * dt))
+        assert _hex(*reach(vehicle, dt)) == _hex(*box)
 
     @given(v=CLAMPED)
     def test_reward_speed_floor_and_cap(self, v):
