@@ -1,12 +1,12 @@
 """Point-mass vehicle dynamics and fixed-step state integration.
 
 A vehicle is a point mass in the global frame that accelerates along its
-heading ``psi``.  The integrator never turns the vehicle: the maneuver
-layer in :mod:`mergeshield.world` sets the heading and the velocity
-direction before each step, and ``step`` accelerates along that heading.
-Integration is explicit forward Euler at a fixed ``dt``: positions use the
-pre-step velocities, so a speed command issued this step moves the vehicle
-only from the next step on.
+heading ``psi``.  The integrator never turns the vehicle: :func:`maneuver`
+turns the velocity and heading toward a lane centreline, keeping the speed,
+and ``step`` accelerates along that heading.  Integration is explicit
+forward Euler at a fixed ``dt``: positions use the pre-step velocities, so
+a speed command issued this step moves the vehicle only from the next step
+on.
 
 A :class:`VehicleState` is a named tuple that stores its planar speed once,
 when it is built: every layer reads the speed several times per step.
@@ -21,7 +21,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-__all__ = ["VehicleParams", "VehicleState", "check_magnitude", "step"]
+__all__ = ["VehicleParams", "VehicleState", "check_magnitude", "maneuver", "step"]
+
+#: lateral speed of a lane-change maneuver [m/s]
+LANE_CHANGE_LATERAL_SPEED = 2.0
+#: lateral speed used to recentre on the lane after a maneuver [m/s]
+RECENTER_LATERAL_SPEED = 0.5
 
 #: magnitudes a nonzero physical float may have.  Every float is a
 #: quantity in SI units; the shield counts braking steps of ``|a_min| * dt``
@@ -108,6 +113,40 @@ class VehicleState(_StateFields):
 
     def __getnewargs__(self) -> tuple:
         return self[:5]
+
+
+def maneuver(state: VehicleState, target_y: float, changing: bool, dt: float) -> VehicleState:
+    """``state`` turned toward the centreline at ``target_y``, keeping its speed.
+
+    A vehicle ``changing`` lanes heads there at the lane-change lateral
+    speed; a settled one recentres gently and snaps exactly onto it once
+    close, keeping states bit-stable.  The lateral speed is at most
+    ``0.7 * speed`` and what reaches the centreline within ``dt``.
+    """
+    speed = state.speed
+    dy = target_y - state.y
+
+    if changing:
+        v_lat_mag = LANE_CHANGE_LATERAL_SPEED
+    else:
+        if abs(dy) < 0.02:
+            if state.y == target_y and state.v_y == 0.0 and state.psi == 0.0:
+                return state
+            return VehicleState(state.x, target_y, speed, 0.0, 0.0)
+        v_lat_mag = RECENTER_LATERAL_SPEED
+    # min(v_lat_mag, 0.7 * speed, abs(dy) / dt), left to right
+    bound = 0.7 * speed
+    if bound < v_lat_mag:
+        v_lat_mag = bound
+    bound = abs(dy) / dt
+    if bound < v_lat_mag:
+        v_lat_mag = bound
+
+    v_y = math.copysign(v_lat_mag, dy) if dy != 0.0 else 0.0
+    v_x2 = speed * speed - v_y * v_y
+    v_x = math.sqrt(0.0 if 0.0 > v_x2 else v_x2)
+    psi = math.atan2(v_y, v_x) if speed > 0.0 else 0.0
+    return VehicleState(state.x, state.y, v_x, v_y, psi)
 
 
 def step(state: VehicleState, params: VehicleParams, a: float, dt: float) -> VehicleState:

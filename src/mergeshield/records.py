@@ -287,9 +287,10 @@ def episode_lines(record: EpisodeRecord) -> list:
 
 
 def write_episode(record: EpisodeRecord, path) -> None:
+    text = "\n".join(episode_lines(record)) + "\n"  # a record that cannot encode opens no file
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as f:
-        f.write("\n".join(episode_lines(record)) + "\n")
+        f.write(text)
     os.replace(tmp, path)
 
 
@@ -334,7 +335,7 @@ def read_episode(path) -> EpisodeRecord:
                 record.steps.append(StepRecord.from_dict(d))
             elif d.get("kind") == "summary":
                 record.summary = {k: v for k, v in d.items() if k != "kind"}
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         # only header and step lines are parsed field by field
         raise ValueError(f"{path}, line {n}: malformed {d['kind']} line "
                          f"({type(exc).__name__}: {exc})") from None

@@ -28,8 +28,8 @@ form (:func:`solve_qp`); caps below the box raise a fault that callers turn
 into full braking.
 
 :func:`joint_safe_control` reads no world: ``step_world`` hands it the
-config, the topology, the plans, each live vehicle's neighbourhood and the
-state's neighbour index, all worked out once per step.
+config, the topology, the plans, each live vehicle's neighbourhood, the
+state's neighbour index and the road, all worked out once per step.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from mergeshield.dynamics import check_magnitude
+from mergeshield.dynamics import VehicleState, check_magnitude, maneuver
 from mergeshield.topology import InteractionTopology, evaluation_order
 
 if TYPE_CHECKING:
+    from mergeshield.road import RoadNetwork
     from mergeshield.world import NeighborIndex
 
 __all__ = [
@@ -120,7 +121,7 @@ class ShieldOutcome(NamedTuple):
 
     ``v_nominal`` is the nominal command clamped into the :func:`reach` box, so
     ``v_safe == v_nominal + v_cbf`` holds exactly and an untouched plan has
-    ``v_cbf == 0``.
+    ``v_cbf == 0``.  ``staged`` is the maneuvered state the integrator moves.
     """
 
     v_nominal: float
@@ -130,6 +131,7 @@ class ShieldOutcome(NamedTuple):
     slack_used: float = 0.0
     active_constraints: tuple = ()
     fault: bool = False
+    staged: VehicleState | None = None
 
 
 class QPSolution(NamedTuple):
@@ -427,8 +429,8 @@ def solve_qp(v_nominal: float, rows, k_eps: float, lo: float, hi: float,
     return QPSolution(v, slack, active, objective)
 
 
-def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
-                   config: ShieldConfig, lane_change_allowed: bool = True) -> ShieldOutcome:
+def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float, config: ShieldConfig,
+                   lane_change_allowed: bool = True, staged=None) -> ShieldOutcome:
     """Filter one vehicle's nominal speed command.
 
     ``leaders`` holds ``(leader, credited next speed)`` pairs, each adding a
@@ -436,8 +438,8 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
     rear vehicle ``c_oar`` adds the soft rear floor.  The QP is solved in
     the ego's :func:`reach` box with its top lowered to the smallest cap,
     the first one of a tie labelling it, and a fault falls back to full
-    braking.  ``lane_change_allowed``, the lane gate's verdict, is recorded
-    on the outcome as given.
+    braking.  ``lane_change_allowed`` (the lane gate's verdict) and
+    ``staged`` are recorded on the outcome as given.
     """
     lo, hi = reach(ego, config.dt)
     # min(max(v_nominal, lo), hi) without the calls, ties as theirs
@@ -459,15 +461,16 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float,
         sol = solve_qp(v_nom_step, floors, config.k_eps, lo, cap, label)
     except ShieldFault:
         return ShieldOutcome(v_nom_step, lo, lo - v_nom_step, lane_change_allowed, 0.0,
-                             ("fault",), True)
+                             ("fault",), True, staged)
     v_safe = sol.v_safe
     return ShieldOutcome(v_nom_step, v_safe, v_safe - v_nom_step, lane_change_allowed,
-                         sol.slack, sol.active, False)
+                         sol.slack, sol.active, False, staged)
 
 
 def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
-                       nominal_plans: dict, near: dict, index: "NeighborIndex") -> dict:
-    """Resolve every vehicle in dependency order and gate lane requests.
+                       nominal_plans: dict, near: dict, index: "NeighborIndex",
+                       road: "RoadNetwork") -> dict:
+    """Resolve every vehicle in dependency order, gate lane requests, stage maneuvers.
 
     ``near`` holds each live vehicle's ``Neighborhood`` by vid, and
     ``index`` is the snapshot's neighbour index, which gives the fleet and
@@ -476,6 +479,11 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
     is credited from ``credit``: the outcomes resolved so far in ``mass``,
     none in ``hss``.  Parents are always ahead, so the front-to-back
     evaluation order resolves each before its children.
+
+    Right after its gate verdict (``none`` mode grants every plan), each
+    live vehicle's :func:`maneuver` toward the lane that verdict implies is
+    staged once, as ``staged`` on its outcome; wrecks get none.  No cap
+    reads it yet; ROADMAP item 1 decides which ones ``hss`` may read.
     """
     order = evaluation_order(topology, index)
     outcomes: dict = {}
@@ -486,20 +494,24 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
         if vehicle.crashed or vid not in nominal_plans:
             continue
         plan = nominal_plans[vid]
-        if config.mode == "none":
-            out = ShieldOutcome(plan.v_target, plan.v_target, 0.0)
-        else:
+        allowed = True
+        if config.mode != "none":
             c_ol, c_oal, c_oar = near[vid]
+            # ROADMAP item 4 (shared responsibility) flips the gate's `outcomes` to `credit`
+            allowed = not plan.lane_request or (
+                allow_lane_change(vehicle, c_oal, c_oar, config)
+                and lane_change_feasible(vehicle, c_oal, c_oar, config, outcomes))
+        lane = plan.target_lane if allowed else vehicle.target_lane
+        staged = maneuver(vehicle.state, road.centerline_y(lane), lane != vehicle.lane, config.dt)
+        if config.mode == "none":
+            out = ShieldOutcome(plan.v_target, plan.v_target, 0.0, staged=staged)
+        else:
             leaders = [by_id[pid] for pid in topology.parents(vid)]
             if config.mode == "hss" and c_ol is not None:
                 # on a cut-in the topology hands the ego to the merging
                 # vehicle; the worst case also keeps the leader it displaced
                 leaders = [c_ol] + [p for p in leaders if p.vid != c_ol.vid]
             leaders = [(p, credited_speed(p, credit, config.dt)) for p in leaders]
-            # ROADMAP item 4 (shared responsibility) flips the gate's `outcomes` to `credit`
-            allowed = not plan.lane_request or (
-                allow_lane_change(vehicle, c_oal, c_oar, config)
-                and lane_change_feasible(vehicle, c_oal, c_oar, config, outcomes))
-            out = filter_vehicle(vehicle, leaders, c_oar, plan.v_target, config, allowed)
+            out = filter_vehicle(vehicle, leaders, c_oar, plan.v_target, config, allowed, staged)
         outcomes[vid] = out
     return outcomes

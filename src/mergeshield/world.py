@@ -24,12 +24,9 @@ index, one :class:`Neighborhood` and one perceived group per vehicle.
 The road has two lanes, so a vehicle's perception-adjacent lane is always
 the other one, whether or not it is changing lanes.
 
-Lateral maneuvers: the point-mass integrator accelerates along the
-heading and never turns, so holding speed leaves the lateral velocity
-frozen.  Lane transitions are therefore executed by the maneuver layer as
-a speed-preserving rotation of the velocity vector and heading (bounded
-lateral speed toward the target centreline) applied before integration;
-the integrator itself stays untouched.
+Lateral maneuvers: the shield stages each live vehicle's
+:func:`mergeshield.dynamics.maneuver` once per step; ``step_world`` grants
+the lane and integrates from the staged state, turning no vehicle itself.
 """
 
 from __future__ import annotations
@@ -62,10 +59,6 @@ __all__ = [
     "step_world",
 ]
 
-#: lateral speed of a lane-change maneuver [m/s]
-LANE_CHANGE_LATERAL_SPEED = 2.0
-#: lateral speed used to recentre on the lane after a maneuver [m/s]
-RECENTER_LATERAL_SPEED = 0.5
 #: fraction of the lane width below which a lane change counts as complete
 LANE_CHANGE_DONE_FRACTION = 0.1
 
@@ -456,43 +449,6 @@ def plan_motion(ego: Vehicle, action: BehaviorAction, road: RoadNetwork,
     return MotionPlan(v_target, target_lane, lane_request)
 
 
-def _maneuver_overlay(world: World, vehicle: Vehicle) -> VehicleState:
-    """Rotate the velocity vector toward the lane target, preserving speed.
-
-    Changing vehicles head for the target centreline at the maneuver
-    lateral speed; settled vehicles recentre gently and snap exactly onto
-    the centreline once close, keeping states bit-stable.
-    """
-    s = vehicle.state
-    road = world.road
-    dt = world.scenario.dt
-    speed = s.speed
-    target_y = road.centerline_y(vehicle.target_lane)
-    dy = target_y - s.y
-
-    if vehicle.target_lane != vehicle.lane:
-        v_lat_mag = LANE_CHANGE_LATERAL_SPEED
-    else:
-        if abs(dy) < 0.02:
-            if s.y == target_y and s.v_y == 0.0 and s.psi == 0.0:
-                return s
-            return VehicleState(s.x, target_y, speed, 0.0, 0.0)
-        v_lat_mag = RECENTER_LATERAL_SPEED
-    # min(v_lat_mag, 0.7 * speed, abs(dy) / dt), left to right
-    bound = 0.7 * speed
-    if bound < v_lat_mag:
-        v_lat_mag = bound
-    bound = abs(dy) / dt
-    if bound < v_lat_mag:
-        v_lat_mag = bound
-
-    v_y = math.copysign(v_lat_mag, dy) if dy != 0.0 else 0.0
-    v_x2 = speed * speed - v_y * v_y
-    v_x = math.sqrt(0.0 if 0.0 > v_x2 else v_x2)
-    psi = math.atan2(v_y, v_x) if speed > 0.0 else 0.0
-    return VehicleState(s.x, s.y, v_x, v_y, psi)
-
-
 def _rect_overlap(a: Vehicle, b: Vehicle) -> bool:
     return (
         abs(a.state.x - b.state.x) < 0.5 * (a.params.length + b.params.length)
@@ -526,12 +482,13 @@ def step_world(world: World, joint_actions: dict) -> tuple:
     returns the step's shield outcomes and topology entries, both by
     vehicle id.
 
-    Pipeline: plan and perceive -> topology -> joint shield -> tracking ->
-    simultaneous integration -> post-step index -> collision flags -> merge
-    bookkeeping.  Each live vehicle's neighbourhood is found once, here,
-    and the topology and the shield read it from the one map.  All vehicles
-    integrate from the same pre-step snapshot, so the vehicle iteration
-    order cannot leak into the result.
+    Pipeline: plan and perceive -> topology -> joint shield, which stages
+    each maneuver -> lane grants, tracking and integration -> post-step
+    index -> collision flags -> merge bookkeeping.  Each live vehicle's
+    neighbourhood is found once, here, and the topology and the shield read
+    it from the one map.  Every vehicle integrates from its staged state,
+    built from the pre-step snapshot, so the vehicle iteration order cannot
+    leak into the result.
     """
     road = world.road
     cfg = world.scenario
@@ -546,29 +503,20 @@ def step_world(world: World, joint_actions: dict) -> tuple:
         near[vehicle.vid] = neighbors(world, vehicle)
 
     topology = _topology.build_topology(world.vehicles, near)
-    outcomes = joint_safe_control(world.shield, topology, plans, near, neighbor_index(world))
+    outcomes = joint_safe_control(world.shield, topology, plans, near, neighbor_index(world),
+                                  road)
 
-    # apply lane-change permissions before integration
-    for vehicle in live:
-        plan = plans[vehicle.vid]
-        out = outcomes[vehicle.vid]
-        if plan.lane_request and out.lane_change_allowed:
-            vehicle.target_lane = plan.target_lane
-
-    # tracking + simultaneous integration from the pre-step snapshot
-    new_states = {}
+    # grant lane changes, track, and integrate each vehicle from the state
+    # its outcome staged from the pre-step snapshot
     for vehicle in live:
         out = outcomes[vehicle.vid]
-        staged = _maneuver_overlay(world, vehicle)
-        speed = staged.speed
+        if out.lane_change_allowed:
+            vehicle.target_lane = plans[vehicle.vid].target_lane
         params = vehicle.params
-        a = (out.v_safe - speed) / dt
+        a = (out.v_safe - out.staged.speed) / dt
         a = params.a_min if params.a_min > a else a
         a = params.a_max if params.a_max < a else a
-        new_states[vehicle.vid] = step(staged, params, a, dt)
-
-    for vehicle in live:
-        vehicle.state = new_states[vehicle.vid]
+        vehicle.state = step(out.staged, params, a, dt)
     world.step_index += 1
 
     # collisions: axis-aligned rectangle overlap on the post-step snapshot;

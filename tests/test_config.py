@@ -116,6 +116,9 @@ def test_removed_key_is_unknown(tmp_path, section, key):
     ("scenario", ScenarioConfig, "dv_step", 0.0),
     ("scenario", ScenarioConfig, "dv_step", -2.0),
     ("shield", ShieldConfig, "lag_margin", -1.0),
+    ("shield", ShieldConfig, "mode", "bogus"),
+    ("road", RoadNetwork, "merge_length", 0.0),
+    ("road", RoadNetwork, "merge_length", -100.0),
 ])
 def test_bad_value_fails_in_code_and_in_yaml(tmp_path, section, cls, key, value):
     # an episode without steps would fail late in the metrics, a footprint
@@ -176,6 +179,25 @@ def test_int_run_value_passes_as_float(tmp_path):
     path.write_text("run:\n  headway_violation_threshold: 1\n  episodes: 3\n")
     cfg = load_config(path)
     assert (cfg.headway_violation_threshold, cfg.episodes) == (1, 3)
+
+
+@pytest.mark.parametrize("key, value", [("tau", 0.0), ("tau", -0.5), ("dt", 0.0), ("dt", -0.1)])
+def test_shield_rejects_a_tau_or_dt_that_is_not_positive(key, value):
+    # both are derived from the scenario, so only code can pass them
+    with pytest.raises(ValueError, match=f"^{key} must be positive$"):
+        ShieldConfig(**{key: value})
+
+
+def test_top_level_must_be_a_mapping(tmp_path):
+    assert _errors(tmp_path, "[1, 2]\n") == ["top level must be a mapping of sections"]
+
+
+@pytest.mark.parametrize("name", ["missing.yaml", "."])
+def test_unreadable_config_is_reported_with_its_path(tmp_path, name):
+    path = tmp_path / name
+    report = validate_config(path)
+    assert len(report.errors) == 1 and str(path) in report.errors[0]
+    assert report.config is None
 
 
 def test_run_section_must_be_a_mapping(tmp_path):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mergeshield.dynamics import VehicleParams, VehicleState, step
+from mergeshield.dynamics import (
+    LANE_CHANGE_LATERAL_SPEED,
+    RECENTER_LATERAL_SPEED,
+    VehicleParams,
+    VehicleState,
+    maneuver,
+    step,
+)
 
 from conftest import assert_speed_exact
 
@@ -21,6 +28,54 @@ def euler_reference(state, a, dt):
         v_y=state.v_y + a * math.sin(state.psi) * dt,
         psi=state.psi,
     )
+
+
+def heading(x, y, v, psi=0.0):
+    """A state at ``(x, y)`` moving at speed ``v`` along heading ``psi``."""
+    return VehicleState(x, y, v * math.cos(psi), v * math.sin(psi), psi)
+
+
+class TestManeuver:
+    def test_keeps_the_speed_exact(self):
+        settled = heading(100.0, 0.0, 20.0)
+        assert maneuver(settled, 0.0, False, 0.1) is settled
+        snapping = heading(130.0, 0.013, 21.3, psi=0.004)
+        snapped = maneuver(snapping, 0.0, False, 0.1)
+        assert (snapped.y, snapped.v_y, snapped.psi) == (0.0, 0.0, 0.0)
+        assert snapped.v_x == snapping.speed
+        recentring = heading(160.0, -0.4, 22.7, psi=-0.01)
+        changing = heading(210.0, 4.0, 19.1)
+        for state, is_changing in ((recentring, False), (changing, True)):
+            turned = maneuver(state, 0.0, is_changing, 0.1)
+            assert turned.v_y != 0.0 and turned.psi != state.psi
+            assert_speed_exact(turned)
+        assert_speed_exact(snapped)
+
+    @pytest.mark.parametrize("speed, changing, target_y, bound", [
+        (20.0, True, 0.0, "maneuver"),
+        (20.0, False, 3.0, "maneuver"),
+        (1.0, True, 0.0, "speed"),
+        (0.5, False, 3.0, "speed"),
+        (20.0, True, 3.9, "distance"),
+        (20.0, False, 3.97, "distance"),
+    ])
+    def test_lateral_speed_is_the_least_of_its_three_bounds(self, speed, changing, target_y,
+                                                            bound):
+        # the maneuver's own lateral speed, 0.7 of the speed, and the speed
+        # that reaches the centreline within one step
+        state = heading(50.0, 4.0, speed)
+        dt = 0.1
+        bounds = {
+            "maneuver": LANE_CHANGE_LATERAL_SPEED if changing else RECENTER_LATERAL_SPEED,
+            "speed": 0.7 * speed,
+            "distance": abs(target_y - state.y) / dt,
+        }
+        assert min(bounds.values()) == bounds[bound]
+        turned = maneuver(state, target_y, changing, dt)
+        assert turned.v_y == -bounds[bound]
+        assert turned.v_x == math.sqrt(speed * speed - turned.v_y * turned.v_y)
+        assert turned.psi == math.atan2(turned.v_y, turned.v_x)
+        assert (turned.x, turned.y) == (state.x, state.y)
 
 
 class TestStep:

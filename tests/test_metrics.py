@@ -53,6 +53,10 @@ class TestMinTimeHeadway:
         want = min(gap(b, a) / 20.0, gap(c, b) / 20.0, gap(later[1], later[0]) / 25.0)
         assert min_time_headway(record((a, b, c), later)) == want
 
+    def test_raises_on_an_empty_record(self):
+        with pytest.raises(ValueError, match="empty record"):
+            min_time_headway(record())
+
     def test_zero_after_any_collision(self):
         # roomy pairs, then one crash in the last step
         calm = (row(0, 100.0), row(1, 200.0))

@@ -9,8 +9,12 @@ import os
 import pkgutil
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    import tomli as tomllib
 
 import pytest
 
@@ -319,6 +323,7 @@ def test_step_path_calls_no_dataclasses_replace(name):
 
 #: the functions run for every vehicle at every step, by module
 STEP_PATH_FUNCTIONS = (
+    ("dynamics", "maneuver"),
     ("policy", "heuristic_policy"),
     ("reward", "custom_reward"),
     ("reward", "default_reward"),
@@ -327,7 +332,6 @@ STEP_PATH_FUNCTIONS = (
     ("world", "neighbors"),
     ("world", "perceived"),
     ("world", "plan_motion"),
-    ("world", "_maneuver_overlay"),
     ("shield", "reach"),
     ("shield", "credited_speed"),
     ("shield", "filter_vehicle"),
@@ -421,3 +425,39 @@ def test_step_world_looks_up_perception_and_topology_at_call_time(monkeypatch, m
         world_mod.step_world(world, actions)
         assert sorted(seen["neighbors"]) == live
         assert seen["build_topology"] == 1
+
+
+@pytest.mark.parametrize("mode", ["none", "hss", "mass"])
+def test_shield_stages_each_live_vehicle_once_per_step(monkeypatch, mode):
+    # the shield pass stages every live vehicle's maneuver exactly once,
+    # from its pre-step state, and step_world turns no vehicle itself
+    from mergeshield import shield as shield_mod
+    from mergeshield import world as world_mod
+    from mergeshield.episode import build_world
+
+    maneuver = shield_mod.maneuver
+    seen = []
+
+    def counting_maneuver(state, target_y, changing, dt):
+        seen.append(state)
+        return maneuver(state, target_y, changing, dt)
+
+    monkeypatch.setattr(shield_mod, "maneuver", counting_maneuver)
+    cfg = RunConfig(shield=ShieldConfig(mode=mode), policy=PolicySpec(kind="random"))
+    world = build_world(cfg, 0)
+    policy = build_policy(cfg.policy)
+    for k in range(40):
+        actions = policy.decide(k, world, {})
+        before = [v.state for v in world.live_vehicles()]
+        seen.clear()
+        world_mod.step_world(world, actions)
+        assert sorted(map(id, seen)) == sorted(map(id, before))
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "world.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert [name for name in names if "maneuver" in name] == []

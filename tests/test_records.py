@@ -236,14 +236,19 @@ def test_a_re_read_record_encodes_to_the_same_bytes(tmp_path):
     ("{oops", "not JSON"),
     ("[1, 2]", "not a JSON object"),
     ("no step", "malformed step line (KeyError: 'vehicles')"),
+    ("bad topology key",
+     "malformed step line (ValueError: invalid literal for int() with base 10: 'abc')"),
 ])
 def test_read_episode_names_the_file_line_of_a_bad_line(tmp_path, bad, message):
     # the bad line is the second step, on file line 4 behind a blank line
     cfg = RunConfig(scenario=ScenarioConfig(episode_steps=3))
     lines = episode_lines(run_episode(cfg, 0)[0])
+    step = json.loads(lines[2])
     if bad == "no step":
-        step = json.loads(lines[2])
         del step["vehicles"]
+        bad = json.dumps(step)
+    elif bad == "bad topology key":
+        step["topology"]["abc"] = []
         bad = json.dumps(step)
     lines = [lines[0], "", lines[1], bad, *lines[3:]]
     path = tmp_path / "episode.jsonl"
@@ -251,3 +256,35 @@ def test_read_episode_names_the_file_line_of_a_bad_line(tmp_path, bad, message):
     with pytest.raises(ValueError) as info:
         read_episode(path)
     assert str(info.value).startswith(f"{path}, line 4: {message}")
+
+
+@pytest.mark.parametrize("header, message", [
+    (None, "not an episode record (missing header line)"),
+    ("mergeshield.episode/0", "unsupported schema 'mergeshield.episode/0'"),
+])
+def test_read_episode_needs_a_header_of_its_schema(tmp_path, header, message):
+    lines = episode_lines(run_episode(RunConfig(scenario=ScenarioConfig(episode_steps=2)), 0)[0])
+    if header is None:
+        lines = lines[1:]
+    else:
+        lines[0] = _dump({**json.loads(lines[0]), "schema": header})
+    path = tmp_path / "episode.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_episode(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_a_record_that_cannot_be_encoded_leaves_the_files_as_they_were(tmp_path):
+    # a NaN float is not JSON: the write fails before it opens any file
+    record = run_episode(RunConfig(scenario=ScenarioConfig(episode_steps=3)), 0)[0]
+    path = tmp_path / "episode.jsonl"
+    write_episode(record, path)
+    before = path.read_bytes()
+    last = record.steps[-1]
+    bad_row = last.vehicles[0]._replace(x=math.nan)
+    record.steps[-1] = StepRecord(last.step, (bad_row, *last.vehicles[1:]), last.topology)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_episode(record, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["episode.jsonl"]
+    assert path.read_bytes() == before

@@ -60,6 +60,12 @@ class Stubbed(Generator):
         return self.words.pop(0)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+def test_integers_rejects_a_bound_outside_its_range(n):
+    with pytest.raises(ValueError, match=r"n must lie in \[1, 2\*\*32\]"):
+        SeedPool(0).generator(0).integers(n, 3)
+
+
 def test_lemire_rejects_a_leftover_below_the_threshold():
     # for n = 5 the threshold is 2^32 mod 5 = 1: only a draw of 0 leaves a
     # product whose low word (0) lies below it, and it is redrawn

@@ -375,7 +375,7 @@ def resolve(w, plans, topo=None):
     near = neighborhoods(w)
     if topo is None:
         topo = build_topology(w.vehicles, near)
-    return joint_safe_control(w.shield, topo, plans, near, neighbor_index(w))
+    return joint_safe_control(w.shield, topo, plans, near, neighbor_index(w), w.road)
 
 
 def hss_outcome(gap, v_e, v_l, v_nominal):
@@ -588,7 +588,8 @@ class TestFilterMass:
         plans = {0: MotionPlan(v_target=22.0, target_lane=0)}
         out = resolve(w, plans)[0]
         assert credited_speed(leader, {}, CFG.dt) == 0.0
-        assert out == filter_vehicle(ego, [(leader, 0.0)], None, 22.0, CFG)
+        # the ego is settled on its centreline, so its maneuver stages its state
+        assert out == filter_vehicle(ego, [(leader, 0.0)], None, 22.0, CFG, staged=ego.state)
         assert out.v_safe < filter_vehicle(ego, [(leader, 18.0)], None, 22.0, CFG).v_safe
 
     def test_tied_caps_keep_the_first_label(self, monkeypatch):
@@ -656,9 +657,10 @@ class TestJointSafeControl:
 
         seen = {"steps": 0, "faster": 0, "requests": 0, "hss_grants": 0}
 
-        def both_modes(config, topology, plans, near, index):
-            mass = joint_safe_control(config, topology, plans, near, index)
-            hss = joint_safe_control(replace(config, mode="hss"), topology, plans, near, index)
+        def both_modes(config, topology, plans, near, index, road):
+            mass = joint_safe_control(config, topology, plans, near, index, road)
+            hss = joint_safe_control(replace(config, mode="hss"), topology, plans, near, index,
+                                     road)
             assert mass.keys() == hss.keys()
             for vid, out in mass.items():
                 assert out.v_safe >= hss[vid].v_safe, (index.step_index, vid)
@@ -736,7 +738,7 @@ class TestJointSafeControl:
         front_hand = resolved(front, v - 2.0, w.shield)
         mid_hand = filter_vehicle(mid, [(front, front_hand.v_safe)], None, v, w.shield)
         back_hand = filter_vehicle(back, [(mid, mid_hand.v_safe)], None, v, w.shield)
-        assert outcomes[2] == front_hand
+        assert outcomes[2] == front_hand._replace(staged=front.state)
         assert outcomes[1].v_safe == mid_hand.v_safe
         assert outcomes[0].v_safe == back_hand.v_safe
         assert outcomes[2].v_safe < v

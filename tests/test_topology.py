@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mergeshield.road import RoadNetwork
-from mergeshield.topology import build_topology, evaluation_order
+from mergeshield.topology import build_topology, cutting_in, evaluation_order
 from mergeshield.world import ScenarioConfig, neighbor_index
 
 from conftest import make_vehicle, make_world, neighborhoods
@@ -101,6 +101,20 @@ class TestBuildTopology:
         w = make_world([ego, leader, merger])
         topo = build_topology(w.vehicles, neighborhoods(w))
         assert topo.entries[0] == (2,)
+
+    @pytest.mark.parametrize("x, vid, cuts_in", [
+        (240.0, 2, True),
+        (210.0, 2, False),  # level with the ego, and the tie goes to the smaller id
+        (210.0, 0, True),
+        (190.0, 2, False),
+    ])
+    def test_only_an_adjacent_vehicle_ahead_cuts_in(self, x, vid, cuts_in):
+        road = RoadNetwork()
+        ego = make_vehicle(1, 210.0, 20.0, lane=0, road=road)
+        leader = make_vehicle(3, 280.0, 20.0, lane=0, road=road)
+        merger = make_vehicle(vid, x, 20.0, lane=road.ramp_lane, road=road, target_lane=0)
+        assert cutting_in(ego, leader, merger) is cuts_in
+        assert cutting_in(ego, None, merger) is cuts_in
 
     def test_changing_ego_has_two_parents(self):
         road = RoadNetwork()

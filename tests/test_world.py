@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mergeshield import shield as shield_mod
 from mergeshield import world as world_mod
-from mergeshield.dynamics import VehicleParams, VehicleState
+from mergeshield.dynamics import VehicleParams, VehicleState, maneuver, step
 from mergeshield.reward import headway_reward, speed_reward
 from mergeshield.road import RoadNetwork
 from mergeshield.seedstream import SeedPool
@@ -487,8 +487,8 @@ class TestScalarClamps:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(world_mod, "joint_safe_control",
-                       lambda config, topology, plans, near, index:
-                       {0: ShieldOutcome(v_safe, v_safe, 0.0)})
+                       lambda config, topology, plans, near, index, road:
+                       {0: ShieldOutcome(v_safe, v_safe, 0.0, staged=world.vehicles[0].state)})
             mp.setattr(world_mod, "step", step)
             step_world(world, {})
         # at rest on its centreline, so the unclamped command is
@@ -519,27 +519,6 @@ class TestScalarClamps:
 class TestValueTypes:
     """The per-vehicle-step values are immutable tuples, and a state's stored
     speed matches its components on every path that builds one."""
-
-    def test_maneuver_overlay_keeps_the_speed_exact(self):
-        from mergeshield.world import _maneuver_overlay
-
-        road = RoadNetwork()
-        y0 = road.centerline_y(0)
-        settled = make_vehicle(0, 100.0, 20.0, road=road)
-        snapping = make_vehicle(1, 130.0, 21.3, road=road, y=y0 + 0.013, psi=0.004)
-        recentring = make_vehicle(2, 160.0, 22.7, road=road, y=y0 - 0.4, psi=-0.01)
-        changing = make_vehicle(3, road.merge_start + 10.0, 19.1, lane=road.ramp_lane,
-                                road=road, target_lane=0)
-        w = make_world([settled, snapping, recentring, changing], road=road)
-        assert _maneuver_overlay(w, settled) is settled.state
-        snapped = _maneuver_overlay(w, snapping)
-        assert (snapped.y, snapped.v_y, snapped.psi) == (y0, 0.0, 0.0)
-        assert snapped.v_x == snapping.state.speed
-        for vehicle in (recentring, changing):
-            turned = _maneuver_overlay(w, vehicle)
-            assert turned.v_y != 0.0 and turned.psi != vehicle.state.psi
-            assert_speed_exact(turned)
-        assert_speed_exact(snapped)
 
     def test_pickled_world_steps_like_the_original(self):
         actions = list(BehaviorAction)
@@ -653,6 +632,36 @@ class TestStepWorld:
                         assert target == lane and v.target_lane == 1 - lane
                         assert road.in_merge_window(x)
         assert granted > 0
+
+    @pytest.mark.parametrize("mode", ["none", "hss", "mass"])
+    def test_integrates_from_the_staged_maneuver(self, monkeypatch, mode):
+        # each outcome stages the maneuver of the pre-step state toward the
+        # post-step target lane, and the integrator moves exactly that state
+        integrated = []
+
+        def recording_step(state, params, a, dt):
+            integrated.append(state)
+            return step(state, params, a, dt)
+
+        monkeypatch.setattr(world_mod, "step", recording_step)
+        actions = list(BehaviorAction)
+        w = spawned_world(seed=8, shield_mode=mode, n_vehicles=9)
+        road, dt = w.road, w.scenario.dt
+        changing = 0
+        for t in range(60):
+            live = w.live_vehicles()
+            before = {v.vid: (v.state, v.lane) for v in live}
+            integrated.clear()
+            outcomes, _ = step_world(w, {v.vid: actions[(v.vid + t) % len(actions)]
+                                         for v in live})
+            assert [id(s) for s in integrated] == [id(outcomes[v.vid].staged) for v in live]
+            for v in live:
+                state, lane = before[v.vid]
+                want = maneuver(state, road.centerline_y(v.target_lane), v.target_lane != lane,
+                                dt)
+                assert outcomes[v.vid].staged == want
+                changing += v.target_lane != lane
+        assert changing > 0
 
     def test_lane_label_changes_only_after_completion(self):
         road = RoadNetwork()
