@@ -1,12 +1,13 @@
 """Golden digests of whole episode records.
 
 Each case hashes the bytes ``write_episode`` would write for one short
-episode, as two digests: the header line (config echo and initial
-snapshot) and the step and summary lines.  A change that moves any
+episode, as three digests: the header line (config echo and initial
+snapshot), the step lines, and the summary line.  A change that moves any
 simulated number, shield decision or record field changes a digest; such a
 change must update the digest here and state the behavioural reason in
 ``CHANGES.md``.  A change to the config echo alone moves only the header
-digest.
+digest, and a change to the record format alone leaves the summary digest
+as it was.
 """
 
 import hashlib
@@ -21,32 +22,38 @@ from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig
 
-#: (shield mode, policy, seed) -> sha256 of the (header, steps and summary)
+#: (shield mode, policy, seed) -> sha256 of the (header, steps, summary)
 #: of the record; 80-step episodes.
 GOLDEN = {
     ("mass", "random", 1): (
         "c930f829b046dd02e526c43adfe382ba21cca79c41bb3a974fad4b65b90a07c1",
-        "9856bbaa93935a766b5514e23af77a206214bb777d677d730358fa479de045cc",
+        "fcfcde692c446e47d3e4d9a6efe0068c105472f6fd99d95348d8077a95716e45",
+        "f499111dfd7c4793910663891500f662ef2f318ee8921b04eef2e8d90f34e8ee",
     ),
     ("hss", "heuristic", 2): (
         "9276d8ec785d9343fb3e7b87fbfa674692b13598e7b74b5c239c470e9e2300eb",
-        "8409f0d60d14d0f81923a4424f0a30251c84aea0e89d132f65f30b011f5068d1",
+        "09dddb359af700034b57b3ee4c695a6fd827be2ac3dcab238dc48e5009199aae",
+        "8abafd58bbc302bba8d668cc7d8d18b3b8179b500d7b45b76e72c088284131a1",
     ),
     ("none", "random", 0): (
         "929fe2e4572233739231166679f214561774825d3d7fc40ddea9749333ae714a",
-        "a07724bbed2fe489accb16ab77adebb9d1bcf4484747972ad6be3dfe15ccf401",
+        "365b9babee1856556a9a31859e94c4fc5dcf0c604a662c3d7ff9328b68ec95bc",
+        "e9a636ad52a8a453d3d8e5df66e665b2b78a44e3cc0acc464bf45e5ff40486b4",
     ),
     ("mass", "heuristic", 2): (
         "fe7156b995228982b9177e2dac7abc7bdef877ad87cbbef1fb5ea56b5e4b6dfd",
-        "cafab650e53049d03679904150e30804d97c1a7e8d176e765835a7841754fffc",
+        "f7070c0fbeb01e99431a4c92a3e7ccdad1378febe9dd49748e09da76191c30fb",
+        "19cdd9fe0cc9b56b431d86373f96a1b1ec2f27c307b7deed693176c1ed8dbeed",
     ),
     ("hss", "random", 1): (
         "b237f4fabaf5abe0d27f8ee829231be826960a9676940fce332ff43312c67119",
-        "fc54b1e7841721df378ee9be14e9224b7fb6cd1a5a59dbd8eec9b2ad39fc80d9",
+        "c8fd5de26ef30d4c5929b6f5f23780aedd38cadcc645e7fa8188d94fe706f249",
+        "133f9090f8c41933551921b465ccaef51e0a953712bc320f6a1beeea7ec4d2d1",
     ),
     ("none", "heuristic", 2): (
         "7f43f38e2855bf8f93ff85d87a3a36aec61af65669f36c4a48837dd17b6f37c2",
-        "9562141f18ef1294521380bd72b257af0b5de1fbd61dd005910907cbc65160c3",
+        "88387c73786cf228d1800c01f8f7f758d70572334c6661573efcfdfb3ad06ac2",
+        "b2038ace38ecaac9224a4d6a2147b487046d1d3bfeb91debeb51c0ee065f1e74",
     ),
 }
 
@@ -85,16 +92,17 @@ COVERAGE = {
 #: neighbour queries per vehicle and step
 DENSE_GOLDEN = (
     "3204e99e9a159b65741f2a74714e0fcf60d8d355ae9585eb2b5bda12f2f97982",
-    "bc8b75dab14aba6398405987071c88cb3a4dde776366ba39b78f76e72b2dc858",
+    "6591f930dc147da4fb939ab3d3eb90655c01b10c7b34451b4d17fa094b2584b4",
+    "2dfb3e016820612c48ef3345b3cb6689dc176db85aef965a822812275ffb7c90",
 )
 
 
 def digests(record):
-    """sha256 of the header line and of the step and summary lines, each
-    block newline-terminated as in the written file."""
+    """sha256 of the header line, of the step lines and of the summary
+    line, each block newline-terminated as in the written file."""
     lines = episode_lines(record)
     return tuple(hashlib.sha256(("\n".join(block) + "\n").encode()).hexdigest()
-                 for block in (lines[:1], lines[1:]))
+                 for block in (lines[:1], lines[1:-1], lines[-1:]))
 
 
 @pytest.mark.parametrize("mode,policy,seed", sorted(GOLDEN))
