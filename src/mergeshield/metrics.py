@@ -2,9 +2,12 @@
 
 Headway pairs a vehicle with the nearest leader in its metric lane, the
 lane whose centreline is closest to its lateral position (a lane-changing
-vehicle counts toward the lane it physically occupies most).  All metrics
-are pure functions of the record, so re-reading an exported file and
-recomputing reproduces the stored summary exactly.
+vehicle counts toward the lane it physically occupies most).  Every
+vehicle is ``vehicle.length`` long, from the header config, as the fleet
+shares one set of params; the ramp vehicles are those whose initial row is
+in the ramp lane.  All metrics are pure functions of the record, so
+re-reading an exported file and recomputing reproduces the stored summary
+exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 from mergeshield.records import EpisodeRecord, json_objects
 from mergeshield.reward import V_FLOOR
+from mergeshield.road import RoadNetwork
 
 __all__ = [
     "EpisodeSummary",
@@ -71,10 +75,6 @@ class EpisodeSummary:
         return cls(**d)
 
 
-def _lane_width(record: EpisodeRecord) -> float:
-    return record.config["road"]["lane_width"]
-
-
 def _rows_iter(record: EpisodeRecord):
     yield record.initial
     for step in record.steps:
@@ -100,7 +100,8 @@ def min_time_headway(record: EpisodeRecord) -> float:
         raise ValueError("empty record")
     if any(r.crashed for r in _final_rows(record)):
         return 0.0
-    lane_width = _lane_width(record)
+    lane_width = record.config["road"]["lane_width"]
+    half_length = 0.5 * record.config["vehicle"]["length"]
     best = math.inf
     for rows in _rows_iter(record):
         through = []
@@ -113,10 +114,11 @@ def min_time_headway(record: EpisodeRecord) -> float:
         for members in (through, ramp):
             members.sort(key=_ahead_first)
             for leader, follower in zip(members, members[1:]):
-                if follower.speed < V_FLOOR:
+                speed = follower.speed
+                if speed < V_FLOOR:
                     continue
-                gap = (leader.x - 0.5 * leader.length) - (follower.x + 0.5 * follower.length)
-                headway = gap / follower.speed
+                gap = (leader.x - half_length) - (follower.x + half_length)
+                headway = gap / speed
                 if headway < best:
                     best = headway
     return best
@@ -143,8 +145,9 @@ def _final_rows(record: EpisodeRecord):
 def summarize_episode(record: EpisodeRecord, shield_mode: str, policy: str) -> EpisodeSummary:
     final = _final_rows(record)
     collisions = sum(1 for r in final if r.crashed)
-    ramp = sum(1 for r in final if r.spawned_on_ramp)
-    merged = sum(1 for r in final if r.spawned_on_ramp and r.merged)
+    on_ramp = {r.vid for r in record.initial if r.lane == RoadNetwork.ramp_lane}
+    ramp = sum(1 for r in final if r.vid in on_ramp)
+    merged = sum(1 for r in final if r.vid in on_ramp and r.merged)
     return EpisodeSummary(
         seed=record.seed,
         steps=len(record.steps),

@@ -10,25 +10,32 @@ record deliberately excludes the policy kind: a replayed action stream
 must reproduce the file bit for bit regardless of who produced the
 actions (the summary carries the policy as metadata).
 
+A row holds each fact once, and the header's initial rows have the same
+shape as the step rows.  What follows from other data is not written:
+
+- the speed is ``hypot(v_x, v_y)``, the :attr:`VehicleRow.speed` property;
+- length and width are the header config's ``vehicle`` section, as
+  ``world.spawn`` gives the whole fleet one set of vehicle params;
+- a vehicle spawned on the ramp if its initial row is in the ramp lane;
+- its distance into the merge section follows from ``x``, its lane and
+  the config's ``road`` section.
+
 Step lines are written straight from the :class:`VehicleRow` tuples with
 no intermediate dicts; the bytes are those ``json.dumps`` writes for the
-same dicts.  One encoder serves a whole episode and remembers the repr of
-the non-zero floats it has recently written, as positions and speeds recur
-from step to step.  Zeros are written afresh each time: ``0.0 == -0.0``
-and both hash alike, so a remembered zero would print the other zero's
-sign.
+same dicts.
 
 A wreck never moves again, so its row is one fact: from the second step
 after a vehicle crashed, :func:`snapshot_step` hands on the previous step's
 row object (rows are immutable named tuples) instead of building an equal
 one.  The encoder keeps the text of each vehicle's last wreck row and
-reuses it only for that same object (``is``, never ``==``, for the same
-reason zeros are not remembered).
+reuses it only for that same object: ``is``, never ``==``, as ``0.0 ==
+-0.0`` and an equal row may carry the other zero's sign.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -40,7 +47,10 @@ __all__ = ["SCHEMA", "VehicleRow", "StepRecord", "EpisodeRecord",
            "snapshot_vehicle", "snapshot_step", "episode_lines", "write_episode",
            "json_objects", "read_episode"]
 
-SCHEMA = "mergeshield.episode/1"
+SCHEMA = "mergeshield.episode/2"
+
+#: the header config's numbers that rows are read with (metric lane, bumpers)
+_ROW_CONTEXT = (("road", "lane_width"), ("vehicle", "length"))
 
 
 class VehicleRow(NamedTuple):
@@ -50,7 +60,8 @@ class VehicleRow(NamedTuple):
     (``VehicleState``, ``MotionPlan``, ``Neighborhood``, ``QPSolution``,
     ``ShieldOutcome`` and this row): immutable like a frozen dataclass,
     and several times cheaper to build or copy.  A row without an action
-    serialises its state fields only.
+    serialises its state fields only; what follows from them or from the
+    header is not a field (see the module docstring).
     """
 
     vid: int
@@ -61,11 +72,6 @@ class VehicleRow(NamedTuple):
     v_x: float
     v_y: float
     psi: float
-    speed: float
-    x_m: float
-    length: float
-    width: float
-    spawned_on_ramp: bool
     merged: bool
     merge_failed: bool
     crashed: bool
@@ -79,6 +85,11 @@ class VehicleRow(NamedTuple):
     fault: bool | None = None
     reward: float | None = None
     reward_overall: float | None = None
+
+    @property
+    def speed(self) -> float:
+        """The planar speed, bit for bit ``VehicleState.speed``."""
+        return math.hypot(self.v_x, self.v_y)
 
     def to_dict(self) -> dict:
         if self.action is None:
@@ -140,17 +151,14 @@ class EpisodeRecord:
         }
 
 
-def snapshot_vehicle(world: "World", vehicle, action=None, outcome=None,
-                     reward=None, reward_overall=None) -> VehicleRow:
-    # positional, in field order: binding 26 keywords costs more than
+def snapshot_vehicle(vehicle, action=None, outcome=None, reward=None,
+                     reward_overall=None) -> VehicleRow:
+    # positional, in field order: binding 21 keywords costs more than
     # everything else that goes into a row
     s = vehicle.state
-    params = vehicle.params
     row = (
-        vehicle.vid, vehicle.lane, vehicle.target_lane,
-        s.x, s.y, s.v_x, s.v_y, s.psi, s.speed,
-        vehicle.x_m(world.road), params.length, params.width,
-        vehicle.spawned_on_ramp, vehicle.merged, vehicle.merge_failed, vehicle.crashed,
+        vehicle.vid, vehicle.lane, vehicle.target_lane, s.x, s.y, s.v_x, s.v_y, s.psi,
+        vehicle.merged, vehicle.merge_failed, vehicle.crashed,
         None if action is None else int(action),
     )
     if outcome is None:
@@ -183,7 +191,7 @@ def snapshot_step(world: "World", step_index: int, actions: dict, outcomes: dict
                 rows.append(before)
                 continue
         reward, reward_overall = rewards.get(vid, (None, None))
-        rows.append(snapshot_vehicle(world, vehicle, actions.get(vid), outcomes.get(vid),
+        rows.append(snapshot_vehicle(vehicle, actions.get(vid), outcomes.get(vid),
                                      reward, reward_overall))
     return StepRecord(step=step_index, vehicles=tuple(rows), topology=topology)
 
@@ -195,30 +203,17 @@ def _dump(obj) -> str:
 #: JSON literals of the boolean fields
 _LITERAL = {True: "true", False: "false", None: "null"}
 
-#: slots of a step encoder's float memo, a power of two; a float mostly
-#: recurs within a step or two, which this many slots hold even on a
-#: 40-vehicle road
-_FLOAT_SLOTS = 1024
-
 
 def _step_encoder():
     """A function writing one :class:`StepRecord` as its JSON line.
 
-    Remembers the repr of recent non-zero floats in ``_FLOAT_SLOTS`` slots
-    indexed by the float's hash: a float is found again until a later one
-    takes its slot.  The table never grows, shrinks or is rebuilt; a dict
-    memo cleared whenever it filled up left the heap fragmented and raised
-    the peak memory of a 40-vehicle episode by about half a megabyte.  The
-    JSON string of every active label is kept for the encoder's lifetime,
-    and so is the text of each vehicle's last wreck row (crashed, without
-    an action), returned again only for that same row object.
-    A field that is not a float goes through ``_dump``, so an ``int`` in a
+    The JSON string of every active label is kept for the encoder's
+    lifetime, and so is the text of each vehicle's last wreck row (crashed,
+    without an action), returned again only for that same row object.  A
+    field that is not a float goes through ``_dump``, so an ``int`` in a
     float field is written as ``json.dumps`` would write it; NaN and
     infinities raise ``ValueError``, as they do under ``allow_nan=False``.
     """
-    mask = _FLOAT_SLOTS - 1
-    floats: list = [None] * _FLOAT_SLOTS
-    reprs: list = [None] * _FLOAT_SLOTS
     labels: dict = {}
     wreck_rows: dict = {}
     wreck_texts: dict = {}
@@ -226,16 +221,9 @@ def _step_encoder():
     def num(v) -> str:
         if v.__class__ is not float:
             return _dump(v)
-        i = hash(v) & mask
-        if floats[i] == v:  # never a zero, so never the other zero's sign
-            return reprs[i]
-        if v == 0.0:
-            return repr(v)
         if v - v != 0.0:
             raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-        floats[i] = v
-        s = reprs[i] = repr(v)
-        return s
+        return repr(v)
 
     def label(text: str) -> str:
         s = labels.get(text)
@@ -244,16 +232,14 @@ def _step_encoder():
         return s
 
     def row(r: VehicleRow) -> str:
-        (vid, lane, target_lane, x, y, v_x, v_y, psi, speed, x_m, length, width,
-         spawned_on_ramp, merged, merge_failed, crashed, action, v_nominal, v_safe,
-         v_cbf, lane_change_allowed, slack, active, fault, reward, reward_overall) = r
+        (vid, lane, target_lane, x, y, v_x, v_y, psi, merged, merge_failed, crashed, action,
+         v_nominal, v_safe, v_cbf, lane_change_allowed, slack, active, fault, reward,
+         reward_overall) = r
         if crashed and action is None and wreck_rows.get(vid) is r:
             return wreck_texts[vid]
         head = (f'{{"vid":{vid},"lane":{lane},"target_lane":{target_lane},'
                 f'"x":{num(x)},"y":{num(y)},"v_x":{num(v_x)},"v_y":{num(v_y)},'
-                f'"psi":{num(psi)},"speed":{num(speed)},"x_m":{num(x_m)},'
-                f'"length":{num(length)},"width":{num(width)},'
-                f'"spawned_on_ramp":{_LITERAL[spawned_on_ramp]},"merged":{_LITERAL[merged]},'
+                f'"psi":{num(psi)},"merged":{_LITERAL[merged]},'
                 f'"merge_failed":{_LITERAL[merge_failed]},"crashed":{_LITERAL[crashed]}')
         if action is None:
             text = head + "}"
@@ -317,7 +303,8 @@ def read_episode(path) -> EpisodeRecord:
     """The record written to ``path``.  A line that is not a JSON object,
     or a header or step line that lacks a field or holds one of the wrong
     shape, raises ``ValueError`` naming the path and the line's 1-based
-    number in the file."""
+    number in the file.  So does a header whose config lacks a number the
+    rows are read with (``_ROW_CONTEXT``)."""
     lines = json_objects(path)
     if not lines or lines[0][1].get("kind") != "header":
         raise ValueError(f"{path}: not an episode record (missing header line)")
@@ -330,6 +317,10 @@ def read_episode(path) -> EpisodeRecord:
             config=d["config"],
             initial=tuple(VehicleRow.from_dict(v) for v in d["initial"]),
         )
+        for section, key in _ROW_CONTEXT:
+            value = record.config.get(section, {}).get(key)
+            if value.__class__ not in (int, float):
+                raise ValueError(f"config.{section}.{key} must be a number, got {value!r}")
         for n, d in lines[1:]:
             if d.get("kind") == "step":
                 record.steps.append(StepRecord.from_dict(d))

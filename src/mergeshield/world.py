@@ -147,9 +147,8 @@ class Vehicle:
         return self.state.x - 0.5 * self.params.length
 
     def x_m(self, road: RoadNetwork) -> float:
-        """Distance travelled inside the merge section while on the ramp."""
-        if self.lane != road.ramp_lane:
-            return 0.0
+        """Distance travelled inside the merge section, whatever the lane:
+        the reward reads it for ramp vehicles only."""
         d = self.state.x - road.merge_start
         d = 0.0 if 0.0 > d else d
         return road.merge_length if road.merge_length < d else d

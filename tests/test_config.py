@@ -109,6 +109,9 @@ def test_removed_key_is_unknown(tmp_path, section, key):
 @pytest.mark.parametrize("section, cls, key, value", [
     ("scenario", ScenarioConfig, "episode_steps", 0),
     ("scenario", ScenarioConfig, "episode_steps", -3),
+    ("scenario", ScenarioConfig, "n_vehicles", 0),
+    ("scenario", ScenarioConfig, "comm_range", 0.0),
+    ("scenario", ScenarioConfig, "dt", 0.0),
     ("vehicle", VehicleParams, "width", 0.0),
     ("vehicle", VehicleParams, "width", -1.0),
     ("scenario", ScenarioConfig, "n_ramp", -1),
@@ -121,12 +124,13 @@ def test_removed_key_is_unknown(tmp_path, section, key):
     ("road", RoadNetwork, "merge_length", -100.0),
 ])
 def test_bad_value_fails_in_code_and_in_yaml(tmp_path, section, cls, key, value):
-    # an episode without steps would fail late in the metrics, a footprint
-    # without width never overlaps, so no collision is seen, a ramp count
-    # outside the default fleet of 9 spawned another fleet than the header
-    # echoed, a negative speed step makes SPEED_UP slow down, and a
-    # negative lag margin loosens every cap (seed 0 dipped to a 0.418 s
-    # headway)
+    # an episode without steps or without vehicles would fail late in the
+    # metrics, a vehicle with no range hears no neighbour, a zero time step
+    # never moves the world, a footprint without width never overlaps, so
+    # no collision is seen, a ramp count outside the default fleet of 9
+    # spawned another fleet than the header echoed, a negative speed step
+    # makes SPEED_UP slow down, and a negative lag margin loosens every cap
+    # (seed 0 dipped to a 0.418 s headway)
     with pytest.raises(ValueError, match=key):
         cls(**{key: value})
     errors = _errors(tmp_path, f"{section}:\n  {key}: {value}\n")

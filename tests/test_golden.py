@@ -26,33 +26,33 @@ from mergeshield.world import ScenarioConfig
 #: of the record; 80-step episodes.
 GOLDEN = {
     ("mass", "random", 1): (
-        "c930f829b046dd02e526c43adfe382ba21cca79c41bb3a974fad4b65b90a07c1",
-        "fcfcde692c446e47d3e4d9a6efe0068c105472f6fd99d95348d8077a95716e45",
+        "635b0ec32d86cb348fc9b41e9c2c6f521dda991890ebf52861d4cefa7545a117",
+        "12ced84f83d65d41b22d64309a1c3620640f22e2ea91269d98723b279a2ea8d4",
         "f499111dfd7c4793910663891500f662ef2f318ee8921b04eef2e8d90f34e8ee",
     ),
     ("hss", "heuristic", 2): (
-        "9276d8ec785d9343fb3e7b87fbfa674692b13598e7b74b5c239c470e9e2300eb",
-        "09dddb359af700034b57b3ee4c695a6fd827be2ac3dcab238dc48e5009199aae",
+        "c9ee8c804227ac926bcb47e629031746abf49a4ee95765dde248edd770e3863f",
+        "d27c40454b6e02c1b37146fde61c45a6cc683eb68517f9074b3c4c3894c8084a",
         "8abafd58bbc302bba8d668cc7d8d18b3b8179b500d7b45b76e72c088284131a1",
     ),
     ("none", "random", 0): (
-        "929fe2e4572233739231166679f214561774825d3d7fc40ddea9749333ae714a",
-        "365b9babee1856556a9a31859e94c4fc5dcf0c604a662c3d7ff9328b68ec95bc",
+        "a07bd11de459d134246a14e96132f839e07b57da658875448e557cd74ce47493",
+        "17cd484b3a5466fd0ef54c8f89e1170161594b16d002a2944721a1b1e9ab5b83",
         "e9a636ad52a8a453d3d8e5df66e665b2b78a44e3cc0acc464bf45e5ff40486b4",
     ),
     ("mass", "heuristic", 2): (
-        "fe7156b995228982b9177e2dac7abc7bdef877ad87cbbef1fb5ea56b5e4b6dfd",
-        "f7070c0fbeb01e99431a4c92a3e7ccdad1378febe9dd49748e09da76191c30fb",
+        "baeca8084b2950ec1d45263df6eefcc5f4583efcbd004a4dfefdfc92485607bd",
+        "69faa46f7aa6978ae9e17f3003c6d7a3b3af08f7c351f639d5447bc31a46214b",
         "19cdd9fe0cc9b56b431d86373f96a1b1ec2f27c307b7deed693176c1ed8dbeed",
     ),
     ("hss", "random", 1): (
-        "b237f4fabaf5abe0d27f8ee829231be826960a9676940fce332ff43312c67119",
-        "c8fd5de26ef30d4c5929b6f5f23780aedd38cadcc645e7fa8188d94fe706f249",
+        "327253f62242606209fc06c69a05123f7f7b5342385daaf2190f68130ffa367b",
+        "005150fbeb26f343e1d99f77a020c734fcf1fdce1b6d9c1da6db6cb6d84fd0bb",
         "133f9090f8c41933551921b465ccaef51e0a953712bc320f6a1beeea7ec4d2d1",
     ),
     ("none", "heuristic", 2): (
-        "7f43f38e2855bf8f93ff85d87a3a36aec61af65669f36c4a48837dd17b6f37c2",
-        "88387c73786cf228d1800c01f8f7f758d70572334c6661573efcfdfb3ad06ac2",
+        "da0b0182ef7a8dbac9c3eb08d8d3337538f1ba2736720b6eda456b134a06a788",
+        "21fa5e8493e2ae7d77dadebaf88a18ee5da0bafb41f3a706b7268baa686bb17d",
         "b2038ace38ecaac9224a4d6a2147b487046d1d3bfeb91debeb51c0ee065f1e74",
     ),
 }
@@ -91,8 +91,8 @@ COVERAGE = {
 #: steps: hundreds of binding brake caps from highway speed and about four
 #: neighbour queries per vehicle and step
 DENSE_GOLDEN = (
-    "3204e99e9a159b65741f2a74714e0fcf60d8d355ae9585eb2b5bda12f2f97982",
-    "6591f930dc147da4fb939ab3d3eb90655c01b10c7b34451b4d17fa094b2584b4",
+    "564de9cb3342ce5feea7430664bfbd398ccbdfe349f21f9624b7dd8ef1b236a3",
+    "c1b4fa8628c01941800ed5585b72f0d11d7be2e6f39c3b2772ee9079ff6f7ffd",
     "2dfb3e016820612c48ef3345b3cb6689dc176db85aef965a822812275ffb7c90",
 )
 

@@ -22,20 +22,19 @@ LANE_WIDTH = 4.0
 LENGTH = 5.0
 
 
-def row(vid, x, speed=20.0, y=0.0, lane=0, crashed=False, spawned_on_ramp=False,
-        merged=False):
+def row(vid, x, speed=20.0, y=0.0, lane=0, crashed=False, merged=False):
     return VehicleRow(
         vid=vid, lane=lane, target_lane=lane, x=x, y=y, v_x=speed, v_y=0.0, psi=0.0,
-        speed=speed, x_m=0.0, length=LENGTH, width=2.0, spawned_on_ramp=spawned_on_ramp,
         merged=merged, merge_failed=False, crashed=crashed,
     )
 
 
 def record(*steps, initial=()):
-    """A record of the given per-step row tuples on the default road."""
+    """A record of the given per-step row tuples, with the header config
+    numbers the metrics read: the lane width and the fleet's length."""
     return EpisodeRecord(
         seed=0,
-        config={"road": {"lane_width": LANE_WIDTH}},
+        config={"road": {"lane_width": LANE_WIDTH}, "vehicle": {"length": LENGTH}},
         initial=tuple(initial),
         steps=[StepRecord(step=k, vehicles=tuple(rows), topology={})
                for k, rows in enumerate(steps)],
@@ -43,7 +42,7 @@ def record(*steps, initial=()):
 
 
 def gap(leader, follower):
-    return (leader.x - 0.5 * leader.length) - (follower.x + 0.5 * follower.length)
+    return (leader.x - 0.5 * LENGTH) - (follower.x + 0.5 * LENGTH)
 
 
 class TestMinTimeHeadway:
@@ -102,13 +101,16 @@ class TestMinTimeHeadway:
 
 class TestMergingPercentage:
     def test_share_of_ramp_spawned_vehicles_that_merged(self):
-        final = (row(0, 300.0, spawned_on_ramp=True, merged=True),
-                 row(1, 280.0, lane=1, y=LANE_WIDTH, spawned_on_ramp=True),
-                 row(2, 320.0))
-        assert summarize_episode(record(final), "mass", "random").merging_pct == 50.0
+        # ramp membership is the initial lane: vehicle 0 has merged into
+        # lane 0, vehicle 1 is still on the ramp
+        initial = (row(0, 250.0, lane=1, y=LANE_WIDTH), row(1, 230.0, lane=1, y=LANE_WIDTH),
+                   row(2, 270.0))
+        final = (row(0, 300.0, merged=True), row(1, 280.0, lane=1, y=LANE_WIDTH), row(2, 320.0))
+        summary = summarize_episode(record(final, initial=initial), "mass", "random")
+        assert (summary.merging_pct, summary.merged_count, summary.ramp_count) == (50.0, 1, 2)
 
     def test_undefined_without_a_ramp_vehicle(self):
-        rec = record((row(0, 100.0), row(1, 130.0)))
+        rec = record((row(0, 100.0), row(1, 130.0)), initial=(row(0, 90.0), row(1, 120.0)))
         summary = summarize_episode(rec, "mass", "random")
         assert summary.merging_pct is None
         assert summary.to_dict()["merging_pct"] is None

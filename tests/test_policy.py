@@ -2,8 +2,9 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 
-from mergeshield.policy import RandomPolicy, heuristic_policy
+from mergeshield.policy import Policy, RandomPolicy, heuristic_policy
 from mergeshield.road import RoadNetwork
 from mergeshield.world import BehaviorAction
 
@@ -17,6 +18,12 @@ def fleet(vids, road=None):
 
 def decide(policy, step, vehicles):
     return policy.decide(step, make_world(vehicles), {})
+
+
+def test_the_base_policy_decides_nothing():
+    # a policy kind must override ``decide``; the base class has no default
+    with pytest.raises(NotImplementedError):
+        decide(Policy(), 0, fleet([0]))
 
 
 class TestRandomPolicy:

@@ -8,10 +8,11 @@ from mergeshield.episode import run_episode
 from mergeshield.metrics import summarize_episode
 from mergeshield.policy import PolicySpec
 from mergeshield.records import (EpisodeRecord, StepRecord, VehicleRow, _dump, episode_lines,
-                                 read_episode, write_episode)
+                                 read_episode, snapshot_vehicle, write_episode)
 from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig
 
+from conftest import make_vehicle
 from record_oracle import step_dict
 
 MODES = ("none", "hss", "mass")
@@ -31,8 +32,7 @@ def row(vid=0, action=2, **fields):
     """A hand-built row: a settled highway vehicle, with an action unless
     ``action`` is None, overridden by ``fields``."""
     base = dict(vid=vid, lane=0, target_lane=0, x=12.5, y=1.75, v_x=20.0, v_y=0.0,
-                psi=0.0, speed=20.0, x_m=0.0, length=5.0, width=2.0,
-                spawned_on_ramp=False, merged=False, merge_failed=False, crashed=False)
+                psi=0.0, merged=False, merge_failed=False, crashed=False)
     if action is not None:
         base.update(action=action, v_nominal=21.0, v_safe=20.5, v_cbf=-0.5,
                     lane_change_allowed=True, slack=0.0, active=("headway:1",),
@@ -74,6 +74,22 @@ def test_row_dict_is_what_its_json_reads_back(action):
     assert VehicleRow.from_dict(d) == r
 
 
+@pytest.mark.parametrize("v, psi", [(20.0, 0.0), (17.3, 0.11), (0.3, -0.05), (29.9, 1e-3)])
+def test_a_row_reads_its_vehicle_speed_bit_for_bit(v, psi):
+    vehicle = make_vehicle(0, 100.0, v, psi=psi)
+    assert snapshot_vehicle(vehicle).speed.hex() == vehicle.state.speed.hex()
+
+
+def test_header_and_step_rows_have_one_shape():
+    # the five fields that follow from other data are written nowhere
+    lines = episode_lines(run_episode(RunConfig(scenario=ScenarioConfig(episode_steps=2)), 0)[0])
+    header, step = json.loads(lines[0]), json.loads(lines[1])
+    state = ["vid", "lane", "target_lane", "x", "y", "v_x", "v_y", "psi", "merged",
+             "merge_failed", "crashed"]
+    assert all(list(r) == state for r in header["initial"])
+    assert all(list(r)[:len(state)] == state for r in step["vehicles"])
+
+
 def test_vehicle_row_is_immutable():
     record, _ = run_episode(RunConfig(scenario=ScenarioConfig(episode_steps=1)), 0)
     row = record.steps[0].vehicles[0]
@@ -99,15 +115,15 @@ def test_step_lines_match_the_dict_encoding(mode, policy):
 
 def test_hand_built_rows_match_the_dict_encoding():
     steps = [
-        # zeros of both signs, after and before the same value: the
-        # remembered reprs must not merge 0.0 with -0.0
+        # zeros of both signs, after and before the same value: each keeps
+        # its own sign
         StepRecord(step=0, vehicles=(row(0, y=0.0, v_y=0.0, psi=0.0),
                                      row(1, y=-0.0, v_y=-0.0, psi=-0.0),
                                      row(2, y=0.0, v_y=-0.0, psi=0.0, v_cbf=-0.0)),
                    topology={1: (0,), 0: (), 2: (1, 0)}),
-        # 2.0 is remembered first; an int 2 in a float field stays "2"
-        StepRecord(step=1, vehicles=(row(0, x=2.0, length=2.0),
-                                     row(1, x=2, width=2, reward=2, slack=0)),
+        # an int 2 in a float field stays "2", beside the float 2.0
+        StepRecord(step=1, vehicles=(row(0, x=2.0, v_x=2.0),
+                                     row(1, x=2, v_x=2, reward=2, slack=0)),
                    topology={}),
         # no active constraint, no topology, rows without an action, and
         # labels that need escaping
@@ -121,17 +137,6 @@ def test_hand_built_rows_match_the_dict_encoding():
     assert got == [oracle_line(step) for step in steps]
     assert '"y":-0.0' in got[0] and '"y":0.0' in got[0]
     assert '"x":2,' in got[1] and '"x":2.0,' in got[1]
-
-
-def test_float_memo_slots_are_taken_over():
-    # more distinct floats than the encoder has slots, then the first ones
-    # again, so slots change hands and some floats are written afresh
-    from mergeshield.records import _FLOAT_SLOTS
-
-    rows = [row(i, x=i + 0.1, y=-i / 3.0, v_x=i * 1e-7) for i in range(_FLOAT_SLOTS)]
-    steps = [StepRecord(step=k, vehicles=tuple(rows[k::4]), topology={}) for k in range(4)]
-    steps += steps[:2]
-    assert step_lines(steps) == [oracle_line(step) for step in steps]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -273,6 +278,43 @@ def test_read_episode_needs_a_header_of_its_schema(tmp_path, header, message):
     with pytest.raises(ValueError) as info:
         read_episode(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_read_episode_rejects_a_schema_1_record(tmp_path):
+    # schema 1 wrote five more fields per row, which ``VehicleRow.from_dict``
+    # drops; so the schema check is what rejects the file
+    lines = episode_lines(run_episode(RunConfig(scenario=ScenarioConfig(episode_steps=2)), 0)[0])
+    objects = [json.loads(line) for line in lines]
+    for row_dict in objects[0]["initial"] + [r for d in objects[1:-1] for r in d["vehicles"]]:
+        row_dict.update(speed=math.hypot(row_dict["v_x"], row_dict["v_y"]), x_m=0.0,
+                        length=5.0, width=2.0, spawned_on_ramp=row_dict["lane"] == 1)
+    path = tmp_path / "episode.jsonl"
+    path.write_text("\n".join(map(_dump, objects)) + "\n")
+    assert episode_lines(read_episode(path)) == lines
+    objects[0]["schema"] = "mergeshield.episode/1"
+    path.write_text("\n".join(map(_dump, objects)) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_episode(path)
+    assert str(info.value) == f"{path}: unsupported schema 'mergeshield.episode/1'"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.pop("road"), "config.road.lane_width must be a number, got None"),
+    (lambda c: c["vehicle"].pop("length"), "config.vehicle.length must be a number, got None"),
+    (lambda c: c["vehicle"].update(length="5"), "config.vehicle.length must be a number, got '5'"),
+    (lambda c: c["road"].update(lane_width=True),
+     "config.road.lane_width must be a number, got True"),
+], ids=["no road", "no length", "text length", "bool lane width"])
+def test_read_episode_needs_the_header_numbers_the_rows_are_read_with(tmp_path, edit, message):
+    # the metrics read these numbers; a header without them fails where it is read
+    lines = episode_lines(run_episode(RunConfig(scenario=ScenarioConfig(episode_steps=2)), 0)[0])
+    header = json.loads(lines[0])
+    edit(header["config"])
+    path = tmp_path / "episode.jsonl"
+    path.write_text("\n".join([_dump(header), *lines[1:]]) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_episode(path)
+    assert str(info.value) == f"{path}, line 1: malformed header line (ValueError: {message})"
 
 
 def test_a_record_that_cannot_be_encoded_leaves_the_files_as_they_were(tmp_path):

@@ -497,8 +497,8 @@ class TestScalarClamps:
 
     @given(x=CLAMPED, start=CLAMPED, length=CLAMPED)
     def test_merge_progress(self, x, start, length):
-        vehicle = SimpleNamespace(state=SimpleNamespace(x=x), lane=1)
-        road = SimpleNamespace(ramp_lane=1, merge_start=start, merge_length=length)
+        vehicle = SimpleNamespace(state=SimpleNamespace(x=x))
+        road = SimpleNamespace(merge_start=start, merge_length=length)
         assert _hex(Vehicle.x_m(vehicle, road)) == _hex(min(max(x - start, 0.0), length))
 
     @given(v=CLAMPED, a_min=CLAMPED, a_max=CLAMPED, v_cap=CLAMPED,
