@@ -138,7 +138,9 @@ def _section_values(name, cls, data, report) -> dict:
     checks, by key; every key that fails is reported with its path.  The
     keys are the fields of ``cls`` that are not sections, so ``run`` holds
     the batch options of :class:`RunConfig`."""
-    section = data.get(name) or {}
+    section = data.get(name)
+    if section is None:
+        return {}
     if not isinstance(section, dict):
         report.errors.append(f"{name}: must be a mapping")
         return {}
@@ -225,13 +227,14 @@ def validate_config(path) -> ValidationReport:
         report.errors.append(str(exc))
         return report
     try:
-        data = yaml.safe_load(text) or {}
+        data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
         report.errors.append(f"parse error{where}: {getattr(exc, 'problem', exc)}")
         return report
-    cfg = _parse(data, report)
+    # an empty file, or a null document, is the default config
+    cfg = _parse({} if data is None else data, report)
     if cfg is not None and report.ok:
         report.config = cfg
         _range_warnings(cfg, report)

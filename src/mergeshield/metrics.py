@@ -199,10 +199,14 @@ def aggregate_summaries(summaries: list) -> dict:
 
 
 def write_summaries(summaries: list, path) -> None:
+    """One JSON line per summary.  A NaN or infinite number (other than an
+    infinite ``min_headway``, written as null) raises ``ValueError`` before
+    anything is written."""
+    lines = [json.dumps(s.to_dict(), separators=(",", ":"), allow_nan=False) + "\n"
+             for s in summaries]
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as f:
-        for s in summaries:
-            f.write(json.dumps(s.to_dict(), separators=(",", ":")) + "\n")
+        f.writelines(lines)
     os.replace(tmp, path)
 
 

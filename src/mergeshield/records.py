@@ -280,19 +280,25 @@ def write_episode(record: EpisodeRecord, path) -> None:
     os.replace(tmp, path)
 
 
+def _non_finite(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def json_objects(path) -> list:
     """The non-blank lines of the JSONL file ``path`` as (1-based line
-    number, object) pairs.  A line that is not a JSON object raises
-    ``ValueError`` naming the path and the line's number."""
+    number, object) pairs.  A line that is not a JSON object, or that holds
+    ``NaN``, ``Infinity`` or ``-Infinity`` (which ``json`` reads by default),
+    raises ``ValueError`` naming the path and the line's number."""
     lines = []
     with open(path) as f:
         for n, text in enumerate(f, 1):
             if not text.strip():
                 continue
             try:
-                d = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}, line {n}: not JSON ({exc.msg})") from None
+                d = json.loads(text, parse_constant=_non_finite)
+            except ValueError as exc:
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise ValueError(f"{path}, line {n}: not JSON ({msg})") from None
             if not isinstance(d, dict):
                 raise ValueError(f"{path}, line {n}: not a JSON object")
             lines.append((n, d))

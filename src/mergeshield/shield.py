@@ -9,23 +9,28 @@ resolved safe command in ``mass`` mode and its box floor in ``hss`` mode,
 which also keeps the own-lane leader that a cutting-in vehicle displaced.
 The lane-change gate credits resolved outcomes in both modes: the adjacent
 leader ranks ahead of the ego, so a live one is always resolved first.
-Per vehicle and step the filter takes
+Each vehicle's filter is one pass of :func:`joint_safe_control`'s
+front-to-back loop.  It works out the ego's reach box, clamped nominal,
+front bumper, held headway ``(1 - eta) * tau * v`` and closing factor
+``cos(psi_e) * dt`` once, and per leader the credited speed, the bumper
+gap and the credited advance ``cos(psi_l) * v_next * dt`` once; from these
+it takes
 
 * a headway cap per leader: the time-headway barrier
-  ``h = gap - tau * v`` propagated one step with decay ``eta``, crediting
-  the leader's next speed,
-* a braking-feasibility cap per leader: the largest command from which a
-  joint worst-case braking run keeps the headway satisfied.  The bare
-  one-step barrier alone admits states where bounded deceleration can no
-  longer prevent a violation (fast follower, slow leader), so the guard
-  keeps the system inside the set where the barrier stays feasible,
+  ``h = gap - tau * v`` propagated one step with decay ``eta``,
+* a braking-feasibility cap per leader, :func:`brake_guard`: the largest
+  command from which a joint worst-case braking run keeps the headway
+  satisfied.  The bare one-step barrier alone admits states where bounded
+  deceleration can no longer prevent a violation (fast follower, slow
+  leader), so the guard keeps the system inside the set where the barrier
+  stays feasible,
 * a soft rear floor toward the adjacent rear vehicle during an ongoing lane
   change, relaxed by the slack.
 
-The caps lower the top of the ego's reach box to their minimum.  The QP
-minimises ``(v - v_nominal)^2 + k_eps * slack`` inside that box in closed
-form (:func:`solve_qp`); caps below the box raise a fault that callers turn
-into full braking.
+The caps lower the top of the ego's reach box to their minimum, the first
+of a tie labelling it.  The QP minimises ``(v - v_nominal)^2 + k_eps *
+slack`` inside that box in closed form (:func:`solve_qp`); caps below the
+box raise a fault that falls back to full braking.
 
 :func:`joint_safe_control` reads no world: ``step_world`` hands it the
 config, the topology, the plans, each live vehicle's neighbourhood, the
@@ -56,13 +61,11 @@ __all__ = [
     "QPSolution",
     "reach",
     "credited_speed",
-    "headway_cap",
     "brake_guard",
     "lateral_rear_row",
     "allow_lane_change",
     "lane_change_feasible",
     "solve_qp",
-    "filter_vehicle",
     "joint_safe_control",
 ]
 
@@ -266,47 +269,18 @@ def credited_speed(vehicle, resolved: dict, dt: float) -> float:
     return reach(vehicle, dt)[0] if out is None else out.v_safe
 
 
-def headway_cap(ego, leader, config: ShieldConfig, v_leader_next: float) -> float:
-    """Headway cap toward one leader, the barrier propagated one step.
-
-    ``h = gap - tau * v_e`` must decay no faster than ``(1 - eta)`` per
-    step.  The ego advance is credited at the commanded speed times
-    ``cos(psi)``; the leader advance at its credited next speed
-    ``v_leader_next``.  The cap is tightened by ``lag_margin``.  Raises
-    ``ValueError`` when it is not finite.
+def brake_guard(gap: float, advance: float, closing: float, v_next: float, v_hi: float,
+                brake: float, config: ShieldConfig) -> float | None:
+    """Braking-feasibility cap toward one leader: the largest command whose
+    joint worst-case braking run from the next state keeps the headway
+    barrier satisfied; None when even ``v_hi``, the top of the ego's
+    :func:`reach` box, is fine.  ``gap`` is the bumper gap, ``advance`` the
+    leader's credited travel ``cos(psi_l) * v_next * dt``, ``closing`` the
+    ego's ``cos(psi_e) * dt`` and ``brake`` its braking [m/s^2].
     """
-    dt = config.dt
-    tau = config.tau
-    q = (
-        config.eta * bumper_gap(ego, leader)
-        + (1.0 - config.eta) * tau * ego.state.speed
-        + math.cos(leader.state.psi) * v_leader_next * dt
-        - config.lag_margin
-    )
-    cap = q / (math.cos(ego.state.psi) * dt + tau)
-    if not math.isfinite(cap):
-        raise ValueError(f"headway cap toward vehicle {leader.vid} is not finite")
-    return cap
-
-
-def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float,
-                v_hi: float) -> float | None:
-    """Braking-feasibility cap: the largest command whose joint worst-case
-    braking run from the next state keeps the headway barrier satisfied.
-
-    ``v_leader_next`` is the leader's credited next speed and ``v_hi`` the
-    top of the ego's :func:`reach` box.  Returns None when even ``v_hi`` is
-    fine.
-    """
-    dt = config.dt
-    gap = bumper_gap(ego, leader)
-    brake = -ego.params.a_min
-    gap_next = gap + math.cos(leader.state.psi) * v_leader_next * dt - config.lag_margin
-    cap = brake_cap(gap_next, v_hi, v_leader_next, brake, config.tau, dt,
-                    closing=math.cos(ego.state.psi) * dt)
-    if cap >= v_hi:
-        return None
-    return cap
+    cap = brake_cap(gap + advance - config.lag_margin, v_hi, v_next, brake, config.tau,
+                    config.dt, closing)
+    return None if cap >= v_hi else cap
 
 
 def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> Row:
@@ -429,44 +403,6 @@ def solve_qp(v_nominal: float, rows, k_eps: float, lo: float, hi: float,
     return QPSolution(v, slack, active, objective)
 
 
-def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float, config: ShieldConfig,
-                   lane_change_allowed: bool = True, staged=None) -> ShieldOutcome:
-    """Filter one vehicle's nominal speed command.
-
-    ``leaders`` holds ``(leader, credited next speed)`` pairs, each adding a
-    headway cap and a brake guard; while the ego changes lanes, an adjacent
-    rear vehicle ``c_oar`` adds the soft rear floor.  The QP is solved in
-    the ego's :func:`reach` box with its top lowered to the smallest cap,
-    the first one of a tie labelling it, and a fault falls back to full
-    braking.  ``lane_change_allowed`` (the lane gate's verdict) and
-    ``staged`` are recorded on the outcome as given.
-    """
-    lo, hi = reach(ego, config.dt)
-    # min(max(v_nominal, lo), hi) without the calls, ties as theirs
-    v_nom_step = lo if lo > v_nominal else v_nominal
-    v_nom_step = hi if hi < v_nom_step else v_nom_step
-    cap, bound, binder = hi, None, None
-    for leader, v_next in leaders:
-        headway = headway_cap(ego, leader, config, v_next)
-        if headway < cap:
-            cap, bound, binder = headway, "headway", leader
-        guard = brake_guard(ego, leader, config, v_next, hi)
-        if guard is not None and guard < cap:
-            cap, bound, binder = guard, "brake", leader
-    label = "reach_hi" if binder is None else f"{bound}:{binder.vid}"
-    floors = ()
-    if ego.target_lane != ego.lane and c_oar is not None:
-        floors = (lateral_rear_row(ego, c_oar, config),)
-    try:
-        sol = solve_qp(v_nom_step, floors, config.k_eps, lo, cap, label)
-    except ShieldFault:
-        return ShieldOutcome(v_nom_step, lo, lo - v_nom_step, lane_change_allowed, 0.0,
-                             ("fault",), True, staged)
-    v_safe = sol.v_safe
-    return ShieldOutcome(v_nom_step, v_safe, v_safe - v_nom_step, lane_change_allowed,
-                         sol.slack, sol.active, False, staged)
-
-
 def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
                        nominal_plans: dict, near: dict, index: "NeighborIndex",
                        road: "RoadNetwork") -> dict:
@@ -474,21 +410,26 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
 
     ``near`` holds each live vehicle's ``Neighborhood`` by vid, and
     ``index`` is the snapshot's neighbour index, which gives the fleet and
-    its order.  Each vehicle's leaders are its topology parents; ``hss``
-    puts first the own-lane leader when a cut-in displaced it.  Each leader
-    is credited from ``credit``: the outcomes resolved so far in ``mass``,
-    none in ``hss``.  Parents are always ahead, so the front-to-back
-    evaluation order resolves each before its children.
+    its order.  Parents are always ahead, so the front-to-back evaluation
+    order resolves each before its children.  One loop body resolves one
+    live vehicle with a plan, in three parts:
 
-    Right after its gate verdict (``none`` mode grants every plan), each
-    live vehicle's :func:`maneuver` toward the lane that verdict implies is
-    staged once, as ``staged`` on its outcome; wrecks get none.  No cap
-    reads it yet; ROADMAP item 1 decides which ones ``hss`` may read.
+    * its gate verdict (``none`` mode grants every plan), then its
+      :func:`maneuver` toward the lane that verdict implies, staged once as
+      ``staged`` on its outcome; wrecks get none.  No cap reads it yet;
+      ROADMAP item 1 decides which ones ``hss`` may read.  ``none`` mode
+      stops here and passes the plan through;
+    * its leaders: its topology parents, and first in ``hss`` the own-lane
+      leader a cut-in displaced.  Each leader is credited from ``credit``:
+      the outcomes resolved so far in ``mass``, none in ``hss``;
+    * the caps and the QP of the module docstring, each input computed
+      once.  A headway cap that is not finite raises ``ValueError``.
     """
     order = evaluation_order(topology, index)
     outcomes: dict = {}
     credit = outcomes if config.mode == "mass" else {}
     by_id = {v.vid: v for v in index.ordered}
+    dt, tau, eta, lag_margin = config.dt, config.tau, config.eta, config.lag_margin
     for vid in order:
         vehicle = by_id[vid]
         if vehicle.crashed or vid not in nominal_plans:
@@ -502,16 +443,46 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
                 allow_lane_change(vehicle, c_oal, c_oar, config)
                 and lane_change_feasible(vehicle, c_oal, c_oar, config, outcomes))
         lane = plan.target_lane if allowed else vehicle.target_lane
-        staged = maneuver(vehicle.state, road.centerline_y(lane), lane != vehicle.lane, config.dt)
+        staged = maneuver(vehicle.state, road.centerline_y(lane), lane != vehicle.lane, dt)
         if config.mode == "none":
-            out = ShieldOutcome(plan.v_target, plan.v_target, 0.0, staged=staged)
-        else:
-            leaders = [by_id[pid] for pid in topology.parents(vid)]
-            if config.mode == "hss" and c_ol is not None:
-                # on a cut-in the topology hands the ego to the merging
-                # vehicle; the worst case also keeps the leader it displaced
-                leaders = [c_ol] + [p for p in leaders if p.vid != c_ol.vid]
-            leaders = [(p, credited_speed(p, credit, config.dt)) for p in leaders]
-            out = filter_vehicle(vehicle, leaders, c_oar, plan.v_target, config, allowed, staged)
-        outcomes[vid] = out
+            outcomes[vid] = ShieldOutcome(plan.v_target, plan.v_target, 0.0, staged=staged)
+            continue
+        leaders = [by_id[pid] for pid in topology.parents(vid)]
+        if config.mode == "hss" and c_ol is not None:
+            # on a cut-in the topology hands the ego to the merging
+            # vehicle; the worst case also keeps the leader it displaced
+            leaders = [c_ol] + [p for p in leaders if p.vid != c_ol.vid]
+        lo, hi = reach(vehicle, dt)
+        # min(max(v_target, lo), hi) without the calls, ties as theirs
+        v_nominal = lo if lo > plan.v_target else plan.v_target
+        v_nominal = hi if hi < v_nominal else v_nominal
+        front = vehicle.state.x + 0.5 * vehicle.params.length
+        held = (1.0 - eta) * tau * vehicle.state.speed
+        closing = math.cos(vehicle.state.psi) * dt
+        brake = -vehicle.params.a_min
+        cap, bound, binder = hi, None, None
+        for leader in leaders:
+            v_next = credited_speed(leader, credit, dt)
+            gap = (leader.state.x - 0.5 * leader.params.length) - front
+            advance = math.cos(leader.state.psi) * v_next * dt
+            headway = (eta * gap + held + advance - lag_margin) / (closing + tau)
+            if not math.isfinite(headway):
+                raise ValueError(f"headway cap toward vehicle {leader.vid} is not finite")
+            if headway < cap:
+                cap, bound, binder = headway, "headway", leader
+            guard = brake_guard(gap, advance, closing, v_next, hi, brake, config)
+            if guard is not None and guard < cap:
+                cap, bound, binder = guard, "brake", leader
+        label = "reach_hi" if binder is None else f"{bound}:{binder.vid}"
+        floors = ()
+        if vehicle.target_lane != vehicle.lane and c_oar is not None:
+            floors = (lateral_rear_row(vehicle, c_oar, config),)
+        try:
+            sol = solve_qp(v_nominal, floors, config.k_eps, lo, cap, label)
+        except ShieldFault:
+            outcomes[vid] = ShieldOutcome(v_nominal, lo, lo - v_nominal, allowed, 0.0,
+                                          ("fault",), True, staged)
+            continue
+        outcomes[vid] = ShieldOutcome(v_nominal, sol.v_safe, sol.v_safe - v_nominal, allowed,
+                                      sol.slack, sol.active, False, staged)
     return outcomes

@@ -193,7 +193,17 @@ def test_shield_rejects_a_tau_or_dt_that_is_not_positive(key, value):
 
 
 def test_top_level_must_be_a_mapping(tmp_path):
-    assert _errors(tmp_path, "[1, 2]\n") == ["top level must be a mapping of sections"]
+    # a falsy document is no empty config; only null or an empty file is
+    for text in ("[1, 2]\n", "[]\n", "0\n", "false\n", "''\n"):
+        assert _errors(tmp_path, text) == ["top level must be a mapping of sections"], text
+
+
+@pytest.mark.parametrize("text", ["", "\n", "null\n", "~\n", "scenario:\nrun: null\n"])
+def test_null_or_empty_config_is_the_default(tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    report = validate_config(path)
+    assert report.errors == [] and report.config == RunConfig().resolved()
 
 
 @pytest.mark.parametrize("name", ["missing.yaml", "."])
@@ -205,7 +215,16 @@ def test_unreadable_config_is_reported_with_its_path(tmp_path, name):
 
 
 def test_run_section_must_be_a_mapping(tmp_path):
-    assert _errors(tmp_path, "run: [1, 2]\n") == ["run: must be a mapping"]
+    for value in ("[1, 2]", "[]", "0", "false", "''"):
+        assert _errors(tmp_path, f"run: {value}\n") == ["run: must be a mapping"], value
+
+
+@pytest.mark.parametrize("text, error", [("scenario: 0\n", "scenario: must be a mapping"),
+                                         ("scenario: []\n", "scenario: must be a mapping"),
+                                         ("road: ''\n", "road: must be a mapping"),
+                                         ("vehicle: false\n", "vehicle: must be a mapping")])
+def test_falsy_section_is_not_an_empty_one(tmp_path, text, error):
+    assert _errors(tmp_path, text) == [error]
 
 
 def test_reward_section_must_be_a_mapping(tmp_path):

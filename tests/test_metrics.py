@@ -202,6 +202,12 @@ class TestAggregateSummaries:
      "not a summary (min_headway must be float, got 'abc')"),
     (json.dumps({**summary(0, 1.0, 10.0, 50.0).to_dict(), "collisions": True}),
      "not a summary (collisions must be int, got True)"),
+    # json reads these extensions by default; a summary never holds them
+    (json.dumps(summary(0, math.nan, 10.0, 50.0).to_dict()), "not JSON (NaN is not a JSON number)"),
+    (json.dumps(summary(0, 1.0, math.inf, 50.0).to_dict()),
+     "not JSON (Infinity is not a JSON number)"),
+    (json.dumps(summary(0, 1.0, 10.0, -math.inf).to_dict()),
+     "not JSON (-Infinity is not a JSON number)"),
 ])
 def test_read_summaries_names_the_file_line_of_a_bad_line(tmp_path, bad, message):
     # the bad line is file line 3, behind a summary and a blank line
@@ -211,6 +217,15 @@ def test_read_summaries_names_the_file_line_of_a_bad_line(tmp_path, bad, message
     with pytest.raises(ValueError) as info:
         read_summaries(path)
     assert str(info.value).startswith(f"{path}, line 3: {message}")
+
+
+@pytest.mark.parametrize("bad", [summary(1, math.nan, 10.0, 50.0), summary(1, 1.0, math.inf, None),
+                                 summary(1, 1.0, 10.0, math.nan)])
+def test_write_summaries_rejects_non_finite_numbers(tmp_path, bad):
+    path = tmp_path / "summaries.jsonl"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_summaries([summary(0, 1.0, 10.0, 50.0), bad], path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_aggregate_csv_rows(tmp_path):

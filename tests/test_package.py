@@ -334,12 +334,11 @@ STEP_PATH_FUNCTIONS = (
     ("world", "plan_motion"),
     ("shield", "reach"),
     ("shield", "credited_speed"),
-    ("shield", "filter_vehicle"),
-    ("shield", "headway_cap"),
     ("shield", "brake_guard"),
     ("shield", "brake_cap"),
     ("shield", "brake_margin"),
     ("shield", "solve_qp"),
+    ("shield", "joint_safe_control"),
     ("records", "snapshot_vehicle"),
     ("records", "snapshot_step"),
 )

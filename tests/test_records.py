@@ -237,12 +237,18 @@ def test_a_re_read_record_encodes_to_the_same_bytes(tmp_path):
     assert path.read_text() == "\n".join(episode_lines(again)) + "\n"
 
 
+#: a row field set to a number that ``json.dumps`` writes as an extension
+NON_FINITE = {"NaN x": ("x", math.nan), "-Infinity v_x": ("v_x", -math.inf)}
+
+
 @pytest.mark.parametrize("bad, message", [
     ("{oops", "not JSON"),
     ("[1, 2]", "not a JSON object"),
     ("no step", "malformed step line (KeyError: 'vehicles')"),
     ("bad topology key",
      "malformed step line (ValueError: invalid literal for int() with base 10: 'abc')"),
+    ("NaN x", "not JSON (NaN is not a JSON number)"),
+    ("-Infinity v_x", "not JSON (-Infinity is not a JSON number)"),
 ])
 def test_read_episode_names_the_file_line_of_a_bad_line(tmp_path, bad, message):
     # the bad line is the second step, on file line 4 behind a blank line
@@ -254,6 +260,10 @@ def test_read_episode_names_the_file_line_of_a_bad_line(tmp_path, bad, message):
         bad = json.dumps(step)
     elif bad == "bad topology key":
         step["topology"]["abc"] = []
+        bad = json.dumps(step)
+    elif bad in NON_FINITE:
+        key, value = NON_FINITE[bad]
+        step["vehicles"][0][key] = value
         bad = json.dumps(step)
     lines = [lines[0], "", lines[1], bad, *lines[3:]]
     path = tmp_path / "episode.jsonl"

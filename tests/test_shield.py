@@ -1,8 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergeshield.dynamics import VehicleParams
 from mergeshield.road import RoadNetwork
@@ -18,28 +21,82 @@ from mergeshield.shield import (
     ShieldOutcome,
     bumper_gap,
     credited_speed,
-    filter_vehicle,
-    headway_cap,
     joint_safe_control,
     lane_change_feasible,
     lateral_rear_row,
     reach,
     solve_qp,
 )
-from mergeshield.topology import build_topology
-from mergeshield.world import BehaviorAction, MotionPlan, neighbor_index, plan_motion
+from mergeshield.topology import InteractionTopology, build_topology
+from mergeshield.world import (
+    BehaviorAction,
+    MotionPlan,
+    ScenarioConfig,
+    World,
+    neighbor_index,
+    plan_motion,
+)
 
 from conftest import make_vehicle, make_world, neighborhoods
 from qp_oracle import bisect_cap, check_scalar_instance, scan_cap
+import shield_oracle
 
 CFG = ShieldConfig(mode="mass")
 
+#: limits of an ego whose reach box is too wide for any cap here to reach
+WIDE = VehicleParams(a_max=1e4, v_cap=1e4)
 
-def place_pair(gap, v_e, v_l, tau=0.5):
+
+def place_pair(gap, v_e, v_l, params=None):
     """Ego and leader with the requested bumper gap."""
-    ego = make_vehicle(0, 100.0, v_e)
+    ego = make_vehicle(0, 100.0, v_e, params=params)
     leader = make_vehicle(1, 100.0 + gap + ego.params.length, v_l)
     return ego, leader
+
+
+def resolve(w, plans, topo=None):
+    """The shield's outcomes for ``plans`` on the world's snapshot, under
+    ``topo`` or the topology built from it, as ``step_world`` resolves them."""
+    near = neighborhoods(w)
+    if topo is None:
+        topo = build_topology(w.vehicles, near)
+    return joint_safe_control(w.shield, topo, plans, near, neighbor_index(w), w.road)
+
+
+def filtered(ego, leaders, v_nominal, cfg=CFG):
+    """The ego's outcome on the snapshot of the ego and ``leaders``,
+    ``(leader, credited next speed)`` pairs that are its topology parents
+    in that order; only the ego has a plan, one that keeps its lane."""
+    from mergeshield import shield
+
+    credits = {leader.vid: v_next for leader, v_next in leaders}
+    w = World(road=RoadNetwork(), scenario=ScenarioConfig(), shield=cfg,
+              vehicles=[ego] + [leader for leader, _ in leaders])
+    plans = {ego.vid: MotionPlan(v_target=v_nominal, target_lane=ego.target_lane)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shield, "credited_speed", lambda vehicle, resolved, dt: credits[vehicle.vid])
+        return resolve(w, plans, InteractionTopology({ego.vid: tuple(credits)}))[ego.vid]
+
+
+def headway_cap(ego, leader, v_next, cfg=CFG):
+    """The headway cap toward ``leader`` credited ``v_next``: the box top
+    that the shield hands :func:`solve_qp` with the brake guard off, for an
+    ego with ``WIDE`` limits."""
+    from mergeshield import shield
+
+    tops = []
+
+    def recording_solve(v_nominal, rows, k_eps, lo, hi, hi_label):
+        tops.append((hi, hi_label))
+        return solve_qp(v_nominal, rows, k_eps, lo, hi, hi_label)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shield, "brake_guard", lambda *args: None)
+        mp.setattr(shield, "solve_qp", recording_solve)
+        filtered(ego, [(leader, v_next)], 0.0, cfg)
+    [(cap, label)] = tops
+    assert label == f"headway:{leader.vid}"
+    return cap
 
 
 def encoded_h(cap, ego, leader, v_next, cfg=CFG):
@@ -54,20 +111,20 @@ def encoded_h(cap, ego, leader, v_next, cfg=CFG):
 
 class TestLongitudinalCbf:
     def test_direct_substitution(self):
-        ego, leader = place_pair(20.0, 25.0, 25.0)
-        cap = headway_cap(ego, leader, CFG, 25.0)
+        ego, leader = place_pair(20.0, 25.0, 25.0, WIDE)
+        cap = headway_cap(ego, leader, 25.0)
         assert encoded_h(cap, ego, leader, 25.0) == pytest.approx(20.0 - 12.5)
 
     def test_boundary_of_safe_set(self):
-        ego, leader = place_pair(12.5, 25.0, 25.0)
-        cap = headway_cap(ego, leader, CFG, 25.0)
+        ego, leader = place_pair(12.5, 25.0, 25.0, WIDE)
+        cap = headway_cap(ego, leader, 25.0)
         assert encoded_h(cap, ego, leader, 25.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("v_next", [math.inf, math.nan])
     def test_cap_that_is_not_finite_raises(self, v_next):
-        ego, leader = place_pair(20.0, 25.0, 25.0)
-        with pytest.raises(ValueError, match="not finite"):
-            headway_cap(ego, leader, CFG, v_next)
+        ego, leader = place_pair(20.0, 25.0, 25.0, WIDE)
+        with pytest.raises(ValueError, match="headway cap toward vehicle 1 is not finite"):
+            headway_cap(ego, leader, v_next)
 
     def test_h_matches_scalar_evaluation_on_random_triples(self):
         rng = np.random.default_rng(2)
@@ -76,16 +133,16 @@ class TestLongitudinalCbf:
             v_e = float(rng.uniform(0.0, 35.0))
             tau = float(rng.uniform(0.2, 1.5))
             cfg = replace(CFG, tau=tau)
-            ego, leader = place_pair(gap, v_e, 20.0)
-            h = encoded_h(headway_cap(ego, leader, cfg, 20.0), ego, leader, 20.0, cfg)
+            ego, leader = place_pair(gap, v_e, 20.0, WIDE)
+            h = encoded_h(headway_cap(ego, leader, 20.0, cfg), ego, leader, 20.0, cfg)
             assert h == pytest.approx(gap - tau * v_e, abs=1e-12)
 
     def test_row_encodes_one_step_propagation(self):
         # a command under the cap keeps h from decaying faster than
         # (1 - eta) per step in the credited one-step model
-        ego, leader = place_pair(18.0, 24.0, 22.0)
+        ego, leader = place_pair(18.0, 24.0, 22.0, WIDE)
         v_next = 21.5
-        v_cmd = headway_cap(ego, leader, CFG, v_next) - 1e-9
+        v_cmd = headway_cap(ego, leader, v_next) - 1e-9
         gap_next = 18.0 + (v_next - math.cos(ego.state.psi) * v_cmd) * CFG.dt - CFG.lag_margin
         h_next = gap_next - CFG.tau * v_cmd
         assert h_next >= (1.0 - CFG.eta) * (18.0 - CFG.tau * 24.0) - 1e-6
@@ -96,7 +153,7 @@ class TestLateralCbfs:
         # a lane-changer with no adjacent rear vehicle gets no lateral row
         road = RoadNetwork()
         ego = make_vehicle(0, 220.0, 20.0, lane=road.ramp_lane, road=road, target_lane=0)
-        out = filter_vehicle(ego, [], None, 20.0, CFG)
+        out = filtered(ego, [], 20.0)
         assert out.active_constraints == ()
         assert out.slack_used == 0.0
         assert out.v_safe == 20.0
@@ -217,7 +274,8 @@ class TestBrakeCap:
             # a missing draw credits the worst case or tops out at the reach box
             credit = max(0.0, v_l + leader.params.a_min * CFG.dt) if v_next is None else v_next
             top = min(ego.params.v_cap, v_e + ego.params.a_max * CFG.dt) if v_hi is None else v_hi
-            cap = brake_guard(ego, leader, CFG, credit, top)
+            cap = brake_guard(bumper_gap(ego, leader), math.cos(psi_l) * credit * CFG.dt,
+                              math.cos(psi_e) * CFG.dt, credit, top, -ego.params.a_min, CFG)
 
             def margin_at(v):
                 gap_next = gap + (math.cos(psi_l) * credit - math.cos(psi_e) * v) * CFG.dt \
@@ -369,39 +427,30 @@ class TestSolveQP:
         assert solved > 100 and faulted > 10 and sloped > 20
 
 
-def resolve(w, plans, topo=None):
-    """The shield's outcomes for ``plans`` on the world's snapshot, under
-    ``topo`` or the topology built from it, as ``step_world`` resolves them."""
-    near = neighborhoods(w)
-    if topo is None:
-        topo = build_topology(w.vehicles, near)
-    return joint_safe_control(w.shield, topo, plans, near, neighbor_index(w), w.road)
-
-
-def hss_outcome(gap, v_e, v_l, v_nominal):
-    """The ego's ``hss`` outcome behind one leader that holds its speed."""
+def pair_outcome(gap, v_e, v_l, v_nominal, mode="hss"):
+    """The ego's outcome behind one leader that plans to hold its speed."""
     ego, leader = place_pair(gap, v_e, v_l)
-    w = make_world([ego, leader], shield_mode="hss")
+    w = make_world([ego, leader], shield_mode=mode)
     plans = {0: MotionPlan(v_target=v_nominal, target_lane=0),
              1: MotionPlan(v_target=v_l, target_lane=0)}
     return resolve(w, plans)[0]
 
 
-def resolved(vehicle, v_nominal, cfg=None):
+def resolved(vehicle, v_nominal, cfg=CFG):
     """The outcome of a vehicle with no leaders, as a parent hands it down."""
-    return filter_vehicle(vehicle, [], None, v_nominal, cfg or CFG)
+    return filtered(vehicle, [], v_nominal, cfg)
 
 
 class TestFilterHss:
     def test_open_road_identity(self):
         ego = make_vehicle(0, 100.0, 25.0)
-        out = filter_vehicle(ego, [], None, 25.0, CFG)
+        out = filtered(ego, [], 25.0)
         assert out.v_safe == 25.0
         assert out.v_cbf == 0.0
         assert not out.fault
 
     def test_boundary_with_braking_leader_forces_reduction(self):
-        out = hss_outcome(gap=12.5, v_e=25.0, v_l=25.0, v_nominal=25.0)
+        out = pair_outcome(gap=12.5, v_e=25.0, v_l=25.0, v_nominal=25.0)
         assert out.v_safe < out.v_nominal
         assert out.v_cbf < 0.0
 
@@ -417,7 +466,7 @@ class TestFilterHss:
         saw_binding = False
         for _ in range(80):
             ego, leader = place_pair(x_l - x_e - 5.0, v_e, v_l)
-            out = hss_outcome(x_l - x_e - 5.0, v_e, v_l, v_e + 2.0)
+            out = pair_outcome(x_l - x_e - 5.0, v_e, v_l, v_e + 2.0)
             assert not out.fault
             gap = x_l - x_e - 5.0
             v_l_wc = max(0.0, v_l + leader.params.a_min * dt)
@@ -453,7 +502,7 @@ class TestFilterHss:
 
     def test_fault_falls_back_to_full_braking(self):
         # physically doomed state: leader much slower at a tiny gap
-        out = hss_outcome(gap=3.0, v_e=30.0, v_l=2.0, v_nominal=30.0)
+        out = pair_outcome(gap=3.0, v_e=30.0, v_l=2.0, v_nominal=30.0)
         assert out.fault
         assert out.v_safe == pytest.approx(30.0 + (-5.0) * CFG.dt)
 
@@ -468,12 +517,12 @@ class TestFilterHss:
         reach_lo = 25.0 + (-5.0) * CFG.dt
         for below in (0.0, 1e-15, 1e-12, 1e-9):
             monkeypatch.setattr(shield, "brake_guard", guard_at(reach_lo - below))
-            out = hss_outcome(gap=80.0, v_e=25.0, v_l=25.0, v_nominal=25.0)
+            out = pair_outcome(gap=80.0, v_e=25.0, v_l=25.0, v_nominal=25.0)
             assert not out.fault
             assert out.v_safe == reach_lo
             assert out.active_constraints == ("brake:1",)
         monkeypatch.setattr(shield, "brake_guard", guard_at(reach_lo - 1e-8))
-        out = hss_outcome(gap=80.0, v_e=25.0, v_l=25.0, v_nominal=25.0)
+        out = pair_outcome(gap=80.0, v_e=25.0, v_l=25.0, v_nominal=25.0)
         assert out.fault
         assert out.v_safe == reach_lo
 
@@ -527,12 +576,10 @@ class TestFilterMass:
             v_l = float(rng.uniform(5.0, 30.0))
             gap = float(rng.uniform(0.5 * v_e, 0.5 * v_e + 60.0))
             v_nom = float(rng.uniform(0.0, 35.0))
-            ego, leader = place_pair(gap, v_e, v_l)
-            hss = filter_vehicle(ego, [(leader, credited_speed(leader, {}, CFG.dt))], None, v_nom,
-                                 CFG)
-            # truthful parent intention: the leader holds its speed
-            parent_out = resolved(leader, v_l)
-            mass = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, v_nom, CFG)
+            # hss credits the leader its box floor; mass its resolved
+            # command, a truthful intention: the leader holds its speed
+            hss = pair_outcome(gap, v_e, v_l, v_nom, "hss")
+            mass = pair_outcome(gap, v_e, v_l, v_nom, "mass")
             assert mass.v_safe >= hss.v_safe - 1e-12
             if mass.v_safe > hss.v_safe + 1e-9:
                 strictly_better += 1
@@ -549,19 +596,18 @@ class TestFilterMass:
                                lane=road.ramp_lane, road=road)
             target = make_vehicle(2, 220.0 + 5 + (19.0 if tight == 2 else 60.0), 20.0,
                                   lane=0, road=road)
-            own_out = resolved(own, 20.0, cfg)
-            tgt_out = resolved(target, 20.0, cfg)
-            out = filter_vehicle(ego, [(own, own_out.v_safe), (target, tgt_out.v_safe)], None,
-                                 28.0, cfg)
+            w = make_world([ego, own, target], road=road)
+            plans = {0: MotionPlan(v_target=28.0, target_lane=0),
+                     1: MotionPlan(v_target=20.0, target_lane=road.ramp_lane),
+                     2: MotionPlan(v_target=20.0, target_lane=0)}
+            out = resolve(w, plans, InteractionTopology({0: (1, 2)}))[0]
             assert not out.fault
             assert out.v_safe < out.v_nominal
             tight_vid = {1: own, 2: target}[tight].vid
             assert any(str(tight_vid) in label for label in out.active_constraints)
 
     def test_minimal_invasiveness(self):
-        ego, leader = place_pair(60.0, 20.0, 22.0)
-        parent_out = resolved(leader, 22.0)
-        out = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, 20.3, CFG)
+        out = pair_outcome(60.0, 20.0, 22.0, 20.3, "mass")
         assert out.v_cbf == 0.0
         assert out.v_safe == 20.3
 
@@ -571,9 +617,7 @@ class TestFilterMass:
             v_e = float(rng.uniform(5.0, 30.0))
             gap = float(rng.uniform(0.5 * v_e, 0.5 * v_e + 20.0))
             v_l = float(rng.uniform(2.0, v_e))
-            ego, leader = place_pair(gap, v_e, v_l)
-            parent_out = resolved(leader, v_l)
-            out = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, v_e + 2.0, CFG)
+            out = pair_outcome(gap, v_e, v_l, v_e + 2.0, "mass")
             binding_leader = any(
                 label.startswith(("headway:", "brake:")) for label in out.active_constraints
             )
@@ -589,8 +633,9 @@ class TestFilterMass:
         out = resolve(w, plans)[0]
         assert credited_speed(leader, {}, CFG.dt) == 0.0
         # the ego is settled on its centreline, so its maneuver stages its state
-        assert out == filter_vehicle(ego, [(leader, 0.0)], None, 22.0, CFG, staged=ego.state)
-        assert out.v_safe < filter_vehicle(ego, [(leader, 18.0)], None, 22.0, CFG).v_safe
+        assert out.staged == ego.state
+        assert out == filtered(ego, [(leader, 0.0)], 22.0)
+        assert out.v_safe < filtered(ego, [(leader, 18.0)], 22.0).v_safe
 
     def test_tied_caps_keep_the_first_label(self, monkeypatch):
         # a cap replaces the running minimum only when strictly smaller: on
@@ -599,47 +644,43 @@ class TestFilterMass:
         from mergeshield import shield
 
         ego = make_vehicle(0, 100.0, 25.0)
-        first, second = make_vehicle(1, 150.0, 25.0), make_vehicle(2, 200.0, 25.0)
         top = 25.0 + ego.params.a_max * CFG.dt
-        caps, tops = {}, []
+        # two leaders at one gap have the same headway cap, a third a larger one
+        first, twin, far = (make_vehicle(vid, 100.0 + ego.params.length + gap, 25.0)
+                            for vid, gap in ((1, 12.5), (2, 12.5), (3, 13.0)))
+        tops = []
         solve = shield.solve_qp
 
         def recording_solve(v_nominal, rows, k_eps, lo, hi, hi_label):
             tops.append((hi, hi_label))
             return solve(v_nominal, rows, k_eps, lo, hi, hi_label)
 
-        monkeypatch.setattr(shield, "headway_cap",
-                            lambda ego, leader, config, v_next: caps["headway", leader.vid])
-        monkeypatch.setattr(shield, "brake_guard",
-                            lambda ego, leader, config, v_next, v_hi: caps["brake", leader.vid])
         monkeypatch.setattr(shield, "solve_qp", recording_solve)
 
-        def fold(leaders, given):
-            caps.clear()
-            caps.update(given)
-            out = filter_vehicle(ego, [(p, 25.0) for p in leaders], None, 30.0, CFG)
+        def fold(leaders, guards, ego=ego):
+            # each leader's brake guard returns the next of ``guards``
+            returns = iter(guards)
+            monkeypatch.setattr(shield, "brake_guard", lambda *args: next(returns))
+            out = filtered(ego, [(p, 25.0) for p in leaders], 30.0)
             hi, hi_label = tops[-1]
-            assert hi == min(v for v in given.values() if v is not None)
             assert out.v_safe == hi
-            return hi_label
+            return hi, hi_label
 
-        assert fold([first], {("headway", 1): top, ("brake", 1): None}) == "reach_hi"
-        assert fold([first], {("headway", 1): 24.8, ("brake", 1): 24.8}) == "headway:1"
-        assert fold([first], {("headway", 1): 24.9, ("brake", 1): 24.8}) == "brake:1"
-        two = {("headway", 1): 24.8, ("brake", 1): None,
-               ("headway", 2): 24.8, ("brake", 2): None}
-        assert fold([first, second], two) == "headway:1"
-        assert fold([second, first], two) == "headway:2"
-        two = {("headway", 1): 24.9, ("brake", 1): 24.8,
-               ("headway", 2): 24.8, ("brake", 2): None}
-        assert fold([first, second], two) == "brake:1"
-        assert fold([second, first], two) == "headway:2"
+        cap, label = fold([first], [None])
+        assert label == "headway:1" and cap < fold([far], [None])[0] < top
+        capped = make_vehicle(0, 100.0, 25.0, params=VehicleParams(v_cap=cap))
+        assert fold([first], [None], capped) == (cap, "reach_hi")
+        assert fold([first], [cap]) == (cap, "headway:1")
+        below = math.nextafter(cap, 0.0)
+        assert fold([first], [below]) == (below, "brake:1")
+        assert fold([first, twin], [None, None]) == (cap, "headway:1")
+        assert fold([twin, first], [None, None]) == (cap, "headway:2")
+        assert fold([far, first], [cap, None]) == (cap, "brake:3")
+        assert fold([first, far], [None, cap]) == (cap, "headway:1")
 
     def test_deterministic(self):
-        ego, leader = place_pair(20.0, 25.0, 20.0)
-        parent_out = resolved(leader, 20.0)
-        a = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, 26.0, CFG)
-        b = filter_vehicle(ego, [(leader, parent_out.v_safe)], None, 26.0, CFG)
+        a = pair_outcome(20.0, 25.0, 20.0, 26.0, "mass")
+        b = pair_outcome(20.0, 25.0, 20.0, 26.0, "mass")
         assert a == b
 
 
@@ -736,8 +777,8 @@ class TestJointSafeControl:
         outcomes = resolve(w, plans, topo)
         # sequential hand computation in topology order
         front_hand = resolved(front, v - 2.0, w.shield)
-        mid_hand = filter_vehicle(mid, [(front, front_hand.v_safe)], None, v, w.shield)
-        back_hand = filter_vehicle(back, [(mid, mid_hand.v_safe)], None, v, w.shield)
+        mid_hand = filtered(mid, [(front, front_hand.v_safe)], v, w.shield)
+        back_hand = filtered(back, [(mid, mid_hand.v_safe)], v, w.shield)
         assert outcomes[2] == front_hand._replace(staged=front.state)
         assert outcomes[1].v_safe == mid_hand.v_safe
         assert outcomes[0].v_safe == back_hand.v_safe
@@ -765,3 +806,139 @@ class TestJointSafeControl:
         assert outs["hss"].active_constraints == ("brake:2",)
         assert not any(label.endswith(":2") for label in outs["mass"].active_constraints)
         assert outs["hss"].v_safe < outs["mass"].v_safe
+
+
+def exact(outcomes):
+    """Outcomes by vid with every float, those of the staged state too, as
+    its ``hex()``, so equal values are equal bit for bit."""
+    def fields(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(fields(v) for v in value)
+        return value
+    return {vid: fields(out) for vid, out in outcomes.items()}
+
+
+def reference_agrees(w, plans):
+    """Resolve ``plans`` on the world's snapshot with the shield and with
+    the reference pass, assert that the two agree bit for bit, their brake
+    guards' caps as well, and return the shield's outcomes."""
+    from mergeshield import shield
+
+    near = neighborhoods(w)
+    topo = build_topology(w.vehicles, near)
+    args = (w.shield, topo, plans, near, neighbor_index(w), w.road)
+    guards = {shield: [], shield_oracle: []}
+
+    def recording(module):
+        guard = module.brake_guard
+
+        def wrapper(*args):
+            cap = guard(*args)
+            guards[module].append(None if cap is None else cap.hex())
+            return cap
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in guards:
+            mp.setattr(module, "brake_guard", recording(module))
+        try:
+            want = shield_oracle.joint_safe_control(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                joint_safe_control(*args)
+            return None
+        got = joint_safe_control(*args)
+    assert exact(got) == exact(want)
+    assert guards[shield] == guards[shield_oracle]
+    return got
+
+
+@st.composite
+def snapshots(draw):
+    """A fleet of 2-8 vehicles around the merge section, some wrecked,
+    some mid-lane-change, with a plan for each, some asking for the other
+    lane; the shield's mode and parameters are drawn as well."""
+    road = RoadNetwork()
+    speeds = st.floats(0.0, 32.0)
+    vehicles, plans = [], {}
+    for vid in range(draw(st.integers(2, 8))):
+        lane = draw(st.sampled_from([0, road.ramp_lane]))
+        target = draw(st.sampled_from([lane, 1 - lane]))
+        # a lane-changer is partway across, heading toward its target
+        frac = draw(st.floats(0.0, 0.6)) if target != lane else 0.0
+        y = road.centerline_y(lane) + frac * (road.centerline_y(target) - road.centerline_y(lane))
+        psi = 0.0 if target == lane else (0.05 if target > lane else -0.05)
+        vehicle = make_vehicle(vid, draw(st.floats(180.0, 320.0)), draw(speeds), lane=lane,
+                               road=road, y=y, psi=psi, target_lane=target)
+        vehicle.crashed = draw(st.integers(0, 7)) == 0
+        vehicles.append(vehicle)
+        plan_lane = draw(st.sampled_from([target, 1 - target]))
+        plans[vid] = MotionPlan(draw(speeds), plan_lane, plan_lane != target)
+    # a low eta makes the headway cap bind more often than the brake guard
+    w = make_world(vehicles, road=road, scenario=ScenarioConfig(tau=draw(st.floats(0.2, 1.5))),
+                   shield_mode=draw(st.sampled_from(["hss", "mass", "none"])),
+                   eta=draw(st.floats(0.05, 1.0)), lag_margin=draw(st.floats(0.0, 0.5)))
+    return w, plans
+
+
+class TestReferencePass:
+    """The one-loop shield pass returns the reference pass's outcomes,
+    float for float (``tests/shield_oracle.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(snapshot=snapshots())
+    def test_outcomes_equal_the_reference_on_random_snapshots(self, snapshot):
+        reference_agrees(*snapshot)
+
+    def test_hss_leader_displaced_by_a_cut_in(self):
+        road = RoadNetwork()
+        ego = make_vehicle(0, 220.0, 24.0, road=road)
+        merger = make_vehicle(1, 250.0, 26.0, lane=road.ramp_lane, road=road, target_lane=0)
+        own = make_vehicle(2, 276.0, 10.0, road=road)
+        w = make_world([ego, merger, own], road=road, shield_mode="hss")
+        plans = {v.vid: MotionPlan(v_target=v.state.speed + 3.0, target_lane=0)
+                 for v in w.vehicles}
+        # the displaced leader is no parent of the ego, and binds it
+        assert build_topology(w.vehicles, neighborhoods(w)).parents(0) == (1,)
+        assert reference_agrees(w, plans)[0].active_constraints == ("brake:2",)
+
+    @pytest.mark.parametrize("mode", ["hss", "mass"])
+    def test_wrecked_parent(self, mode):
+        ego, leader = place_pair(43.0, 20.0, 20.0)
+        leader.crashed = True
+        w = make_world([ego, leader], shield_mode=mode)
+        assert build_topology(w.vehicles, neighborhoods(w)).parents(0) == (1,)
+        out = reference_agrees(w, {0: MotionPlan(v_target=22.0, target_lane=0)})[0]
+        assert not out.fault and out.active_constraints[0].endswith(":1")
+
+    @pytest.mark.parametrize("mode", ["hss", "mass"])
+    def test_lane_changer_with_the_soft_rear_floor(self, mode):
+        road = RoadNetwork()
+        ego = make_vehicle(0, 220.0, 20.0, lane=road.ramp_lane, road=road, y=2.0, psi=-0.05,
+                           target_lane=0)
+        rear = make_vehicle(1, 209.0, 25.0, lane=0, road=road)
+        w = make_world([ego, rear], road=road, shield_mode=mode)
+        plans = {0: MotionPlan(v_target=20.0, target_lane=0),
+                 1: MotionPlan(v_target=25.0, target_lane=0)}
+        out = reference_agrees(w, plans)[0]
+        assert out.slack_used > 0.0 and "lat_rear:1" in out.active_constraints
+
+    @pytest.mark.parametrize("mode", ["hss", "mass"])
+    def test_fault(self, mode):
+        ego, leader = place_pair(3.0, 30.0, 2.0)
+        w = make_world([ego, leader], shield_mode=mode)
+        plans = {0: MotionPlan(v_target=30.0, target_lane=0),
+                 1: MotionPlan(v_target=2.0, target_lane=0)}
+        assert reference_agrees(w, plans)[0].fault
+
+    def test_a_cap_that_is_not_finite(self, monkeypatch):
+        from mergeshield import shield
+
+        ego, leader = place_pair(20.0, 25.0, 25.0)
+        w = make_world([ego, leader])
+        plans = {v.vid: MotionPlan(v_target=25.0, target_lane=0) for v in w.vehicles}
+        monkeypatch.setattr(shield, "credited_speed", lambda vehicle, resolved, dt: math.nan)
+        monkeypatch.setattr(shield_oracle, "credited_speed", lambda vehicle, resolved, dt: math.nan)
+        assert reference_agrees(w, plans) is None

@@ -16,13 +16,17 @@ from mergeshield.road import RoadNetwork
 from mergeshield.seedstream import SeedPool
 from mergeshield.shield import (
     QPSolution,
+    ShieldConfig,
     ShieldOutcome,
     bumper_gap,
-    filter_vehicle,
+    joint_safe_control,
     reach,
 )
+from mergeshield.topology import InteractionTopology
 from mergeshield.world import (
     BehaviorAction,
+    MotionPlan,
+    Neighborhood,
     ScenarioConfig,
     Vehicle,
     neighbors,
@@ -455,10 +459,13 @@ class TestScalarClamps:
 
     @given(v=CLAMPED, v_nominal=CLAMPED, a_min=CLAMPED, a_max=CLAMPED, v_cap=CLAMPED,
            dt=st.sampled_from([0.1, 1.0]))
-    def test_filter_vehicle_reach_box_and_nominal(self, v, v_nominal, a_min, a_max, v_cap, dt):
-        ego = SimpleNamespace(state=SimpleNamespace(speed=v),
-                              params=SimpleNamespace(a_min=a_min, a_max=a_max, v_cap=v_cap),
+    def test_shield_reach_box_and_nominal(self, v, v_nominal, a_min, a_max, v_cap, dt):
+        # a lone ego on a hand-built snapshot: no leaders, no lane change
+        ego = SimpleNamespace(vid=0, state=SimpleNamespace(speed=v, x=0.0, psi=0.0),
+                              params=SimpleNamespace(length=5.0, a_min=a_min, a_max=a_max,
+                                                     v_cap=v_cap),
                               lane=0, target_lane=0, crashed=False)
+        index = SimpleNamespace(ordered=[ego], rank={0: 0})
         seen = []
 
         def solve_qp(v_nom, rows, k_eps, lo, hi, hi_label):
@@ -467,7 +474,11 @@ class TestScalarClamps:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(shield_mod, "solve_qp", solve_qp)
-            out = filter_vehicle(ego, [], None, v_nominal, SimpleNamespace(dt=dt, k_eps=1e6))
+            mp.setattr(shield_mod, "maneuver", lambda state, y, changing, dt: state)
+            out = joint_safe_control(ShieldConfig(dt=dt), InteractionTopology({}),
+                                     {0: MotionPlan(v_target=v_nominal, target_lane=0)},
+                                     {0: Neighborhood(None, None, None)}, index,
+                                     RoadNetwork())[0]
         lo = max(0.0, v + a_min * dt)
         hi = min(v_cap, v + a_max * dt)
         v_nom = min(max(v_nominal, lo), hi)
