@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from mergeshield.dynamics import FLOAT_MAGNITUDES, VehicleParams
+from mergeshield.dynamics import FLOAT_MAGNITUDES, VehicleParams, check_floats
 from mergeshield.policy import PolicySpec
 from mergeshield.reward import RewardWeights
 from mergeshield.road import RoadNetwork
@@ -47,6 +47,7 @@ class RunConfig:
     allow_offrange: bool = False
 
     def __post_init__(self):
+        check_floats(self)
         top, v_cap = self.scenario.initial_speed_range[1], self.vehicle.v_cap
         if top > v_cap:
             raise ValueError(f"scenario.initial_speed_range: top speed {top} "

@@ -6,7 +6,8 @@ turns the velocity and heading toward a lane centreline, keeping the speed,
 and ``step`` accelerates along that heading.  Integration is explicit
 forward Euler at a fixed ``dt``: positions use the pre-step velocities, so
 a speed command issued this step moves the vehicle only from the next step
-on.
+on.  The shield predicts the next gap with this same step: each vehicle
+travels ``v_x * dt`` of its maneuvered state, known before any command.
 
 A :class:`VehicleState` is a named tuple that stores its planar speed once,
 when it is built: every layer reads the speed several times per step.
@@ -18,10 +19,11 @@ the velocity components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-__all__ = ["VehicleParams", "VehicleState", "check_magnitude", "maneuver", "step"]
+__all__ = ["VehicleParams", "VehicleState", "check_floats", "check_magnitude", "maneuver",
+           "step"]
 
 #: lateral speed of a lane-change maneuver [m/s]
 LANE_CHANGE_LATERAL_SPEED = 2.0
@@ -44,6 +46,21 @@ def check_magnitude(name: str, value: float) -> None:
                          f"got {value!r}")
 
 
+def check_floats(config, positive: tuple = ()) -> None:
+    """Raise ``ValueError`` naming the first float or float-pair field of
+    the dataclass ``config`` that holds an infinity or a NaN, which YAML
+    input may not hold either, then the first field named in ``positive``
+    that is not above 0."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        values = value if f.type == "tuple" else (value,) if f.type == "float" else ()
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+    for name in positive:
+        if not getattr(config, name) > 0:
+            raise ValueError(f"{name} must be positive, got {getattr(config, name)}")
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Physical limits of one vehicle.
@@ -58,16 +75,11 @@ class VehicleParams:
     v_cap: float = 40.0
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if not self.width > 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+        check_floats(self, ("length", "width", "v_cap"))
         if not (self.a_min < 0 < self.a_max):
             raise ValueError(f"need a_min < 0 < a_max, got [{self.a_min}, {self.a_max}]")
         check_magnitude("a_min", self.a_min)
         check_magnitude("a_max", self.a_max)
-        if not self.v_cap > 0:
-            raise ValueError(f"v_cap must be positive, got {self.v_cap}")
 
 
 class _StateFields(NamedTuple):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from mergeshield import world as _world
+from mergeshield.dynamics import check_floats
 from mergeshield.shield import bumper_gap
 
 if TYPE_CHECKING:
@@ -55,6 +56,7 @@ class RewardWeights:
     v_max: float = 30.0
 
     def __post_init__(self):
+        check_floats(self)
         if self.function not in ("default", "custom"):
             raise ValueError(f"function must be default or custom, got {self.function!r}")
         if not (0.0 < self.v_min < self.v_max):

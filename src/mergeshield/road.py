@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
+from mergeshield.dynamics import check_floats
+
 __all__ = ["RoadNetwork"]
 
 
@@ -31,10 +33,7 @@ class RoadNetwork:
     merge_length: float = 100.0
 
     def __post_init__(self):
-        if not self.lane_width > 0:
-            raise ValueError(f"lane_width must be positive, got {self.lane_width}")
-        if not self.merge_length > 0:
-            raise ValueError(f"merge_length must be positive, got {self.merge_length}")
+        check_floats(self, ("lane_width", "merge_length"))
 
     @property
     def merge_end(self) -> float:

@@ -10,20 +10,20 @@ which also keeps the own-lane leader that a cutting-in vehicle displaced.
 The lane-change gate credits resolved outcomes in both modes: the adjacent
 leader ranks ahead of the ego, so a live one is always resolved first.
 Each vehicle's filter is one pass of :func:`joint_safe_control`'s
-front-to-back loop.  It works out the ego's reach box, clamped nominal,
-front bumper, held headway ``(1 - eta) * tau * v`` and closing factor
-``cos(psi_e) * dt`` once, and per leader the credited speed, the bumper
-gap and the credited advance ``cos(psi_l) * v_next * dt`` once; from these
+front-to-back loop.  Per leader it works out the credited speed, the bumper
+gap and the next gap ``gap + (v_x,leader - v_x,ego) * dt`` once each: the
+integrator's own Euler step, which moves each vehicle by the ``v_x`` of its
+staged maneuver (a wreck's is 0) whatever this step's command.  From these
 it takes
 
-* a headway cap per leader: the time-headway barrier
-  ``h = gap - tau * v`` propagated one step with decay ``eta``,
+* a headway cap per leader: the time-headway barrier ``h = gap - tau * v``
+  propagated one step, ``h_next >= (1 - eta) * h``,
 * a braking-feasibility cap per leader, :func:`brake_guard`: the largest
-  command from which a joint worst-case braking run keeps the headway
-  satisfied.  The bare one-step barrier alone admits states where bounded
-  deceleration can no longer prevent a violation (fast follower, slow
-  leader), so the guard keeps the system inside the set where the barrier
-  stays feasible,
+  command from which a joint worst-case braking run from the next gap
+  keeps the headway satisfied.  The bare one-step barrier alone admits
+  states where bounded deceleration can no longer prevent a violation
+  (fast follower, slow leader), so the guard keeps the system inside the
+  set where the barrier stays feasible,
 * a soft rear floor toward the adjacent rear vehicle during an ongoing lane
   change, relaxed by the slack.
 
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from mergeshield.dynamics import VehicleState, check_magnitude, maneuver
+from mergeshield.dynamics import VehicleState, check_floats, check_magnitude, maneuver
 from mergeshield.topology import InteractionTopology, evaluation_order
 
 if TYPE_CHECKING:
@@ -91,9 +91,8 @@ class ShieldConfig:
     ``mode`` is the credit rule of :func:`joint_safe_control`; ``none``
     passes every plan through.  Reach boxes use each vehicle's own
     acceleration limits, and the lateral rows the same headway ``tau`` as
-    the longitudinal ones.  ``lag_margin`` (finite, not negative) tightens
-    every cap to absorb the one-step position lag of the explicit Euler
-    integrator (commands move positions only one step later).
+    the longitudinal ones.  No margin pads the caps: they predict the next
+    gap with the integrator's own step.
     """
 
     mode: str = "mass"
@@ -101,22 +100,14 @@ class ShieldConfig:
     eta: float = 0.5
     k_eps: float = 1e6
     dt: float = 0.1
-    lag_margin: float = 0.15
 
     def __post_init__(self):
+        check_floats(self, ("tau", "k_eps", "dt"))
         if self.mode not in ("none", "hss", "mass"):
             raise ValueError(f"shield mode must be none, hss or mass, got {self.mode!r}")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must lie in (0, 1]")
-        if not self.k_eps > 0:
-            raise ValueError("k_eps must be positive")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
         check_magnitude("dt", self.dt)
-        if not (math.isfinite(self.lag_margin) and self.lag_margin >= 0.0):
-            raise ValueError(f"lag_margin must be finite and >= 0, got {self.lag_margin!r}")
 
 
 class ShieldOutcome(NamedTuple):
@@ -198,10 +189,9 @@ def brake_margin(gap: float, v_follow: float, v_lead: float, brake: float,
 
 
 def brake_cap(gap: float, v_hi: float, v_lead: float, brake: float,
-              tau: float, dt: float, closing: float = 0.0) -> float:
+              tau: float, dt: float) -> float:
     """Largest follower speed ``v`` in ``[0, v_hi]`` whose
-    :func:`brake_margin` from the gap ``gap - closing * v`` is non-negative;
-    0 when there is none.  ``closing`` must not be negative.
+    :func:`brake_margin` from ``gap`` is non-negative; 0 when there is none.
 
     Closed form.  After ``k`` braking steps the margin is
     ``a_k - b_k * v - tau * max(0, v - k * dv)`` once the follower's travel
@@ -216,7 +206,7 @@ def brake_cap(gap: float, v_hi: float, v_lead: float, brake: float,
     ``k``; each ratio is then quasiconvex, and its integer minimiser sits
     next to the real stationary point, if that lies in ``[m_l, K]``.
     """
-    if brake_margin(gap - closing * v_hi, v_hi, v_lead, brake, tau, dt) >= 0.0:
+    if brake_margin(gap, v_hi, v_lead, brake, tau, dt) >= 0.0:
         return v_hi
     dv = brake * dt
     m_l = math.ceil(v_lead / dv - 1e-12) if v_lead > 0.0 else 0
@@ -227,7 +217,7 @@ def brake_cap(gap: float, v_hi: float, v_lead: float, brake: float,
     # (k = k0), so a positive c puts its minimum at k = k0 + sqrt(c / alpha)
     alpha = 0.5 * dt * dv
     c0 = gap + dt * _travel(v_lead, m_l, m_l, dv)
-    for beta, d0 in ((-alpha, closing), (tau * dv - alpha, closing + tau)):
+    for beta, d0 in ((-alpha, 0.0), (tau * dv - alpha, tau)):
         k0 = -d0 / dt
         c = (alpha * k0 + beta) * k0 + c0
         if c > 0.0:
@@ -237,12 +227,12 @@ def brake_cap(gap: float, v_hi: float, v_lead: float, brake: float,
     for k in steps:
         kink = k * dv
         a = gap + dt * (_travel(v_lead, m_l, k, dv) + dv * k * (k - 1) * 0.5)
-        b = closing + dt * k
+        b = dt * k
         if a - b * kink >= 0.0:
             root = (a + tau * kink) / (b + tau)
         elif b > 0.0:
             root = a / b
-        else:  # k = 0 without closing: the gap itself is negative
+        else:  # k = 0: the gap itself is negative
             return 0.0
         if root < cap:
             cap = root
@@ -269,17 +259,16 @@ def credited_speed(vehicle, resolved: dict, dt: float) -> float:
     return reach(vehicle, dt)[0] if out is None else out.v_safe
 
 
-def brake_guard(gap: float, advance: float, closing: float, v_next: float, v_hi: float,
-                brake: float, config: ShieldConfig) -> float | None:
+def brake_guard(gap_next: float, v_next: float, v_hi: float, brake: float,
+                config: ShieldConfig) -> float | None:
     """Braking-feasibility cap toward one leader: the largest command whose
     joint worst-case braking run from the next state keeps the headway
     barrier satisfied; None when even ``v_hi``, the top of the ego's
-    :func:`reach` box, is fine.  ``gap`` is the bumper gap, ``advance`` the
-    leader's credited travel ``cos(psi_l) * v_next * dt``, ``closing`` the
-    ego's ``cos(psi_e) * dt`` and ``brake`` its braking [m/s^2].
+    :func:`reach` box, is fine.  ``gap_next`` is the bumper gap after this
+    step, which no command of this step moves, ``v_next`` the leader's
+    credited speed and ``brake`` the ego's braking [m/s^2].
     """
-    cap = brake_cap(gap + advance - config.lag_margin, v_hi, v_next, brake, config.tau,
-                    config.dt, closing)
+    cap = brake_cap(gap_next, v_hi, v_next, brake, config.tau, config.dt)
     return None if cap >= v_hi else cap
 
 
@@ -323,7 +312,6 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     """
     dt = config.dt
     tau = config.tau
-    sigma = config.lag_margin
     v_e = ego.state.speed
     v_e_lo, v_e_hi = reach(ego, dt)
 
@@ -332,13 +320,13 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
         v_al = 0.0 if c_oal.crashed else c_oal.state.speed
         gap1 = bumper_gap(ego, c_oal) + (v_al - v_e) * dt
         v_al_next = credited_speed(c_oal, resolved, dt)
-        if brake_margin(gap1 - sigma, v_e_hi, v_al_next, -ego.params.a_min, tau, dt) < 0.0:
+        if brake_margin(gap1, v_e_hi, v_al_next, -ego.params.a_min, tau, dt) < 0.0:
             return False
     if c_oar is not None:
         v_ar = 0.0 if c_oar.crashed else c_oar.state.speed
         gap1 = bumper_gap(c_oar, ego) + (v_e - v_ar) * dt
         v_ar_hi = reach(c_oar, dt)[1]
-        if brake_margin(gap1 - sigma, v_ar_hi, v_e_lo, -c_oar.params.a_min, tau, dt) < 0.0:
+        if brake_margin(gap1, v_ar_hi, v_e_lo, -c_oar.params.a_min, tau, dt) < 0.0:
             return False
     return True
 
@@ -416,12 +404,15 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
 
     * its gate verdict (``none`` mode grants every plan), then its
       :func:`maneuver` toward the lane that verdict implies, staged once as
-      ``staged`` on its outcome; wrecks get none.  No cap reads it yet;
-      ROADMAP item 1 decides which ones ``hss`` may read.  ``none`` mode
-      stops here and passes the plan through;
+      ``staged`` on its outcome; wrecks get none.  ``none`` mode stops here
+      and passes the plan through;
     * its leaders: its topology parents, and first in ``hss`` the own-lane
-      leader a cut-in displaced.  Each leader is credited from ``credit``:
-      the outcomes resolved so far in ``mass``, none in ``hss``;
+      leader a cut-in displaced.  Each leader's speed is credited from
+      ``credit``: the outcomes resolved so far in ``mass``, none in ``hss``.
+      Its staged ``v_x`` is read in both modes: its motion in this step is
+      fixed by its pre-step velocity and its own gate verdict, resolved
+      first, and no speed command can change it, so the credit stays the
+      only place where the mode enters;
     * the caps and the QP of the module docstring, each input computed
       once.  A headway cap that is not finite raises ``ValueError``.
     """
@@ -429,7 +420,7 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
     outcomes: dict = {}
     credit = outcomes if config.mode == "mass" else {}
     by_id = {v.vid: v for v in index.ordered}
-    dt, tau, eta, lag_margin = config.dt, config.tau, config.eta, config.lag_margin
+    dt, tau, eta = config.dt, config.tau, config.eta
     for vid in order:
         vehicle = by_id[vid]
         if vehicle.crashed or vid not in nominal_plans:
@@ -457,20 +448,20 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
         v_nominal = lo if lo > plan.v_target else plan.v_target
         v_nominal = hi if hi < v_nominal else v_nominal
         front = vehicle.state.x + 0.5 * vehicle.params.length
-        held = (1.0 - eta) * tau * vehicle.state.speed
-        closing = math.cos(vehicle.state.psi) * dt
+        v_e = vehicle.state.speed
         brake = -vehicle.params.a_min
         cap, bound, binder = hi, None, None
         for leader in leaders:
             v_next = credited_speed(leader, credit, dt)
             gap = (leader.state.x - 0.5 * leader.params.length) - front
-            advance = math.cos(leader.state.psi) * v_next * dt
-            headway = (eta * gap + held + advance - lag_margin) / (closing + tau)
+            v_lead = 0.0 if leader.crashed else outcomes[leader.vid].staged.v_x
+            gap_next = gap + (v_lead - staged.v_x) * dt
+            headway = (gap_next - (1.0 - eta) * (gap - tau * v_e)) / tau
             if not math.isfinite(headway):
                 raise ValueError(f"headway cap toward vehicle {leader.vid} is not finite")
             if headway < cap:
                 cap, bound, binder = headway, "headway", leader
-            guard = brake_guard(gap, advance, closing, v_next, hi, brake, config)
+            guard = brake_guard(gap_next, v_next, hi, brake, config)
             if guard is not None and guard < cap:
                 cap, bound, binder = guard, "brake", leader
         label = "reach_hi" if binder is None else f"{bound}:{binder.vid}"

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from mergeshield import topology as _topology
-from mergeshield.dynamics import VehicleParams, VehicleState, check_magnitude, step
+from mergeshield.dynamics import VehicleParams, VehicleState, check_floats, check_magnitude, step
 from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig, brake_cap, joint_safe_control
 
@@ -100,27 +100,20 @@ class ScenarioConfig:
     dv_step: float = 2.0
 
     def __post_init__(self):
+        check_floats(self, ("comm_range", "tau", "dt", "dv_step"))
         if self.n_vehicles < 1:
             raise ValueError("n_vehicles must be >= 1")
         if self.n_ramp is not None and not 0 <= self.n_ramp <= self.n_vehicles:
             raise ValueError(f"n_ramp must lie in [0, n_vehicles = {self.n_vehicles}], "
                              f"got {self.n_ramp}")
-        if not self.comm_range > 0:
-            raise ValueError("comm_range must be positive")
         if self.perception_n < 0:
             raise ValueError("perception_n must be >= 0")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
         check_magnitude("dt", self.dt)
         if self.episode_steps < 1:
             raise ValueError("episode_steps must be >= 1")
         lo, hi = self.initial_speed_range
         if not (0 <= lo <= hi):
             raise ValueError(f"bad initial_speed_range {self.initial_speed_range}")
-        if not self.dv_step > 0:
-            raise ValueError(f"dv_step must be positive, got {self.dv_step}")
 
     def resolved_n_ramp(self) -> int:
         if self.n_ramp is not None:

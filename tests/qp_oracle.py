@@ -175,12 +175,12 @@ def bisect_cap(margin_at, v_hi):
     return lo
 
 
-def scan_cap(gap, v_hi, v_lead, brake, tau, dt, closing=0.0):
+def scan_cap(gap, v_hi, v_lead, brake, tau, dt):
     """``shield.brake_cap`` by scanning every braking step
     ``k = 0..ceil(v_hi / dv)`` for the smallest per-step root."""
     from mergeshield.shield import _travel, brake_margin
 
-    if brake_margin(gap - closing * v_hi, v_hi, v_lead, brake, tau, dt) >= 0.0:
+    if brake_margin(gap, v_hi, v_lead, brake, tau, dt) >= 0.0:
         return v_hi
     dv = brake * dt
     m_l = math.ceil(v_lead / dv - 1e-12) if v_lead > 0.0 else 0
@@ -188,12 +188,12 @@ def scan_cap(gap, v_hi, v_lead, brake, tau, dt, closing=0.0):
     for k in range(math.ceil(v_hi / dv) + 1):
         kink = k * dv
         a = gap + dt * (_travel(v_lead, m_l, k, dv) + dv * k * (k - 1) * 0.5)
-        b = closing + dt * k
+        b = dt * k
         if a - b * kink >= 0.0:
             root = (a + tau * kink) / (b + tau)
         elif b > 0.0:
             root = a / b
-        else:  # k = 0 without closing: the gap itself is negative
+        else:  # k = 0: the gap itself is negative
             return 0.0
         cap = min(cap, root)
     return max(cap, 0.0)

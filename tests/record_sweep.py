@@ -1,15 +1,21 @@
-"""Byte-identity sweep: one sha256 per whole episode record.
+"""Byte-identity sweep: one sha256 per whole episode record, with the
+episode's shield faults, collisions and min headway beside it.
 
-Prints one line ``mode policy n seed sha256`` per episode of the grid
-{none, hss, mass} x {random, heuristic} x n in {9, 11} x seeds 0-9
-(150-step episodes, default road), then the dense case (40 vehicles,
-merge section at 2000 m, ``mass`` shield, heuristic policy) on seeds 0-1.
-Each digest covers every line ``records.episode_lines`` writes: header,
-steps and summary.  Uses only the public config and episode API, so it
-runs unchanged against any checkout's ``src``.
+Prints one line ``mode policy n seed sha256 faults collisions
+min_headway`` per episode of the grid {none, hss, mass} x {random,
+heuristic} x n in {9, 11} x seeds 0-9 (150-step episodes, default road),
+then the dense case (40 vehicles, merge section at 2000 m, ``mass``
+shield, heuristic policy) on seeds 0-1.  It ends with one ``total`` line
+per (mode, policy) and one for the dense case: summed faults and
+collisions, and the smallest min headway.  Each digest covers every line
+``records.episode_lines`` writes: header, steps and summary.  Uses only
+the public config and episode API, so it runs unchanged against any
+checkout's ``src``.
 
 A change meant to keep records byte-identical is checked by diffing the
-output on the parent and on the change::
+output on the parent and on the change; for a change that moves records
+on purpose, the same diff shows how faults, collisions and headways
+moved::
 
     python3 tests/record_sweep.py --src /path/to/parent/src > before.txt
     python3 tests/record_sweep.py > after.txt
@@ -50,7 +56,9 @@ def cases():
         yield "mass", "heuristic", 40, seed, 2000.0
 
 
-def record_digest(mode: str, policy: str, n: int, seed: int, merge_start) -> str:
+def episode_line(mode: str, policy: str, n: int, seed: int, merge_start) -> tuple:
+    """The record's sha256 and the episode's fault count, collision count
+    and min headway."""
     from mergeshield.config import RunConfig
     from mergeshield.episode import run_episode
     from mergeshield.policy import PolicySpec
@@ -66,8 +74,10 @@ def record_digest(mode: str, policy: str, n: int, seed: int, merge_start) -> str
         policy=PolicySpec(kind=policy),
         allow_offrange=n > 11,
     )
-    record, _ = run_episode(cfg, seed)
-    return hashlib.sha256(("\n".join(episode_lines(record)) + "\n").encode()).hexdigest()
+    record, summary = run_episode(cfg, seed)
+    digest = hashlib.sha256(("\n".join(episode_lines(record)) + "\n").encode()).hexdigest()
+    faults = sum(bool(row.fault) for step in record.steps for row in step.vehicles)
+    return digest, faults, summary.collisions, summary.min_headway
 
 
 def main(argv=None) -> int:
@@ -78,8 +88,15 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     import mergeshield
     print(f"mergeshield from {Path(mergeshield.__file__).parent}", file=sys.stderr)
+    totals: dict = {}
     for mode, policy, n, seed, merge_start in cases():
-        print(mode, policy, n, seed, record_digest(mode, policy, n, seed, merge_start), flush=True)
+        digest, faults, collisions, headway = episode_line(mode, policy, n, seed, merge_start)
+        print(mode, policy, n, seed, digest, faults, collisions, f"{headway:.4f}", flush=True)
+        key = (mode, policy, "dense" if merge_start is not None else "")
+        f, c, h = totals.get(key, (0, 0, headway))
+        totals[key] = (f + faults, c + collisions, min(h, headway))
+    for (mode, policy, dense), (faults, collisions, headway) in totals.items():
+        print("total", mode, policy, dense or "-", faults, collisions, f"{headway:.4f}")
     return 0
 
 

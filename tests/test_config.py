@@ -100,6 +100,7 @@ def test_echo_covers_every_config_field():
     ("shield", "wc_brake"),
     ("shield", "wc_accel"),
     ("shield", "tau_lat"),
+    ("shield", "lag_margin"),
 ])
 def test_removed_key_is_unknown(tmp_path, section, key):
     errors = _errors(tmp_path, f"{section}:\n  {key}: -3.0\n")
@@ -118,7 +119,7 @@ def test_removed_key_is_unknown(tmp_path, section, key):
     ("scenario", ScenarioConfig, "n_ramp", 10),
     ("scenario", ScenarioConfig, "dv_step", 0.0),
     ("scenario", ScenarioConfig, "dv_step", -2.0),
-    ("shield", ShieldConfig, "lag_margin", -1.0),
+    ("shield", ShieldConfig, "eta", 1.5),
     ("shield", ShieldConfig, "mode", "bogus"),
     ("road", RoadNetwork, "merge_length", 0.0),
     ("road", RoadNetwork, "merge_length", -100.0),
@@ -129,8 +130,8 @@ def test_bad_value_fails_in_code_and_in_yaml(tmp_path, section, cls, key, value)
     # never moves the world, a footprint without width never overlaps, so
     # no collision is seen, a ramp count outside the default fleet of 9
     # spawned another fleet than the header echoed, a negative speed step
-    # makes SPEED_UP slow down, and a negative lag margin loosens every cap
-    # (seed 0 dipped to a 0.418 s headway)
+    # makes SPEED_UP slow down, and a headway decay above 1 lets the
+    # barrier change sign in one step
     with pytest.raises(ValueError, match=key):
         cls(**{key: value})
     errors = _errors(tmp_path, f"{section}:\n  {key}: {value}\n")
@@ -188,7 +189,7 @@ def test_int_run_value_passes_as_float(tmp_path):
 @pytest.mark.parametrize("key, value", [("tau", 0.0), ("tau", -0.5), ("dt", 0.0), ("dt", -0.1)])
 def test_shield_rejects_a_tau_or_dt_that_is_not_positive(key, value):
     # both are derived from the scenario, so only code can pass them
-    with pytest.raises(ValueError, match=f"^{key} must be positive$"):
+    with pytest.raises(ValueError, match=f"^{key} must be positive, got {value}$"):
         ShieldConfig(**{key: value})
 
 
@@ -310,7 +311,7 @@ FLOAT_RULE = "a finite float, 0 or of magnitude 1e-09 to 1e+09"
     ("scenario: {dt: .inf}", "scenario.dt"),
     ("vehicle: {v_cap: .inf}", "vehicle.v_cap"),
     ("shield: {k_eps: .inf}", "shield.k_eps"),
-    ("shield: {lag_margin: .nan}", "shield.lag_margin"),
+    ("shield: {eta: .nan}", "shield.eta"),
     ("reward: {v_max: .inf}", "reward.v_max"),
     ("run: {headway_violation_threshold: -.inf}", "run.headway_violation_threshold"),
     ("road: {merge_start: 1" + "0" * 400 + "}", "road.merge_start"),
@@ -346,12 +347,34 @@ def test_zero_and_floats_at_the_magnitude_limits_pass(tmp_path):
     (VehicleParams, "a_min", -math.inf),
     (VehicleParams, "a_max", 1e-10),
     (VehicleParams, "a_max", math.nan),
-    (ShieldConfig, "lag_margin", math.inf),
-    (ShieldConfig, "lag_margin", math.nan),
+    (ShieldConfig, "k_eps", math.inf),
+    (ShieldConfig, "tau", math.inf),
+    (ScenarioConfig, "tau", math.inf),
+    (ScenarioConfig, "spawn_spacing_min", math.nan),
+    pytest.param(ScenarioConfig, "initial_speed_range", (10.0, math.inf),
+                 id="ScenarioConfig-initial_speed_range-inf"),
+    (RoadNetwork, "merge_start", math.nan),
+    (VehicleParams, "v_cap", math.inf),
+    (RewardWeights, "w_s", math.nan),
+    (RunConfig, "headway_violation_threshold", math.nan),
 ])
 def test_dataclass_built_in_code_applies_the_float_rule(cls, key, value):
+    # YAML rejects these; built in code, tau = inf used to overflow in
+    # spawn, a NaN spacing put every vehicle at NaN x and a NaN weight
+    # failed only when the record was written
     with pytest.raises(ValueError, match=key):
         cls(**{key: value})
+
+
+@pytest.mark.parametrize("cls", [ScenarioConfig, RoadNetwork, VehicleParams, ShieldConfig,
+                                 RewardWeights, RunConfig])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_every_float_field_built_in_code_must_be_finite(cls, value):
+    floats = [f.name for f in fields(cls) if get_type_hints(cls)[f.name] is float]
+    assert floats
+    for key in floats:
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            cls(**{key: value})
 
 
 def test_float_rule_repros_fail_before_the_shield():

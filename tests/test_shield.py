@@ -66,13 +66,16 @@ def resolve(w, plans, topo=None):
 def filtered(ego, leaders, v_nominal, cfg=CFG):
     """The ego's outcome on the snapshot of the ego and ``leaders``,
     ``(leader, credited next speed)`` pairs that are its topology parents
-    in that order; only the ego has a plan, one that keeps its lane."""
+    in that order; the ego plans ``v_nominal`` toward its target lane, and
+    each leader plans to hold its speed and target lane."""
     from mergeshield import shield
 
     credits = {leader.vid: v_next for leader, v_next in leaders}
     w = World(road=RoadNetwork(), scenario=ScenarioConfig(), shield=cfg,
               vehicles=[ego] + [leader for leader, _ in leaders])
-    plans = {ego.vid: MotionPlan(v_target=v_nominal, target_lane=ego.target_lane)}
+    plans = {v.vid: MotionPlan(v_target=v.state.speed, target_lane=v.target_lane)
+             for v in w.vehicles}
+    plans[ego.vid] = MotionPlan(v_target=v_nominal, target_lane=ego.target_lane)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shield, "credited_speed", lambda vehicle, resolved, dt: credits[vehicle.vid])
         return resolve(w, plans, InteractionTopology({ego.vid: tuple(credits)}))[ego.vid]
@@ -80,8 +83,9 @@ def filtered(ego, leaders, v_nominal, cfg=CFG):
 
 def headway_cap(ego, leader, v_next, cfg=CFG):
     """The headway cap toward ``leader`` credited ``v_next``: the box top
-    that the shield hands :func:`solve_qp` with the brake guard off, for an
-    ego with ``WIDE`` limits."""
+    that the shield hands :func:`solve_qp` for the ego, resolved last as
+    the rearmost, with the brake guard off, for an ego with ``WIDE``
+    limits."""
     from mergeshield import shield
 
     tops = []
@@ -94,37 +98,49 @@ def headway_cap(ego, leader, v_next, cfg=CFG):
         mp.setattr(shield, "brake_guard", lambda *args: None)
         mp.setattr(shield, "solve_qp", recording_solve)
         filtered(ego, [(leader, v_next)], 0.0, cfg)
-    [(cap, label)] = tops
+    cap, label = tops[-1]
     assert label == f"headway:{leader.vid}"
     return cap
 
 
-def encoded_h(cap, ego, leader, v_next, cfg=CFG):
+def encoded_h(cap, ego, leader, cfg=CFG):
     """Barrier value a headway cap decays from, solved out of
-    ``cap = q / (cos(psi_e) * dt + tau)`` with
-    ``q = eta * gap + (1 - eta) * tau * v_e + cos(psi_l) * v_next * dt - lag``."""
+    ``cap = (gap_next - (1 - eta) * h) / tau`` with the Euler step's
+    ``gap_next = gap + (v_x,leader - v_x,ego) * dt``; both vehicles here
+    keep their lanes on their centrelines, so their maneuvers stage their
+    states as they are."""
     gap = bumper_gap(ego, leader)
-    q = cap * (math.cos(ego.state.psi) * cfg.dt + cfg.tau)
-    advance = math.cos(leader.state.psi) * v_next * cfg.dt - cfg.lag_margin
-    return (gap + advance - q) / (1.0 - cfg.eta)
+    gap_next = gap + (leader.state.v_x - ego.state.v_x) * cfg.dt
+    return (gap_next - cap * cfg.tau) / (1.0 - cfg.eta)
 
 
 class TestLongitudinalCbf:
     def test_direct_substitution(self):
         ego, leader = place_pair(20.0, 25.0, 25.0, WIDE)
         cap = headway_cap(ego, leader, 25.0)
-        assert encoded_h(cap, ego, leader, 25.0) == pytest.approx(20.0 - 12.5)
+        assert encoded_h(cap, ego, leader) == pytest.approx(20.0 - 12.5)
 
     def test_boundary_of_safe_set(self):
         ego, leader = place_pair(12.5, 25.0, 25.0, WIDE)
         cap = headway_cap(ego, leader, 25.0)
-        assert encoded_h(cap, ego, leader, 25.0) == pytest.approx(0.0, abs=1e-12)
+        assert encoded_h(cap, ego, leader) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("v_next", [math.inf, math.nan])
-    def test_cap_that_is_not_finite_raises(self, v_next):
+    def test_credited_speed_does_not_move_the_headway_cap(self):
+        # this step's travel is the staged v_x, fixed before any command;
+        # the credited speed only enters the brake guard
+        ego, leader = place_pair(20.0, 25.0, 22.0, WIDE)
+        assert headway_cap(ego, leader, 10.0) == headway_cap(ego, leader, 30.0)
+
+    @pytest.mark.parametrize("v_x", [math.inf, math.nan])
+    def test_cap_that_is_not_finite_raises(self, v_x, monkeypatch):
+        # a leader staged with a velocity that is not finite
+        from mergeshield import shield
+
         ego, leader = place_pair(20.0, 25.0, 25.0, WIDE)
+        monkeypatch.setattr(shield, "maneuver", lambda state, y, changing, dt: state._replace(
+            v_x=v_x if state is leader.state else state.v_x))
         with pytest.raises(ValueError, match="headway cap toward vehicle 1 is not finite"):
-            headway_cap(ego, leader, v_next)
+            headway_cap(ego, leader, 25.0)
 
     def test_h_matches_scalar_evaluation_on_random_triples(self):
         rng = np.random.default_rng(2)
@@ -134,18 +150,23 @@ class TestLongitudinalCbf:
             tau = float(rng.uniform(0.2, 1.5))
             cfg = replace(CFG, tau=tau)
             ego, leader = place_pair(gap, v_e, 20.0, WIDE)
-            h = encoded_h(headway_cap(ego, leader, 20.0, cfg), ego, leader, 20.0, cfg)
+            h = encoded_h(headway_cap(ego, leader, 20.0, cfg), ego, leader, cfg)
             assert h == pytest.approx(gap - tau * v_e, abs=1e-12)
 
     def test_row_encodes_one_step_propagation(self):
-        # a command under the cap keeps h from decaying faster than
-        # (1 - eta) per step in the credited one-step model
+        # the integrator's own step from the cap, whatever the leader's
+        # command, lands h exactly on its (1 - eta) decay
+        from mergeshield.dynamics import step
+
         ego, leader = place_pair(18.0, 24.0, 22.0, WIDE)
-        v_next = 21.5
-        v_cmd = headway_cap(ego, leader, v_next) - 1e-9
-        gap_next = 18.0 + (v_next - math.cos(ego.state.psi) * v_cmd) * CFG.dt - CFG.lag_margin
-        h_next = gap_next - CFG.tau * v_cmd
-        assert h_next >= (1.0 - CFG.eta) * (18.0 - CFG.tau * 24.0) - 1e-6
+        v_cmd = headway_cap(ego, leader, 21.5)
+        h_now = 18.0 - CFG.tau * 24.0
+        for v_lead in (21.5, 22.0, 22.5):
+            ego_next = step(ego.state, ego.params, (v_cmd - 24.0) / CFG.dt, CFG.dt)
+            lead_next = step(leader.state, leader.params, (v_lead - 22.0) / CFG.dt, CFG.dt)
+            gap_next = (lead_next.x - 2.5) - (ego_next.x + 2.5)
+            assert gap_next - CFG.tau * ego_next.speed == \
+                pytest.approx((1.0 - CFG.eta) * h_now, abs=1e-9)
 
 
 class TestLateralCbfs:
@@ -274,12 +295,11 @@ class TestBrakeCap:
             # a missing draw credits the worst case or tops out at the reach box
             credit = max(0.0, v_l + leader.params.a_min * CFG.dt) if v_next is None else v_next
             top = min(ego.params.v_cap, v_e + ego.params.a_max * CFG.dt) if v_hi is None else v_hi
-            cap = brake_guard(bumper_gap(ego, leader), math.cos(psi_l) * credit * CFG.dt,
-                              math.cos(psi_e) * CFG.dt, credit, top, -ego.params.a_min, CFG)
+            # the gap after this step, from the pre-step v_x of both
+            gap_next = bumper_gap(ego, leader) + (leader.state.v_x - ego.state.v_x) * CFG.dt
+            cap = brake_guard(gap_next, credit, top, -ego.params.a_min, CFG)
 
             def margin_at(v):
-                gap_next = gap + (math.cos(psi_l) * credit - math.cos(psi_e) * v) * CFG.dt \
-                    - CFG.lag_margin
                 return brake_margin(gap_next, v, credit, -ego.params.a_min, CFG.tau, CFG.dt)
 
             want = bisect_cap(margin_at, top)
@@ -306,7 +326,7 @@ class TestBrakeCap:
     def test_matches_full_scan_exactly(self):
         # the candidate steps give the same float as the scan over every
         # braking step: speeds on and off the dv grid, stopped leaders and
-        # leaders as fast as the follower, negative gaps, and closing 0 or dt
+        # leaders as fast as the follower, and negative gaps
         rng = np.random.default_rng(23)
         kinds = {"top": 0, "zero": 0, "cap": 0, "leader_outlasts": 0, "negative_gap": 0}
         for i in range(20000):
@@ -320,15 +340,14 @@ class TestBrakeCap:
                 gap = float(rng.uniform(-5.0, 0.0))
             else:
                 gap = float(rng.uniform(0.0, 120.0)) * float(rng.random())
-            closing = 0.0 if i % 2 else dt
-            args = (gap, v_hi, v_lead, brake, tau, dt, closing)
+            args = (gap, v_hi, v_lead, brake, tau, dt)
             want = scan_cap(*args)
             assert brake_cap(*args) == want, args
             kinds["top" if want == v_hi else "zero" if want == 0.0 else "cap"] += 1
             if want < v_hi:
                 # the leader still moves at the follower's last braking step
                 kinds["leader_outlasts"] += math.ceil(v_hi / dv) <= math.ceil(v_lead / dv - 1e-12)
-                kinds["negative_gap"] += gap < 0.0 and closing == 0.0
+                kinds["negative_gap"] += gap < 0.0
         assert min(kinds.values()) > 500
 
 
@@ -450,14 +469,20 @@ class TestFilterHss:
         assert not out.fault
 
     def test_boundary_with_braking_leader_forces_reduction(self):
-        out = pair_outcome(gap=12.5, v_e=25.0, v_l=25.0, v_nominal=25.0)
+        # on the headway boundary behind a leader of the same speed, which
+        # hss credits its hardest braking, the ego may hold its speed this
+        # step, as both move by 25 m/s * dt, but not speed up
+        out = pair_outcome(gap=12.5, v_e=25.0, v_l=25.0, v_nominal=26.0)
         assert out.v_safe < out.v_nominal
         assert out.v_cbf < 0.0
+        assert out.v_safe == pytest.approx(25.0, abs=1e-9)
 
     def test_scripted_approach_matches_grid_oracle(self):
         # closed-loop approach toward a slower leader; every step the filter
-        # output equals the max speed passing the worst-case one-step
-        # propagation, found by an independent monotone search
+        # output equals the max speed passing the one-step propagation, with
+        # this step's travel at the pre-step speeds and the leader's
+        # hardest braking credited after it, found by an independent
+        # monotone search
         cfg = CFG
         dt = cfg.dt
         v_l = 16.0
@@ -474,8 +499,9 @@ class TestFilterHss:
             hi = min(ego.params.v_cap, v_e + ego.params.a_max * dt)
             h_now = gap - cfg.tau * v_e
 
+            gap_next = gap + (v_l - v_e) * dt
+
             def ok(v_cmd):
-                gap_next = gap + (v_l_wc - v_cmd) * dt - cfg.lag_margin
                 if gap_next - cfg.tau * v_cmd < (1.0 - cfg.eta) * h_now - 1e-12:
                     return False
                 return brake_margin(gap_next, v_cmd, v_l_wc, -ego.params.a_min,
@@ -647,7 +673,7 @@ class TestFilterMass:
         top = 25.0 + ego.params.a_max * CFG.dt
         # two leaders at one gap have the same headway cap, a third a larger one
         first, twin, far = (make_vehicle(vid, 100.0 + ego.params.length + gap, 25.0)
-                            for vid, gap in ((1, 12.5), (2, 12.5), (3, 13.0)))
+                            for vid, gap in ((1, 12.5), (2, 12.5), (3, 12.8)))
         tops = []
         solve = shield.solve_qp
 
@@ -717,11 +743,13 @@ class TestJointSafeControl:
         monkeypatch.setattr(world_mod, "joint_safe_control", both_modes)
         cfg = RunConfig(scenario=ScenarioConfig(), shield=ShieldConfig(mode="mass"),
                         policy=PolicySpec(kind=kind))
-        for seed in range(4):
+        # under the heuristic the two modes' caps agree in most steps (63
+        # strictly faster commands on seeds 0-3), so it runs twice the seeds
+        for seed in range(4 if kind == "random" else 8):
             run_episode(cfg, seed)
         # both sides of each comparison occur: commands that mass raises, and
         # lane requests that hss grants as well as ones it denies
-        assert seen["steps"] > 400 and seen["faster"] > 100
+        assert seen["steps"] > 400 and seen["faster"] > 100, seen
         assert seen["requests"] > seen["hss_grants"] > 0
 
     @pytest.mark.parametrize("mode", ["hss", "mass"])
@@ -760,31 +788,44 @@ class TestJointSafeControl:
             assert outcomes[vid].v_cbf == 0.0
 
     def test_chain_brake_propagates_within_one_step(self):
-        # three-vehicle chain at the equilibrium headway; the front one brakes
+        # a chain slower to the front, each follower 1 cm inside the braking
+        # envelope after this step while its leader holds; when the front
+        # one brakes, the credits pass it back through both brake guards
         road = RoadNetwork()
-        v = 20.0
-        gap_eq = 0.5 * v + 0.3  # tau*v + lag_margin/eta
-        front = make_vehicle(2, 200.0, v, road=road)
-        mid = make_vehicle(1, 200.0 - 5.0 - gap_eq, v, road=road)
-        back = make_vehicle(0, mid.state.x - 5.0 - gap_eq, v, road=road)
+        cfg = CFG
+
+        def envelope_gap(v_f, v_l):
+            # the next gap whose brake_margin is 0, less this step's closing
+            return (-brake_margin(0.0, v_f, v_l, 5.0, cfg.tau, cfg.dt)
+                    - (v_l - v_f) * cfg.dt + 0.01)
+
+        front = make_vehicle(2, 300.0, 12.0, road=road)
+        mid = make_vehicle(1, 300.0 - 5.0 - envelope_gap(20.0, 12.0), 20.0, road=road)
+        back = make_vehicle(0, mid.state.x - 5.0 - envelope_gap(28.0, 20.0), 28.0, road=road)
         w = make_world([back, mid, front], road=road)
         topo = build_topology(w.vehicles, neighborhoods(w))
-        plans = {
-            2: MotionPlan(v_target=v - 2.0, target_lane=0),
-            1: MotionPlan(v_target=v, target_lane=0),
-            0: MotionPlan(v_target=v, target_lane=0),
-        }
-        outcomes = resolve(w, plans, topo)
-        # sequential hand computation in topology order
-        front_hand = resolved(front, v - 2.0, w.shield)
-        mid_hand = filtered(mid, [(front, front_hand.v_safe)], v, w.shield)
-        back_hand = filtered(back, [(mid, mid_hand.v_safe)], v, w.shield)
-        assert outcomes[2] == front_hand._replace(staged=front.state)
-        assert outcomes[1].v_safe == mid_hand.v_safe
-        assert outcomes[0].v_safe == back_hand.v_safe
-        assert outcomes[2].v_safe < v
-        assert outcomes[1].v_safe < v
-        assert outcomes[0].v_safe < v
+        assert topo.entries == {0: (1,), 1: (2,), 2: ()}
+        for front_plan in (12.0, 10.0):
+            plans = {
+                2: MotionPlan(v_target=front_plan, target_lane=0),
+                1: MotionPlan(v_target=20.0, target_lane=0),
+                0: MotionPlan(v_target=28.0, target_lane=0),
+            }
+            outcomes = resolve(w, plans, topo)
+            # sequential hand computation in topology order
+            front_hand = resolved(front, front_plan, w.shield)
+            mid_hand = filtered(mid, [(front, front_hand.v_safe)], 20.0, w.shield)
+            back_hand = filtered(back, [(mid, mid_hand.v_safe)], 28.0, w.shield)
+            assert outcomes[2] == front_hand._replace(staged=front.state)
+            assert outcomes[1].v_safe == mid_hand.v_safe
+            assert outcomes[0].v_safe == back_hand.v_safe
+            speeds = [outcomes[vid].v_safe for vid in (2, 1, 0)]
+            if front_plan == 12.0:
+                assert speeds == [12.0, 20.0, 28.0]
+            else:
+                assert all(v < held for v, held in zip(speeds, (12.0, 20.0, 28.0)))
+                assert outcomes[1].active_constraints == ("brake:2",)
+                assert outcomes[0].active_constraints == ("brake:1",)
 
     def test_hss_keeps_the_leader_a_cut_in_displaced(self):
         # a merger cuts in between the ego and a slow own-lane leader; the
@@ -806,6 +847,63 @@ class TestJointSafeControl:
         assert outs["hss"].active_constraints == ("brake:2",)
         assert not any(label.endswith(":2") for label in outs["mass"].active_constraints)
         assert outs["hss"].v_safe < outs["mass"].v_safe
+
+
+def shielded_episodes(mode, policy, seeds, **overrides):
+    """``(record, summary)`` of each of ``seeds`` under ``mode`` and
+    ``policy``, with the run config's defaults unless overridden."""
+    from mergeshield.config import RunConfig
+    from mergeshield.episode import run_episode
+    from mergeshield.policy import PolicySpec
+
+    cfg = RunConfig(shield=ShieldConfig(mode=mode), policy=PolicySpec(kind=policy), **overrides)
+    return [run_episode(cfg, seed) for seed in seeds]
+
+
+class TestShieldedEpisodes:
+    def test_heuristic_episodes_never_fault(self):
+        # with the next gap predicted by the integrator's own step, the
+        # heuristic's requests never leave the shield without a command
+        runs = [run for mode in ("hss", "mass")
+                for run in shielded_episodes(mode, "heuristic", range(10))]
+        runs += shielded_episodes("mass", "heuristic", [0], allow_offrange=True,
+                                  scenario=ScenarioConfig(n_vehicles=40),
+                                  road=RoadNetwork(merge_start=2000.0))
+        for record, summary in runs:
+            assert summary.collisions == 0, (summary.shield_mode, summary.seed)
+            faults = [(step.step, row.vid) for step in record.steps for row in step.vehicles
+                      if row.fault]
+            assert faults == [], (summary.shield_mode, summary.seed)
+
+    @pytest.mark.parametrize("policy", ["random", "heuristic"])
+    @pytest.mark.parametrize("mode", ["hss", "mass"])
+    def test_braking_envelope_holds_after_every_step_that_did_not_fault(self, mode, policy):
+        # every topology edge F -> P of a step whose follower F did not
+        # fault ends the step inside the braking envelope, P credited a
+        # standstill once wrecked.  The tolerance is the float error of the
+        # caps (ROADMAP item 8), under 1e-13 on these seeds: no margin pads
+        # the caps, so many edges end the step on the envelope itself
+        runs = shielded_episodes(mode, policy, range(5))
+        vehicle = VehicleParams()
+        tau, dt, brake = ScenarioConfig().tau, ScenarioConfig().dt, -vehicle.a_min
+        half = 0.5 * vehicle.length
+        edges = on_envelope = 0
+        for record, _ in runs:
+            for step in record.steps:
+                rows = {row.vid: row for row in step.vehicles}
+                for vid, parents in step.topology.items():
+                    follower = rows[vid]
+                    if follower.fault:
+                        continue
+                    for pid in parents:
+                        leader = rows[pid]
+                        gap = (leader.x - half) - (follower.x + half)
+                        v_lead = 0.0 if leader.crashed else leader.speed
+                        margin = brake_margin(gap, follower.speed, v_lead, brake, tau, dt)
+                        assert margin >= -1e-9, (record.seed, step.step, vid, pid, margin)
+                        edges += 1
+                        on_envelope += margin < 1e-6
+        assert edges > 5000 and on_envelope > 20
 
 
 def exact(outcomes):
@@ -879,7 +977,7 @@ def snapshots(draw):
     # a low eta makes the headway cap bind more often than the brake guard
     w = make_world(vehicles, road=road, scenario=ScenarioConfig(tau=draw(st.floats(0.2, 1.5))),
                    shield_mode=draw(st.sampled_from(["hss", "mass", "none"])),
-                   eta=draw(st.floats(0.05, 1.0)), lag_margin=draw(st.floats(0.0, 0.5)))
+                   eta=draw(st.floats(0.05, 1.0)))
     return w, plans
 
 
@@ -939,6 +1037,10 @@ class TestReferencePass:
         ego, leader = place_pair(20.0, 25.0, 25.0)
         w = make_world([ego, leader])
         plans = {v.vid: MotionPlan(v_target=25.0, target_lane=0) for v in w.vehicles}
-        monkeypatch.setattr(shield, "credited_speed", lambda vehicle, resolved, dt: math.nan)
-        monkeypatch.setattr(shield_oracle, "credited_speed", lambda vehicle, resolved, dt: math.nan)
+
+        def nan_leader(state, y, changing, dt):
+            return state._replace(v_x=math.nan) if state is leader.state else state
+
+        monkeypatch.setattr(shield, "maneuver", nan_leader)
+        monkeypatch.setattr(shield_oracle, "maneuver", nan_leader)
         assert reference_agrees(w, plans) is None

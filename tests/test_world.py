@@ -762,8 +762,10 @@ class TestStepWorld:
             h_now = gap - cfg.tau * v_e
             lo = max(0.0, v_e + follower.params.a_min * dt)
             hi = min(follower.params.v_cap, v_e + follower.params.a_max * dt)
+            # this step moves both vehicles by their pre-step velocities
+            gap_next = gap + (pre_leader.v_x - pre_follower.v_x) * dt
+
             def safe_at(v_cmd):
-                gap_next = gap + (leader_cmd - v_cmd) * dt - cfg.lag_margin
                 ok_barrier = gap_next - cfg.tau * v_cmd >= (1.0 - cfg.eta) * h_now - 1e-12
                 ok_brake = brake_margin(gap_next, v_cmd, leader_cmd, -follower.params.a_min,
                                         cfg.tau, dt) >= -1e-12
