@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from mergeshield.dynamics import FLOAT_MAGNITUDES, VehicleParams, check_floats
+from mergeshield.dynamics import FLOAT_RULE, VehicleParams, check_floats, obeys_float_rule
 from mergeshield.policy import PolicySpec
 from mergeshield.reward import RewardWeights
 from mergeshield.road import RoadNetwork
@@ -48,6 +48,11 @@ class RunConfig:
 
     def __post_init__(self):
         check_floats(self)
+        # errors name the field's path under the run config, as YAML reports it
+        if self.episodes < 1:
+            raise ValueError("episodes: must be >= 1")
+        if not self.headway_violation_threshold > 0:
+            raise ValueError("headway_violation_threshold: must be positive")
         top, v_cap = self.scenario.initial_speed_range[1], self.vehicle.v_cap
         if top > v_cap:
             raise ValueError(f"scenario.initial_speed_range: top speed {top} "
@@ -98,17 +103,14 @@ _DERIVED = {
 }
 
 
-_FLOAT_RULE = "a finite float, 0 or of magnitude {:g} to {:g}".format(*FLOAT_MAGNITUDES)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_a(value, kind) -> bool:
     """YAML typing of a config value against its field annotation: a bool
-    is no number, a float is a number (an int too) that is 0 or of a
-    magnitude in :data:`FLOAT_MAGNITUDES`, ``X | None`` takes an X or
+    is no number, a float is a number (an int too) that obeys the float
+    rule of :func:`check_floats`, ``X | None`` takes an X or
     null and a ``tuple`` is a pair of floats."""
     if get_origin(kind) is UnionType:
         return any(_is_a(value, k) for k in get_args(kind))
@@ -116,8 +118,7 @@ def _is_a(value, kind) -> bool:
         return (isinstance(value, (list, tuple)) and len(value) == 2
                 and all(_is_a(v, float) for v in value))
     if kind is float:
-        lo, hi = FLOAT_MAGNITUDES
-        return _is_number(value) and (value == 0 or lo <= abs(value) <= hi)
+        return _is_number(value) and obeys_float_rule(value)
     if isinstance(value, bool) and kind is not bool:
         return False
     return isinstance(value, kind)
@@ -130,8 +131,8 @@ def _type_name(kind, value) -> str:
         return " or ".join(_type_name(k, value) for k in get_args(kind) if k is not type(None))
     if kind is tuple:
         numbers = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
-        return f"a pair of numbers, each {_FLOAT_RULE}" if numbers else "a pair of numbers"
-    return _FLOAT_RULE if kind is float and _is_number(value) else kind.__name__
+        return f"a pair of numbers, each {FLOAT_RULE}" if numbers else "a pair of numbers"
+    return FLOAT_RULE if kind is float and _is_number(value) else kind.__name__
 
 
 def _section_values(name, cls, data, report) -> dict:
@@ -183,14 +184,18 @@ def _parse(data, report) -> RunConfig | None:
         except (TypeError, ValueError) as exc:
             report.errors.append(f"{name}: {exc}")
 
-    # run is checked on default sections, which pass the rule across them
-    cfg = RunConfig(**_section_values("run", RunConfig, data, report))
-    if cfg.episodes < 1:
-        report.errors.append("run.episodes: must be >= 1")
-    if not cfg.headway_violation_threshold > 0:
-        report.errors.append("run.headway_violation_threshold: must be positive")
+    # each run option is checked alone, on default sections, so that every
+    # bad one is reported; the rule across sections is checked last
+    run = {}
+    for key, value in _section_values("run", RunConfig, data, report).items():
+        try:
+            RunConfig(**{key: value})
+        except ValueError as exc:
+            report.errors.append(f"run.{exc}")
+            continue
+        run[key] = value
     try:
-        cfg = replace(cfg, **parts)
+        cfg = RunConfig(**run, **parts)
     except ValueError as exc:  # the spawn speeds against the speed cap
         report.errors.append(str(exc))
     return None if report.errors else cfg.resolved()

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-__all__ = ["VehicleParams", "VehicleState", "check_floats", "check_magnitude", "maneuver",
+__all__ = ["VehicleParams", "VehicleState", "check_floats", "obeys_float_rule", "maneuver",
            "step"]
 
 #: lateral speed of a lane-change maneuver [m/s]
@@ -35,27 +35,27 @@ RECENTER_LATERAL_SPEED = 0.5
 #: and squares them, which a NaN, an infinity or a magnitude far outside
 #: this range carries out of the float range.
 FLOAT_MAGNITUDES = (1e-9, 1e9)
+#: the float rule, worded as every error that applies it says it
+FLOAT_RULE = "a finite float, 0 or of magnitude {:g} to {:g}".format(*FLOAT_MAGNITUDES)
 
 
-def check_magnitude(name: str, value: float) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and
-    of a magnitude in :data:`FLOAT_MAGNITUDES`."""
+def obeys_float_rule(value) -> bool:
+    """True iff the number ``value`` is 0 or of a magnitude in
+    :data:`FLOAT_MAGNITUDES`, which no infinity or NaN is."""
     lo, hi = FLOAT_MAGNITUDES
-    if not lo <= abs(value) <= hi:
-        raise ValueError(f"{name} must be a finite float of magnitude {lo:g} to {hi:g}, "
-                         f"got {value!r}")
+    return value == 0 or lo <= abs(value) <= hi
 
 
 def check_floats(config, positive: tuple = ()) -> None:
     """Raise ``ValueError`` naming the first float or float-pair field of
-    the dataclass ``config`` that holds an infinity or a NaN, which YAML
-    input may not hold either, then the first field named in ``positive``
-    that is not above 0."""
+    the dataclass ``config`` that breaks the float rule, as YAML input may
+    not either, then the first field named in ``positive`` that is not
+    above 0."""
     for f in fields(config):
         value = getattr(config, f.name)
         values = value if f.type == "tuple" else (value,) if f.type == "float" else ()
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if not all(map(obeys_float_rule, values)):
+            raise ValueError(f"{f.name} must be {FLOAT_RULE}, got {value!r}")
     for name in positive:
         if not getattr(config, name) > 0:
             raise ValueError(f"{name} must be positive, got {getattr(config, name)}")
@@ -78,8 +78,6 @@ class VehicleParams:
         check_floats(self, ("length", "width", "v_cap"))
         if not (self.a_min < 0 < self.a_max):
             raise ValueError(f"need a_min < 0 < a_max, got [{self.a_min}, {self.a_max}]")
-        check_magnitude("a_min", self.a_min)
-        check_magnitude("a_max", self.a_max)
 
 
 class _StateFields(NamedTuple):

@@ -25,12 +25,13 @@ it takes
   (fast follower, slow leader), so the guard keeps the system inside the
   set where the barrier stays feasible,
 * a soft rear floor toward the adjacent rear vehicle during an ongoing lane
-  change, relaxed by the slack.
+  change.
 
 The caps lower the top of the ego's reach box to their minimum, the first
-of a tie labelling it.  The QP minimises ``(v - v_nominal)^2 + k_eps *
-slack`` inside that box in closed form (:func:`solve_qp`); caps below the
-box raise a fault that falls back to full braking.
+of a tie labelling it.  :func:`solve_qp` then takes the command nearest the
+nominal in that box, above the soft floor whenever the box reaches it, and
+at the box top with the shortfall recorded as slack when it does not; caps
+below the box raise a fault that falls back to full braking.
 
 :func:`joint_safe_control` reads no world: ``step_world`` hands it the
 config, the topology, the plans, each live vehicle's neighbourhood, the
@@ -43,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from mergeshield.dynamics import VehicleState, check_floats, check_magnitude, maneuver
+from mergeshield.dynamics import VehicleState, check_floats, maneuver
 from mergeshield.topology import InteractionTopology, evaluation_order
 
 if TYPE_CHECKING:
@@ -92,22 +93,21 @@ class ShieldConfig:
     passes every plan through.  Reach boxes use each vehicle's own
     acceleration limits, and the lateral rows the same headway ``tau`` as
     the longitudinal ones.  No margin pads the caps: they predict the next
-    gap with the integrator's own step.
+    gap with the integrator's own step, and no weight prices the soft
+    floor's slack: :func:`solve_qp` keeps the floor whenever the box allows.
     """
 
     mode: str = "mass"
     tau: float = 0.5
     eta: float = 0.5
-    k_eps: float = 1e6
     dt: float = 0.1
 
     def __post_init__(self):
-        check_floats(self, ("tau", "k_eps", "dt"))
+        check_floats(self, ("tau", "dt"))
         if self.mode not in ("none", "hss", "mass"):
             raise ValueError(f"shield mode must be none, hss or mass, got {self.mode!r}")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must lie in (0, 1]")
-        check_magnitude("dt", self.dt)
 
 
 class ShieldOutcome(NamedTuple):
@@ -129,13 +129,13 @@ class ShieldOutcome(NamedTuple):
 
 
 class QPSolution(NamedTuple):
-    """The filtered command, the slack it uses, the labels of the bounds
-    that bind there and the objective value."""
+    """The filtered command, the soft floor's shortfall there (0 unless
+    the box top lies below the floor) and the labels of the bounds that
+    bind there."""
 
     v_safe: float
     slack: float
     active: tuple
-    objective: float
 
 
 def bumper_gap(follower, leader) -> float:
@@ -277,7 +277,8 @@ def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> Row:
 
     ``h = gap - tau * v_ar`` with ``v_ar`` the top of the rear vehicle's
     :func:`reach` box, propagated one step.  It is soft so a squeezed
-    lane-changer yields through the slack rather than faulting.
+    lane-changer whose box top lies below the floor takes that top and
+    records the shortfall as slack rather than faulting.
     """
     dt = config.dt
     v_ar = reach(c_oar, dt)[1]
@@ -336,29 +337,23 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
 FEAS_TOL = 1e-9
 
 
-def _clamp(v, lo, hi, lo_label, hi_label, active=()):
-    """``v`` clamped into ``[lo, hi]``, with the label of a bound it hit."""
-    if v > hi:
-        return hi, (hi_label,) + active
-    if v < lo:
-        return lo, (lo_label,) + active
-    return v, active
-
-
-def solve_qp(v_nominal: float, rows, k_eps: float, lo: float, hi: float,
+def solve_qp(v_nominal: float, rows, lo: float, hi: float,
              hi_label: str = "reach_hi") -> QPSolution:
-    """Minimise ``(v - v_nominal)^2 + k_eps * slack`` over one speed command
-    in the box ``[lo, hi]``: the :func:`reach` box with its top lowered by
-    the caps, its bounds labelled ``reach_lo`` and ``hi_label``.
+    """The speed command nearest ``v_nominal`` in the box ``[lo, hi]``:
+    the :func:`reach` box with its top lowered by the caps, its bounds
+    labelled ``reach_lo`` and ``hi_label``.
 
     ``rows`` holds at most the one soft floor, a finite :class:`Row`
-    ``a * v - slack <= q`` with ``a < 0`` whose floor ``q / a`` the slack
-    relaxes at ``k_eps`` per unit; any other row raises ``ValueError``.
-    Without it the optimum is the nominal clamped into the box.  With it,
-    the objective is convex and piecewise quadratic in ``v`` with its kink
-    at the floor, so the optimum is the cheaper of the nominal clamped
-    into the box above the floor (no slack) and the floor's stationary
-    point ``v_nominal - k_eps * a / 2`` clamped into the box.
+    ``a * v - slack <= q`` with ``a < 0``; any other row raises
+    ``ValueError``.  Its floor ``F = q / a`` holds whenever the box allows
+    it: at or below the top, the command is the nominal clamped into
+    ``[max(lo, F), hi]`` with no slack; above it, the command is the top
+    and the slack ``a * hi - q`` records the shortfall.  This is the
+    optimum of ``(v - v_nominal)^2 + k * slack`` for every weight ``k``
+    whose slack stationary point ``v_nominal - k * a / 2`` clears the box
+    top.  The shield's floor has ``-a = cos(psi) * dt >= 0.71 * dt``, a
+    lateral speed being at most 0.7 times the speed, so a weight that
+    keeps the floor at all puts that point far above every box.
 
     ``active`` names the bounds that bind at the chosen point.  Raises
     :class:`ShieldFault` when ``lo > hi + FEAS_TOL``; a box empty by less
@@ -376,19 +371,13 @@ def solve_qp(v_nominal: float, rows, k_eps: float, lo: float, hi: float,
     floor, floor_label = lo, "reach_lo"
     if soft is not None and soft.q / soft.a > lo:
         floor, floor_label = soft.q / soft.a, soft.label
-    free = None
-    if floor <= hi:
-        v, active = _clamp(v_nominal, floor, hi, floor_label, hi_label)
-        free = QPSolution(v, 0.0, active, (v - v_nominal) ** 2)
-    if soft is None:
-        return free
-    v, active = _clamp(v_nominal - 0.5 * k_eps * soft.a, lo, hi, "reach_lo", hi_label,
-                       (soft.label,))
-    slack = max(0.0, soft.a * v - soft.q)
-    objective = (v - v_nominal) ** 2 + k_eps * slack
-    if free is not None and free.objective <= objective:
-        return free
-    return QPSolution(v, slack, active, objective)
+    if floor > hi:
+        return QPSolution(hi, max(0.0, soft.a * hi - soft.q), (hi_label, floor_label))
+    if v_nominal > hi:
+        return QPSolution(hi, 0.0, (hi_label,))
+    if v_nominal < floor:
+        return QPSolution(floor, 0.0, (floor_label,))
+    return QPSolution(v_nominal, 0.0, ())
 
 
 def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
@@ -469,7 +458,7 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
         if vehicle.target_lane != vehicle.lane and c_oar is not None:
             floors = (lateral_rear_row(vehicle, c_oar, config),)
         try:
-            sol = solve_qp(v_nominal, floors, config.k_eps, lo, cap, label)
+            sol = solve_qp(v_nominal, floors, lo, cap, label)
         except ShieldFault:
             outcomes[vid] = ShieldOutcome(v_nominal, lo, lo - v_nominal, allowed, 0.0,
                                           ("fault",), True, staged)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from mergeshield import topology as _topology
-from mergeshield.dynamics import VehicleParams, VehicleState, check_floats, check_magnitude, step
+from mergeshield.dynamics import VehicleParams, VehicleState, check_floats, step
 from mergeshield.road import RoadNetwork
 from mergeshield.shield import ShieldConfig, brake_cap, joint_safe_control
 
@@ -108,7 +108,6 @@ class ScenarioConfig:
                              f"got {self.n_ramp}")
         if self.perception_n < 0:
             raise ValueError("perception_n must be >= 0")
-        check_magnitude("dt", self.dt)
         if self.episode_steps < 1:
             raise ValueError("episode_steps must be >= 1")
         lo, hi = self.initial_speed_range

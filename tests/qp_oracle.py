@@ -2,7 +2,9 @@
 
 The shield's QP has one speed command ``v`` and one slack: minimise
 ``(v - v_nom)^2 + k_eps * slack`` over a box, speed caps and at most one
-soft floor.
+soft floor.  ``shield.solve_qp`` solves it for a weight large enough that
+the floor holds whenever the box allows; the oracles take the weight as
+an argument.
 
 * A grid oracle evaluates that objective pointwise: at a point v the
   optimal slack is the largest soft-row violation, or 0.  The search runs
@@ -199,43 +201,60 @@ def scan_cap(gap, v_hi, v_lead, brake, tau, dt):
     return max(cap, 0.0)
 
 
-def check_scalar_instance(v_nom, caps, floors, k_eps, lo, hi, tol_obj=1e-6):
+#: the slack weight the oracles price the soft floor at.  Every drawn floor
+#: has ``|a| >= 0.01``, so the slack's stationary point
+#: ``v_nom - K_EPS * a / 2`` lies thousands above every box: there the
+#: weighted QP's optimum is the shield's rule, the floor whenever the box
+#: reaches it and else the box top
+K_EPS = 1e6
+
+
+def check_scalar_instance(v_nom, caps, floors, lo, hi, tol_obj=1e-6):
     """Verify ``shield.solve_qp`` on one instance of caps ``(a, q, label)``
     and soft floors in the box ``[lo, hi]``; returns the solution, or None
     for a consistently infeasible instance.
 
     The solver gets the caps as the shield hands them over, folded into
     the box top ``min(q / a)``; the grid and the enumerator get them as
-    hard rows.  The solver's point keeps the hard rows, and its objective
-    recomputed independently matches the reported one.  The dense grid
-    plus boundary candidates pins the optimum, so the objectives must
-    agree within ``tol_obj`` both ways, and with the enumerator's
-    objective at the enumerator's point within 1e-9 relative.
+    hard rows and price the slack at :data:`K_EPS`.  The solver's point
+    keeps the hard rows and follows the floor rule: with a floor above the
+    (pinned) box top it is that top, with the floor's shortfall as slack,
+    and otherwise the nominal clamped into the box above the floor, with
+    no slack.  The dense grid plus boundary candidates pins the optimum,
+    so the objective at the solver's point must agree with the grid's
+    within ``tol_obj`` both ways, and with the enumerator's objective at
+    the enumerator's point within 1e-9 relative.
     """
     from mergeshield.shield import ShieldFault, solve_qp
 
     affine = affine_rows(caps, floors, lo, hi)
     hard, soft = _split_rows(affine)
-    oracle_obj, _ = grid_search_min(v_nom, affine, k_eps)
+    oracle_obj, _ = grid_search_min(v_nom, affine, K_EPS)
     top, top_label = hi, "reach_hi"
     for a, q, label in caps:
         if q / a < top:
             top, top_label = q / a, label
     try:
-        sol = solve_qp(v_nom, floors, k_eps, lo, top, top_label)
+        sol = solve_qp(v_nom, floors, lo, top, top_label)
     except ShieldFault:
         assert not np.isfinite(oracle_obj), "solver infeasible but oracle found a point"
         return None
     assert np.isfinite(oracle_obj), "oracle infeasible but solver returned a point"
-    recomputed = oracle_objective_at([sol.v_safe], v_nom, hard, soft, k_eps)[0]
-    assert np.isfinite(recomputed), "solver point violates hard rows"
-    assert abs(recomputed - sol.objective) <= 1e-7 * (1.0 + abs(sol.objective))
-    scale = 1.0 + abs(sol.objective)
-    assert sol.objective <= oracle_obj + tol_obj * scale
-    assert oracle_obj <= sol.objective + tol_obj * scale
+    top = max(top, lo)
+    floor = max([lo] + [r.q / r.a for r in floors])
+    if floor > top:
+        (row,) = floors
+        assert (sol.v_safe, sol.slack) == (top, max(0.0, row.a * top - row.q))
+    else:
+        assert (sol.v_safe, sol.slack) == (min(max(v_nom, floor), top), 0.0)
+    objective = oracle_objective_at([sol.v_safe], v_nom, hard, soft, K_EPS)[0]
+    assert np.isfinite(objective), "solver point violates hard rows"
+    scale = 1.0 + abs(objective)
+    assert objective <= oracle_obj + tol_obj * scale
+    assert oracle_obj <= objective + tol_obj * scale
     # compare true objectives at both points: the enumerator's point may sit
     # about 1e-12 off the scalar solver's
-    enumerated = enumerate_qp(v_nom, affine, k_eps)
-    at_enumerated = oracle_objective_at([enumerated.v_safe], v_nom, hard, soft, k_eps)[0]
-    assert abs(at_enumerated - sol.objective) <= 1e-9 * scale
+    enumerated = enumerate_qp(v_nom, affine, K_EPS)
+    at_enumerated = oracle_objective_at([enumerated.v_safe], v_nom, hard, soft, K_EPS)[0]
+    assert abs(at_enumerated - objective) <= 1e-9 * scale
     return sol

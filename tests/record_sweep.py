@@ -1,14 +1,16 @@
-"""Byte-identity sweep: one sha256 per whole episode record, with the
-episode's shield faults, collisions and min headway beside it.
+"""Byte-identity sweep: three sha256 per episode record, with the
+episode's shield faults, collisions and min headway beside them.
 
-Prints one line ``mode policy n seed sha256 faults collisions
-min_headway`` per episode of the grid {none, hss, mass} x {random,
+Prints one line ``mode policy n seed header steps summary faults
+collisions min_headway`` per episode of the grid {none, hss, mass} x {random,
 heuristic} x n in {9, 11} x seeds 0-9 (150-step episodes, default road),
 then the dense case (40 vehicles, merge section at 2000 m, ``mass``
 shield, heuristic policy) on seeds 0-1.  It ends with one ``total`` line
 per (mode, policy) and one for the dense case: summed faults and
-collisions, and the smallest min headway.  Each digest covers every line
-``records.episode_lines`` writes: header, steps and summary.  Uses only
+collisions, and the smallest min headway.  The three digests cover the
+lines ``records.episode_lines`` writes, split as ``test_golden.digests``
+splits them: the header line, the step lines and the summary line.  A
+change to the config echo alone moves only the header column.  Uses only
 the public config and episode API, so it runs unchanged against any
 checkout's ``src``.
 
@@ -20,6 +22,14 @@ moved::
     python3 tests/record_sweep.py --src /path/to/parent/src > before.txt
     python3 tests/record_sweep.py > after.txt
     diff before.txt after.txt
+
+The number of records whose header, steps or summary moved, block by
+block (columns 5-7 of a line; a ``before.txt`` line has 10 columns)::
+
+    paste -d ' ' before.txt after.txt | awk '$1 != "total" {
+        n++; for (i = 5; i <= 7; i++) moved[i] += ($i != $(i + 10)) }
+      END { printf "records changed of %d, by block: header %d, steps %d, summary %d\\n",
+                   n, moved[5], moved[6], moved[7] }'
 
 Records are the same bytes on every supported Python (3.10 on), so the
 output does not depend on the interpreter either.  To check that, run the
@@ -57,8 +67,8 @@ def cases():
 
 
 def episode_line(mode: str, policy: str, n: int, seed: int, merge_start) -> tuple:
-    """The record's sha256 and the episode's fault count, collision count
-    and min headway."""
+    """The sha256 of the record's header, step and summary lines, and the
+    episode's fault count, collision count and min headway."""
     from mergeshield.config import RunConfig
     from mergeshield.episode import run_episode
     from mergeshield.policy import PolicySpec
@@ -75,9 +85,11 @@ def episode_line(mode: str, policy: str, n: int, seed: int, merge_start) -> tupl
         allow_offrange=n > 11,
     )
     record, summary = run_episode(cfg, seed)
-    digest = hashlib.sha256(("\n".join(episode_lines(record)) + "\n").encode()).hexdigest()
+    lines = episode_lines(record)
+    digests = tuple(hashlib.sha256(("\n".join(block) + "\n").encode()).hexdigest()
+                    for block in (lines[:1], lines[1:-1], lines[-1:]))
     faults = sum(bool(row.fault) for step in record.steps for row in step.vehicles)
-    return digest, faults, summary.collisions, summary.min_headway
+    return digests, faults, summary.collisions, summary.min_headway
 
 
 def main(argv=None) -> int:
@@ -90,8 +102,8 @@ def main(argv=None) -> int:
     print(f"mergeshield from {Path(mergeshield.__file__).parent}", file=sys.stderr)
     totals: dict = {}
     for mode, policy, n, seed, merge_start in cases():
-        digest, faults, collisions, headway = episode_line(mode, policy, n, seed, merge_start)
-        print(mode, policy, n, seed, digest, faults, collisions, f"{headway:.4f}", flush=True)
+        digests, faults, collisions, headway = episode_line(mode, policy, n, seed, merge_start)
+        print(mode, policy, n, seed, *digests, faults, collisions, f"{headway:.4f}", flush=True)
         key = (mode, policy, "dense" if merge_start is not None else "")
         f, c, h = totals.get(key, (0, 0, headway))
         totals[key] = (f + faults, c + collisions, min(h, headway))

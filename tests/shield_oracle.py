@@ -97,7 +97,7 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float, config: ShieldCo
     if ego.target_lane != ego.lane and c_oar is not None:
         floors = (lateral_rear_row(ego, c_oar, config),)
     try:
-        sol = solve_qp(v_nom_step, floors, config.k_eps, lo, cap, label)
+        sol = solve_qp(v_nom_step, floors, lo, cap, label)
     except ShieldFault:
         return ShieldOutcome(v_nom_step, lo, lo - v_nom_step, lane_change_allowed, 0.0,
                              ("fault",), True, staged)

@@ -101,6 +101,7 @@ def test_echo_covers_every_config_field():
     ("shield", "wc_accel"),
     ("shield", "tau_lat"),
     ("shield", "lag_margin"),
+    ("shield", "k_eps"),
 ])
 def test_removed_key_is_unknown(tmp_path, section, key):
     errors = _errors(tmp_path, f"{section}:\n  {key}: -3.0\n")
@@ -310,7 +311,7 @@ FLOAT_RULE = "a finite float, 0 or of magnitude 1e-09 to 1e+09"
     ("scenario: {comm_range: .inf}", "scenario.comm_range"),
     ("scenario: {dt: .inf}", "scenario.dt"),
     ("vehicle: {v_cap: .inf}", "vehicle.v_cap"),
-    ("shield: {k_eps: .inf}", "shield.k_eps"),
+    ("shield: {eta: .inf}", "shield.eta"),
     ("shield: {eta: .nan}", "shield.eta"),
     ("reward: {v_max: .inf}", "reward.v_max"),
     ("run: {headway_violation_threshold: -.inf}", "run.headway_violation_threshold"),
@@ -332,10 +333,14 @@ def test_speed_range_with_an_infinity_is_reported(tmp_path):
 
 
 def test_zero_and_floats_at_the_magnitude_limits_pass(tmp_path):
+    # loading builds each section's dataclass, so the rule in code passes
+    # these limits too
     path = tmp_path / "run.yaml"
-    path.write_text("road: {merge_start: 0}\nscenario: {dt: 1.0e-9}\nvehicle: {v_cap: 1.0e+9}\n")
+    path.write_text("road: {merge_start: 0}\nscenario: {dt: 1.0e-9, comm_range: 1.0e+9}\n"
+                    "vehicle: {v_cap: 1.0e+9, length: 1.0e-9}\n")
     cfg = load_config(path)
-    assert (cfg.road.merge_start, cfg.scenario.dt, cfg.vehicle.v_cap) == (0, 1e-9, 1e9)
+    assert (cfg.road.merge_start, cfg.scenario.dt, cfg.scenario.comm_range, cfg.vehicle.v_cap,
+            cfg.vehicle.length) == (0, 1e-9, 1e9, 1e9, 1e-9)
 
 
 @pytest.mark.parametrize("cls, key, value", [
@@ -347,7 +352,7 @@ def test_zero_and_floats_at_the_magnitude_limits_pass(tmp_path):
     (VehicleParams, "a_min", -math.inf),
     (VehicleParams, "a_max", 1e-10),
     (VehicleParams, "a_max", math.nan),
-    (ShieldConfig, "k_eps", math.inf),
+    (ShieldConfig, "eta", math.inf),
     (ShieldConfig, "tau", math.inf),
     (ScenarioConfig, "tau", math.inf),
     (ScenarioConfig, "spawn_spacing_min", math.nan),
@@ -357,12 +362,20 @@ def test_zero_and_floats_at_the_magnitude_limits_pass(tmp_path):
     (VehicleParams, "v_cap", math.inf),
     (RewardWeights, "w_s", math.nan),
     (RunConfig, "headway_violation_threshold", math.nan),
+    (ScenarioConfig, "comm_range", 1e12),
+    (VehicleParams, "length", 1e-12),
+    (RoadNetwork, "merge_start", -2e9),
+    (RewardWeights, "w_h", 1e-10),
+    (RunConfig, "headway_violation_threshold", 1e10),
+    pytest.param(ScenarioConfig, "initial_speed_range", (1e-12, 20.0),
+                 id="ScenarioConfig-initial_speed_range-tiny"),
 ])
 def test_dataclass_built_in_code_applies_the_float_rule(cls, key, value):
     # YAML rejects these; built in code, tau = inf used to overflow in
     # spawn, a NaN spacing put every vehicle at NaN x and a NaN weight
-    # failed only when the record was written
-    with pytest.raises(ValueError, match=key):
+    # failed only when the record was written.  Every float field obeys
+    # the one rule, magnitudes included
+    with pytest.raises(ValueError, match=f"^{key} must be {re.escape(FLOAT_RULE)}, got"):
         cls(**{key: value})
 
 
@@ -373,16 +386,16 @@ def test_every_float_field_built_in_code_must_be_finite(cls, value):
     floats = [f.name for f in fields(cls) if get_type_hints(cls)[f.name] is float]
     assert floats
     for key in floats:
-        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        with pytest.raises(ValueError, match=f"^{key} must be {re.escape(FLOAT_RULE)}"):
             cls(**{key: value})
 
 
 def test_float_rule_repros_fail_before_the_shield():
     # both used to crash inside the shield: ZeroDivisionError in
     # brake_margin and OverflowError in brake_cap
-    with pytest.raises(ValueError, match="dt must be a finite float of magnitude"):
+    with pytest.raises(ValueError, match=f"^dt must be {re.escape(FLOAT_RULE)}"):
         run_episode(RunConfig(scenario=ScenarioConfig(dt=1e-300, episode_steps=3)), 0)
-    with pytest.raises(ValueError, match="a_min must be a finite float of magnitude"):
+    with pytest.raises(ValueError, match=f"^a_min must be {re.escape(FLOAT_RULE)}"):
         run_episode(RunConfig(vehicle=VehicleParams(a_min=-1e-300),
                               scenario=ScenarioConfig(episode_steps=3)), 0)
 
@@ -412,6 +425,21 @@ def test_episode_runs_at_the_magnitude_limits(dt, accel, mode):
 ])
 def test_every_failing_section_is_reported(tmp_path, text, errors):
     assert _errors(tmp_path, text) == errors
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("episodes", 0, "must be >= 1"),
+    ("episodes", -2, "must be >= 1"),
+    ("headway_violation_threshold", 0.0, "must be positive"),
+    ("headway_violation_threshold", -1.0, "must be positive"),
+])
+def test_run_options_are_checked_in_code_as_in_yaml(tmp_path, key, value, message):
+    # a run config built in code used to take a batch of no episodes and
+    # a threshold no headway can fall below; YAML reports the same error
+    # under its run path
+    with pytest.raises(ValueError, match=f"^{key}: {message}$"):
+        RunConfig(**{key: value})
+    assert _errors(tmp_path, f"run:\n  {key}: {value}\n") == [f"run.{key}: {message}"]
 
 
 @pytest.mark.parametrize("top, v_cap, ok", [(60.0, 40.0, False), (40.0, 40.0, True),

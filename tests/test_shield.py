@@ -90,9 +90,9 @@ def headway_cap(ego, leader, v_next, cfg=CFG):
 
     tops = []
 
-    def recording_solve(v_nominal, rows, k_eps, lo, hi, hi_label):
+    def recording_solve(v_nominal, rows, lo, hi, hi_label):
         tops.append((hi, hi_label))
-        return solve_qp(v_nominal, rows, k_eps, lo, hi, hi_label)
+        return solve_qp(v_nominal, rows, lo, hi, hi_label)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shield, "brake_guard", lambda *args: None)
@@ -357,7 +357,6 @@ def random_scalar_instance(rng, v_cap=40.0):
     speed caps ``(a, q, label)`` meaning ``a * v <= q`` and at most one soft
     floor, each bound near the box."""
     v_nom = float(rng.uniform(0.0, v_cap))
-    k_eps = float(rng.choice([5.0, 50.0, 1000.0, 1e6]))
     lo = max(0.0, v_nom - float(rng.uniform(-1.0, 6.0)))
     if rng.random() < 0.8:
         hi = min(v_cap, lo + float(rng.uniform(0.0, 8.0)))
@@ -371,38 +370,31 @@ def random_scalar_instance(rng, v_cap=40.0):
     if rng.random() < 0.6:
         a = -float(rng.uniform(0.01, 1.0))
         floors.append(Row(a, a * float(rng.uniform(lo - 4.0, hi + 4.0)), "floor"))
-    return v_nom, caps, floors, k_eps, lo, hi
+    return v_nom, caps, floors, lo, hi
 
 
 class TestSolveQP:
     def test_unconstrained_returns_nominal(self):
-        sol = solve_qp(25.0, [], 1e6, 0.0, 40.0)
-        assert sol.v_safe == 25.0
-        assert sol.slack == 0.0
-        assert sol.objective == 0.0
-        assert sol.active == ()
+        sol = solve_qp(25.0, [], 0.0, 40.0)
+        assert sol == (25.0, 0.0, ())
 
     def test_single_halfspace_projection(self):
-        sol = solve_qp(25.0, [], 1e6, 0.0, 20.0, "cap")
+        sol = solve_qp(25.0, [], 0.0, 20.0, "cap")
         assert sol.v_safe == 20.0
         assert sol.active == ("cap",)
 
     def test_soft_row_yields_under_pressure(self):
         # a cap under the soft floor: the slack absorbs the difference
         soft = Row(-1.0, -15.0, "lo_soft")
-        sol = solve_qp(12.0, [soft], 1e6, 0.0, 10.0, "hi")
+        sol = solve_qp(12.0, [soft], 0.0, 10.0, "hi")
         assert sol.v_safe == pytest.approx(10.0)
         assert sol.slack == pytest.approx(5.0)
         assert sol.active == ("hi", "lo_soft")
 
-    def test_cheap_slack_stops_at_the_stationary_point(self):
-        # k_eps = 4 makes the floor at 15 worth only part of the climb from 12:
-        # the optimum 12 + k_eps / 2 = 14 keeps one unit of slack
-        sol = solve_qp(12.0, [Row(-1.0, -15.0, "floor")], 4.0, 0.0, 40.0)
-        assert sol.v_safe == 14.0
-        assert sol.slack == 1.0
-        assert sol.active == ("floor",)
-        free = solve_qp(12.0, [Row(-1.0, -15.0, "floor")], 1e6, 0.0, 40.0)
+    def test_floor_inside_the_box_is_met_without_slack(self):
+        # the whole climb from 12 to the floor at 15 is taken: no slack
+        # trades any of it off while the box reaches the floor
+        free = solve_qp(12.0, [Row(-1.0, -15.0, "floor")], 0.0, 40.0)
         assert (free.v_safe, free.slack, free.active) == (15.0, 0.0, ("floor",))
 
     @pytest.mark.parametrize("rows", [
@@ -422,13 +414,13 @@ class TestSolveQP:
         # caps arrive folded into the box top; a row is only ever the one
         # soft floor, and anything else fails loudly
         with pytest.raises(ValueError, match="not the one finite soft floor"):
-            solve_qp(20.0, rows, 1e6, 0.0, 40.0)
+            solve_qp(20.0, rows, 0.0, 40.0)
 
     def test_hard_infeasible_raises(self):
         with pytest.raises(ShieldFault):
-            solve_qp(15.0, [], 1e6, 20.0, 10.0, "hi")
+            solve_qp(15.0, [], 20.0, 10.0, "hi")
         # an interval empty by at most FEAS_TOL is pinned to its lower end
-        sol = solve_qp(15.0, [], 1e6, 20.0, 20.0 - FEAS_TOL, "hi")
+        sol = solve_qp(15.0, [], 20.0, 20.0 - FEAS_TOL, "hi")
         assert sol.v_safe == 20.0
 
     def test_matches_grid_oracle_on_random_instances(self):
@@ -677,9 +669,9 @@ class TestFilterMass:
         tops = []
         solve = shield.solve_qp
 
-        def recording_solve(v_nominal, rows, k_eps, lo, hi, hi_label):
+        def recording_solve(v_nominal, rows, lo, hi, hi_label):
             tops.append((hi, hi_label))
-            return solve(v_nominal, rows, k_eps, lo, hi, hi_label)
+            return solve(v_nominal, rows, lo, hi, hi_label)
 
         monkeypatch.setattr(shield, "solve_qp", recording_solve)
 
@@ -863,7 +855,9 @@ def shielded_episodes(mode, policy, seeds, **overrides):
 class TestShieldedEpisodes:
     def test_heuristic_episodes_never_fault(self):
         # with the next gap predicted by the integrator's own step, the
-        # heuristic's requests never leave the shield without a command
+        # heuristic's requests never leave the shield without a command on
+        # these seeds: 0-9 in both modes and dense seed 0.  Other seeds do
+        # fault: dense mass seeds 7, 8 and 11 (ROADMAP item 1)
         runs = [run for mode in ("hss", "mass")
                 for run in shielded_episodes(mode, "heuristic", range(10))]
         runs += shielded_episodes("mass", "heuristic", [0], allow_offrange=True,

@@ -468,9 +468,9 @@ class TestScalarClamps:
         index = SimpleNamespace(ordered=[ego], rank={0: 0})
         seen = []
 
-        def solve_qp(v_nom, rows, k_eps, lo, hi, hi_label):
+        def solve_qp(v_nom, rows, lo, hi, hi_label):
             seen.append((v_nom, lo, hi))
-            return QPSolution(v_nom, 0.0, (), 0.0)
+            return QPSolution(v_nom, 0.0, ())
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(shield_mod, "solve_qp", solve_qp)
@@ -558,7 +558,7 @@ class TestValueTypes:
             "MotionPlan": lambda: plan_motion(ego, BehaviorAction.SPEED_UP, w.road, 2.0),
             "Neighborhood": lambda: neighbors(w, ego),
             "ShieldOutcome": lambda: step_world(w, {})[0][ego.vid],
-            "QPSolution": lambda: solve_qp(20.0, [], 1e6, 19.5, 20.5),
+            "QPSolution": lambda: solve_qp(20.0, [], 19.5, 20.5),
         }[kind]()
         assert type(value).__name__ == kind
         for name in value._fields:
