@@ -207,14 +207,25 @@ _LITERAL = {True: "true", False: "false", None: "null"}
 def _step_encoder():
     """A function writing one :class:`StepRecord` as its JSON line.
 
-    The JSON string of every active label is kept for the encoder's
-    lifetime, and so is the text of each vehicle's last wreck row (crashed,
-    without an action), returned again only for that same row object.  A
-    field that is not a float goes through ``_dump``, so an ``int`` in a
-    float field is written as ``json.dumps`` would write it; NaN and
-    infinities raise ``ValueError``, as they do under ``allow_nan=False``.
+    Each block of a row's float fields, the state fields and then the
+    shield and reward fields, is checked once: when every field is exactly
+    a ``float`` and one sum of ``v - v`` terms is 0 (a NaN or an infinity
+    makes it NaN), each is formatted with ``!r``, which gives the text
+    ``json.dumps`` writes.  Otherwise the block goes field by field through
+    ``num``: a field that is not a float goes through ``_dump``, so an
+    ``int`` or ``bool`` is written as ``json.dumps`` writes it, and NaN and
+    infinities raise ``ValueError``, as under ``allow_nan=False``.  A
+    ``v_safe`` that is the ``v_nominal`` object, as an untouched command
+    is, reuses its text; the test is ``is``, never ``==``, as
+    ``0.0 == -0.0``.
+
+    The JSON text of every tuple of active labels and of every tuple of
+    topology parents is kept for the encoder's lifetime, and so is the
+    text of each vehicle's last wreck row (crashed, without an action),
+    returned again only for that same row object.
     """
-    labels: dict = {}
+    actives: dict = {}
+    parent_lists: dict = {}
     wreck_rows: dict = {}
     wreck_texts: dict = {}
 
@@ -225,39 +236,63 @@ def _step_encoder():
             raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
         return repr(v)
 
-    def label(text: str) -> str:
-        s = labels.get(text)
-        if s is None:
-            s = labels[text] = _dump(text)
-        return s
-
     def row(r: VehicleRow) -> str:
         (vid, lane, target_lane, x, y, v_x, v_y, psi, merged, merge_failed, crashed, action,
          v_nominal, v_safe, v_cbf, lane_change_allowed, slack, active, fault, reward,
          reward_overall) = r
         if crashed and action is None and wreck_rows.get(vid) is r:
             return wreck_texts[vid]
+        # each float field's text: its repr when all are finite floats, else
+        # what ``num`` writes
+        if (x.__class__ is y.__class__ is v_x.__class__ is v_y.__class__ is psi.__class__
+                is float and x - x + (y - y) + (v_x - v_x) + (v_y - v_y) + (psi - psi) == 0.0):
+            x, y, v_x, v_y, psi = f"{x!r}", f"{y!r}", f"{v_x!r}", f"{v_y!r}", f"{psi!r}"
+        else:
+            x, y, v_x, v_y, psi = num(x), num(y), num(v_x), num(v_y), num(psi)
         head = (f'{{"vid":{vid},"lane":{lane},"target_lane":{target_lane},'
-                f'"x":{num(x)},"y":{num(y)},"v_x":{num(v_x)},"v_y":{num(v_y)},'
-                f'"psi":{num(psi)},"merged":{_LITERAL[merged]},'
-                f'"merge_failed":{_LITERAL[merge_failed]},"crashed":{_LITERAL[crashed]}')
+                f'"x":{x},"y":{y},"v_x":{v_x},"v_y":{v_y},"psi":{psi},'
+                f'"merged":{_LITERAL[merged]},"merge_failed":{_LITERAL[merge_failed]},'
+                f'"crashed":{_LITERAL[crashed]}')
         if action is None:
             text = head + "}"
             if crashed:
                 wreck_rows[vid] = r
                 wreck_texts[vid] = text
             return text
-        return (f'{head},"action":{action},"shield":{{"v_nominal":{num(v_nominal)},'
-                f'"v_safe":{num(v_safe)},"v_cbf":{num(v_cbf)},'
-                f'"lane_change_allowed":{_LITERAL[lane_change_allowed]},"slack":{num(slack)},'
-                f'"active":[{",".join([label(a) for a in active])}],'
+        if (v_nominal.__class__ is v_safe.__class__ is v_cbf.__class__ is slack.__class__
+                is reward.__class__ is reward_overall.__class__ is float
+                and v_nominal - v_nominal + (v_safe - v_safe) + (v_cbf - v_cbf)
+                + (slack - slack) + (reward - reward)
+                + (reward_overall - reward_overall) == 0.0):
+            # the same object has the same text; an equal one may be the other zero
+            if v_safe is v_nominal:
+                v_nominal = v_safe = f"{v_nominal!r}"
+            else:
+                v_nominal, v_safe = f"{v_nominal!r}", f"{v_safe!r}"
+            v_cbf, slack = f"{v_cbf!r}", f"{slack!r}"
+            reward, reward_overall = f"{reward!r}", f"{reward_overall!r}"
+        else:
+            v_nominal, v_safe, v_cbf, slack = num(v_nominal), num(v_safe), num(v_cbf), num(slack)
+            reward, reward_overall = num(reward), num(reward_overall)
+        labels = actives.get(active)
+        if labels is None:
+            labels = actives[active] = ",".join([_dump(a) for a in active])
+        return (f'{head},"action":{action},"shield":{{"v_nominal":{v_nominal},'
+                f'"v_safe":{v_safe},"v_cbf":{v_cbf},'
+                f'"lane_change_allowed":{_LITERAL[lane_change_allowed]},"slack":{slack},'
+                f'"active":[{labels}],'
                 f'"fault":{_LITERAL[fault]}}},'
-                f'"reward":{num(reward)},"reward_overall":{num(reward_overall)}}}')
+                f'"reward":{reward},"reward_overall":{reward_overall}}}')
 
     def step_line(step: StepRecord) -> str:
         vehicles = ",".join([row(r) for r in step.vehicles])
-        topology = ",".join([f'"{vid}":[{",".join(map(str, parents))}]'
-                             for vid, parents in sorted(step.topology.items())])
+        entries = []
+        for vid, parents in sorted(step.topology.items()):
+            text = parent_lists.get(parents)
+            if text is None:
+                text = parent_lists[parents] = f'[{",".join(map(str, parents))}]'
+            entries.append(f'"{vid}":{text}')
+        topology = ",".join(entries)
         return (f'{{"kind":"step","step":{step.step},"vehicles":[{vehicles}],'
                 f'"topology":{{{topology}}}}}')
 

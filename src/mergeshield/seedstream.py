@@ -21,8 +21,11 @@ runs without numpy:
   Integer Generation in an Interval", ACM TOMACS 2019).
 
 The seed-only part of the pool mixing is done once by :class:`SeedPool`;
-:meth:`SeedPool.generator` mixes in the spawn key.  The tests compare
-every stream with numpy's.
+:meth:`SeedPool.generator` mixes in the spawn key.  SeedSequence steps its
+hash constant through a fixed chain that no word changes, so the chains
+are worked out ahead: ``generate_state``'s once at import, and the one
+that mixes in a one-word spawn key once per pool.  The tests compare every
+stream with numpy's.
 """
 
 from __future__ import annotations
@@ -60,65 +63,82 @@ def _words(value) -> list:
     return words
 
 
-def _hashmix(value: int, hc: int, mult: int = _MULT_A) -> tuple:
-    """SeedSequence's ``hashmix`` (with ``_MULT_B``, a ``generate_state``
-    word): the hashed word and the next hash constant."""
-    value ^= hc
-    hc = hc * mult & _M32
-    value = value * hc & _M32
-    return value ^ (value >> 16), hc
+def _hash_chain(hc: int, mult: int, count: int) -> tuple:
+    """``hc`` and the ``count`` hash constants SeedSequence steps it through
+    by ``mult``: its ``i``-th ``hashmix`` XORs the word with entry ``i`` and
+    multiplies by entry ``i + 1``.  The chain depends on no word."""
+    chain = [hc]
+    for _ in range(count):
+        hc = hc * mult & _M32
+        chain.append(hc)
+    return tuple(chain)
 
 
-def _mix_into(pool: list, dst: int, word: int, hc: int) -> int:
-    """Mix one word into pool word ``dst``; the next hash constant."""
-    value, hc = _hashmix(word, hc)
-    mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _M32
+#: the hash constants of ``generate_state``'s eight output words
+_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: int, chain: tuple, i: int) -> int:
+    """SeedSequence's ``hashmix`` of one word, the ``i``-th of ``chain``."""
+    value = (value ^ chain[i]) * chain[i + 1] & _M32
+    return value ^ (value >> 16)
+
+
+def _mix_into(pool: list, dst: int, word: int, chain: tuple, i: int) -> None:
+    """Mix one word into pool word ``dst``, hashed as the ``i``-th of ``chain``."""
+    mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(word, chain, i)) & _M32
     pool[dst] = mixed ^ (mixed >> 16)
-    return hc
 
 
-def _absorb(pool: list, hc: int, words) -> int:
-    """Mix each word into every pool word in place; the next hash constant."""
+def _absorb(pool: list, chain: tuple, words) -> None:
+    """Mix each word into every pool word in place, hashing with ``chain``
+    from its start: four entries per word."""
+    i = 0
     for word in words:
         for dst in range(_POOL_SIZE):
-            hc = _mix_into(pool, dst, word, hc)
-    return hc
+            _mix_into(pool, dst, word, chain, i)
+            i += 1
 
 
 class SeedPool:
     """The entropy pool of ``SeedSequence(entropy=seed, spawn_key=...)``
-    after mixing the seed's words, before any spawn-key word."""
+    after mixing the seed's words, before any spawn-key word, and the hash
+    constants that mix in a one-word key (``key_chain``, which starts at
+    the constant the seed's mixing left)."""
 
-    __slots__ = ("pool", "hash_const")
+    __slots__ = ("pool", "key_chain")
 
     def __init__(self, seed: int):
         words = _words(seed)
         words += [0] * (_POOL_SIZE - len(words))
-        hc = _INIT_A
-        pool = []
-        for word in words[:_POOL_SIZE]:
-            value, hc = _hashmix(word, hc)
-            pool.append(value)
-        # every word mixes into every other, so late words reach early ones
+        # one hash per word and pool word: P fill the pool, P * (P - 1) mix
+        # every pool word into every other, so late words reach early ones,
+        # and P mix in each word past the pool
+        chain = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * len(words))
+        pool = [_hashmix(word, chain, i) for i, word in enumerate(words[:_POOL_SIZE])]
+        i = _POOL_SIZE
         for src in range(_POOL_SIZE):
             for dst in range(_POOL_SIZE):
                 if src != dst:
-                    hc = _mix_into(pool, dst, pool[src], hc)
-        self.hash_const = _absorb(pool, hc, words[_POOL_SIZE:])
+                    _mix_into(pool, dst, pool[src], chain, i)
+                    i += 1
+        _absorb(pool, chain[i:], words[_POOL_SIZE:])
         self.pool = tuple(pool)
+        self.key_chain = _hash_chain(chain[-1], _MULT_A, _POOL_SIZE)
 
     def generator(self, *spawn_key: int) -> "Generator":
         """``np.random.default_rng(SeedSequence(entropy=seed,
         spawn_key=spawn_key))``; with no key, ``default_rng(seed)``."""
+        words = [w for key in spawn_key for w in _words(key)]
+        chain = self.key_chain
+        if len(words) > 1:
+            chain = _hash_chain(chain[0], _MULT_A, _POOL_SIZE * len(words))
         pool = list(self.pool)
-        _absorb(pool, self.hash_const, [w for key in spawn_key for w in _words(key)])
-        state, hc = [], _INIT_B
-        for i in range(8):
-            value, hc = _hashmix(pool[i % _POOL_SIZE], hc, _MULT_B)
-            state.append(value)
-        # four 64-bit words, each two 32-bit words little-endian
-        s0, s1, s2, s3 = (state[j] | state[j + 1] << 32 for j in range(0, 8, 2))
-        return Generator(s0 << 64 | s1, s2 << 64 | s3)
+        _absorb(pool, chain, words)
+        # generate_state: four 64-bit words, each two 32-bit words little-endian
+        w = [_hashmix(pool[i % _POOL_SIZE], _STATE_CHAIN, i) for i in range(8)]
+        return Generator((w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32,
+                         (w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32)
 
 
 class Generator:
@@ -131,6 +151,7 @@ class Generator:
         self.inc = (initseq << 1 | 1) & _M128
         self.state = ((self.inc + initstate) * _PCG_MULT + self.inc) & _M128
         #: high half of the last 64-bit draw, kept for the next 32-bit draw
+        #: of :meth:`integers`
         self.upper = None
 
     def next64(self) -> int:
@@ -138,14 +159,6 @@ class Generator:
         x = (state >> 64) ^ (state & _M64)
         rot = state >> 122
         return ((x >> rot) | (x << (64 - rot))) & _M64
-
-    def next32(self) -> int:
-        if self.upper is not None:
-            word, self.upper = self.upper, None
-            return word
-        draw = self.next64()
-        self.upper = draw >> 32
-        return draw & _M32
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * ((self.next64() >> 11) * (1.0 / 9007199254740992.0))
@@ -156,13 +169,23 @@ class Generator:
             raise ValueError(f"n must lie in [1, 2**32], got {n}")
         if n == 1:
             return [0] * size
+        # Lemire: a product whose low word lies below the threshold, which
+        # is below n, would bias the result and is redrawn
+        threshold = ((1 << 32) - n) % n
+        upper = self.upper
         out = []
         for _ in range(size):
-            m = self.next32() * n
-            if m & _M32 < n:
-                # reject the low products that would bias the result
-                threshold = ((1 << 32) - n) % n
-                while m & _M32 < threshold:
-                    m = self.next32() * n
+            while True:
+                # a 32-bit draw: the high half kept from the last 64-bit
+                # draw, else the low half of a new one
+                if upper is None:
+                    draw = self.next64()
+                    word, upper = draw & _M32, draw >> 32
+                else:
+                    word, upper = upper, None
+                m = word * n
+                if m & _M32 >= threshold:
+                    break
             out.append(m >> 32)
+        self.upper = upper
         return out

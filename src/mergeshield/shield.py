@@ -309,7 +309,8 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     honoured once the interaction topology hands the pair over.
     The adjacent leader is credited from ``resolved``, the outcomes resolved
     so far this step by vid, which in either shield mode holds a live one:
-    it ranks ahead of the ego.
+    it ranks ahead of the ego.  A credited speed that is not finite raises
+    ``ValueError`` naming the leader, as in :func:`joint_safe_control`.
     """
     dt = config.dt
     tau = config.tau
@@ -321,6 +322,8 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
         v_al = 0.0 if c_oal.crashed else c_oal.state.speed
         gap1 = bumper_gap(ego, c_oal) + (v_al - v_e) * dt
         v_al_next = credited_speed(c_oal, resolved, dt)
+        if not math.isfinite(v_al_next):
+            raise ValueError(f"credited speed toward vehicle {c_oal.vid} is not finite")
         if brake_margin(gap1, v_e_hi, v_al_next, -ego.params.a_min, tau, dt) < 0.0:
             return False
     if c_oar is not None:
@@ -403,7 +406,9 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
       first, and no speed command can change it, so the credit stays the
       only place where the mode enters;
     * the caps and the QP of the module docstring, each input computed
-      once.  A headway cap that is not finite raises ``ValueError``.
+      once.  A headway cap or a credited speed that is not finite raises
+      ``ValueError`` naming the leader: the braking envelope would read a
+      NaN credit as a stopped leader.
     """
     order = evaluation_order(topology, index)
     outcomes: dict = {}
@@ -446,8 +451,10 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
             v_lead = 0.0 if leader.crashed else outcomes[leader.vid].staged.v_x
             gap_next = gap + (v_lead - staged.v_x) * dt
             headway = (gap_next - (1.0 - eta) * (gap - tau * v_e)) / tau
-            if not math.isfinite(headway):
-                raise ValueError(f"headway cap toward vehicle {leader.vid} is not finite")
+            # 0 * v_next is 0 unless the credit is not finite: one test for both
+            if not math.isfinite(headway + 0.0 * v_next):
+                what = "headway cap" if not math.isfinite(headway) else "credited speed"
+                raise ValueError(f"{what} toward vehicle {leader.vid} is not finite")
             if headway < cap:
                 cap, bound, binder = headway, "headway", leader
             guard = brake_guard(gap_next, v_next, hi, brake, config)

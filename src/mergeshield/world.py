@@ -18,11 +18,13 @@ only ids and positions; lanes and flags are read live, so the merge
 bookkeeping, which moves no vehicle, leaves it valid.  ``step_world``
 advances ``step_index`` and builds the post-step index right after
 integration; it serves that step's collision sweep and rewards and all of
-the next step.  Queries walk outward from the ego along the order and
-measure only the candidates they meet.  Answers are memoised on the
-index, one :class:`Neighborhood` and one perceived group per vehicle.
-The road has two lanes, so a vehicle's perception-adjacent lane is always
-the other one, whether or not it is changing lanes.
+the next step.  One walk outward from the ego along the order answers both
+perception questions, measuring each candidate it meets once: the first
+call of :func:`neighbors` or :func:`perceived` for a vehicle in a state
+memoises its :class:`Neighborhood` and its perceived group on the index
+together, and every later call of either reads them.  The road has two
+lanes, so a vehicle's perception-adjacent lane is always the other one,
+whether or not it is changing lanes.
 
 Lateral maneuvers: the shield stages each live vehicle's
 :func:`mergeshield.dynamics.maneuver` once per step; ``step_world`` grants
@@ -173,7 +175,8 @@ class NeighborIndex:
     computed on demand, one ``hypot(dx, dy)`` per candidate a query meets;
     ``hypot`` is sign-symmetric, so both vehicles of a pair see the same
     distance bit for bit.  ``near`` memoises :func:`neighbors` and ``seen``
-    memoises :func:`perceived`, both by vid.
+    memoises :func:`perceived`, both by vid and filled together by one
+    walk.
     """
 
     step_index: int
@@ -190,50 +193,6 @@ class NeighborIndex:
         return cls(step_index=world.step_index, ordered=ordered,
                    xs=[v.state.x for v in ordered], ys=[v.state.y for v in ordered],
                    rank={v.vid: i for i, v in enumerate(ordered)})
-
-    def nearest(self, vid: int, n: int, comm: float) -> list:
-        """The ``n`` others nearest to vehicle ``vid`` within ``comm``, by
-        ``(distance, vid)``.
-
-        Walks outward from the vehicle's rank, nearer side in x first, and
-        stops once ``|dx|`` alone exceeds ``comm`` or, with ``n`` found,
-        the n-th best distance: ``hypot(dx, dy) >= |dx|``, so nothing
-        further out can enter.  The test is strict, so a vehicle at exactly
-        the n-th distance is still met and the tie goes to the smaller vid.
-        """
-        if n < 1:
-            return []
-        xs, ys, ordered = self.xs, self.ys, self.ordered
-        r = self.rank[vid]
-        ex, ey = xs[r], ys[r]
-        best: list = []  # (distance, vid, vehicle), ascending, at most n
-        bound = comm  # the n-th best distance once n are found
-        lo, hi, end = r - 1, r + 1, len(xs)
-        # |dx| of the next candidate on each side, inf once a side runs out
-        dlo = ex - xs[lo] if lo >= 0 else math.inf
-        dhi = xs[hi] - ex if hi < end else math.inf
-        while True:
-            if dlo <= dhi:
-                if lo < 0 or dlo > bound:
-                    break  # the other side is no nearer in x
-                j, dx = lo, dlo
-                lo -= 1
-                dlo = ex - xs[lo] if lo >= 0 else math.inf
-            else:
-                if dhi > bound:
-                    break
-                j, dx = hi, dhi
-                hi += 1
-                dhi = xs[hi] - ex if hi < end else math.inf
-            d = math.hypot(dx, ey - ys[j])
-            if d <= bound:
-                o = ordered[j]
-                insort(best, (d, o.vid, o))  # ids are unique: o is never compared
-                if len(best) > n:
-                    best.pop()
-                if len(best) == n:
-                    bound = best[-1][0]
-        return [o for _, _, o in best]
 
 
 @dataclass
@@ -326,52 +285,126 @@ def neighbor_index(world: World) -> NeighborIndex:
     return index
 
 
-def neighbors(world: World, ego: Vehicle) -> Neighborhood:
-    """Nearest same-lane leader plus leader and rear vehicle in the other
-    lane, all within communication range.
+def _perceive(world: World, index: NeighborIndex, ego: Vehicle) -> tuple:
+    """Both perception answers for ``ego`` from one outward walk, stored in
+    ``index.near`` and ``index.seen`` and returned as ``(near, seen)``.
 
-    A walk along the state's fleet order (:func:`neighbor_index`) from the
-    ego's rank: ahead to the first in-range vehicle of the ego's lane
-    (``c_ol``) and of the other lane (``c_oal``), behind to the first
-    in-range vehicle of the other lane (``c_oar``), reading each vehicle's
-    lane as it is passed.  A walk stops once ``|dx|`` alone exceeds the
-    range.  Walking past the nearest vehicle by x stays exact when that one
-    is out of Euclidean range through a lateral offset.  The other lane is
-    scanned along the whole road, not only in the merge window: a merging
-    vehicle ahead matters to a highway follower before the follower
-    reaches the window.  The answer is memoised on the index by the ego's
-    id, so repeat calls within one state return the same object.
+    The walk visits the others by ``|dx|`` from the ego's rank, nearer side
+    first, and measures each candidate once with ``hypot(dx, dy)``; that
+    one distance serves the perceived group and the neighbour tests.  The
+    group takes the first ``perception_n`` in-range candidates by plain
+    append, sorts them once by ``(distance, vid)`` and from then on inserts
+    in order, keeping the n best.  Once n are found, the n-th best distance
+    bounds the walk: ``hypot(dx, dy) >= |dx|``, so nothing further out can
+    enter.  The test is strict, so a vehicle at exactly the n-th distance
+    is still met and the tie goes to the smaller vid.
+
+    Ahead of the ego, the first in-range candidate of its lane is ``c_ol``
+    and of the other lane ``c_oal``; behind it, the first in-range one of
+    the other lane is ``c_oar``.  Where one is still missing when the
+    group's bound ends the walk, that side walks on alone until ``|dx|``
+    exceeds the range.
     """
-    index = neighbor_index(world)
-    near = index.near.get(ego.vid)
-    if near is not None:
-        return near
-    comm = world.scenario.comm_range
+    cfg = world.scenario
+    comm, n = cfg.comm_range, cfg.perception_n
     ordered, xs, ys = index.ordered, index.xs, index.ys
     r = index.rank[ego.vid]
     ex, ey, lane = xs[r], ys[r], ego.lane
     c_ol = c_oal = c_oar = None
-    for j in range(r + 1, len(xs)):
-        dx = xs[j] - ex
-        if dx > comm:
-            break
-        o = ordered[j]
-        if o.lane == lane:
-            if c_ol is None and math.hypot(dx, ys[j] - ey) <= comm:
-                c_ol = o
-        elif c_oal is None and math.hypot(dx, ys[j] - ey) <= comm:
-            c_oal = o
-        if c_ol is not None and c_oal is not None:
-            break
-    for j in range(r - 1, -1, -1):
-        dx = xs[j] - ex
-        if -dx > comm:
-            break
-        o = ordered[j]
-        if o.lane != lane and math.hypot(dx, ys[j] - ey) <= comm:
-            c_oar = o
-            break
+    group: list = []  # (distance, vid, vehicle); sorted once n are in
+    missing = n
+    # the n-th best distance once n are found; with no group to find, the
+    # walk below stops at once and the neighbour walks after it do the work
+    bound = comm if n > 0 else -1.0
+    lo, hi, end = r - 1, r + 1, len(xs)
+    # |dx| of the next candidate on each side, inf once a side runs out
+    dlo = ex - xs[lo] if lo >= 0 else math.inf
+    dhi = xs[hi] - ex if hi < end else math.inf
+    while True:
+        if dlo <= dhi:
+            if dlo > bound:
+                break  # the other side is no nearer in x; inf past both ends
+            j, dx = lo, dlo
+            lo -= 1
+            dlo = ex - xs[lo] if lo >= 0 else math.inf
+        else:
+            if dhi > bound:
+                break
+            j, dx = hi, dhi
+            hi += 1
+            dhi = xs[hi] - ex if hi < end else math.inf
+        d = math.hypot(dx, ey - ys[j])
+        if d <= comm:
+            o = ordered[j]
+            if j < r:
+                if c_oar is None and o.lane != lane:
+                    c_oar = o
+            elif o.lane == lane:
+                if c_ol is None:
+                    c_ol = o
+            elif c_oal is None:
+                c_oal = o
+            if d <= bound:
+                if missing:
+                    group.append((d, o.vid, o))
+                    missing -= 1
+                    if not missing:
+                        group.sort()  # ids are unique: a vehicle is never compared
+                        bound = group[-1][0]
+                else:
+                    insort(group, (d, o.vid, o))
+                    group.pop()
+                    bound = group[-1][0]
+    if missing:
+        group.sort()
+    # past the group's bound, a side walks on only for a missing neighbour
+    if c_ol is None or c_oal is None:
+        for j in range(hi, end):
+            dx = xs[j] - ex
+            if dx > comm:
+                break
+            o = ordered[j]
+            if o.lane == lane:
+                if c_ol is None and math.hypot(dx, ey - ys[j]) <= comm:
+                    c_ol = o
+            elif c_oal is None and math.hypot(dx, ey - ys[j]) <= comm:
+                c_oal = o
+            if c_ol is not None and c_oal is not None:
+                break
+    if c_oar is None:
+        for j in range(lo, -1, -1):
+            dx = ex - xs[j]
+            if dx > comm:
+                break
+            o = ordered[j]
+            if o.lane != lane and math.hypot(dx, ey - ys[j]) <= comm:
+                c_oar = o
+                break
     near = index.near[ego.vid] = Neighborhood(c_ol, c_oal, c_oar)
+    seen = index.seen[ego.vid] = [o for _, _, o in group]
+    return near, seen
+
+
+def neighbors(world: World, ego: Vehicle) -> Neighborhood:
+    """Nearest same-lane leader plus leader and rear vehicle in the other
+    lane, all within communication range.
+
+    Ahead along the state's fleet order (:func:`neighbor_index`) from the
+    ego's rank: the first in-range vehicle of the ego's lane (``c_ol``) and
+    of the other lane (``c_oal``); behind: the first in-range vehicle of
+    the other lane (``c_oar``), reading each vehicle's lane as it is
+    passed.  Walking past the nearest vehicle by x stays exact when that
+    one is out of Euclidean range through a lateral offset.  The other lane
+    is scanned along the whole road, not only in the merge window: a
+    merging vehicle ahead matters to a highway follower before the follower
+    reaches the window.  Found by the same walk as :func:`perceived` and
+    memoised on the index by the ego's id, so repeat calls within one state
+    return the same object.
+    """
+    index = neighbor_index(world)
+    near = index.near.get(ego.vid)
+    if near is None:
+        near = _perceive(world, index, ego)[0]
     return near
 
 
@@ -380,15 +413,14 @@ def perceived(world: World, ego: Vehicle) -> list:
     range, nearest first with ties by id: the vehicles an observation
     shows and a neighbourhood reward averages over.
 
-    Found by :meth:`NeighborIndex.nearest` on the state's
-    :func:`neighbor_index` and memoised there by the ego's id, so every
-    call within one state returns the same list; callers must not mutate it.
+    Found by the same walk as :func:`neighbors` and memoised on the
+    state's :func:`neighbor_index` by the ego's id, so every call within
+    one state returns the same list; callers must not mutate it.
     """
     index = neighbor_index(world)
     seen = index.seen.get(ego.vid)
     if seen is None:
-        cfg = world.scenario
-        seen = index.seen[ego.vid] = index.nearest(ego.vid, cfg.perception_n, cfg.comm_range)
+        seen = _perceive(world, index, ego)[1]
     return seen
 
 

@@ -329,6 +329,7 @@ STEP_PATH_FUNCTIONS = (
     ("reward", "default_reward"),
     ("reward", "_leader_gap"),
     ("reward", "fleet_rewards"),
+    ("world", "_perceive"),
     ("world", "neighbors"),
     ("world", "perceived"),
     ("world", "plan_motion"),

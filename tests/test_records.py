@@ -139,14 +139,52 @@ def test_hand_built_rows_match_the_dict_encoding():
     assert '"x":2,' in got[1] and '"x":2.0,' in got[1]
 
 
+#: the fields a row writes as JSON numbers
+FLOAT_FIELDS = ("x", "y", "v_x", "v_y", "psi", "v_nominal", "v_safe", "v_cbf", "slack", "reward",
+                "reward_overall")
+
+
+def test_float_fields_are_the_rows_float_annotations():
+    # the module's annotations are strings, which NamedTuple may wrap
+    kinds = {name: getattr(kind, "__forward_arg__", kind)
+             for name, kind in VehicleRow.__annotations__.items()}
+    assert FLOAT_FIELDS == tuple(name for name, kind in kinds.items() if kind.startswith("float"))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["x", "v_safe", "reward"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
 def test_non_finite_floats_raise(bad, name):
     step = StepRecord(step=0, vehicles=(row(0, **{name: bad}),), topology={})
     with pytest.raises(ValueError):
         oracle_line(step)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         step_lines([step])
+
+
+@pytest.mark.parametrize("value", [2, True, False, 0])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_an_int_or_bool_in_one_float_field_is_written_as_json_dumps_writes_it(value, name):
+    # the other fields stay floats, so only this field leaves the float path
+    step = StepRecord(step=0, vehicles=(row(0, **{name: value}), row(1, action=None)),
+                      topology={})
+    got = step_lines([step])
+    assert got == [oracle_line(step)]
+    assert f'"{name}":{json.dumps(value)}' in got[0]
+
+
+def test_a_shared_command_object_and_an_equal_one_of_the_other_zero():
+    # v_safe is v_nominal: one object, one text; an equal -0.0 beside a
+    # 0.0 is another object and writes its own sign
+    shared = 17.25
+    steps = [StepRecord(step=0, vehicles=(row(0, v_nominal=shared, v_safe=shared, v_cbf=0.0),
+                                          row(1, v_nominal=0.0, v_safe=-0.0, v_cbf=-0.0),
+                                          row(2, v_nominal=-0.0, v_safe=0.0, v_cbf=0.0)),
+                        topology={})]
+    got = step_lines(steps)
+    assert got == [oracle_line(step) for step in steps]
+    assert '"v_nominal":17.25,"v_safe":17.25,' in got[0]
+    assert '"v_nominal":0.0,"v_safe":-0.0,' in got[0]
+    assert '"v_nominal":-0.0,"v_safe":0.0,' in got[0]
 
 
 def test_a_repeated_wreck_row_encodes_as_the_oracle():

@@ -50,14 +50,16 @@ def test_a_draw_after_integers_continues_numpy_stream():
 
 
 class Stubbed(Generator):
-    """A generator whose 32-bit draws are given."""
+    """A generator whose 32-bit draws are given, two to each 64-bit draw,
+    low half first, as ``integers`` splits a draw."""
 
     def __init__(self, words):
         super().__init__(0, 0)
         self.words = list(words)
 
-    def next32(self):
-        return self.words.pop(0)
+    def next64(self):
+        low, high = self.words.pop(0), self.words.pop(0)
+        return low | high << 32
 
 
 @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
@@ -68,10 +70,11 @@ def test_integers_rejects_a_bound_outside_its_range(n):
 
 def test_lemire_rejects_a_leftover_below_the_threshold():
     # for n = 5 the threshold is 2^32 mod 5 = 1: only a draw of 0 leaves a
-    # product whose low word (0) lies below it, and it is redrawn
-    stub = Stubbed([0, 2**31, 2**31])
+    # product whose low word (0) lies below it, and it is redrawn; the
+    # fourth word stays buffered for the next draw
+    stub = Stubbed([0, 2**31, 2**31, 7])
     assert stub.integers(5, 2) == [2, 2]
-    assert stub.words == []
+    assert stub.words == [] and stub.upper == 7
 
 
 def test_lemire_keeps_a_low_leftover_at_the_threshold():
@@ -79,9 +82,9 @@ def test_lemire_keeps_a_low_leftover_at_the_threshold():
     # leaves leftover n (not below n, kept); a draw of 2 leaves 2n mod 2^32
     # = 2 (below the threshold, redrawn); 2^32 - 1 leaves 2^31 - 1, kept
     n = 2**31 + 1
-    stub = Stubbed([1, 2, 2**32 - 1])
+    stub = Stubbed([1, 2, 2**32 - 1, 7])
     assert stub.integers(n, 2) == [0, (2**32 - 1) * n >> 32]
-    assert stub.words == []
+    assert stub.words == [] and stub.upper == 7
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40)])

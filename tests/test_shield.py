@@ -576,6 +576,41 @@ class TestCreditRule:
         outs = resolve(w, plans)
         assert seen == [(1, {1: outs[1]} if mode == "mass" else {})]
 
+    @pytest.mark.parametrize("mode", ["hss", "mass"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_credit_that_is_not_finite_raises_naming_the_leader(self, mode, bad, monkeypatch):
+        # the braking envelope reads a NaN leader speed as a stopped leader,
+        # so a NaN credit would otherwise give ordinary caps
+        from mergeshield import shield
+
+        ego, leader = place_pair(30.0, 20.0, 20.0)
+        w = make_world([ego, leader], shield_mode=mode)
+        plans = {v.vid: MotionPlan(v_target=20.0, target_lane=0) for v in (ego, leader)}
+        monkeypatch.setattr(shield, "credited_speed", lambda vehicle, resolved, dt: bad)
+        with pytest.raises(ValueError, match="credited speed toward vehicle 1 is not finite"):
+            resolve(w, plans)
+
+    @pytest.mark.parametrize("mode", ["hss", "mass"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_the_lane_gate_raises_on_a_credit_that_is_not_finite(self, mode, bad, monkeypatch):
+        # a merging ego in the window with room ahead in the other lane: the
+        # instantaneous gate passes, and the feasibility gate credits the
+        # adjacent leader; with no topology parents only the gate credits
+        from mergeshield import shield
+
+        road = RoadNetwork()
+        ego = make_vehicle(0, 250.0, 20.0, lane=road.ramp_lane, road=road)
+        leader = make_vehicle(1, 250.0 + 30.0 + 5.0, 20.0, lane=0, road=road)
+        w = make_world([ego, leader], road=road, shield_mode=mode)
+        assert allow_lane_change(ego, leader, None, w.shield)
+        plans = {0: MotionPlan(v_target=20.0, target_lane=0, lane_request=True),
+                 1: MotionPlan(v_target=20.0, target_lane=0)}
+        monkeypatch.setattr(shield, "credited_speed", lambda vehicle, resolved, dt: bad)
+        with pytest.raises(ValueError, match="credited speed toward vehicle 1 is not finite"):
+            lane_change_feasible(ego, leader, None, w.shield, {})
+        with pytest.raises(ValueError, match="credited speed toward vehicle 1 is not finite"):
+            resolve(w, plans, InteractionTopology({0: (), 1: ()}))
+
 
 class TestFilterMass:
     def test_no_parents_equals_hss_with_no_neighbors(self):
