@@ -45,7 +45,7 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
     record = EpisodeRecord(
         seed=seed,
         config=resolved_dict(cfg),
-        initial=tuple(snapshot_vehicle(v) for v in world.vehicles),
+        initial=tuple(map(snapshot_vehicle, world.vehicles)),
     )
 
     for k in range(cfg.scenario.episode_steps):

@@ -55,6 +55,12 @@ class PolicySpec:
             raise ValueError(f"unknown policy kind {self.kind!r}")
 
 
+#: action by its integer encoding, for indexing with a draw; then each as a
+#: constant, as a read off the class goes through the enum's metaclass
+_ACTIONS = tuple(BehaviorAction)
+_LANE_RIGHT, _LANE_LEFT, _FOLLOW_LANE, _SPEED_UP, _SLOW_DOWN = _ACTIONS
+
+
 def heuristic_policy(vehicle: "Vehicle", world: "World") -> BehaviorAction:
     """Scripted merging baseline.
 
@@ -68,23 +74,23 @@ def heuristic_policy(vehicle: "Vehicle", world: "World") -> BehaviorAction:
     v = vehicle.state.speed
 
     if vehicle.target_lane != vehicle.lane:
-        return BehaviorAction.FOLLOW_LANE
+        return _FOLLOW_LANE
 
     if vehicle.lane == road.ramp_lane and not vehicle.merge_failed:
         near = _world.neighbors(world, vehicle)
         if road.in_merge_window(vehicle.state.x):
             if _shield.allow_lane_change(vehicle, near.c_oal, near.c_oar, world.shield):
-                return BehaviorAction.LANE_LEFT
+                return _LANE_LEFT
             if near.c_oal is not None:
                 gap_leader_v = near.c_oal.state.speed
                 if v > gap_leader_v + 1.0:
-                    return BehaviorAction.SLOW_DOWN
+                    return _SLOW_DOWN
                 if v < gap_leader_v - 1.0:
-                    return BehaviorAction.SPEED_UP
-            return BehaviorAction.FOLLOW_LANE
+                    return _SPEED_UP
+            return _FOLLOW_LANE
         if v < 0.8 * vehicle.params.v_cap and v < cfg.initial_speed_range[1]:
-            return BehaviorAction.SPEED_UP
-        return BehaviorAction.FOLLOW_LANE
+            return _SPEED_UP
+        return _FOLLOW_LANE
 
     # highway vehicle: give way near the merge section when ramp traffic is
     # present, but never yield below a crawl (stopped queues help nobody)
@@ -102,14 +108,14 @@ def heuristic_policy(vehicle: "Vehicle", world: "World") -> BehaviorAction:
                 continue
             dx = other.state.x - vehicle.state.x
             if abs(dx) < 60.0 and math.hypot(dx, other.state.y - vehicle.state.y) <= cfg.comm_range:
-                return BehaviorAction.SLOW_DOWN
+                return _SLOW_DOWN
 
     c_ol = _world.neighbors(world, vehicle).c_ol
     gap_ok = c_ol is None or (
         c_ol.state.x - vehicle.state.x > 2.0 * cfg.tau * (1.0 if 1.0 > v else v) + 15.0)
     if gap_ok and v < cfg.initial_speed_range[1]:
-        return BehaviorAction.SPEED_UP
-    return BehaviorAction.FOLLOW_LANE
+        return _SPEED_UP
+    return _FOLLOW_LANE
 
 
 class Policy:
@@ -130,10 +136,6 @@ class Policy:
 
     def decide(self, step_index, world, observations):
         raise NotImplementedError
-
-
-#: action by its integer encoding, for indexing with a draw
-_ACTIONS = tuple(BehaviorAction)
 
 
 class RandomPolicy(Policy):

@@ -22,7 +22,8 @@ shape as the step rows.  What follows from other data is not written:
 
 Step lines are written straight from the :class:`VehicleRow` tuples with
 no intermediate dicts; the bytes are those ``json.dumps`` writes for the
-same dicts.
+same dicts.  Equal nonzero floats have the same bits, so they may share
+one text; a zero is written by its own sign, as ``0.0 == -0.0``.
 
 A wreck never moves again, so its row is one fact: from the second step
 after a vehicle crashed, :func:`snapshot_step` hands on the previous step's
@@ -214,10 +215,10 @@ def _step_encoder():
     ``json.dumps`` writes.  Otherwise the block goes field by field through
     ``num``: a field that is not a float goes through ``_dump``, so an
     ``int`` or ``bool`` is written as ``json.dumps`` writes it, and NaN and
-    infinities raise ``ValueError``, as under ``allow_nan=False``.  A
-    ``v_safe`` that is the ``v_nominal`` object, as an untouched command
-    is, reuses its text; the test is ``is``, never ``==``, as
-    ``0.0 == -0.0``.
+    infinities raise ``ValueError``, as under ``allow_nan=False``.  With
+    both blocks all finite floats, a ``v_safe`` equal to ``v_x`` and not
+    zero (a tracked command) reuses ``v_x``'s text, and a ``v_nominal``
+    that is the ``v_safe`` object (an untouched command) reuses its text.
 
     The JSON text of every tuple of active labels and of every tuple of
     topology parents is kept for the encoder's lifetime, and so is the
@@ -243,12 +244,12 @@ def _step_encoder():
         if crashed and action is None and wreck_rows.get(vid) is r:
             return wreck_texts[vid]
         # each float field's text: its repr when all are finite floats, else
-        # what ``num`` writes
+        # what ``num`` writes; ``vx`` keeps v_x's value only on the repr path
         if (x.__class__ is y.__class__ is v_x.__class__ is v_y.__class__ is psi.__class__
                 is float and x - x + (y - y) + (v_x - v_x) + (v_y - v_y) + (psi - psi) == 0.0):
-            x, y, v_x, v_y, psi = f"{x!r}", f"{y!r}", f"{v_x!r}", f"{v_y!r}", f"{psi!r}"
+            vx, x, y, v_x, v_y, psi = v_x, f"{x!r}", f"{y!r}", f"{v_x!r}", f"{v_y!r}", f"{psi!r}"
         else:
-            x, y, v_x, v_y, psi = num(x), num(y), num(v_x), num(v_y), num(psi)
+            vx, x, y, v_x, v_y, psi = None, num(x), num(y), num(v_x), num(v_y), num(psi)
         head = (f'{{"vid":{vid},"lane":{lane},"target_lane":{target_lane},'
                 f'"x":{x},"y":{y},"v_x":{v_x},"v_y":{v_y},"psi":{psi},'
                 f'"merged":{_LITERAL[merged]},"merge_failed":{_LITERAL[merge_failed]},'
@@ -264,11 +265,10 @@ def _step_encoder():
                 and v_nominal - v_nominal + (v_safe - v_safe) + (v_cbf - v_cbf)
                 + (slack - slack) + (reward - reward)
                 + (reward_overall - reward_overall) == 0.0):
-            # the same object has the same text; an equal one may be the other zero
-            if v_safe is v_nominal:
-                v_nominal = v_safe = f"{v_nominal!r}"
-            else:
-                v_nominal, v_safe = f"{v_nominal!r}", f"{v_safe!r}"
+            # an equal nonzero float has one text; an equal zero may be the other one
+            text = v_x if v_safe == vx != 0.0 else f"{v_safe!r}"
+            v_nominal = text if v_nominal is v_safe else f"{v_nominal!r}"
+            v_safe = text
             v_cbf, slack = f"{v_cbf!r}", f"{slack!r}"
             reward, reward_overall = f"{reward!r}", f"{reward_overall!r}"
         else:

@@ -144,13 +144,6 @@ def bumper_gap(follower, leader) -> float:
         follower.state.x + 0.5 * follower.params.length)
 
 
-def _travel(v0: float, m: int, k: int, dv: float) -> float:
-    """Summed speeds (travel over ``dt``) of ``k`` braking steps from ``v0``
-    by a vehicle that stops after ``m`` steps."""
-    kk = min(k, m)
-    return kk * v0 - dv * kk * (kk - 1) * 0.5
-
-
 def brake_margin(gap: float, v_follow: float, v_lead: float, brake: float,
                  tau: float, dt: float) -> float:
     """Worst value of ``gap_k - tau * v_follow_k`` while both vehicles brake
@@ -159,8 +152,10 @@ def brake_margin(gap: float, v_follow: float, v_lead: float, brake: float,
     The sign is exact; when a cheap lower bound already proves the margin
     non-negative the bound is returned without evaluating the trajectory.
     The trajectory minimum itself is closed form: the margin is piecewise
-    quadratic in the step count with breakpoints where either vehicle stops
-    and where the follower decelerates through ``tau * brake``.
+    quadratic in the step count, so it is least at one of the steps
+    ``0, m_l, m_l + 1, k*, k* + 1, m_f`` in ``[0, m_f]``: the leader stops
+    at ``m_l``, the follower at ``m_f``, and ``k*`` is the last step at
+    which its speed is at least ``tau * brake``.
     """
     h0 = gap - tau * v_follow
     if v_lead >= v_follow:
@@ -174,10 +169,9 @@ def brake_margin(gap: float, v_follow: float, v_lead: float, brake: float,
     m_l = math.ceil(v_lead / dv - 1e-12) if v_lead > 0.0 else 0
     k_star = int((v_follow - tau * brake) / dv) if v_follow > tau * brake else 0
     margin = math.inf
-    for k in {0, m_l, m_l + 1, k_star, k_star + 1, m_f}:
+    for k in (0, m_l, m_l + 1, k_star, k_star + 1, m_f):
         if 0 <= k <= m_f:
-            # _travel of both vehicles inlined; the follower has not
-            # stopped before step k <= m_f
+            # the follower has not stopped before step k <= m_f
             kl = m_l if m_l < k else k
             s_l = kl * v_lead - dv * kl * (kl - 1) * 0.5
             s_f = k * v_follow - dv * k * (k - 1) * 0.5
@@ -204,29 +198,35 @@ def brake_cap(gap: float, v_hi: float, v_lead: float, brake: float,
     are then monotone in ``k``, with their minima at ``k = 0`` or
     ``min(m_l, K)``.  Once it has stopped, ``a_k`` is a convex quadratic in
     ``k``; each ratio is then quasiconvex, and its integer minimiser sits
-    next to the real stationary point, if that lies in ``[m_l, K]``.
+    next to the real stationary point, if that lies in ``[m_l, K]``.  The
+    candidates, each taken once, are ``0, K, min(m_l, K), min(m_l + 1, K)``
+    and per ratio with a stationary point ``s`` the steps ``max(m_l, s - 1)``
+    to ``min(K, s + 2)``; ``a_k`` holds the leader's travel
+    ``kl * v_lead - dv * kl * (kl - 1) / 2``, ``kl = min(k, m_l)``.
     """
     if brake_margin(gap, v_hi, v_lead, brake, tau, dt) >= 0.0:
         return v_hi
     dv = brake * dt
     m_l = math.ceil(v_lead / dv - 1e-12) if v_lead > 0.0 else 0
     last = math.ceil(v_hi / dv)
-    steps = {0, last, min(m_l, last), min(m_l + 1, last)}
+    steps = [0, last, m_l if m_l < last else last, m_l + 1 if m_l + 1 < last else last]
     # for k >= m_l each ratio is (alpha * k^2 + beta * k + c0) / (dt * k + d0);
     # in u = dt * k + d0 it reads A * u + B + c / u, c the numerator at u = 0
     # (k = k0), so a positive c puts its minimum at k = k0 + sqrt(c / alpha)
     alpha = 0.5 * dt * dv
-    c0 = gap + dt * _travel(v_lead, m_l, m_l, dv)
+    c0 = gap + dt * (m_l * v_lead - dv * m_l * (m_l - 1) * 0.5)
     for beta, d0 in ((-alpha, 0.0), (tau * dv - alpha, tau)):
         k0 = -d0 / dt
         c = (alpha * k0 + beta) * k0 + c0
         if c > 0.0:
             s = math.floor(k0 + math.sqrt(c / alpha))
-            steps.update(range(max(m_l, s - 1), min(last, s + 2) + 1))
+            steps.extend(range(m_l if m_l > s - 1 else s - 1,
+                               (last if last < s + 2 else s + 2) + 1))
     cap = v_hi
-    for k in steps:
+    for k in set(steps):
         kink = k * dv
-        a = gap + dt * (_travel(v_lead, m_l, k, dv) + dv * k * (k - 1) * 0.5)
+        kl = m_l if m_l < k else k
+        a = gap + dt * (kl * v_lead - dv * kl * (kl - 1) * 0.5 + dv * k * (k - 1) * 0.5)
         b = dt * k
         if a - b * kink >= 0.0:
             root = (a + tau * kink) / (b + tau)
@@ -370,7 +370,7 @@ def solve_qp(v_nominal: float, rows, lo: float, hi: float,
         soft = row
     if lo > hi + FEAS_TOL:
         raise ShieldFault("caps infeasible")
-    hi = max(hi, lo)
+    hi = lo if lo > hi else hi
     floor, floor_label = lo, "reach_lo"
     if soft is not None and soft.q / soft.a > lo:
         floor, floor_label = soft.q / soft.a, soft.label
@@ -432,11 +432,11 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
         if config.mode == "none":
             outcomes[vid] = ShieldOutcome(plan.v_target, plan.v_target, 0.0, staged=staged)
             continue
-        leaders = [by_id[pid] for pid in topology.parents(vid)]
+        pids = topology.parents(vid)
         if config.mode == "hss" and c_ol is not None:
             # on a cut-in the topology hands the ego to the merging
             # vehicle; the worst case also keeps the leader it displaced
-            leaders = [c_ol] + [p for p in leaders if p.vid != c_ol.vid]
+            pids = [c_ol.vid] + [pid for pid in pids if pid != c_ol.vid]
         lo, hi = reach(vehicle, dt)
         # min(max(v_target, lo), hi) without the calls, ties as theirs
         v_nominal = lo if lo > plan.v_target else plan.v_target
@@ -445,22 +445,23 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
         v_e = vehicle.state.speed
         brake = -vehicle.params.a_min
         cap, bound, binder = hi, None, None
-        for leader in leaders:
+        for pid in pids:
+            leader = by_id[pid]
             v_next = credited_speed(leader, credit, dt)
             gap = (leader.state.x - 0.5 * leader.params.length) - front
-            v_lead = 0.0 if leader.crashed else outcomes[leader.vid].staged.v_x
+            v_lead = 0.0 if leader.crashed else outcomes[pid].staged.v_x
             gap_next = gap + (v_lead - staged.v_x) * dt
             headway = (gap_next - (1.0 - eta) * (gap - tau * v_e)) / tau
             # 0 * v_next is 0 unless the credit is not finite: one test for both
             if not math.isfinite(headway + 0.0 * v_next):
                 what = "headway cap" if not math.isfinite(headway) else "credited speed"
-                raise ValueError(f"{what} toward vehicle {leader.vid} is not finite")
+                raise ValueError(f"{what} toward vehicle {pid} is not finite")
             if headway < cap:
-                cap, bound, binder = headway, "headway", leader
+                cap, bound, binder = headway, "headway", pid
             guard = brake_guard(gap_next, v_next, hi, brake, config)
             if guard is not None and guard < cap:
-                cap, bound, binder = guard, "brake", leader
-        label = "reach_hi" if binder is None else f"{bound}:{binder.vid}"
+                cap, bound, binder = guard, "brake", pid
+        label = "reach_hi" if binder is None else f"{bound}:{binder}"
         floors = ()
         if vehicle.target_lane != vehicle.lane and c_oar is not None:
             floors = (lateral_rear_row(vehicle, c_oar, config),)

@@ -59,13 +59,13 @@ def build_topology(vehicles: list, near: dict) -> InteractionTopology:
             continue
         c_ol, c_oal, _ = near[ego.vid]
 
-        parents = [c_ol] if c_ol is not None else []
         if cutting_in(ego, c_ol, c_oal):
-            parents = [c_oal]
-        if ego.target_lane != ego.lane and c_oal is not None:
-            if all(p.vid != c_oal.vid for p in parents):
-                parents.append(c_oal)
-        entries[ego.vid] = tuple(p.vid for p in parents)
+            parents = (c_oal.vid,)
+        else:
+            parents = () if c_ol is None else (c_ol.vid,)
+        if ego.target_lane != ego.lane and c_oal is not None and c_oal.vid not in parents:
+            parents += (c_oal.vid,)
+        entries[ego.vid] = parents
     return InteractionTopology(entries=entries)
 
 

@@ -10,19 +10,19 @@ topology and the shield as data.  Every caller looks :func:`neighbors` up
 at call time (the policy and the reward as an attribute of this module),
 so one patch of the attribute reaches them all.
 
-Each world state has one fleet order, the :class:`NeighborIndex`: the
-fleet sorted by ``(x, -vid)``.  Perception queries (:func:`neighbors`,
-:func:`observe`, :func:`perceived`), the heuristic's ramp window, the
-shield's evaluation order and the collision sweep all read it.  It holds
-only ids and positions; lanes and flags are read live, so the merge
-bookkeeping, which moves no vehicle, leaves it valid.  ``step_world``
-advances ``step_index`` and builds the post-step index right after
-integration; it serves that step's collision sweep and rewards and all of
-the next step.  One walk outward from the ego along the order answers both
-perception questions, measuring each candidate it meets once: the first
-call of :func:`neighbors` or :func:`perceived` for a vehicle in a state
-memoises its :class:`Neighborhood` and its perceived group on the index
-together, and every later call of either reads them.  The road has two
+Each world state has one fleet order, the :class:`NeighborIndex`: the fleet
+in ``(x, -vid)`` order, sorted by descending vid, then stably by ``x``.
+Perception queries (:func:`neighbors`, :func:`observe`, :func:`perceived`),
+the heuristic's ramp window, the shield's evaluation order and the collision
+sweep all read it.  It holds only ids and positions; lanes and flags are
+read live, so the merge bookkeeping, which moves no vehicle, leaves it
+valid.  ``step_world`` advances ``step_index`` and builds the post-step
+index right after integration; it serves that step's collision sweep and
+rewards and all of the next step.  One walk outward from the ego along the
+order answers both perception questions, measuring each candidate it meets
+once: the first call of :func:`neighbors` or :func:`perceived` for a vehicle
+in a state memoises its :class:`Neighborhood` and its perceived group on the
+index together, and every later call of either reads them.  The road has two
 lanes, so a vehicle's perception-adjacent lane is always the other one,
 whether or not it is changing lanes.
 
@@ -37,6 +37,7 @@ import enum
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 from mergeshield import topology as _topology
@@ -77,6 +78,10 @@ class BehaviorAction(enum.IntEnum):
     FOLLOW_LANE = 2
     SPEED_UP = 3
     SLOW_DOWN = 4
+
+
+#: the members as constants: a read off the class goes through the metaclass
+_LANE_RIGHT, _LANE_LEFT, _FOLLOW_LANE, _SPEED_UP, _SLOW_DOWN = BehaviorAction
 
 
 @dataclass(frozen=True)
@@ -189,7 +194,8 @@ class NeighborIndex:
 
     @classmethod
     def build(cls, world: "World") -> "NeighborIndex":
-        ordered = sorted(world.vehicles, key=lambda v: (v.state.x, -v.vid))
+        ordered = sorted(world.vehicles, key=attrgetter("vid"), reverse=True)
+        ordered.sort(key=attrgetter("state.x"))
         return cls(step_index=world.step_index, ordered=ordered,
                    xs=[v.state.x for v in ordered], ys=[v.state.y for v in ordered],
                    rank={v.vid: i for i, v in enumerate(ordered)})
@@ -451,9 +457,9 @@ def plan_motion(ego: Vehicle, action: BehaviorAction, road: RoadNetwork,
     """
     v = ego.state.speed
     v_target = v
-    if action == BehaviorAction.SPEED_UP:
+    if action == _SPEED_UP:
         v_target = v + dv_step
-    elif action == BehaviorAction.SLOW_DOWN:
+    elif action == _SLOW_DOWN:
         v_target = v - dv_step
     # min(max(v_target, 0.0), v_cap) without the calls; a tie keeps v_target
     v_target = 0.0 if 0.0 > v_target else v_target
@@ -462,9 +468,9 @@ def plan_motion(ego: Vehicle, action: BehaviorAction, road: RoadNetwork,
 
     target_lane = ego.target_lane
     lane_request = False
-    if target_lane == ego.lane and action in (BehaviorAction.LANE_LEFT, BehaviorAction.LANE_RIGHT):
+    if target_lane == ego.lane and action in (_LANE_LEFT, _LANE_RIGHT):
         if not ego.merge_failed:
-            direction = -1 if action == BehaviorAction.LANE_LEFT else 1
+            direction = -1 if action == _LANE_LEFT else 1
             shifted = road.shift_lane(ego.lane, direction, ego.state.x)
             if shifted is not None:
                 target_lane = shifted
@@ -487,7 +493,7 @@ def _mark_collisions(ordered: list) -> None:
     summed lengths apart, which in floating point never exceeds the longest
     length.
     """
-    longest = max((v.params.length for v in ordered), default=0.0)
+    longest = max([v.params.length for v in ordered], default=0.0)
     for i, a in enumerate(ordered):
         for j in range(i + 1, len(ordered)):
             b = ordered[j]
@@ -521,7 +527,7 @@ def step_world(world: World, joint_actions: dict) -> tuple:
     plans = {}
     near = {}
     for vehicle in live:
-        action = joint_actions.get(vehicle.vid, BehaviorAction.FOLLOW_LANE)
+        action = joint_actions.get(vehicle.vid, _FOLLOW_LANE)
         plans[vehicle.vid] = plan_motion(vehicle, action, road, cfg.dv_step)
         near[vehicle.vid] = neighbors(world, vehicle)
 

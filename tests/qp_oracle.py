@@ -177,10 +177,17 @@ def bisect_cap(margin_at, v_hi):
     return lo
 
 
+def _travel(v0, m, k, dv):
+    """Summed speeds (travel over ``dt``) of ``k`` braking steps from ``v0``
+    by a vehicle that stops after ``m`` steps."""
+    kk = min(k, m)
+    return kk * v0 - dv * kk * (kk - 1) * 0.5
+
+
 def scan_cap(gap, v_hi, v_lead, brake, tau, dt):
     """``shield.brake_cap`` by scanning every braking step
     ``k = 0..ceil(v_hi / dv)`` for the smallest per-step root."""
-    from mergeshield.shield import _travel, brake_margin
+    from mergeshield.shield import brake_margin
 
     if brake_margin(gap, v_hi, v_lead, brake, tau, dt) >= 0.0:
         return v_hi

@@ -321,9 +321,11 @@ def test_step_path_calls_no_dataclasses_replace(name):
     assert found == []
 
 
-#: the functions run for every vehicle at every step, by module
+#: the functions run for every vehicle or at every step, by module; a
+#: method is named by its class
 STEP_PATH_FUNCTIONS = (
     ("dynamics", "maneuver"),
+    ("episode", "run_episode"),
     ("policy", "heuristic_policy"),
     ("reward", "custom_reward"),
     ("reward", "default_reward"),
@@ -333,6 +335,11 @@ STEP_PATH_FUNCTIONS = (
     ("world", "neighbors"),
     ("world", "perceived"),
     ("world", "plan_motion"),
+    ("world", "NeighborIndex.build"),
+    ("world", "_mark_collisions"),
+    ("world", "step_world"),
+    ("topology", "build_topology"),
+    ("topology", "evaluation_order"),
     ("shield", "reach"),
     ("shield", "credited_speed"),
     ("shield", "brake_guard"),
@@ -349,13 +356,23 @@ STEP_PATH_FUNCTIONS = (
 def test_step_path_functions_make_no_needless_calls(module, name):
     # a function-level import statement costs about a microsecond per run
     # and never shows in a profile; a nested def, lambda or generator is an
-    # object built and called on every run
-    defs = [node for node in ast.parse((SRC / f"{module}.py").read_text()).body
-            if isinstance(node, ast.FunctionDef) and node.name == name]
+    # object built and called on every run; a member read off the enum
+    # class is a lookup through its metaclass, several times a module
+    # constant's
+    body = ast.parse((SRC / f"{module}.py").read_text()).body
+    *owners, name = name.split(".")
+    for owner in owners:
+        body = [node for node in body if isinstance(node, ast.ClassDef) and node.name == owner]
+        assert len(body) == 1, owner
+        body = body[0].body
+    defs = [node for node in body if isinstance(node, ast.FunctionDef) and node.name == name]
     assert len(defs) == 1
     found = [type(node).__name__ for stmt in defs[0].body for node in ast.walk(stmt)
              if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef,
                                   ast.AsyncFunctionDef, ast.Lambda, ast.GeneratorExp))]
+    found += [_dotted(node) for stmt in defs[0].body for node in ast.walk(stmt)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "BehaviorAction"]
     assert found == []
 
 

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergeshield.config import RunConfig
 from mergeshield.episode import run_episode
@@ -185,6 +187,40 @@ def test_a_shared_command_object_and_an_equal_one_of_the_other_zero():
     assert '"v_nominal":17.25,"v_safe":17.25,' in got[0]
     assert '"v_nominal":0.0,"v_safe":-0.0,' in got[0]
     assert '"v_nominal":-0.0,"v_safe":0.0,' in got[0]
+
+
+#: the values a drawn float field takes: both zeros, and nonzero values
+#: that repeat often across fields
+SHARED_POOL = (0.0, -0.0, 17.25, -0.5, 20.0, 5e-324)
+
+
+@st.composite
+def shared_text_rows(draw):
+    """A row whose float fields come from :data:`SHARED_POOL`, each either
+    the one object already drawn for its value or a new equal one, with an
+    int or a bool in at most one field."""
+    objects = {}
+
+    def field():
+        value = draw(st.sampled_from(SHARED_POOL))
+        fresh = float.fromhex(value.hex())  # equal, sign included, not the same object
+        return objects.setdefault(value.hex(), fresh) if draw(st.booleans()) else fresh
+
+    fields = {name: field() for name in FLOAT_FIELDS}
+    odd = draw(st.sampled_from((None,) + FLOAT_FIELDS))
+    if odd is not None:
+        fields[odd] = draw(st.sampled_from((0, 20, True, False)))
+    return row(draw(st.integers(0, 3)), **fields)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(shared_text_rows(), min_size=1, max_size=3))
+def test_rows_whose_speeds_share_values_encode_as_the_oracle(rows):
+    # v_safe takes v_x's text when the two are an equal nonzero float, and
+    # v_nominal takes v_safe's when it is that object; an equal zero may be
+    # the other zero, and an int or bool is written as an int or bool
+    step = StepRecord(step=0, vehicles=tuple(rows), topology={})
+    assert step_lines([step]) == [oracle_line(step)]
 
 
 def test_a_repeated_wreck_row_encodes_as_the_oracle():

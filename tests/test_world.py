@@ -612,6 +612,23 @@ class TestWorldOrder:
         monkeypatch.setattr(episode, "spawn", shuffled_spawn)
         assert episode_lines(episode.run_episode(cfg, 3)[0]) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-3.5, -0.0, 0.0, 2.25, 7.0]), min_size=1, max_size=9),
+           st.randoms(use_true_random=False))
+    def test_the_fleet_order_is_x_then_descending_vid_whatever_the_list_order(self, xs, rnd):
+        # x ties (0.0 == -0.0 among them) go to the smaller vid ahead, both
+        # for a world built from a shuffled list and for one whose list is
+        # reassigned out of vid order later
+        vids = rnd.sample(range(3 * len(xs)), len(xs))
+        fleet = [make_vehicle(vid, x, 20.0) for vid, x in zip(vids, xs)]
+        want = [v.vid for v in sorted(fleet, key=lambda v: (v.state.x, -v.vid))]
+        world = make_world(fleet)
+        assert [v.vid for v in world.vehicles] == sorted(vids)
+        assert [v.vid for v in world_mod.neighbor_index(world).ordered] == want
+        rnd.shuffle(world.vehicles)
+        world.step_index += 1
+        assert [v.vid for v in world_mod.neighbor_index(world).ordered] == want
+
 
 class TestStepWorld:
     def test_empty_world_unchanged(self):
