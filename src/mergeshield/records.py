@@ -20,6 +20,14 @@ shape as the step rows.  What follows from other data is not written:
 - its distance into the merge section follows from ``x``, its lane and
   the config's ``road`` section.
 
+Units are SI: ``x`` and ``y`` [m] in the global frame, ``psi`` [rad],
+``v_x``, ``v_y`` and the shield's ``v_nominal``, ``v_safe`` and ``v_cbf``
+[m/s].  ``slack`` [m/s] is the soft rear floor's shortfall: how far a
+lane-changer's command lies below its floor toward the adjacent rear
+vehicle, 0 unless the caps put the box top under that floor.  The rewards
+have no unit; ``action`` is a ``BehaviorAction`` value, and the other
+fields are ids, lane indices, flags and constraint labels.
+
 Step lines are written straight from the :class:`VehicleRow` tuples with
 no intermediate dicts; the bytes are those ``json.dumps`` writes for the
 same dicts.  Equal nonzero floats have the same bits, so they may share
@@ -175,20 +183,21 @@ def snapshot_step(world: "World", step_index: int, actions: dict, outcomes: dict
                   topology: dict, rewards: dict, previous: tuple) -> StepRecord:
     """The post-step rows of the fleet, in ``world.vehicles`` order.
 
-    ``previous`` holds the rows of the step before, in the same order (the
-    initial snapshot before step 0).  A vehicle that is crashed, has no
-    action and was already a wreck without an action in ``previous`` keeps
-    that row object: a wreck never moves, so the row it would get is equal
-    field for field.  A vehicle that crashed during the last step carries
-    that step's action in its row, so it gets one new wreck row, shared
-    from then on.
+    ``previous`` holds the rows of the step before (the initial snapshot
+    before step 0).  A vehicle that is crashed and has no action keeps the
+    row at its position in ``previous`` when that row is its own (same
+    vid) and already a wreck without an action: a wreck never moves, so the
+    row it would get is equal field for field, and after a reordering of
+    ``world.vehicles`` it gets that equal row anew.  A vehicle that crashed
+    during the last step carries that step's action in its row, so it gets
+    one new wreck row, shared from then on.
     """
     rows = []
     for i, vehicle in enumerate(world.vehicles):
         vid = vehicle.vid
         if vehicle.crashed and vid not in actions:
             before = previous[i]
-            if before.crashed and before.action is None:
+            if before.vid == vid and before.crashed and before.action is None:
                 rows.append(before)
                 continue
         reward, reward_overall = rewards.get(vid, (None, None))

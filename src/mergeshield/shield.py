@@ -1,10 +1,10 @@
 """Safety layer: speed caps, a soft floor, a scalar QP filter, lane gating.
 
 Every barrier bounds the one speed command ``v``: each hard one is a cap
-``v <= cap``, and the one soft row ``a * v - slack <= q`` with ``a < 0``
-sets a floor that a slack may relax.  Every worst case is a bound of a
-vehicle's one-step speed box, :func:`reach`.  The shield modes differ in
-one credit rule, :func:`credited_speed`: a topology parent is credited its
+``v <= cap``, and the one soft one a floor ``v >= floor`` [m/s] that the
+box top may fall short of.  Every worst case is a bound of a vehicle's
+one-step speed box, :func:`reach`.  The shield modes differ in one credit
+rule, :func:`credited_speed`: a topology parent is credited its
 resolved safe command in ``mass`` mode and its box floor in ``hss`` mode,
 which also keeps the own-lane leader that a cutting-in vehicle displaced.
 The lane-change gate credits resolved outcomes in both modes: the adjacent
@@ -31,7 +31,7 @@ The caps lower the top of the ego's reach box to their minimum, the first
 of a tie labelling it.  :func:`solve_qp` then takes the command nearest the
 nominal in that box, above the soft floor whenever the box reaches it, and
 at the box top with the shortfall recorded as slack when it does not; caps
-below the box raise a fault that falls back to full braking.
+below the box return a fault that falls back to full braking.
 
 :func:`joint_safe_control` reads no world: ``step_world`` hands it the
 config, the topology, the plans, each live vehicle's neighbourhood, the
@@ -58,7 +58,6 @@ __all__ = [
     "brake_cap",
     "ShieldConfig",
     "ShieldOutcome",
-    "ShieldFault",
     "QPSolution",
     "reach",
     "credited_speed",
@@ -71,18 +70,13 @@ __all__ = [
 ]
 
 
-class ShieldFault(RuntimeError):
-    """Hard-infeasible constraint system; caller falls back to full braking."""
-
-
 class Row(NamedTuple):
-    """The soft floor ``a * v - slack <= q`` (``a < 0``) over the speed
-    command; ``kind`` stays only for the benchmark's tracer to count by."""
+    """The soft floor [m/s] under the speed command, and its label;
+    ``kind`` stays only for the benchmark's tracer to count by."""
 
-    a: float
-    q: float
+    floor: float
     label: str
-    kind: str = "soft"
+    kind = "soft"
 
 
 @dataclass(frozen=True)
@@ -93,8 +87,7 @@ class ShieldConfig:
     passes every plan through.  Reach boxes use each vehicle's own
     acceleration limits, and the lateral rows the same headway ``tau`` as
     the longitudinal ones.  No margin pads the caps: they predict the next
-    gap with the integrator's own step, and no weight prices the soft
-    floor's slack: :func:`solve_qp` keeps the floor whenever the box allows.
+    gap with the integrator's own step.
     """
 
     mode: str = "mass"
@@ -129,13 +122,14 @@ class ShieldOutcome(NamedTuple):
 
 
 class QPSolution(NamedTuple):
-    """The filtered command, the soft floor's shortfall there (0 unless
-    the box top lies below the floor) and the labels of the bounds that
-    bind there."""
+    """The filtered command, the soft floor's shortfall there in m/s (0
+    unless the box top lies below the floor), the labels of the bounds that
+    bind there, and whether the caps left no command (a fault)."""
 
     v_safe: float
     slack: float
     active: tuple
+    fault: bool = False
 
 
 def bumper_gap(follower, leader) -> float:
@@ -276,14 +270,16 @@ def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> Row:
     """Soft floor toward the adjacent rear vehicle during a lane change.
 
     ``h = gap - tau * v_ar`` with ``v_ar`` the top of the rear vehicle's
-    :func:`reach` box, propagated one step.  It is soft so a squeezed
-    lane-changer whose box top lies below the floor takes that top and
-    records the shortfall as slack rather than faulting.
+    :func:`reach` box, propagated one step: the floor is the least command
+    whose travel ``cos(psi) * v * dt`` keeps ``h_next >= (1 - eta) * h``.
+    It is soft so a squeezed lane-changer whose box top lies below the
+    floor takes that top and records the shortfall as slack rather than
+    faulting.
     """
     dt = config.dt
     v_ar = reach(c_oar, dt)[1]
     q = config.eta * (bumper_gap(c_oar, ego) - config.tau * v_ar) - v_ar * dt
-    return Row(-math.cos(ego.state.psi) * dt, q, f"lat_rear:{c_oar.vid}")
+    return Row(q / (-math.cos(ego.state.psi) * dt), f"lat_rear:{c_oar.vid}")
 
 
 def allow_lane_change(ego, c_oal, c_oar, config: ShieldConfig) -> bool:
@@ -346,36 +342,30 @@ def solve_qp(v_nominal: float, rows, lo: float, hi: float,
     the :func:`reach` box with its top lowered by the caps, its bounds
     labelled ``reach_lo`` and ``hi_label``.
 
-    ``rows`` holds at most the one soft floor, a finite :class:`Row`
-    ``a * v - slack <= q`` with ``a < 0``; any other row raises
-    ``ValueError``.  Its floor ``F = q / a`` holds whenever the box allows
-    it: at or below the top, the command is the nominal clamped into
-    ``[max(lo, F), hi]`` with no slack; above it, the command is the top
-    and the slack ``a * hi - q`` records the shortfall.  This is the
-    optimum of ``(v - v_nominal)^2 + k * slack`` for every weight ``k``
-    whose slack stationary point ``v_nominal - k * a / 2`` clears the box
-    top.  The shield's floor has ``-a = cos(psi) * dt >= 0.71 * dt``, a
-    lateral speed being at most 0.7 times the speed, so a weight that
-    keeps the floor at all puts that point far above every box.
+    ``rows`` holds at most one :class:`Row`, the soft floor; a second row
+    or a floor that is not finite raises ``ValueError``.  The floor holds
+    whenever the box allows it: at or below the top, the command is the
+    nominal clamped into ``[max(lo, floor), hi]`` with no slack; above it,
+    the command is the top and the slack ``floor - hi`` [m/s] records the
+    shortfall.  ``active`` names the bounds that bind at the chosen point.
 
-    ``active`` names the bounds that bind at the chosen point.  Raises
-    :class:`ShieldFault` when ``lo > hi + FEAS_TOL``; a box empty by less
-    is pinned to ``lo``.
+    Caps with ``lo > hi + FEAS_TOL`` leave no command: the solution is a
+    fault at ``lo``, full braking, with no slack and ``active`` just
+    ``("fault",)``.  A box empty by less is pinned to ``lo``.
     """
     soft = None
     for row in rows:
-        if soft is not None or row.kind != "soft" or not (
-                math.isfinite(row.a) and row.a < 0.0 and math.isfinite(row.q)):
-            raise ValueError(f"row {row.label!r} is not the one finite soft floor")
+        if soft is not None or not math.isfinite(row.floor):
+            raise ValueError(f"row {row.label!r} is not the one finite floor")
         soft = row
     if lo > hi + FEAS_TOL:
-        raise ShieldFault("caps infeasible")
+        return QPSolution(lo, 0.0, ("fault",), True)
     hi = lo if lo > hi else hi
     floor, floor_label = lo, "reach_lo"
-    if soft is not None and soft.q / soft.a > lo:
-        floor, floor_label = soft.q / soft.a, soft.label
+    if soft is not None and soft.floor > lo:
+        floor, floor_label = soft.floor, soft.label
     if floor > hi:
-        return QPSolution(hi, max(0.0, soft.a * hi - soft.q), (hi_label, floor_label))
+        return QPSolution(hi, floor - hi, (hi_label, floor_label))
     if v_nominal > hi:
         return QPSolution(hi, 0.0, (hi_label,))
     if v_nominal < floor:
@@ -465,12 +455,7 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
         floors = ()
         if vehicle.target_lane != vehicle.lane and c_oar is not None:
             floors = (lateral_rear_row(vehicle, c_oar, config),)
-        try:
-            sol = solve_qp(v_nominal, floors, lo, cap, label)
-        except ShieldFault:
-            outcomes[vid] = ShieldOutcome(v_nominal, lo, lo - v_nominal, allowed, 0.0,
-                                          ("fault",), True, staged)
-            continue
+        sol = solve_qp(v_nominal, floors, lo, cap, label)
         outcomes[vid] = ShieldOutcome(v_nominal, sol.v_safe, sol.v_safe - v_nominal, allowed,
-                                      sol.slack, sol.active, False, staged)
+                                      sol.slack, sol.active, sol.fault, staged)
     return outcomes

@@ -1,162 +1,52 @@
 """Reference oracles for the shield, independent of its closed forms.
 
-The shield's QP has one speed command ``v`` and one slack: minimise
-``(v - v_nom)^2 + k_eps * slack`` over a box, speed caps and at most one
-soft floor.  ``shield.solve_qp`` solves it for a weight large enough that
-the floor holds whenever the box allows; the oracles take the weight as
-an argument.
-
-* A grid oracle evaluates that objective pointwise: at a point v the
-  optimal slack is the largest soft-row violation, or 0.  The search runs
-  a dense grid over the decision box, augmented with the analytic row
-  boundaries (where kinks can sit), then refines around the incumbent.
-* An exact active-set enumerator solves the same QP through the KKT
-  system of every candidate active set.
+* A clamp reference states what ``shield.solve_qp`` returns from the rule
+  itself: of the candidate commands in the (pinned) box, the one with the
+  least floor shortfall, and of those the one nearest the nominal, both
+  measured in exact rational arithmetic.
 * A bisection finds the braking-feasibility cap from ``brake_margin`` signs.
 * A full scan takes the braking-feasibility cap as the smallest per-step
   root over every braking step, the closed form before its candidate set.
-
-The grid and the enumerator take halfspaces :class:`AffineRow`;
-:func:`affine_rows` states a shield instance (its caps, soft floor and
-reachability box) in that form, the caps as hard rows.
 """
 
-import itertools
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class AffineRow:
-    """Halfspace ``a * v + s * slack <= q``: ``s`` is 0 for a hard row and
-    negative for a soft one."""
+def clamp_reference(v_nom, floors, lo, hi, hi_label="reach_hi"):
+    """``(v_safe, slack, active, fault)`` for the command ``v_nom``, at most
+    one soft floor ``shield.Row`` and the box ``[lo, hi]``.
 
-    a: float
-    s: float
-    q: float
-    label: str
-
-
-def affine_rows(caps, floors, lo, hi):
-    """One instance as :class:`AffineRow` halfspaces: its box ``[lo, hi]``
-    first, then each cap ``(a, q, label)`` meaning ``a * v <= q`` as a
-    hard row, then each soft floor ``shield.Row``."""
-    box = [AffineRow(1.0, 0.0, hi, "reach_hi"), AffineRow(-1.0, 0.0, -lo, "reach_lo")]
-    return (box + [AffineRow(a, 0.0, q, label) for a, q, label in caps]
-            + [AffineRow(r.a, -1.0, r.q, r.label) for r in floors])
-
-
-def _split_rows(rows):
-    """The hard and the soft rows as ``(a, q)`` pairs, a soft one scaled to
-    slack coefficient -1."""
-    hard, soft = [], []
-    for r in rows:
-        if r.s == 0.0:
-            hard.append((r.a, r.q))
-        else:
-            soft.append((r.a / -r.s, r.q / -r.s))
-    return hard, soft
-
-
-def oracle_objective_at(points, v_nom, hard, soft, k_eps):
-    """Objective per point, +inf where hard rows fail."""
-    pts = np.asarray(points, dtype=float)
-    eps = np.zeros(len(pts))
-    for a, q in soft:
-        eps = np.maximum(eps, a * pts - q)
-    obj = (pts - v_nom) ** 2 + k_eps * eps
-    for a, q in hard:
-        obj = np.where(a * pts <= q + 1e-9, obj, np.inf)
-    return obj
-
-
-def grid_search_min(v_nom, rows, k_eps, box=(0.0, 40.0), resolution=1e-3):
-    """Minimum objective over the decision box by a grid at ``resolution``
-    plus every row boundary, refined around the incumbent.  Returns
-    (objective, point) with objective == inf and point None when no
-    feasible point exists."""
-    hard, soft = _split_rows(rows)
-    lo, hi = box
-    extra = [lo, hi, min(max(v_nom, lo), hi)]
-    extra += [q / a for a, q in hard + soft if a != 0.0 and lo <= q / a <= hi]
-    pts = np.concatenate([np.arange(lo, hi + resolution / 2, resolution), extra])
-    obj = oracle_objective_at(pts, v_nom, hard, soft, k_eps)
-    best = int(np.argmin(obj))
-    best_obj, best_pt = float(obj[best]), float(pts[best])
-    if not np.isfinite(best_obj):
-        return best_obj, None
-    width = resolution
-    for _ in range(8):
-        local = np.clip(np.linspace(best_pt - width, best_pt + width, 81), lo, hi)
-        lobj = oracle_objective_at(local, v_nom, hard, soft, k_eps)
-        i = int(np.argmin(lobj))
-        if lobj[i] < best_obj:
-            best_obj, best_pt = float(lobj[i]), float(local[i])
-        width /= 20.0
-    return best_obj, best_pt
-
-
-@dataclass(frozen=True)
-class EnumeratedSolution:
-    v_safe: float
-    slack: float
-    active: tuple
-    objective: float
-
-
-def enumerate_qp(v_nom, rows, k_eps):
-    """Minimise ``(v - v_nom)^2 + k_eps * slack`` subject to the rows by
-    exact active-set enumeration: every candidate active set is solved in
-    closed form through its KKT system, and the feasible candidate (within
-    1e-9) with the lowest objective wins.  Each candidate's slack is the
-    largest soft-row violation at its point, or 0, and its objective is
-    taken with that slack.  Raises ``ShieldFault`` when no candidate is
-    feasible.
+    A box empty by more than ``shield.FEAS_TOL`` is a fault at ``lo``; one
+    empty by less is pinned to ``lo``.  Otherwise the command minimises
+    ``(max(0, floor - v), |v - v_nom|)`` in that order over the box; the
+    minimiser is one of ``lo``, ``hi``, ``v_nom`` and the floor, so those
+    are the candidates.  The slack is the floor's shortfall there.  The
+    top binds when the nominal or the floor lies above it; the floor, or
+    ``reach_lo`` when no floor lies strictly above ``lo``, binds when it
+    lies above the command, or on it with the nominal below.
     """
-    from mergeshield.shield import ShieldFault
+    from mergeshield.shield import FEAS_TOL
 
-    rows = list(rows) + [AffineRow(0.0, -1.0, 0.0, "slack_nonneg")]
-    H = np.diag([2.0, 0.0])
-    c_lin = np.array([-2.0 * v_nom, k_eps])
-    G = np.array([(r.a, r.s) for r in rows])
-    h = np.array([r.q for r in rows])
-    soft = G[:, 1] != 0.0  # the soft rows and slack_nonneg
+    if lo > hi + FEAS_TOL:
+        return lo, 0.0, ("fault",), True
+    hi = max(lo, hi)
+    floor, label = lo, "reach_lo"
+    for row in floors:
+        if row.floor > lo:
+            floor, label = row.floor, row.label
+    exact = Fraction(floor)
 
-    best = None
-    for size in (1, 2):
-        for subset in itertools.combinations(range(len(rows)), size):
-            G_a = G[list(subset)]
-            kkt = np.zeros((2 + size, 2 + size))
-            kkt[:2, :2] = H
-            kkt[:2, 2:] = G_a.T
-            kkt[2:, :2] = G_a
-            rhs = np.concatenate([-c_lin, h[list(subset)]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-                # one step of iterative refinement: multipliers of order
-                # k_eps otherwise leave the point about 1e-10 off its rows
-                sol += np.linalg.solve(kkt, rhs - kkt @ sol)
-            except np.linalg.LinAlgError:
-                continue
-            z = sol[:2]
-            if np.any(sol[2:] < -1e-9):
-                continue
-            if np.any(G @ z > h + 1e-9):
-                continue
-            v = float(z[0])
-            # the cheapest slack at v, so that k_eps does not lift the solve's
-            # round-off in z[1] into the objective
-            eps = max(0.0, float(np.max((G[soft, 0] * v - h[soft]) / -G[soft, 1])))
-            obj = (v - v_nom) ** 2 + k_eps * eps
-            if best is None or obj < best.objective - 1e-12:
-                best = EnumeratedSolution(v_safe=v, slack=eps,
-                                          active=tuple(rows[j].label for j in subset),
-                                          objective=obj)
-    if best is None:
-        raise ShieldFault("no feasible candidate")
-    return best
+    def key(v):
+        return max(Fraction(0), exact - Fraction(v)), abs(Fraction(v) - Fraction(v_nom))
+
+    v = min((c for c in (lo, hi, v_nom, floor) if lo <= c <= hi), key=key)
+    active = ()
+    if max(v_nom, floor) > hi:
+        active += (hi_label,)
+    if floor > v or (floor == v and v_nom < floor):
+        active += (label,)
+    return v, float(key(v)[0]), active, False
 
 
 def bisect_cap(margin_at, v_hi):
@@ -206,62 +96,3 @@ def scan_cap(gap, v_hi, v_lead, brake, tau, dt):
             return 0.0
         cap = min(cap, root)
     return max(cap, 0.0)
-
-
-#: the slack weight the oracles price the soft floor at.  Every drawn floor
-#: has ``|a| >= 0.01``, so the slack's stationary point
-#: ``v_nom - K_EPS * a / 2`` lies thousands above every box: there the
-#: weighted QP's optimum is the shield's rule, the floor whenever the box
-#: reaches it and else the box top
-K_EPS = 1e6
-
-
-def check_scalar_instance(v_nom, caps, floors, lo, hi, tol_obj=1e-6):
-    """Verify ``shield.solve_qp`` on one instance of caps ``(a, q, label)``
-    and soft floors in the box ``[lo, hi]``; returns the solution, or None
-    for a consistently infeasible instance.
-
-    The solver gets the caps as the shield hands them over, folded into
-    the box top ``min(q / a)``; the grid and the enumerator get them as
-    hard rows and price the slack at :data:`K_EPS`.  The solver's point
-    keeps the hard rows and follows the floor rule: with a floor above the
-    (pinned) box top it is that top, with the floor's shortfall as slack,
-    and otherwise the nominal clamped into the box above the floor, with
-    no slack.  The dense grid plus boundary candidates pins the optimum,
-    so the objective at the solver's point must agree with the grid's
-    within ``tol_obj`` both ways, and with the enumerator's objective at
-    the enumerator's point within 1e-9 relative.
-    """
-    from mergeshield.shield import ShieldFault, solve_qp
-
-    affine = affine_rows(caps, floors, lo, hi)
-    hard, soft = _split_rows(affine)
-    oracle_obj, _ = grid_search_min(v_nom, affine, K_EPS)
-    top, top_label = hi, "reach_hi"
-    for a, q, label in caps:
-        if q / a < top:
-            top, top_label = q / a, label
-    try:
-        sol = solve_qp(v_nom, floors, lo, top, top_label)
-    except ShieldFault:
-        assert not np.isfinite(oracle_obj), "solver infeasible but oracle found a point"
-        return None
-    assert np.isfinite(oracle_obj), "oracle infeasible but solver returned a point"
-    top = max(top, lo)
-    floor = max([lo] + [r.q / r.a for r in floors])
-    if floor > top:
-        (row,) = floors
-        assert (sol.v_safe, sol.slack) == (top, max(0.0, row.a * top - row.q))
-    else:
-        assert (sol.v_safe, sol.slack) == (min(max(v_nom, floor), top), 0.0)
-    objective = oracle_objective_at([sol.v_safe], v_nom, hard, soft, K_EPS)[0]
-    assert np.isfinite(objective), "solver point violates hard rows"
-    scale = 1.0 + abs(objective)
-    assert objective <= oracle_obj + tol_obj * scale
-    assert oracle_obj <= objective + tol_obj * scale
-    # compare true objectives at both points: the enumerator's point may sit
-    # about 1e-12 off the scalar solver's
-    enumerated = enumerate_qp(v_nom, affine, K_EPS)
-    at_enumerated = oracle_objective_at([enumerated.v_safe], v_nom, hard, soft, K_EPS)[0]
-    assert abs(at_enumerated - objective) <= 1e-9 * scale
-    return sol

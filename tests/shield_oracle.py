@@ -15,7 +15,6 @@ import math
 from mergeshield.dynamics import maneuver
 from mergeshield.shield import (
     ShieldConfig,
-    ShieldFault,
     ShieldOutcome,
     allow_lane_change,
     brake_cap,
@@ -96,9 +95,8 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float, config: ShieldCo
     floors = ()
     if ego.target_lane != ego.lane and c_oar is not None:
         floors = (lateral_rear_row(ego, c_oar, config),)
-    try:
-        sol = solve_qp(v_nom_step, floors, lo, cap, label)
-    except ShieldFault:
+    sol = solve_qp(v_nom_step, floors, lo, cap, label)
+    if sol.fault:
         return ShieldOutcome(v_nom_step, lo, lo - v_nom_step, lane_change_allowed, 0.0,
                              ("fault",), True, staged)
     v_safe = sol.v_safe

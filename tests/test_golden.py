@@ -27,7 +27,7 @@ from mergeshield.world import ScenarioConfig
 GOLDEN = {
     ("mass", "random", 1): (
         "142c35d77dde55deb6600590a5a1ded416528bd3c7ebd601d249bf48493895a1",
-        "8d28c5e6e0dc4696bc2b66375876b2752aee7a7302960c5592f5816939f4a55f",
+        "208ee010feb3d4b618accc9f15d786d7a14650da23280c4d31691ff5122c3467",
         "8410748353097a3f1c09ce38a2929229a67b43746e71d1d8efcada066a2de4bb",
     ),
     ("hss", "heuristic", 2): (
@@ -47,7 +47,7 @@ GOLDEN = {
     ),
     ("hss", "random", 1): (
         "620f0cf4cdeeb8628cce3571d33393e490d7898d0ee6289dfa6d0aac0fd64263",
-        "de09ef2c91ebfc564d3e7611d68a9171464be8971ce717317317dfd3e7313d9c",
+        "88b9d2bf3a17d449d3f5a34776ed96e5424cff3e4ec46823007f35bfd7df8842",
         "0e8409b0d2b31ee204e489fe5f1ae206ad061381548cea0957ab9f83a30f262e",
     ),
     ("none", "heuristic", 2): (
@@ -57,12 +57,12 @@ GOLDEN = {
     ),
     ("hss", "random", 7): (
         "465efdb5123e2065f420eaf4c4bc67ef42f1130d5dfa154d839251caf7821f0e",
-        "75c9189063773f289152caa4f9f39d749e97ba484c7c185c465f79d7a7a9f9cc",
+        "d0fc7dc6d184fd1eec05600dd8d49010f0f9bf19e194da83a6b949ae230d9106",
         "76d70a83412fc3ad63a90944b77ff6e538bf9ca25342ce16c7e617b7d5c21bcb",
     ),
     ("mass", "random", 7): (
         "21b0c9eb0f0461861fef7e3dea55b7ad89ded45f7e86f1cac7b5f54252d42cd6",
-        "2e0a485b1eeac33c0cd51265c04bc314981fe9f464c0133fd58feba37f160fd4",
+        "0159f40f163a3deb239d83524f22ff3f8c33b6f6dd261490f449a66fb978c7f7",
         "e57e9e7b58b5677edcf5f472744173eec47e3aaa76ff494eda311329e9dc768d",
     ),
 }

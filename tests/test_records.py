@@ -10,11 +10,11 @@ from mergeshield.episode import run_episode
 from mergeshield.metrics import summarize_episode
 from mergeshield.policy import PolicySpec
 from mergeshield.records import (EpisodeRecord, StepRecord, VehicleRow, _dump, episode_lines,
-                                 read_episode, snapshot_vehicle, write_episode)
+                                 read_episode, snapshot_step, snapshot_vehicle, write_episode)
 from mergeshield.shield import ShieldConfig
 from mergeshield.world import ScenarioConfig
 
-from conftest import make_vehicle
+from conftest import make_vehicle, make_world
 from record_oracle import step_dict
 
 MODES = ("none", "hss", "mass")
@@ -273,6 +273,22 @@ def test_a_wreck_shares_its_row_from_its_second_wreck_step_on():
             shared += len(later) - 1
     assert shared > 0
     assert episode_lines(record)[1:-1] == [oracle_line(step) for step in record.steps]
+
+
+def test_a_reordered_fleet_never_gets_another_vehicles_wreck_row():
+    # vehicle 0 becomes a shared wreck row, the fleet list is reversed, and
+    # vehicle 8 then crashes in the slot where vehicle 0's row was
+    w = make_world([make_vehicle(vid, 30.0 * vid, 20.0) for vid in range(9)])
+    rows = tuple(map(snapshot_vehicle, w.vehicles))
+    w.vehicles[0].crashed = True
+    for k in range(2):
+        rows = snapshot_step(w, k, {}, {}, {}, {}, rows).vehicles
+    assert rows[0].crashed and rows[0].vid == 0
+    w.vehicles.reverse()
+    w.vehicles[0].crashed = True
+    for k in range(2, 4):
+        rows = snapshot_step(w, k, {}, {}, {}, {}, rows).vehicles
+        assert rows == tuple(map(snapshot_vehicle, w.vehicles))
 
 
 def test_a_wreck_given_an_action_records_it():
