@@ -13,7 +13,8 @@ A :class:`VehicleState` is a named tuple that stores its planar speed once,
 when it is built: every layer reads the speed several times per step.
 Each way of making a state, including ``_replace``, ``_make``, pickling and
 copying, goes through the constructor, so the stored speed always matches
-the velocity components.
+the velocity components.  The one exception is :func:`step`, which hands
+on the speed it has already computed (see :class:`VehicleState`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from typing import NamedTuple
 
 __all__ = ["VehicleParams", "VehicleState", "check_floats", "obeys_float_rule", "maneuver",
            "step"]
+
+#: a named tuple from all its fields in one C call, at half the cost of its class's own __new__
+_new = tuple.__new__
 
 #: lateral speed of a lane-change maneuver [m/s]
 LANE_CHANGE_LATERAL_SPEED = 2.0
@@ -102,6 +106,12 @@ class VehicleState(_StateFields):
     ``_make`` (which takes the five inputs) and ``__getnewargs__`` (used by
     ``pickle`` and ``copy``) all go through this constructor, so no path
     keeps a speed that no longer matches ``v_x`` and ``v_y``.
+
+    :func:`step` is the one path that skips it: when the ``v_cap`` does
+    not rescale, it builds the state with ``tuple.__new__`` and the
+    ``hypot(v_x, v_y)`` it computed for the cap test.  That is the same
+    float operation on the same two floats, so the speed is the one this
+    constructor would store, bit for bit.
     """
 
     __slots__ = ()
@@ -178,7 +188,6 @@ def step(state: VehicleState, params: VehicleParams, a: float, dt: float) -> Veh
     speed = math.hypot(v_x, v_y)
     if speed > params.v_cap:
         scale = params.v_cap / speed
-        v_x *= scale
-        v_y *= scale
-
-    return VehicleState(x, y, v_x, v_y, state.psi)
+        return VehicleState(x, y, v_x * scale, v_y * scale, state.psi)
+    # the constructor's own hypot of these same components
+    return _new(VehicleState, (x, y, v_x, v_y, state.psi, speed))

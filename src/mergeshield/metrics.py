@@ -163,14 +163,22 @@ def summarize_episode(record: EpisodeRecord, shield_mode: str, policy: str) -> E
 
 
 def _mean_se(values: list) -> tuple:
+    """Mean and standard error, each sum added left to right from 0: the
+    order a plain ``sum`` used before Python 3.12 made float sums
+    compensated, so the aggregate is the same on every supported Python."""
     n = len(values)
     if n == 0:
         return None, None
-    mean = sum(values) / n
+    total = 0
+    for v in values:
+        total += v
+    mean = total / n
     if n == 1:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var / n)
+    squares = 0
+    for v in values:
+        squares += (v - mean) ** 2
+    return mean, math.sqrt(squares / (n - 1) / n)
 
 
 def aggregate_summaries(summaries: list) -> dict:

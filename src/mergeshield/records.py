@@ -31,7 +31,10 @@ fields are ids, lane indices, flags and constraint labels.
 Step lines are written straight from the :class:`VehicleRow` tuples with
 no intermediate dicts; the bytes are those ``json.dumps`` writes for the
 same dicts.  Equal nonzero floats have the same bits, so they may share
-one text; a zero is written by its own sign, as ``0.0 == -0.0``.
+one text; a zero is written by its own sign, as ``0.0 == -0.0``.  This
+holds across steps too: a nonzero ``v_x`` equal to the last float ``v_x``
+written for the same vehicle reuses that text.  A vehicle that holds its
+speed along its lane keeps its ``v_x``, so about half the rows reuse it.
 
 A wreck never moves again, so its row is one fact: from the second step
 after a vehicle crashed, :func:`snapshot_step` hands on the previous step's
@@ -58,6 +61,9 @@ __all__ = ["SCHEMA", "VehicleRow", "StepRecord", "EpisodeRecord",
 
 SCHEMA = "mergeshield.episode/2"
 
+#: a named tuple from all its fields in one C call, at half the cost of its class's own __new__
+_new = tuple.__new__
+
 #: the header config's numbers that rows are read with (metric lane, bumpers)
 _ROW_CONTEXT = (("road", "lane_width"), ("vehicle", "length"))
 
@@ -71,6 +77,9 @@ class VehicleRow(NamedTuple):
     and several times cheaper to build or copy.  A row without an action
     serialises its state fields only; what follows from them or from the
     header is not a field (see the module docstring).
+
+    ``src/`` builds it with ``tuple.__new__``, which applies no defaults:
+    every build passes every field.
     """
 
     vid: int
@@ -162,21 +171,20 @@ class EpisodeRecord:
 
 def snapshot_vehicle(vehicle, action=None, outcome=None, reward=None,
                      reward_overall=None) -> VehicleRow:
-    # positional, in field order: binding 21 keywords costs more than
-    # everything else that goes into a row
+    # all 21 fields in order, in one tuple: binding keywords or the class's
+    # own __new__ costs more than everything else that goes into a row
     s = vehicle.state
-    row = (
+    if outcome is None:
+        v_nominal = v_safe = v_cbf = allowed = slack = fault = None
+        active = ()
+    else:
+        v_nominal, v_safe, v_cbf, allowed, slack, active, fault, _ = outcome
+    return _new(VehicleRow, (
         vehicle.vid, vehicle.lane, vehicle.target_lane, s.x, s.y, s.v_x, s.v_y, s.psi,
         vehicle.merged, vehicle.merge_failed, vehicle.crashed,
         None if action is None else int(action),
-    )
-    if outcome is None:
-        return VehicleRow(*row, reward=reward, reward_overall=reward_overall)
-    return VehicleRow(
-        *row, outcome.v_nominal, outcome.v_safe, outcome.v_cbf,
-        outcome.lane_change_allowed, outcome.slack_used, outcome.active_constraints,
-        outcome.fault, reward, reward_overall,
-    )
+        v_nominal, v_safe, v_cbf, allowed, slack, active, fault, reward, reward_overall,
+    ))
 
 
 def snapshot_step(world: "World", step_index: int, actions: dict, outcomes: dict,
@@ -232,12 +240,15 @@ def _step_encoder():
     The JSON text of every tuple of active labels and of every tuple of
     topology parents is kept for the encoder's lifetime, and so is the
     text of each vehicle's last wreck row (crashed, without an action),
-    returned again only for that same row object.
+    returned again only for that same row object.  Each vehicle's last
+    ``v_x`` written on the repr path is kept with its text, which a later
+    ``v_x`` of that vehicle reuses when it is equal and not zero.
     """
     actives: dict = {}
     parent_lists: dict = {}
     wreck_rows: dict = {}
     wreck_texts: dict = {}
+    last_vx: dict = {}  # vid -> (v_x, its text)
 
     def num(v) -> str:
         if v.__class__ is not float:
@@ -256,7 +267,14 @@ def _step_encoder():
         # what ``num`` writes; ``vx`` keeps v_x's value only on the repr path
         if (x.__class__ is y.__class__ is v_x.__class__ is v_y.__class__ is psi.__class__
                 is float and x - x + (y - y) + (v_x - v_x) + (v_y - v_y) + (psi - psi) == 0.0):
-            vx, x, y, v_x, v_y, psi = v_x, f"{x!r}", f"{y!r}", f"{v_x!r}", f"{v_y!r}", f"{psi!r}"
+            vx = v_x
+            last = last_vx.get(vid)
+            if last is not None and last[0] == vx != 0.0:
+                v_x = last[1]
+            else:
+                v_x = f"{vx!r}"
+                last_vx[vid] = (vx, v_x)
+            x, y, v_y, psi = f"{x!r}", f"{y!r}", f"{v_y!r}", f"{psi!r}"
         else:
             vx, x, y, v_x, v_y, psi = None, num(x), num(y), num(v_x), num(v_y), num(psi)
         head = (f'{{"vid":{vid},"lane":{lane},"target_lane":{target_lane},'

@@ -62,6 +62,9 @@ __all__ = [
     "step_world",
 ]
 
+#: a named tuple from all its fields in one C call, at half the cost of its class's own __new__
+_new = tuple.__new__
+
 #: fraction of the lane width below which a lane change counts as complete
 LANE_CHANGE_DONE_FRACTION = 0.1
 
@@ -154,7 +157,11 @@ class Vehicle:
 
 
 class MotionPlan(NamedTuple):
-    """Nominal control target produced from one behavioural action."""
+    """Nominal control target produced from one behavioural action.
+
+    ``src/`` builds it with ``tuple.__new__``, which applies no defaults:
+    every build passes every field.
+    """
 
     v_target: float
     target_lane: int
@@ -162,7 +169,11 @@ class MotionPlan(NamedTuple):
 
 
 class Neighborhood(NamedTuple):
-    """Own-lane leader, other-lane leader and other-lane rear vehicle."""
+    """Own-lane leader, other-lane leader and other-lane rear vehicle.
+
+    ``src/`` builds it with ``tuple.__new__``, which applies no defaults:
+    every build passes every field.
+    """
 
     c_ol: Vehicle | None = None
     c_oal: Vehicle | None = None
@@ -386,7 +397,7 @@ def _perceive(world: World, index: NeighborIndex, ego: Vehicle) -> tuple:
             if o.lane != lane and math.hypot(dx, ey - ys[j]) <= comm:
                 c_oar = o
                 break
-    near = index.near[ego.vid] = Neighborhood(c_ol, c_oal, c_oar)
+    near = index.near[ego.vid] = _new(Neighborhood, (c_ol, c_oal, c_oar))
     seen = index.seen[ego.vid] = [o for _, _, o in group]
     return near, seen
 
@@ -475,7 +486,7 @@ def plan_motion(ego: Vehicle, action: BehaviorAction, road: RoadNetwork,
             if shifted is not None:
                 target_lane = shifted
                 lane_request = True
-    return MotionPlan(v_target, target_lane, lane_request)
+    return _new(MotionPlan, (v_target, target_lane, lane_request))
 
 
 def _rect_overlap(a: Vehicle, b: Vehicle) -> bool:

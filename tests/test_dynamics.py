@@ -237,6 +237,23 @@ class TestVehicleState:
                 rescaled += euler_reference(s, a, 0.1).speed > v_cap
         assert rescaled > 0
 
+    @pytest.mark.parametrize("v_cap, v_x", [
+        (st.just(100.0), st.floats(-45, 45)),  # out of reach: never rescaled
+        (st.floats(0.5, 5.0), st.floats(10, 45)),  # always rescaled
+    ], ids=["under-the-cap", "over-the-cap"])
+    @given(data=st.data())
+    def test_step_builds_what_the_constructor_builds(self, data, v_cap, v_x):
+        # under the cap, step builds its state with tuple.__new__ and the
+        # speed of its own cap test: it must be the constructor's, bit for bit
+        draw = data.draw
+        s = VehicleState(draw(st.floats(-1e3, 1e3)), draw(st.floats(-10, 10)), draw(v_x),
+                         draw(st.floats(-5, 5)), draw(st.floats(-0.7, 0.7)))
+        cap = draw(v_cap)
+        out = step(s, VehicleParams(v_cap=cap), draw(st.floats(-5, 5)), dt=0.1)
+        assert type(out) is VehicleState
+        assert [v.hex() for v in out] == [v.hex() for v in VehicleState(*out[:5])]
+        assert out.speed < cap if cap == 100.0 else out.speed == pytest.approx(cap)
+
     @pytest.mark.parametrize("round_trip", [
         lambda s: pickle.loads(pickle.dumps(s)),
         lambda s: pickle.loads(pickle.dumps(s, protocol=0)),

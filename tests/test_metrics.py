@@ -173,6 +173,17 @@ class TestAggregateSummaries:
         assert only_inf["min_headway_mean"] is None and only_inf["min_headway_min"] is None
         assert only_inf["merging_pct_mean"] is None
 
+    def test_sums_add_left_to_right_on_every_python(self):
+        # a compensated sum (Python 3.12's float sum) keeps the 1.0 and
+        # gives a mean of 1/3; left to right it is lost in 1e16
+        agg = aggregate_summaries([summary(k, 1.0, speed, None)
+                                   for k, speed in enumerate([1e16, 1.0, -1e16])])
+        assert agg["avg_speed_mean"] == 0.0
+        squares = 0
+        for speed in (1e16, 1.0, -1e16):
+            squares += speed ** 2
+        assert agg["avg_speed_se"] == math.sqrt(squares / 2 / 3)
+
     def test_pooled_merging_and_collision_total(self):
         # pooled over vehicles, not the mean of per-episode shares
         agg = aggregate_summaries([summary(0, 1.0, 10.0, 100.0, collisions=2, merged=1, ramp=1),

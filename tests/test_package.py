@@ -298,7 +298,7 @@ def test_every_exported_name_has_a_caller():
 
 #: the values built for every vehicle at every step
 STEP_PATH_TYPES = ("dynamics.VehicleState", "world.MotionPlan", "world.Neighborhood",
-                   "shield.ShieldOutcome", "shield.QPSolution")
+                   "shield.ShieldOutcome", "shield.QPSolution", "records.VehicleRow")
 
 
 @pytest.mark.parametrize("path", STEP_PATH_TYPES)
@@ -325,8 +325,11 @@ def test_step_path_calls_no_dataclasses_replace(name):
 #: method is named by its class
 STEP_PATH_FUNCTIONS = (
     ("dynamics", "maneuver"),
+    ("dynamics", "step"),
     ("episode", "run_episode"),
     ("policy", "heuristic_policy"),
+    ("policy", "RandomPolicy.decide"),
+    ("policy", "HeuristicPolicy.decide"),
     ("reward", "custom_reward"),
     ("reward", "default_reward"),
     ("reward", "_leader_gap"),
@@ -334,6 +337,7 @@ STEP_PATH_FUNCTIONS = (
     ("world", "_perceive"),
     ("world", "neighbors"),
     ("world", "perceived"),
+    ("world", "observe"),
     ("world", "plan_motion"),
     ("world", "NeighborIndex.build"),
     ("world", "_mark_collisions"),
@@ -352,13 +356,8 @@ STEP_PATH_FUNCTIONS = (
 )
 
 
-@pytest.mark.parametrize("module,name", STEP_PATH_FUNCTIONS)
-def test_step_path_functions_make_no_needless_calls(module, name):
-    # a function-level import statement costs about a microsecond per run
-    # and never shows in a profile; a nested def, lambda or generator is an
-    # object built and called on every run; a member read off the enum
-    # class is a lookup through its metaclass, several times a module
-    # constant's
+def _step_path_def(module, name):
+    """The definition of the step-path function ``name`` in ``module``."""
     body = ast.parse((SRC / f"{module}.py").read_text()).body
     *owners, name = name.split(".")
     for owner in owners:
@@ -367,13 +366,71 @@ def test_step_path_functions_make_no_needless_calls(module, name):
         body = body[0].body
     defs = [node for node in body if isinstance(node, ast.FunctionDef) and node.name == name]
     assert len(defs) == 1
-    found = [type(node).__name__ for stmt in defs[0].body for node in ast.walk(stmt)
+    return defs[0]
+
+
+@pytest.mark.parametrize("module,name", STEP_PATH_FUNCTIONS)
+def test_step_path_functions_make_no_needless_calls(module, name):
+    # a function-level import statement costs about a microsecond per run
+    # and never shows in a profile; a nested def, lambda or generator is an
+    # object built and called on every run; a member read off the enum
+    # class is a lookup through its metaclass, several times a module
+    # constant's
+    body = _step_path_def(module, name).body
+    found = [type(node).__name__ for stmt in body for node in ast.walk(stmt)
              if isinstance(node, (ast.Import, ast.ImportFrom, ast.FunctionDef,
                                   ast.AsyncFunctionDef, ast.Lambda, ast.GeneratorExp))]
-    found += [_dotted(node) for stmt in defs[0].body for node in ast.walk(stmt)
+    found += [_dotted(node) for stmt in body for node in ast.walk(stmt)
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id == "BehaviorAction"]
     assert found == []
+
+
+#: the named tuples the step path builds with ``tuple.__new__`` only
+TUPLE_NEW_TYPES = ("ShieldOutcome", "QPSolution", "MotionPlan", "Neighborhood", "VehicleRow")
+
+
+def _tuple_new_builds(module, name):
+    """``(class name, problem)`` for every call in the step-path function
+    that builds one of :data:`TUPLE_NEW_TYPES` or calls ``tuple.__new__``,
+    under that name or a module-level alias; ``problem`` is None for a
+    build with a display of every field."""
+    mod = importlib.import_module(f"mergeshield.{module}")
+    builds = []
+    for node in ast.walk(_step_path_def(module, name)):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = _dotted(node.func)
+        if callee in TUPLE_NEW_TYPES:
+            builds.append((callee, "called by its class"))
+        elif callee == "tuple.__new__" or vars(mod).get(callee) is tuple.__new__:
+            cls_name, values = (_dotted(node.args[0]), node.args[1]) if len(node.args) == 2 \
+                else (None, None)
+            fields = getattr(vars(mod).get(cls_name), "_fields", None)
+            count = (len(values.elts) if isinstance(values, ast.Tuple)
+                     and not any(isinstance(e, ast.Starred) for e in values.elts) else None)
+            problem = None
+            if fields is None:
+                problem = "not a named tuple"
+            elif node.keywords or count != len(fields):
+                problem = f"{count} values for {len(fields)} fields"
+            builds.append((cls_name, problem))
+    return builds
+
+
+@pytest.mark.parametrize("module,name", STEP_PATH_FUNCTIONS)
+def test_step_path_functions_build_tuples_whole(module, name):
+    # a named tuple's Python-level __new__ costs about twice tuple.__new__,
+    # which applies no defaults and counts no fields: each build must be a
+    # display of every field, so a field left out shows here, not as a
+    # shifted or short tuple in a record
+    assert [build for build in _tuple_new_builds(module, name) if build[1] is not None] == []
+
+
+def test_the_step_path_builds_each_value_with_tuple_new():
+    built = {cls for module, name in STEP_PATH_FUNCTIONS
+             for cls, problem in _tuple_new_builds(module, name) if problem is None}
+    assert built == {*TUPLE_NEW_TYPES, "VehicleState"}
 
 
 def test_policy_and_reward_look_up_perception_at_call_time(monkeypatch):

@@ -223,6 +223,56 @@ def test_rows_whose_speeds_share_values_encode_as_the_oracle(rows):
     assert step_lines([step]) == [oracle_line(step)]
 
 
+#: the ``v_x`` values a vehicle takes from step to step: both zeros, nonzero
+#: floats, and ints equal to some of them
+VX_POOL = (0.0, -0.0, 20.0, 17.25, 5e-324, 0, 20)
+
+
+@st.composite
+def vx_steps(draw):
+    """Steps of two vehicles whose ``v_x`` at each step is the previous
+    step's object, an equal new float, another value of :data:`VX_POOL`
+    (which takes one zero after the other, and ints), with or without an
+    action, and with ``v_safe`` drawn from the pool as well."""
+
+    def fresh(value):
+        return float.fromhex(value.hex()) if value.__class__ is float else value
+
+    last = {}
+    steps = []
+    for k in range(draw(st.integers(2, 6))):
+        rows = []
+        for vid in (0, 1):
+            how = draw(st.sampled_from(("same", "equal", "drawn")))
+            if how == "drawn" or vid not in last:
+                v_x = fresh(draw(st.sampled_from(VX_POOL)))
+            else:
+                v_x = last[vid] if how == "same" else fresh(last[vid])
+            last[vid] = v_x
+            if draw(st.booleans()):
+                rows.append(row(vid, v_x=v_x, v_safe=fresh(draw(st.sampled_from(VX_POOL)))))
+            else:
+                rows.append(row(vid, action=None, v_x=v_x))
+        steps.append(StepRecord(step=k, vehicles=tuple(rows), topology={}))
+    return steps
+
+
+@settings(max_examples=400, deadline=None)
+@given(vx_steps())
+def test_a_vehicles_v_x_across_steps_encodes_as_the_oracle(steps):
+    # an equal nonzero v_x reuses the text of the vehicle's last step; an
+    # equal zero may be the other one, and an int is written as an int
+    assert step_lines(steps) == [oracle_line(step) for step in steps]
+
+
+@pytest.mark.parametrize("before", [20.0, 0.0, 20])
+def test_a_nan_v_x_after_a_written_one_raises(before):
+    steps = [StepRecord(step=k, vehicles=(row(0, v_x=v_x),), topology={})
+             for k, v_x in enumerate((before, math.nan))]
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        step_lines(steps)
+
+
 def test_a_repeated_wreck_row_encodes_as_the_oracle():
     # the same row object in every step, then a different wreck row for
     # the same vehicle: the kept text serves only the object it was made for
