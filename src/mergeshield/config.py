@@ -1,17 +1,18 @@
 """Run configuration: defaults, YAML loading, validation and the header echo.
 
 A run config bundles the scenario, road geometry, vehicle limits, shield,
-reward and policy selections plus batch options.  The YAML schema mirrors
-the dataclasses section by section; unknown sections or keys, keys another
-section sets, values not of their field's declared type and bad values are
-errors reported with their path.  The reference scenario runs 7 to 11
-vehicles; other counts run too, and validation warns about them unless
-``run.allow_offrange`` is set.
+reward and policy selections plus batch options, each value held by one
+section: the shield and the reward read ``tau`` and ``dt`` in the scenario.
+The YAML schema mirrors the dataclasses section by section; unknown
+sections or keys, keys another section holds, values not of their field's
+declared type and bad values are errors reported with their path.  The
+reference scenario runs 7 to 11 vehicles; other counts run too, and
+validation warns about them unless ``run.allow_offrange`` is set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -59,10 +60,9 @@ class RunConfig:
                              f"exceeds vehicle.v_cap = {v_cap}")
 
     def resolved(self) -> "RunConfig":
-        """Wire cross-section values: the shield takes the scenario's tau
-        and dt."""
-        return replace(self, shield=replace(self.shield, tau=self.scenario.tau,
-                                            dt=self.scenario.dt))
+        """The config itself: each value has one section that holds it.
+        Kept only for its one caller, ``bench/workloads.py``."""
+        return self
 
 
 @dataclass
@@ -93,8 +93,8 @@ _SECTIONS = {
 }
 
 
-#: section keys whose value comes from another section: :meth:`RunConfig.resolved`
-#: overwrites the shield's, and the reward reads the scenario's and road's
+#: section keys whose value another section holds: the shield and the reward
+#: read tau and dt in the scenario, the reward the merge length in the road
 _DERIVED = {
     ("shield", "tau"): "scenario.tau",
     ("shield", "dt"): "scenario.dt",
@@ -198,7 +198,7 @@ def _parse(data, report) -> RunConfig | None:
         cfg = RunConfig(**run, **parts)
     except ValueError as exc:  # the spawn speeds against the speed cap
         report.errors.append(str(exc))
-    return None if report.errors else cfg.resolved()
+    return None if report.errors else cfg
 
 
 def _range_warnings(cfg: RunConfig, report: ValidationReport) -> None:
@@ -254,16 +254,7 @@ def resolved_dict(cfg: RunConfig) -> dict:
     ``initial_speed_range`` as a list, so the echo equals what a header
     reads back.  Policy and batch options are left out: a record
     must not depend on who produced the actions."""
-    cfg = cfg.resolved()
-    echo = {}
-    for name in _SECTIONS:
-        if name == "policy":
-            continue
-        section = getattr(cfg, name)
-        # the shield's dt is always the scenario's, echoed there; its tau is
-        # just as derived, but headers have always carried it
-        echo[name] = {f.name: getattr(section, f.name) for f in fields(section)
-                      if (name, f.name) != ("shield", "dt")}
+    echo = {name: asdict(getattr(cfg, name)) for name in _SECTIONS if name != "policy"}
     echo["scenario"]["n_ramp"] = cfg.scenario.resolved_n_ramp()
     echo["scenario"]["initial_speed_range"] = list(cfg.scenario.initial_speed_range)
     return echo

@@ -23,7 +23,6 @@ def build_world(cfg: RunConfig, seed: int) -> World:
     """The episode's initial world: the fleet spawned from the stream of
     ``np.random.default_rng(seed)``, which :mod:`mergeshield.seedstream`
     reproduces bit for bit without numpy."""
-    cfg = cfg.resolved()
     rng = SeedPool(seed).generator()
     vehicles = spawn(cfg.scenario, cfg.road, rng, params=cfg.vehicle)
     return World(road=cfg.road, scenario=cfg.scenario, shield=cfg.shield,
@@ -36,7 +35,6 @@ def run_episode(cfg: RunConfig, seed: int, policy: Policy | None = None) -> tupl
     ``policy`` defaults to a fresh instance built from the config spec; a
     supplied policy object can be reused across episodes.
     """
-    cfg = cfg.resolved()
     world = build_world(cfg, seed)
     if policy is None:
         policy = build_policy(cfg.policy)

@@ -79,7 +79,7 @@ def heuristic_policy(vehicle: "Vehicle", world: "World") -> BehaviorAction:
     if vehicle.lane == road.ramp_lane and not vehicle.merge_failed:
         near = _world.neighbors(world, vehicle)
         if road.in_merge_window(vehicle.state.x):
-            if _shield.allow_lane_change(vehicle, near.c_oal, near.c_oar, world.shield):
+            if _shield.allow_lane_change(vehicle, near.c_oal, near.c_oar, cfg.tau, cfg.dt):
                 return _LANE_LEFT
             if near.c_oal is not None:
                 gap_leader_v = near.c_oal.state.speed

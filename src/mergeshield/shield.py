@@ -35,7 +35,7 @@ below the box return a fault that falls back to full braking.
 
 :func:`joint_safe_control` reads no world: ``step_world`` hands it the
 config, the topology, the plans, each live vehicle's neighbourhood, the
-state's neighbour index and the road, all worked out once per step.
+state's neighbour index, the road and the scenario's ``tau`` and ``dt``.
 """
 
 from __future__ import annotations
@@ -84,22 +84,21 @@ class Row(NamedTuple):
 
 @dataclass(frozen=True)
 class ShieldConfig:
-    """Shield mode and constraint parameters.
+    """Shield mode and barrier decay rate ``eta``.
 
     ``mode`` is the credit rule of :func:`joint_safe_control`; ``none``
-    passes every plan through.  Reach boxes use each vehicle's own
-    acceleration limits, and the lateral rows the same headway ``tau`` as
-    the longitudinal ones.  No margin pads the caps: they predict the next
-    gap with the integrator's own step.
+    passes every plan through.  The headway ``tau`` and the step ``dt`` are
+    the scenario's, passed to each function as numbers.  Reach boxes use
+    each vehicle's own acceleration limits, and the lateral rows the same
+    ``tau`` as the longitudinal ones.  No margin pads the caps: they predict
+    the next gap with the integrator's own step.
     """
 
     mode: str = "mass"
-    tau: float = 0.5
     eta: float = 0.5
-    dt: float = 0.1
 
     def __post_init__(self):
-        check_floats(self, ("tau", "dt"))
+        check_floats(self)
         if self.mode not in ("none", "hss", "mass"):
             raise ValueError(f"shield mode must be none, hss or mass, got {self.mode!r}")
         if not (0.0 < self.eta <= 1.0):
@@ -263,7 +262,7 @@ def credited_speed(vehicle, resolved: dict, dt: float) -> float:
 
 
 def brake_guard(gap_next: float, v_next: float, v_hi: float, brake: float,
-                config: ShieldConfig) -> float | None:
+                tau: float, dt: float) -> float | None:
     """Braking-feasibility cap toward one leader: the largest command whose
     joint worst-case braking run from the next state keeps the headway
     barrier satisfied; None when even ``v_hi``, the top of the ego's
@@ -271,11 +270,11 @@ def brake_guard(gap_next: float, v_next: float, v_hi: float, brake: float,
     step, which no command of this step moves, ``v_next`` the leader's
     credited speed and ``brake`` the ego's braking [m/s^2].
     """
-    cap = brake_cap(gap_next, v_hi, v_next, brake, config.tau, config.dt)
+    cap = brake_cap(gap_next, v_hi, v_next, brake, tau, dt)
     return None if cap >= v_hi else cap
 
 
-def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> Row:
+def lateral_rear_row(ego, c_oar, eta: float, tau: float, dt: float) -> Row:
     """Soft floor toward the adjacent rear vehicle during a lane change.
 
     ``h = gap - tau * v_ar`` with ``v_ar`` the top of the rear vehicle's
@@ -285,26 +284,24 @@ def lateral_rear_row(ego, c_oar, config: ShieldConfig) -> Row:
     floor takes that top and records the shortfall as slack rather than
     faulting.
     """
-    dt = config.dt
     v_ar = reach(c_oar, dt)[1]
-    q = config.eta * (bumper_gap(c_oar, ego) - config.tau * v_ar) - v_ar * dt
+    q = eta * (bumper_gap(c_oar, ego) - tau * v_ar) - v_ar * dt
     return Row(q / (-math.cos(ego.state.psi) * dt), f"lat_rear:{c_oar.vid}")
 
 
-def allow_lane_change(ego, c_oal, c_oar, config: ShieldConfig) -> bool:
+def allow_lane_change(ego, c_oal, c_oar, tau: float, dt: float) -> bool:
     """True iff both lateral barriers hold at the current state:
     ``gap - tau * v_e`` toward the adjacent leader ``c_oal`` and
     ``gap - tau * v_ar`` toward the adjacent rear vehicle ``c_oar`` at the
     top of its :func:`reach` box (a missing neighbour imposes nothing)."""
-    tau = config.tau
     if c_oal is not None and bumper_gap(ego, c_oal) - tau * ego.state.speed < 0.0:
         return False
-    if c_oar is not None and bumper_gap(c_oar, ego) - tau * reach(c_oar, config.dt)[1] < 0.0:
+    if c_oar is not None and bumper_gap(c_oar, ego) - tau * reach(c_oar, dt)[1] < 0.0:
         return False
     return True
 
 
-def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
+def lane_change_feasible(ego, c_oal, c_oar, tau: float, dt: float,
                          resolved: dict) -> bool:
     """Braking-feasibility extension of the lateral gate.
 
@@ -317,8 +314,6 @@ def lane_change_feasible(ego, c_oal, c_oar, config: ShieldConfig,
     it ranks ahead of the ego.  A credited speed that is not finite raises
     ``ValueError`` naming the leader, as in :func:`joint_safe_control`.
     """
-    dt = config.dt
-    tau = config.tau
     v_e = ego.state.speed
     v_e_lo, v_e_hi = reach(ego, dt)
 
@@ -384,7 +379,7 @@ def solve_qp(v_nominal: float, rows, lo: float, hi: float,
 
 def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
                        nominal_plans: dict, near: dict, index: "NeighborIndex",
-                       road: "RoadNetwork") -> dict:
+                       road: "RoadNetwork", tau: float, dt: float) -> dict:
     """Resolve every vehicle in dependency order, gate lane requests, stage maneuvers.
 
     ``near`` holds each live vehicle's ``Neighborhood`` by vid, and
@@ -413,7 +408,7 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
     outcomes: dict = {}
     credit = outcomes if config.mode == "mass" else {}
     by_id = {v.vid: v for v in index.ordered}
-    dt, tau, eta = config.dt, config.tau, config.eta
+    eta = config.eta
     for vid in order:
         vehicle = by_id[vid]
         if vehicle.crashed or vid not in nominal_plans:
@@ -424,8 +419,8 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
             c_ol, c_oal, c_oar = near[vid]
             # ROADMAP item 4 (shared responsibility) flips the gate's `outcomes` to `credit`
             allowed = not plan.lane_request or (
-                allow_lane_change(vehicle, c_oal, c_oar, config)
-                and lane_change_feasible(vehicle, c_oal, c_oar, config, outcomes))
+                allow_lane_change(vehicle, c_oal, c_oar, tau, dt)
+                and lane_change_feasible(vehicle, c_oal, c_oar, tau, dt, outcomes))
         lane = plan.target_lane if allowed else vehicle.target_lane
         staged = maneuver(vehicle.state, road.centerline_y(lane), lane != vehicle.lane, dt)
         if config.mode == "none":
@@ -459,13 +454,13 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
                 raise ValueError(f"{what} toward vehicle {pid} is not finite")
             if headway < cap:
                 cap, bound, binder = headway, "headway", pid
-            guard = brake_guard(gap_next, v_next, hi, brake, config)
+            guard = brake_guard(gap_next, v_next, hi, brake, tau, dt)
             if guard is not None and guard < cap:
                 cap, bound, binder = guard, "brake", pid
         label = "reach_hi" if binder is None else f"{bound}:{binder}"
         floors = ()
         if vehicle.target_lane != vehicle.lane and c_oar is not None:
-            floors = (lateral_rear_row(vehicle, c_oar, config),)
+            floors = (lateral_rear_row(vehicle, c_oar, eta, tau, dt),)
         v_safe, slack, active, fault = solve_qp(v_nominal, floors, lo, cap, label)
         outcomes[vid] = _new(ShieldOutcome, (v_nominal, v_safe, v_safe - v_nominal, allowed,
                                              slack, active, fault, staged))

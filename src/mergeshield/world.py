@@ -93,9 +93,10 @@ class ScenarioConfig:
 
     The reference scenario runs 7 to 11 connected vehicles through a 100 m
     merge section with a 0.5 s headway threshold and 180 m communication
-    range.  Config validation warns about a vehicle count outside 7 to 11
-    unless the run sets ``allow_offrange``.  ``n_ramp``, when given, lies
-    in ``[0, n_vehicles]``; unset, it is a third of the fleet, at least 1.
+    range.  It alone holds ``tau`` and ``dt``, for every layer to read.
+    Config validation warns about a vehicle count outside 7 to 11 unless
+    the run sets ``allow_offrange``.  ``n_ramp``, when given, lies in
+    ``[0, n_vehicles]``; unset, it is a third of the fleet, at least 1.
     """
 
     n_vehicles: int = 9
@@ -215,7 +216,8 @@ class NeighborIndex:
 @dataclass
 class World:
     """The simulated state.  ``vehicles`` is sorted by vid once, here;
-    records list the fleet in that order and sort nothing themselves."""
+    records list the fleet in that order and sort nothing themselves.  An
+    id held twice raises ``ValueError``."""
 
     road: RoadNetwork
     scenario: ScenarioConfig
@@ -228,12 +230,15 @@ class World:
 
     def __post_init__(self):
         self.vehicles = sorted(self.vehicles, key=lambda v: v.vid)
+        for a, b in zip(self.vehicles, self.vehicles[1:]):
+            if a.vid == b.vid:
+                raise ValueError(f"vehicle id {a.vid} is held twice")
 
     def live_vehicles(self) -> list:
         return [v for v in self.vehicles if not v.crashed]
 
 
-def spawn(config: ScenarioConfig, road: RoadNetwork, rng,
+def spawn(scenario: ScenarioConfig, road: RoadNetwork, rng,
           params: VehicleParams | None = None) -> list:
     """Place vehicles on the through lane and the ramp behind the merge
     section.
@@ -251,9 +256,9 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng,
     generator state; the list is in vid order.
     """
     params = params or VehicleParams()
-    n_ramp = config.resolved_n_ramp()
-    n_highway = config.n_vehicles - n_ramp
-    lo, hi = config.initial_speed_range
+    n_ramp = scenario.resolved_n_ramp()
+    n_highway = scenario.n_vehicles - n_ramp
+    lo, hi = scenario.initial_speed_range
 
     vehicles: list = []
     vid = 0
@@ -266,12 +271,12 @@ def spawn(config: ScenarioConfig, road: RoadNetwork, rng,
         for i in range(count):
             speed = rng.uniform(lo, hi)
             if i > 0:
-                gap = max(config.spawn_spacing_min, config.tau * speed) + rng.uniform(0.0, 8.0)
+                gap = max(scenario.spawn_spacing_min, scenario.tau * speed) + rng.uniform(0.0, 8.0)
                 x = x - gap - params.length
                 # spawn a metre inside the braking-feasibility envelope so
                 # the first shield step starts with margin, not on the edge
                 speed = min(speed, brake_cap(gap - 1.0, speed, lead_speed,
-                                             -params.a_min, config.tau, config.dt))
+                                             -params.a_min, scenario.tau, scenario.dt))
             y = road.centerline_y(lane)
             vehicles.append(
                 Vehicle(
@@ -544,7 +549,7 @@ def step_world(world: World, joint_actions: dict) -> tuple:
 
     topology = _topology.build_topology(world.vehicles, near)
     outcomes = joint_safe_control(world.shield, topology, plans, near, neighbor_index(world),
-                                  road)
+                                  road, cfg.tau, dt)
 
     # grant lane changes, track, and integrate each vehicle from the state
     # its outcome staged from the pre-step snapshot

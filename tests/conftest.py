@@ -40,7 +40,7 @@ def make_vehicle(vid, x, v, lane=0, road=None, y=None, psi=0.0, target_lane=None
 def make_world(vehicles, road=None, scenario=None, shield_mode="mass", **shield_kw):
     road = road or RoadNetwork()
     scenario = scenario or ScenarioConfig()
-    shield = ShieldConfig(mode=shield_mode, tau=scenario.tau, dt=scenario.dt, **shield_kw)
+    shield = ShieldConfig(mode=shield_mode, **shield_kw)
     return World(road=road, scenario=scenario, shield=shield, vehicles=list(vehicles))
 
 
@@ -55,5 +55,5 @@ def spawned_world(seed=0, shield_mode="mass", **scenario_kw):
     road = RoadNetwork()
     rng = np.random.default_rng(seed)
     vehicles = spawn(scenario, road, rng)
-    shield = ShieldConfig(mode=shield_mode, tau=scenario.tau, dt=scenario.dt)
-    return World(road=road, scenario=scenario, shield=shield, vehicles=vehicles)
+    return World(road=road, scenario=scenario, shield=ShieldConfig(mode=shield_mode),
+                 vehicles=vehicles)

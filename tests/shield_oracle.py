@@ -7,7 +7,8 @@ working out its own bumper gap and next gap from the two vehicles and their
 staged ``v_x``.  ``joint_safe_control`` here must return, for every
 snapshot and mode, the outcomes ``mergeshield.shield.joint_safe_control``
 returns, float for float.  The helpers both share (reach box, credit rule,
-lane gate, rear floor, QP, maneuver) are imported from the package.
+lane gate, rear floor, QP, maneuver) are imported from the package.  The
+headway ``tau`` and the step ``dt`` are the scenario's, passed as numbers.
 """
 
 import math
@@ -28,13 +29,13 @@ from mergeshield.shield import (
 from mergeshield.topology import InteractionTopology, evaluation_order
 
 
-def next_gap(ego, leader, config: ShieldConfig, v_x_ego: float, v_x_leader: float) -> float:
+def next_gap(ego, leader, dt: float, v_x_ego: float, v_x_leader: float) -> float:
     """Bumper gap after one explicit-Euler step, which moves each vehicle
     by its staged ``v_x``, given here."""
-    return bumper_gap(ego, leader) + (v_x_leader - v_x_ego) * config.dt
+    return bumper_gap(ego, leader) + (v_x_leader - v_x_ego) * dt
 
 
-def headway_cap(ego, leader, config: ShieldConfig, v_x_ego: float,
+def headway_cap(ego, leader, eta: float, tau: float, dt: float, v_x_ego: float,
                 v_x_leader: float) -> float:
     """Headway cap toward one leader, the barrier propagated one step.
 
@@ -42,15 +43,14 @@ def headway_cap(ego, leader, config: ShieldConfig, v_x_ego: float,
     step: ``gap_next - tau * v >= (1 - eta) * h``, with the next gap of
     :func:`next_gap`.  Raises ``ValueError`` when it is not finite.
     """
-    tau = config.tau
     h = bumper_gap(ego, leader) - tau * ego.state.speed
-    cap = (next_gap(ego, leader, config, v_x_ego, v_x_leader) - (1.0 - config.eta) * h) / tau
+    cap = (next_gap(ego, leader, dt, v_x_ego, v_x_leader) - (1.0 - eta) * h) / tau
     if not math.isfinite(cap):
         raise ValueError(f"headway cap toward vehicle {leader.vid} is not finite")
     return cap
 
 
-def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float, v_hi: float,
+def brake_guard(ego, leader, tau: float, dt: float, v_leader_next: float, v_hi: float,
                 v_x_ego: float, v_x_leader: float) -> float | None:
     """Braking-feasibility cap: the largest command whose joint worst-case
     braking run from the next state keeps the headway barrier satisfied.
@@ -59,15 +59,15 @@ def brake_guard(ego, leader, config: ShieldConfig, v_leader_next: float, v_hi: f
     top of the ego's :func:`reach` box.  Returns None when even ``v_hi`` is
     fine.
     """
-    gap_next = next_gap(ego, leader, config, v_x_ego, v_x_leader)
-    cap = brake_cap(gap_next, v_hi, v_leader_next, -ego.params.a_min, config.tau, config.dt)
+    gap_next = next_gap(ego, leader, dt, v_x_ego, v_x_leader)
+    cap = brake_cap(gap_next, v_hi, v_leader_next, -ego.params.a_min, tau, dt)
     if cap >= v_hi:
         return None
     return cap
 
 
-def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float, config: ShieldConfig,
-                   lane_change_allowed: bool, staged) -> ShieldOutcome:
+def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float, eta: float, tau: float,
+                   dt: float, lane_change_allowed: bool, staged) -> ShieldOutcome:
     """Filter one vehicle's nominal speed command.
 
     ``leaders`` holds ``(leader, credited next speed, staged v_x)``
@@ -79,22 +79,22 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float, config: ShieldCo
     ``staged``, the ego's staged state, are recorded on the outcome as
     given.
     """
-    lo, hi = reach(ego, config.dt)
+    lo, hi = reach(ego, dt)
     # min(max(v_nominal, lo), hi) without the calls, ties as theirs
     v_nom_step = lo if lo > v_nominal else v_nominal
     v_nom_step = hi if hi < v_nom_step else v_nom_step
     cap, bound, binder = hi, None, None
     for leader, v_next, v_x_leader in leaders:
-        headway = headway_cap(ego, leader, config, staged.v_x, v_x_leader)
+        headway = headway_cap(ego, leader, eta, tau, dt, staged.v_x, v_x_leader)
         if headway < cap:
             cap, bound, binder = headway, "headway", leader
-        guard = brake_guard(ego, leader, config, v_next, hi, staged.v_x, v_x_leader)
+        guard = brake_guard(ego, leader, tau, dt, v_next, hi, staged.v_x, v_x_leader)
         if guard is not None and guard < cap:
             cap, bound, binder = guard, "brake", leader
     label = "reach_hi" if binder is None else f"{bound}:{binder.vid}"
     floors = ()
     if ego.target_lane != ego.lane and c_oar is not None:
-        floors = (lateral_rear_row(ego, c_oar, config),)
+        floors = (lateral_rear_row(ego, c_oar, eta, tau, dt),)
     sol = solve_qp(v_nom_step, floors, lo, cap, label)
     if sol.fault:
         return ShieldOutcome(v_nom_step, lo, lo - v_nom_step, lane_change_allowed, 0.0,
@@ -106,7 +106,7 @@ def filter_vehicle(ego, leaders: list, c_oar, v_nominal: float, config: ShieldCo
 
 def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
                        nominal_plans: dict, near: dict, index: "NeighborIndex",
-                       road: "RoadNetwork") -> dict:
+                       road: "RoadNetwork", tau: float, dt: float) -> dict:
     """Resolve every vehicle in dependency order, gate lane requests, stage maneuvers.
 
     ``near`` holds each live vehicle's ``Neighborhood`` by vid, and
@@ -137,10 +137,10 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
             c_ol, c_oal, c_oar = near[vid]
             # ROADMAP item 4 (shared responsibility) flips the gate's `outcomes` to `credit`
             allowed = not plan.lane_request or (
-                allow_lane_change(vehicle, c_oal, c_oar, config)
-                and lane_change_feasible(vehicle, c_oal, c_oar, config, outcomes))
+                allow_lane_change(vehicle, c_oal, c_oar, tau, dt)
+                and lane_change_feasible(vehicle, c_oal, c_oar, tau, dt, outcomes))
         lane = plan.target_lane if allowed else vehicle.target_lane
-        staged = maneuver(vehicle.state, road.centerline_y(lane), lane != vehicle.lane, config.dt)
+        staged = maneuver(vehicle.state, road.centerline_y(lane), lane != vehicle.lane, dt)
         if config.mode == "none":
             out = ShieldOutcome(plan.v_target, plan.v_target, 0.0, staged=staged)
         else:
@@ -149,8 +149,9 @@ def joint_safe_control(config: ShieldConfig, topology: InteractionTopology,
                 # on a cut-in the topology hands the ego to the merging
                 # vehicle; the worst case also keeps the leader it displaced
                 leaders = [c_ol] + [p for p in leaders if p.vid != c_ol.vid]
-            leaders = [(p, credited_speed(p, credit, config.dt),
+            leaders = [(p, credited_speed(p, credit, dt),
                         0.0 if p.crashed else outcomes[p.vid].staged.v_x) for p in leaders]
-            out = filter_vehicle(vehicle, leaders, c_oar, plan.v_target, config, allowed, staged)
+            out = filter_vehicle(vehicle, leaders, c_oar, plan.v_target, config.eta, tau, dt,
+                                 allowed, staged)
         outcomes[vid] = out
     return outcomes

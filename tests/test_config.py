@@ -62,8 +62,8 @@ def test_ramp_geometry_is_an_unknown_road_key(tmp_path):
     ("reward", "merge_length", "road.merge_length"),
 ])
 def test_derived_key_fails_validation(tmp_path, section, key, source):
-    # resolved() takes these from another section, so a value here would be
-    # overwritten without a word
+    # the scenario or the road holds these, and the shield and the reward
+    # read them there: a value here would be a second copy
     errors = _errors(tmp_path, f"{section}:\n  {key}: 0.7\n")
     assert errors == [f"{section}.{key}: taken from {source}; set it there"]
 
@@ -72,27 +72,28 @@ def test_shield_and_reward_take_scenario_values(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("scenario:\n  tau: 0.7\n  dt: 0.05\nroad:\n  merge_length: 120.0\n")
     cfg = load_config(path)
-    assert (cfg.shield.tau, cfg.shield.dt) == (0.7, 0.05)
-    # the reward reads tau and the merge length from the world, so its
-    # section holds no copy of either
-    assert cfg.reward == RewardWeights()
+    assert (cfg.scenario.tau, cfg.scenario.dt) == (0.7, 0.05)
+    # the shield and the reward read tau, dt and the merge length from the
+    # world, so their sections hold no copy of any
+    assert cfg.shield == ShieldConfig() and cfg.reward == RewardWeights()
+    assert [f.name for f in fields(ShieldConfig)] == ["mode", "eta"]
+    with pytest.raises(TypeError):
+        ShieldConfig(tau=0.9)
     programmatic = RunConfig(scenario=ScenarioConfig(tau=0.7, dt=0.05),
-                             road=RoadNetwork(merge_length=120.0),
-                             shield=ShieldConfig(tau=0.9)).resolved()
-    assert programmatic == cfg
+                             road=RoadNetwork(merge_length=120.0))
+    assert programmatic == cfg and programmatic.resolved() is programmatic
 
 
 def test_echo_covers_every_config_field():
-    # a field the header does not echo must be derived from another
-    # section, and the header echoes nothing that is not a field
+    # the header echoes every field of each section once, in declaration
+    # order, and nothing that is not a field: a key another section holds
+    # is no field of its section
     echo = resolved_dict(RunConfig())
     assert sorted(echo) == sorted(ECHOED_SECTIONS)
     for section, cls in ECHOED_SECTIONS.items():
-        names = {f.name for f in fields(cls)}
-        missing = {n for n in names - set(echo[section]) if (section, n) not in _DERIVED}
-        assert missing == set(), section
-        extra = set(echo[section]) - names
-        assert extra == set(), section
+        names = [f.name for f in fields(cls)]
+        assert list(echo[section]) == names, section
+        assert not {key for sec, key in _DERIVED if sec == section} & set(names), section
 
 
 @pytest.mark.parametrize("section, key", [
@@ -188,10 +189,11 @@ def test_int_run_value_passes_as_float(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("tau", 0.0), ("tau", -0.5), ("dt", 0.0), ("dt", -0.1)])
-def test_shield_rejects_a_tau_or_dt_that_is_not_positive(key, value):
-    # both are derived from the scenario, so only code can pass them
+def test_scenario_rejects_a_tau_or_dt_that_is_not_positive(key, value):
+    # the scenario alone holds both; the shield, the integrator and the
+    # reward read them there
     with pytest.raises(ValueError, match=f"^{key} must be positive, got {value}$"):
-        ShieldConfig(**{key: value})
+        ScenarioConfig(**{key: value})
 
 
 def test_top_level_must_be_a_mapping(tmp_path):
@@ -205,7 +207,7 @@ def test_null_or_empty_config_is_the_default(tmp_path, text):
     path = tmp_path / "run.yaml"
     path.write_text(text)
     report = validate_config(path)
-    assert report.errors == [] and report.config == RunConfig().resolved()
+    assert report.errors == [] and report.config == RunConfig()
 
 
 @pytest.mark.parametrize("name", ["missing.yaml", "."])
@@ -346,14 +348,13 @@ def test_zero_and_floats_at_the_magnitude_limits_pass(tmp_path):
 @pytest.mark.parametrize("cls, key, value", [
     (ScenarioConfig, "dt", 1e-300),
     (ScenarioConfig, "dt", math.inf),
-    (ShieldConfig, "dt", 1e-300),
-    (ShieldConfig, "dt", 2e9),
+    (ScenarioConfig, "dt", 2e9),
+    (ShieldConfig, "eta", 1e-300),
     (VehicleParams, "a_min", -1e-300),
     (VehicleParams, "a_min", -math.inf),
     (VehicleParams, "a_max", 1e-10),
     (VehicleParams, "a_max", math.nan),
     (ShieldConfig, "eta", math.inf),
-    (ShieldConfig, "tau", math.inf),
     (ScenarioConfig, "tau", math.inf),
     (ScenarioConfig, "spawn_spacing_min", math.nan),
     pytest.param(ScenarioConfig, "initial_speed_range", (10.0, math.inf),

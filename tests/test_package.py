@@ -80,7 +80,7 @@ import sys
 from mergeshield.config import ConfigError, load_config
 print("yaml" in sys.modules)
 cfg = load_config(sys.argv[1])
-print(cfg.scenario.n_vehicles, cfg.shield.dt)
+print(cfg.scenario.n_vehicles, cfg.scenario.dt)
 try:
     load_config(sys.argv[2])
 except ConfigError as exc:
@@ -294,6 +294,45 @@ def test_every_exported_name_has_a_caller():
                 for n in importlib.import_module(f"mergeshield.{m}").__all__}
     assert sorted(exported - uses - AWAITING_CALLER) == []
     assert sorted(AWAITING_CALLER - exported) == []
+
+
+def _annotations(tree):
+    """The annotation expressions of ``tree``: its arguments', returns' and
+    annotated assignments'."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg,
+                                                                         args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    # an import nothing reads is a leftover, like config's ``replace`` once
+    # RunConfig.resolved stopped copying: each imported name is read by
+    # name, re-exported in __all__, or named in a string annotation
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    exported = set(importlib.import_module(f"mergeshield.{name}").__all__)
+    assert sorted(imported - read - exported) == []
 
 
 #: the values built for every vehicle at every step

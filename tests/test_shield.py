@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mergeshield.dynamics import VehicleParams
@@ -36,6 +36,7 @@ from mergeshield.world import (
     World,
     neighbor_index,
     plan_motion,
+    step_world,
 )
 
 from conftest import make_vehicle, make_world, neighborhoods
@@ -43,6 +44,9 @@ from qp_oracle import bisect_cap, clamp_reference, scan_cap
 import shield_oracle
 
 CFG = ShieldConfig(mode="mass")
+#: the scenario that holds the shield's headway and step
+SCENARIO = ScenarioConfig()
+TAU, DT, ETA = SCENARIO.tau, SCENARIO.dt, CFG.eta
 
 #: limits of an ego whose reach box is too wide for any cap here to reach
 WIDE = VehicleParams(a_max=1e4, v_cap=1e4)
@@ -61,10 +65,11 @@ def resolve(w, plans, topo=None):
     near = neighborhoods(w)
     if topo is None:
         topo = build_topology(w.vehicles, near)
-    return joint_safe_control(w.shield, topo, plans, near, neighbor_index(w), w.road)
+    return joint_safe_control(w.shield, topo, plans, near, neighbor_index(w), w.road,
+                              w.scenario.tau, w.scenario.dt)
 
 
-def filtered(ego, leaders, v_nominal, cfg=CFG):
+def filtered(ego, leaders, v_nominal, cfg=CFG, scenario=SCENARIO):
     """The ego's outcome on the snapshot of the ego and ``leaders``,
     ``(leader, credited next speed)`` pairs that are its topology parents
     in that order; the ego plans ``v_nominal`` toward its target lane, and
@@ -72,7 +77,7 @@ def filtered(ego, leaders, v_nominal, cfg=CFG):
     from mergeshield import shield
 
     credits = {leader.vid: v_next for leader, v_next in leaders}
-    w = World(road=RoadNetwork(), scenario=ScenarioConfig(), shield=cfg,
+    w = World(road=RoadNetwork(), scenario=scenario, shield=cfg,
               vehicles=[ego] + [leader for leader, _ in leaders])
     plans = {v.vid: MotionPlan(v_target=v.state.speed, target_lane=v.target_lane)
              for v in w.vehicles}
@@ -82,7 +87,7 @@ def filtered(ego, leaders, v_nominal, cfg=CFG):
         return resolve(w, plans, InteractionTopology({ego.vid: tuple(credits)}))[ego.vid]
 
 
-def headway_cap(ego, leader, v_next, cfg=CFG):
+def headway_cap(ego, leader, v_next, scenario=SCENARIO):
     """The headway cap toward ``leader`` credited ``v_next``: the box top
     that the shield hands :func:`solve_qp` for the ego, resolved last as
     the rearmost, with the brake guard off, for an ego with ``WIDE``
@@ -98,21 +103,21 @@ def headway_cap(ego, leader, v_next, cfg=CFG):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shield, "brake_guard", lambda *args: None)
         mp.setattr(shield, "solve_qp", recording_solve)
-        filtered(ego, [(leader, v_next)], 0.0, cfg)
+        filtered(ego, [(leader, v_next)], 0.0, scenario=scenario)
     cap, label = tops[-1]
     assert label == f"headway:{leader.vid}"
     return cap
 
 
-def encoded_h(cap, ego, leader, cfg=CFG):
+def encoded_h(cap, ego, leader, scenario=SCENARIO):
     """Barrier value a headway cap decays from, solved out of
     ``cap = (gap_next - (1 - eta) * h) / tau`` with the Euler step's
     ``gap_next = gap + (v_x,leader - v_x,ego) * dt``; both vehicles here
     keep their lanes on their centrelines, so their maneuvers stage their
     states as they are."""
     gap = bumper_gap(ego, leader)
-    gap_next = gap + (leader.state.v_x - ego.state.v_x) * cfg.dt
-    return (gap_next - cap * cfg.tau) / (1.0 - cfg.eta)
+    gap_next = gap + (leader.state.v_x - ego.state.v_x) * scenario.dt
+    return (gap_next - cap * scenario.tau) / (1.0 - ETA)
 
 
 class TestLongitudinalCbf:
@@ -149,9 +154,9 @@ class TestLongitudinalCbf:
             gap = float(rng.uniform(0.5, 80.0))
             v_e = float(rng.uniform(0.0, 35.0))
             tau = float(rng.uniform(0.2, 1.5))
-            cfg = replace(CFG, tau=tau)
+            scenario = ScenarioConfig(tau=tau)
             ego, leader = place_pair(gap, v_e, 20.0, WIDE)
-            h = encoded_h(headway_cap(ego, leader, 20.0, cfg), ego, leader, cfg)
+            h = encoded_h(headway_cap(ego, leader, 20.0, scenario), ego, leader, scenario)
             assert h == pytest.approx(gap - tau * v_e, abs=1e-12)
 
     def test_row_encodes_one_step_propagation(self):
@@ -161,13 +166,13 @@ class TestLongitudinalCbf:
 
         ego, leader = place_pair(18.0, 24.0, 22.0, WIDE)
         v_cmd = headway_cap(ego, leader, 21.5)
-        h_now = 18.0 - CFG.tau * 24.0
+        h_now = 18.0 - TAU * 24.0
         for v_lead in (21.5, 22.0, 22.5):
-            ego_next = step(ego.state, ego.params, (v_cmd - 24.0) / CFG.dt, CFG.dt)
-            lead_next = step(leader.state, leader.params, (v_lead - 22.0) / CFG.dt, CFG.dt)
+            ego_next = step(ego.state, ego.params, (v_cmd - 24.0) / DT, DT)
+            lead_next = step(leader.state, leader.params, (v_lead - 22.0) / DT, DT)
             gap_next = (lead_next.x - 2.5) - (ego_next.x + 2.5)
-            assert gap_next - CFG.tau * ego_next.speed == \
-                pytest.approx((1.0 - CFG.eta) * h_now, abs=1e-9)
+            assert gap_next - TAU * ego_next.speed == \
+                pytest.approx((1.0 - ETA) * h_now, abs=1e-9)
 
 
 class TestLateralCbfs:
@@ -184,13 +189,13 @@ class TestLateralCbfs:
         road = RoadNetwork()
         ego = make_vehicle(0, 100.0, 20.0, lane=road.ramp_lane, road=road)
         ar = make_vehicle(1, 100.0 - 5.0 - 12.0, 18.0, lane=0, road=road)
-        row = lateral_rear_row(ego, ar, CFG)
-        v_wc = 18.0 + ar.params.a_max * CFG.dt
+        row = lateral_rear_row(ego, ar, ETA, TAU, DT)
+        v_wc = 18.0 + ar.params.a_max * DT
         h = 12.0 - 0.5 * v_wc
         assert row.kind == "soft"
         assert row.label == "lat_rear:1"
-        assert row.floor == pytest.approx((v_wc * CFG.dt - CFG.eta * h) / CFG.dt)
-        assert allow_lane_change(ego, None, ar, CFG)
+        assert row.floor == pytest.approx((v_wc * DT - ETA * h) / DT)
+        assert allow_lane_change(ego, None, ar, TAU, DT)
 
     def test_floor_is_the_command_whose_travel_keeps_the_decay(self):
         # the ego's travel cos(psi) * v * dt at the floor, against the rear
@@ -204,11 +209,11 @@ class TestLateralCbfs:
                                road=road, psi=psi, target_lane=0)
             ar = make_vehicle(1, 200.0 - gap - 5.0, float(rng.uniform(1.0, 30.0)), lane=0,
                               road=road)
-            v_ar = reach(ar, CFG.dt)[1]
-            h = gap - CFG.tau * v_ar
-            floor = lateral_rear_row(ego, ar, CFG).floor
-            h_next = gap + (math.cos(psi) * floor - v_ar) * CFG.dt - CFG.tau * v_ar
-            assert h_next == pytest.approx((1.0 - CFG.eta) * h, abs=1e-9)
+            v_ar = reach(ar, DT)[1]
+            h = gap - TAU * v_ar
+            floor = lateral_rear_row(ego, ar, ETA, TAU, DT).floor
+            h_next = gap + (math.cos(psi) * floor - v_ar) * DT - TAU * v_ar
+            assert h_next == pytest.approx((1.0 - ETA) * h, abs=1e-9)
 
     def test_satisfaction_matches_gap_oracle(self):
         rng = np.random.default_rng(3)
@@ -222,7 +227,7 @@ class TestLateralCbfs:
             ego = make_vehicle(0, 200.0, v_e, lane=road.ramp_lane, road=road)
             al = make_vehicle(1, ego.state.x + gap_al + 5.0, v_al, lane=0, road=road)
             ar = make_vehicle(2, ego.state.x - gap_ar - 5.0, v_ar, lane=0, road=road)
-            ok = allow_lane_change(ego, al, ar, CFG)
+            ok = allow_lane_change(ego, al, ar, TAU, DT)
             # independent go/no-go gap check with the same thresholds
             want = (gap_al >= 0.5 * v_e) and (gap_ar >= 0.5 * (v_ar + 0.5))
             assert ok == want
@@ -231,7 +236,7 @@ class TestLateralCbfs:
 class TestAllowLaneChange:
     def test_empty_adjacent_lane(self):
         ego = make_vehicle(0, 100.0, 20.0)
-        assert allow_lane_change(ego, None, None, CFG)
+        assert allow_lane_change(ego, None, None, TAU, DT)
 
     def test_adjacent_leader_form(self):
         # the leader barrier is gap - tau * v_e: 15 - 10 passes, and the
@@ -240,13 +245,13 @@ class TestAllowLaneChange:
         ego = make_vehicle(0, 100.0, 20.0, lane=road.ramp_lane, road=road)
         for gap, want in ((15.0, True), (10.0, True), (9.99, False)):
             al = make_vehicle(1, 100.0 + gap + 5.0, 20.0, lane=0, road=road)
-            assert allow_lane_change(ego, al, None, CFG) == want
+            assert allow_lane_change(ego, al, None, TAU, DT) == want
 
     def test_close_leader_blocks(self):
         road = RoadNetwork()
         ego = make_vehicle(0, 100.0, 20.0, lane=road.ramp_lane, road=road)
         al = make_vehicle(1, 100.0 + 5.0 + 8.0, 20.0, lane=0, road=road)  # gap 8 < 10
-        assert not allow_lane_change(ego, al, None, CFG)
+        assert not allow_lane_change(ego, al, None, TAU, DT)
 
     def test_randomized_boundary_cases_match_oracle(self):
         rng = np.random.default_rng(5)
@@ -261,7 +266,7 @@ class TestAllowLaneChange:
             al = make_vehicle(1, ego.state.x + gap_al + 5.0, 22.0, lane=0, road=road)
             ar = make_vehicle(2, ego.state.x - gap_ar - 5.0, v_ar, lane=0, road=road)
             want = (gap_al >= 0.5 * v_e) and (gap_ar >= 0.5 * (v_ar + 0.5))
-            assert allow_lane_change(ego, al, ar, CFG) == want
+            assert allow_lane_change(ego, al, ar, TAU, DT) == want
 
 
 class TestLaneChangeFeasible:
@@ -275,8 +280,8 @@ class TestLaneChangeFeasible:
             frozen = make_vehicle(1, 100.0 + gap + 5.0, 20.0, lane=0, road=road)
             stopped = make_vehicle(1, 100.0 + gap + 5.0, 0.0, lane=0, road=road)
             frozen.crashed = stopped.crashed = True
-            verdict = lane_change_feasible(ego, frozen, None, CFG, {})
-            assert verdict == lane_change_feasible(ego, stopped, None, CFG, {}), gap
+            verdict = lane_change_feasible(ego, frozen, None, TAU, DT, {})
+            assert verdict == lane_change_feasible(ego, stopped, None, TAU, DT, {}), gap
             verdicts.append(verdict)
         assert not verdicts[0] and verdicts[-1]
 
@@ -289,11 +294,12 @@ class TestLaneChangeFeasible:
             frozen = make_vehicle(1, 100.0 - gap - 5.0, 20.0, lane=0, road=road)
             stopped = make_vehicle(1, 100.0 - gap - 5.0, 0.0, lane=0, road=road)
             frozen.crashed = stopped.crashed = True
-            assert allow_lane_change(ego, None, frozen, CFG) == \
-                allow_lane_change(ego, None, stopped, CFG), gap
-            assert lane_change_feasible(ego, None, frozen, CFG, {}) == \
-                lane_change_feasible(ego, None, stopped, CFG, {}), gap
-            assert lateral_rear_row(ego, frozen, CFG) == lateral_rear_row(ego, stopped, CFG), gap
+            assert allow_lane_change(ego, None, frozen, TAU, DT) == \
+                allow_lane_change(ego, None, stopped, TAU, DT), gap
+            assert lane_change_feasible(ego, None, frozen, TAU, DT, {}) == \
+                lane_change_feasible(ego, None, stopped, TAU, DT, {}), gap
+            assert lateral_rear_row(ego, frozen, ETA, TAU, DT) == \
+                lateral_rear_row(ego, stopped, ETA, TAU, DT), gap
 
 
 class TestBrakeCap:
@@ -311,14 +317,14 @@ class TestBrakeCap:
             v_next = None if i % 2 else max(0.0, v_l + float(rng.uniform(-0.5, 0.2)))
             v_hi = None if i % 3 else float(rng.uniform(0.0, 40.0))
             # a missing draw credits the worst case or tops out at the reach box
-            credit = max(0.0, v_l + leader.params.a_min * CFG.dt) if v_next is None else v_next
-            top = min(ego.params.v_cap, v_e + ego.params.a_max * CFG.dt) if v_hi is None else v_hi
+            credit = max(0.0, v_l + leader.params.a_min * DT) if v_next is None else v_next
+            top = min(ego.params.v_cap, v_e + ego.params.a_max * DT) if v_hi is None else v_hi
             # the gap after this step, from the pre-step v_x of both
-            gap_next = bumper_gap(ego, leader) + (leader.state.v_x - ego.state.v_x) * CFG.dt
-            cap = brake_guard(gap_next, credit, top, -ego.params.a_min, CFG)
+            gap_next = bumper_gap(ego, leader) + (leader.state.v_x - ego.state.v_x) * DT
+            cap = brake_guard(gap_next, credit, top, -ego.params.a_min, TAU, DT)
 
             def margin_at(v):
-                return brake_margin(gap_next, v, credit, -ego.params.a_min, CFG.tau, CFG.dt)
+                return brake_margin(gap_next, v, credit, -ego.params.a_min, TAU, DT)
 
             want = bisect_cap(margin_at, top)
             if want is None:
@@ -485,8 +491,7 @@ class TestFilterHss:
         # this step's travel at the pre-step speeds and the leader's
         # hardest braking credited after it, found by an independent
         # monotone search
-        cfg = CFG
-        dt = cfg.dt
+        dt = DT
         v_l = 16.0
         x_e, v_e = 0.0, 22.0
         x_l = 65.0
@@ -499,15 +504,15 @@ class TestFilterHss:
             v_l_wc = max(0.0, v_l + leader.params.a_min * dt)
             lo = max(0.0, v_e + ego.params.a_min * dt)
             hi = min(ego.params.v_cap, v_e + ego.params.a_max * dt)
-            h_now = gap - cfg.tau * v_e
+            h_now = gap - TAU * v_e
 
             gap_next = gap + (v_l - v_e) * dt
 
             def ok(v_cmd):
-                if gap_next - cfg.tau * v_cmd < (1.0 - cfg.eta) * h_now - 1e-12:
+                if gap_next - TAU * v_cmd < (1.0 - ETA) * h_now - 1e-12:
                     return False
                 return brake_margin(gap_next, v_cmd, v_l_wc, -ego.params.a_min,
-                                    cfg.tau, dt) >= -1e-12
+                                    TAU, dt) >= -1e-12
 
             assert ok(lo), "approach left the feasible envelope"
             if ok(hi):
@@ -532,7 +537,7 @@ class TestFilterHss:
         # physically doomed state: leader much slower at a tiny gap
         out = pair_outcome(gap=3.0, v_e=30.0, v_l=2.0, v_nominal=30.0)
         assert out.fault
-        assert out.v_safe == pytest.approx(30.0 + (-5.0) * CFG.dt)
+        assert out.v_safe == pytest.approx(30.0 + (-5.0) * DT)
 
     def test_cap_just_below_reach_lo_is_not_a_fault(self, monkeypatch):
         # a brake cap under reach_lo by float noise (at most FEAS_TOL) pins
@@ -542,7 +547,7 @@ class TestFilterHss:
         def guard_at(cap):
             return lambda *a, **k: cap
 
-        reach_lo = 25.0 + (-5.0) * CFG.dt
+        reach_lo = 25.0 + (-5.0) * DT
         for below in (0.0, 1e-15, 1e-12, 1e-9):
             monkeypatch.setattr(shield, "brake_guard", guard_at(reach_lo - below))
             out = pair_outcome(gap=80.0, v_e=25.0, v_l=25.0, v_nominal=25.0)
@@ -558,15 +563,15 @@ class TestFilterHss:
 class TestCreditRule:
     def test_resolved_vehicle_is_credited_its_command_else_its_box_floor(self):
         leader = make_vehicle(1, 150.0, 20.0)
-        floor = 20.0 + leader.params.a_min * CFG.dt
-        assert reach(leader, CFG.dt)[0] == floor
+        floor = 20.0 + leader.params.a_min * DT
+        assert reach(leader, DT)[0] == floor
         out = ShieldOutcome(21.0, 19.5, -1.5)
-        assert credited_speed(leader, {1: out}, CFG.dt) == 19.5
-        assert credited_speed(leader, {}, CFG.dt) == floor
-        assert credited_speed(leader, {2: out}, CFG.dt) == floor
+        assert credited_speed(leader, {1: out}, DT) == 19.5
+        assert credited_speed(leader, {}, DT) == floor
+        assert credited_speed(leader, {2: out}, DT) == floor
         # a wreck is never resolved, and its box is a standstill
         leader.crashed = True
-        assert credited_speed(leader, {2: out}, CFG.dt) == 0.0
+        assert credited_speed(leader, {2: out}, DT) == 0.0
 
     @pytest.mark.parametrize("mode", ["hss", "mass"])
     def test_every_leader_speed_is_credited_from_the_mode_credit(self, mode, monkeypatch):
@@ -612,12 +617,12 @@ class TestCreditRule:
         ego = make_vehicle(0, 250.0, 20.0, lane=road.ramp_lane, road=road)
         leader = make_vehicle(1, 250.0 + 30.0 + 5.0, 20.0, lane=0, road=road)
         w = make_world([ego, leader], road=road, shield_mode=mode)
-        assert allow_lane_change(ego, leader, None, w.shield)
+        assert allow_lane_change(ego, leader, None, TAU, DT)
         plans = {0: MotionPlan(v_target=20.0, target_lane=0, lane_request=True),
                  1: MotionPlan(v_target=20.0, target_lane=0)}
         monkeypatch.setattr(shield, "credited_speed", lambda vehicle, resolved, dt: bad)
         with pytest.raises(ValueError, match="credited speed toward vehicle 1 is not finite"):
-            lane_change_feasible(ego, leader, None, w.shield, {})
+            lane_change_feasible(ego, leader, None, TAU, DT, {})
         with pytest.raises(ValueError, match="credited speed toward vehicle 1 is not finite"):
             resolve(w, plans, InteractionTopology({0: (), 1: ()}))
 
@@ -650,7 +655,6 @@ class TestFilterMass:
 
     def test_each_parent_constraint_can_bind(self):
         road = RoadNetwork()
-        cfg = CFG
         # changing ego with both a slow own-lane leader and a slow target-lane
         # leader; whichever is tighter appears in the active set
         for tight in (1, 2):
@@ -694,7 +698,7 @@ class TestFilterMass:
         w = make_world([ego, leader])
         plans = {0: MotionPlan(v_target=22.0, target_lane=0)}
         out = resolve(w, plans)[0]
-        assert credited_speed(leader, {}, CFG.dt) == 0.0
+        assert credited_speed(leader, {}, DT) == 0.0
         # the ego is settled on its centreline, so its maneuver stages its state
         assert out.staged == ego.state
         assert out == filtered(ego, [(leader, 0.0)], 22.0)
@@ -707,7 +711,7 @@ class TestFilterMass:
         from mergeshield import shield
 
         ego = make_vehicle(0, 100.0, 25.0)
-        top = 25.0 + ego.params.a_max * CFG.dt
+        top = 25.0 + ego.params.a_max * DT
         # two leaders at one gap have the same headway cap, a third a larger one
         first, twin, far = (make_vehicle(vid, 100.0 + ego.params.length + gap, 25.0)
                             for vid, gap in ((1, 12.5), (2, 12.5), (3, 12.8)))
@@ -761,10 +765,10 @@ class TestJointSafeControl:
 
         seen = {"steps": 0, "faster": 0, "requests": 0, "hss_grants": 0}
 
-        def both_modes(config, topology, plans, near, index, road):
-            mass = joint_safe_control(config, topology, plans, near, index, road)
+        def both_modes(config, topology, plans, near, index, road, tau, dt):
+            mass = joint_safe_control(config, topology, plans, near, index, road, tau, dt)
             hss = joint_safe_control(replace(config, mode="hss"), topology, plans, near, index,
-                                     road)
+                                     road, tau, dt)
             assert mass.keys() == hss.keys()
             for vid, out in mass.items():
                 assert out.v_safe >= hss[vid].v_safe, (index.step_index, vid)
@@ -802,11 +806,11 @@ class TestJointSafeControl:
         gate = shield_mod.lane_change_feasible
         seen = {"leaders": 0}
 
-        def checking(ego, c_oal, c_oar, config, resolved):
+        def checking(ego, c_oal, c_oar, tau, dt, resolved):
             if c_oal is not None and not c_oal.crashed:
                 assert c_oal.vid in resolved, (ego.vid, c_oal.vid)
                 seen["leaders"] += 1
-            return gate(ego, c_oal, c_oar, config, resolved)
+            return gate(ego, c_oal, c_oar, tau, dt, resolved)
 
         monkeypatch.setattr(shield_mod, "lane_change_feasible", checking)
         cfg = RunConfig(shield=ShieldConfig(mode=mode), policy=PolicySpec(kind="random"))
@@ -829,12 +833,11 @@ class TestJointSafeControl:
         # envelope after this step while its leader holds; when the front
         # one brakes, the credits pass it back through both brake guards
         road = RoadNetwork()
-        cfg = CFG
 
         def envelope_gap(v_f, v_l):
             # the next gap whose brake_margin is 0, less this step's closing
-            return (-brake_margin(0.0, v_f, v_l, 5.0, cfg.tau, cfg.dt)
-                    - (v_l - v_f) * cfg.dt + 0.01)
+            return (-brake_margin(0.0, v_f, v_l, 5.0, TAU, DT)
+                    - (v_l - v_f) * DT + 0.01)
 
         front = make_vehicle(2, 300.0, 12.0, road=road)
         mid = make_vehicle(1, 300.0 - 5.0 - envelope_gap(20.0, 12.0), 20.0, road=road)
@@ -984,6 +987,66 @@ class TestShieldedEpisodes:
         assert edges > 5000 and on_envelope > 20
 
 
+@st.composite
+def envelope_chains(draw):
+    """A chain of 2-5 vehicles on the through lane ahead of the merge
+    window, each follower inside the braking envelope of the vehicle ahead
+    (``brake_margin >= 0``), and an action for each."""
+    params, road = VehicleParams(), RoadNetwork()
+    brake = -params.a_min
+    x, v_lead = draw(st.floats(-200.0, road.merge_start - 20.0)), draw(st.floats(0.0, 35.0))
+    vehicles = [make_vehicle(0, x, v_lead, road=road, params=params)]
+    for vid in range(1, draw(st.integers(2, 5))):
+        gap = draw(st.floats(0.0, 80.0))
+        v = brake_cap(gap, draw(st.floats(0.0, 35.0)), v_lead, brake, TAU, DT)
+        assume(brake_margin(gap, v, v_lead, brake, TAU, DT) >= 0.0)
+        x -= gap + params.length
+        vehicles.append(make_vehicle(vid, x, v, road=road, params=params))
+        v_lead = v
+    actions = {v.vid: draw(st.sampled_from(list(BehaviorAction))) for v in vehicles}
+    return vehicles, actions
+
+
+class TestForwardInvariance:
+    @settings(max_examples=300, deadline=None)
+    @given(chain=envelope_chains(), mode=st.sampled_from(["hss", "mass"]))
+    def test_a_same_lane_chain_inside_the_envelope_stays_inside(self, chain, mode):
+        # ROADMAP item 1 (a), same-lane part: one step under any actions
+        # leaves every pair inside the braking envelope.  The envelope does
+        # not imply the headway barrier, though: a follower inside it whose
+        # h = gap - tau * v cannot keep (1 - eta) of itself even at full
+        # braking faults (3.625 m/s 2 m behind a stopped leader), so every
+        # fault must be such a one, never the brake guard's
+        vehicles, actions = chain
+        before = {v.vid: (bumper_gap(v, ahead), v.state.v_x, ahead.state.v_x, reach(v, DT)[0],
+                          v.state.speed)
+                  for v, ahead in zip(vehicles[1:], vehicles)}
+        w = make_world(vehicles, shield_mode=mode)
+        outcomes, _ = step_world(w, actions)
+        for vid, out in outcomes.items():
+            if out.fault:
+                gap, v_x, v_x_lead, lo, v = before[vid]
+                gap_next = gap + (v_x_lead - v_x) * DT
+                assert gap_next - TAU * lo < (1.0 - ETA) * (gap - TAU * v), vid
+        for follower, leader in zip(vehicles[1:], vehicles):
+            margin = brake_margin(bumper_gap(follower, leader), follower.state.speed,
+                                  leader.state.speed, -follower.params.a_min, TAU, DT)
+            assert margin >= -1e-9, (follower.vid, margin)
+
+    def test_a_pair_inside_the_envelope_can_fault_on_the_headway_barrier(self):
+        # the example of the comment above, in both modes: on the envelope's
+        # edge with h = 2 - 0.5 * 3.625 = 0.1875 m, the headway cap
+        # (1.6375 - 0.5 * 0.1875) / 0.5 = 3.0875 m/s lies below the reach
+        # box's 3.125 m/s
+        for mode in ("hss", "mass"):
+            leader = make_vehicle(0, 0.0, 0.0)
+            follower = make_vehicle(1, -7.0, 3.625)
+            assert brake_margin(bumper_gap(follower, leader), 3.625, 0.0, 5.0, TAU, DT) == 0.0
+            lo = reach(follower, DT)[0]
+            outcomes, _ = step_world(make_world([leader, follower], shield_mode=mode), {})
+            assert outcomes[1].fault and outcomes[1].v_safe == lo, mode
+
+
 def exact(outcomes):
     """Outcomes by vid with every float, those of the staged state too, as
     its ``hex()``, so equal values are equal bit for bit."""
@@ -1004,7 +1067,8 @@ def reference_agrees(w, plans):
 
     near = neighborhoods(w)
     topo = build_topology(w.vehicles, near)
-    args = (w.shield, topo, plans, near, neighbor_index(w), w.road)
+    args = (w.shield, topo, plans, near, neighbor_index(w), w.road, w.scenario.tau,
+            w.scenario.dt)
     guards = {shield: [], shield_oracle: []}
 
     def recording(module):

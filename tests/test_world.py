@@ -29,6 +29,7 @@ from mergeshield.world import (
     Neighborhood,
     ScenarioConfig,
     Vehicle,
+    World,
     neighbors,
     observe,
     perceived,
@@ -496,10 +497,10 @@ class TestScalarClamps:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(shield_mod, "solve_qp", solve_qp)
             mp.setattr(shield_mod, "maneuver", lambda state, y, changing, dt: state)
-            out = joint_safe_control(ShieldConfig(dt=dt), InteractionTopology({}),
+            out = joint_safe_control(ShieldConfig(), InteractionTopology({}),
                                      {0: MotionPlan(v_target=v_nominal, target_lane=0)},
                                      {0: Neighborhood(None, None, None)}, index,
-                                     RoadNetwork())[0]
+                                     RoadNetwork(), 0.5, dt)[0]
         lo = max(0.0, v + a_min * dt)
         hi = min(v_cap, v + a_max * dt)
         v_nom = min(max(v_nominal, lo), hi)
@@ -519,7 +520,7 @@ class TestScalarClamps:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(world_mod, "joint_safe_control",
-                       lambda config, topology, plans, near, index, road:
+                       lambda config, topology, plans, near, index, road, tau, dt:
                        {0: ShieldOutcome(v_safe, v_safe, 0.0, staged=world.vehicles[0].state)})
             mp.setattr(world_mod, "step", step)
             step_world(world, {})
@@ -775,6 +776,29 @@ class TestStepWorld:
                 assert bumper_gap(follower, leader) / v >= w.scenario.tau - 1e-9
         assert not follower.crashed and not leader.crashed
 
+    def test_shield_keeps_the_headway_of_the_scenario_it_runs_in(self):
+        # a world built directly, with no copy of tau or dt to hand the
+        # shield: it predicts with the scenario's step and keeps the
+        # scenario's headway toward a slower, hard-braking leader
+        road = RoadNetwork()
+        leader = make_vehicle(1, 95.0, 15.0, road=road)
+        follower = make_vehicle(0, 30.0, 25.0, road=road)
+        w = World(road=road, scenario=ScenarioConfig(tau=0.7, dt=0.05),
+                  shield=ShieldConfig(mode="mass"), vehicles=[follower, leader])
+        headways = []
+        for _ in range(240):
+            step_world(w, {0: BehaviorAction.SPEED_UP, 1: BehaviorAction.SLOW_DOWN})
+            if follower.state.speed >= 1.0:
+                headways.append(bumper_gap(follower, leader) / follower.state.speed)
+        assert len(headways) > 100 and min(headways) >= 0.7 - 1e-9
+        assert not follower.crashed and not leader.crashed
+
+    def test_a_vehicle_id_held_twice_is_rejected(self):
+        # two vehicles under one id would share one plan and one outcome
+        twins = [make_vehicle(0, 100.0, 20.0), make_vehicle(0, 150.0, 10.0)]
+        with pytest.raises(ValueError, match="^vehicle id 0 is held twice$"):
+            make_world(twins)
+
     def test_shield_choice_is_max_safe_speed(self):
         # grid oracle across a whole approach: at every step the filtered
         # command equals the largest reachable speed whose one-step outcome
@@ -785,7 +809,7 @@ class TestStepWorld:
         leader = make_vehicle(1, 130.0, 12.0, road=road)
         follower = make_vehicle(0, 30.0, 22.0, road=road)
         w = make_world([follower, leader], road=road)
-        cfg = w.shield
+        cfg, eta = w.scenario, w.shield.eta
         dt = cfg.dt
         saw_binding = False
         for _ in range(60):
@@ -804,7 +828,7 @@ class TestStepWorld:
             gap_next = gap + (pre_leader.v_x - pre_follower.v_x) * dt
 
             def safe_at(v_cmd):
-                ok_barrier = gap_next - cfg.tau * v_cmd >= (1.0 - cfg.eta) * h_now - 1e-12
+                ok_barrier = gap_next - cfg.tau * v_cmd >= (1.0 - eta) * h_now - 1e-12
                 ok_brake = brake_margin(gap_next, v_cmd, leader_cmd, -follower.params.a_min,
                                         cfg.tau, dt) >= -1e-12
                 return ok_barrier and ok_brake
