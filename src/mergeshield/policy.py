@@ -169,6 +169,9 @@ class RandomPolicy(Policy):
 class HeuristicPolicy(Policy):
     """Deterministic scripted merger / giver-of-way."""
 
+    # needs_observations stays True, though unread: the benchmark's traced
+    # spans expect world.observe calls until the observation path goes
+
     def decide(self, step_index, world, observations):
         actions = {}
         for vehicle in world.vehicles:

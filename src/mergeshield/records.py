@@ -258,11 +258,11 @@ def _step_encoder():
         return repr(v)
 
     def row(r: VehicleRow) -> str:
+        if wreck_rows.get(r[0]) is r:  # it holds only crashed rows without an action
+            return wreck_texts[r[0]]
         (vid, lane, target_lane, x, y, v_x, v_y, psi, merged, merge_failed, crashed, action,
          v_nominal, v_safe, v_cbf, lane_change_allowed, slack, active, fault, reward,
          reward_overall) = r
-        if crashed and action is None and wreck_rows.get(vid) is r:
-            return wreck_texts[vid]
         # each float field's text: its repr when all are finite floats, else
         # what ``num`` writes; ``vx`` keeps v_x's value only on the repr path
         if (x.__class__ is y.__class__ is v_x.__class__ is v_y.__class__ is psi.__class__

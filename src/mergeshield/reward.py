@@ -88,7 +88,7 @@ def merge_reward(x_m: float, merge_length: float) -> float:
 
 
 def _leader_gap(world: "World", vehicle: "Vehicle") -> float | None:
-    c_ol = _world.neighbors(world, vehicle).c_ol
+    c_ol = _world.leader(world, vehicle)
     if c_ol is None:
         return None
     gap = bumper_gap(vehicle, c_ol)
@@ -120,9 +120,10 @@ def fleet_rewards(world: "World", weights: RewardWeights, *, vids) -> dict:
 
     ``weights.function`` selects the reward flavour.  The episode loop
     names the vehicles that acted this step, so a wreck from an earlier
-    step gets no reward.  Individual rewards are computed once
-    each, and only for the named vehicles and the members of their
-    perceived groups, which can include wrecks.
+    step gets no reward.  Individual rewards are computed once each, and
+    only for the named vehicles and the members of their perceived groups,
+    which can include wrecks: :func:`mergeshield.world.leader` finds an
+    unnamed wreck's leader by a walk ahead alone.
 
     The group average adds left to right from ``0 + own``, the order a
     plain ``sum`` used before Python 3.12 made float sums compensated, so

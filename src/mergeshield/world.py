@@ -12,19 +12,20 @@ so one patch of the attribute reaches them all.
 
 Each world state has one fleet order, the :class:`NeighborIndex`: the fleet
 in ``(x, -vid)`` order, sorted by descending vid, then stably by ``x``.
-Perception queries (:func:`neighbors`, :func:`observe`, :func:`perceived`),
-the heuristic's ramp window, the shield's evaluation order and the collision
-sweep all read it.  It holds only ids and positions; lanes and flags are
-read live, so the merge bookkeeping, which moves no vehicle, leaves it
-valid.  ``step_world`` advances ``step_index`` and builds the post-step
-index right after integration; it serves that step's collision sweep and
-rewards and all of the next step.  One walk outward from the ego along the
-order answers both perception questions, measuring each candidate it meets
-once: the first call of :func:`neighbors` or :func:`perceived` for a vehicle
-in a state memoises its :class:`Neighborhood` and its perceived group on the
-index together, and every later call of either reads them.  The road has two
-lanes, so a vehicle's perception-adjacent lane is always the other one,
-whether or not it is changing lanes.
+Perception queries (:func:`neighbors`, :func:`leader`, :func:`observe`,
+:func:`perceived`), the heuristic's ramp window, the shield's evaluation
+order and the collision sweep all read it.  It holds only ids and positions;
+lanes and flags are read live, so the merge bookkeeping, which moves no
+vehicle, leaves it valid.  ``step_world`` advances ``step_index`` and builds
+the post-step index right after integration; it serves that step's collision
+sweep and rewards and all of the next step.  One walk outward from the ego
+along the order answers both perception questions, measuring each candidate
+it meets once: the first call of :func:`neighbors` or :func:`perceived` for
+a vehicle in a state memoises its :class:`Neighborhood` and its perceived
+group on the index together, and every later call of either reads them;
+:func:`leader` walks only ahead for a wreck whose walk is not done.  The
+road has two lanes, so a vehicle's perception-adjacent lane is always the
+other one, whether or not it is changing lanes.
 
 Lateral maneuvers: the shield stages each live vehicle's
 :func:`mergeshield.dynamics.maneuver` once per step; ``step_world`` grants
@@ -56,6 +57,7 @@ __all__ = [
     "spawn",
     "neighbor_index",
     "neighbors",
+    "leader",
     "observe",
     "perceived",
     "plan_motion",
@@ -428,6 +430,28 @@ def neighbors(world: World, ego: Vehicle) -> Neighborhood:
     if near is None:
         near = _perceive(world, index, ego)[0]
     return near
+
+
+def leader(world: World, ego: Vehicle) -> Vehicle | None:
+    """The ego's ``c_ol``: :func:`neighbors` for a live ego.  A wreck's
+    leader is read from its memo if its walk is done, else found by a walk
+    ahead alone that memoises nothing, since nothing else of it is read."""
+    if not ego.crashed:
+        return neighbors(world, ego).c_ol
+    index = neighbor_index(world)
+    if ego.vid in index.near:
+        return index.near[ego.vid].c_ol
+    comm, ordered, xs, ys = world.scenario.comm_range, index.ordered, index.xs, index.ys
+    r = index.rank[ego.vid]
+    ex, ey, lane = xs[r], ys[r], ego.lane
+    for j in range(r + 1, len(xs)):
+        dx = xs[j] - ex
+        if dx > comm:
+            break
+        o = ordered[j]
+        if o.lane == lane and math.hypot(dx, ey - ys[j]) <= comm:
+            return o
+    return None
 
 
 def perceived(world: World, ego: Vehicle) -> list:

@@ -375,6 +375,7 @@ STEP_PATH_FUNCTIONS = (
     ("reward", "fleet_rewards"),
     ("world", "_perceive"),
     ("world", "neighbors"),
+    ("world", "leader"),
     ("world", "perceived"),
     ("world", "observe"),
     ("world", "plan_motion"),
@@ -479,7 +480,7 @@ def test_policy_and_reward_look_up_perception_at_call_time(monkeypatch):
     from mergeshield.policy import heuristic_policy
     from mergeshield.reward import RewardWeights, fleet_rewards
 
-    seen = {"neighbors": [], "perceived": []}
+    seen = {"neighbors": [], "perceived": [], "leader": []}
 
     def counting(name):
         fn = getattr(world_mod, name)
@@ -499,10 +500,18 @@ def test_policy_and_reward_look_up_perception_at_call_time(monkeypatch):
     # every ramp vehicle asks for its gap in the first branch, some highway
     # vehicle in the last
     assert ramp < set(seen["neighbors"]) and seen["perceived"] == []
-    seen["neighbors"].clear()
-    fleet_rewards(world, RewardWeights(), vids=vids)
-    # one perceived group and one leader gap per vehicle
-    assert seen["perceived"] == vids and sorted(seen["neighbors"]) == vids
+    # on a fresh state with a wreck in it: one perceived group and one
+    # neighbourhood per named live vehicle, and one leader per rewarded
+    # vehicle, the wreck's too, which is not named but in a group
+    world = build_world(RunConfig(policy=PolicySpec(kind="heuristic")), 0)
+    wreck = world.vehicles[4]
+    wreck.crashed = True
+    live = [vid for vid in vids if vid != wreck.vid]
+    for calls in seen.values():
+        calls.clear()
+    fleet_rewards(world, RewardWeights(), vids=live)
+    assert seen["perceived"] == live and sorted(seen["neighbors"]) == live
+    assert sorted(seen["leader"]) == vids
 
 
 @pytest.mark.parametrize("mode", ["none", "hss", "mass"])

@@ -15,9 +15,16 @@ from mergeshield.reward import (
     speed_reward,
 )
 from mergeshield.road import RoadNetwork
+from mergeshield.shield import bumper_gap
 from mergeshield.world import ScenarioConfig
 
-from conftest import make_vehicle, make_world
+from conftest import (
+    brute_force_neighbors,
+    brute_force_perceived,
+    make_vehicle,
+    make_world,
+    random_layout,
+)
 
 W = RewardWeights()
 
@@ -171,32 +178,46 @@ class TestOverallReward:
         assert fleet[0] == (ra, pytest.approx((ra + rb) / 2))
         assert fleet[1] == (rb, pytest.approx((ra + rb) / 2))
 
-    def test_matches_brute_force_on_random_fleets(self):
+    @pytest.mark.parametrize("function", ["default", "custom"])
+    def test_matches_brute_force_on_random_fleets(self, function):
+        # exact: each individual reward from the rescanned leader, each mean
+        # added left to right from 0 + own over the rescanned group; the
+        # fleets hold ties in x, lateral offsets, ongoing changes and wrecks,
+        # named or only met in a named vehicle's group
         rng = np.random.default_rng(14)
+        comm = ScenarioConfig().comm_range
         road = RoadNetwork()
+        weights = RewardWeights(function=function)
+
+        def individual(v, w):
+            leader = brute_force_neighbors(w, v)[0]
+            gap = None if leader is None else bumper_gap(v, leader)
+            r_h = 0.0 if gap is None or not gap > 0 else headway_reward(
+                gap, v.state.speed, w.scenario.tau)
+            r_s = speed_reward(v.state.speed, weights.v_min, weights.v_max)
+            r_m = merge_reward(v.x_m(road), road.merge_length) if v.lane == road.ramp_lane else 0.0
+            r = weights.w_h * r_h + weights.w_s * r_s + weights.w_m * r_m
+            if function == "default":
+                r = weights.w_c * (-1.0 if v.crashed else 0.0) + r
+            return r
+
+        unnamed_wrecks = 0
         for _ in range(30):
-            n = int(rng.integers(2, 10))
-            vehicles = [
-                make_vehicle(i, float(rng.uniform(0, 400)), float(rng.uniform(2, 30)),
-                             lane=int(rng.integers(0, 2)), road=road)
-                for i in range(n)
-            ]
+            vehicles, _ = random_layout(rng, road, comm)
+            named = [v for v in vehicles if rng.random() < 0.7]
+            vids = [v.vid for v in named]
             w = make_world(vehicles, road=road)
-            by_id = {v.vid: v for v in vehicles}
-            fleet = fleet_rewards(w, W, vids=list(by_id))
-            for ego in vehicles:
-                # brute-force neighbourhood mean
-                dists = sorted(
-                    (math.hypot(o.state.x - ego.state.x, o.state.y - ego.state.y), o.vid)
-                    for o in vehicles
-                    if o.vid != ego.vid
-                    and math.hypot(o.state.x - ego.state.x, o.state.y - ego.state.y)
-                    <= w.scenario.comm_range
-                )
-                group = [ego.vid] + [vid for _, vid in dists[: w.scenario.perception_n]]
-                want = sum(custom_reward(by_id[g], W, w) for g in group) / len(group)
-                assert fleet[ego.vid][1] == pytest.approx(want, abs=1e-12)
-                assert fleet[ego.vid][0] == pytest.approx(custom_reward(ego, W, w), abs=1e-12)
+            fleet = fleet_rewards(w, weights, vids=vids)
+            assert sorted(fleet) == vids
+            for ego in named:
+                own = individual(ego, w)
+                total = 0 + own
+                group = brute_force_perceived(w, ego)
+                for o in group:
+                    total += individual(o, w)
+                    unnamed_wrecks += o.crashed and o.vid not in vids
+                assert fleet[ego.vid] == (own, total / (1 + len(group)))
+        assert unnamed_wrecks > 20
 
     def test_scores_only_the_named_vehicles(self):
         # a named vehicle's pair does not depend on who else is named, a

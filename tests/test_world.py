@@ -30,6 +30,8 @@ from mergeshield.world import (
     ScenarioConfig,
     Vehicle,
     World,
+    leader,
+    neighbor_index,
     neighbors,
     observe,
     perceived,
@@ -38,53 +40,15 @@ from mergeshield.world import (
     step_world,
 )
 
-from conftest import assert_speed_exact, make_vehicle, make_world, spawned_world
-
-
-def is_ahead(a, b):
-    """Total longitudinal order: greater arc x, ties broken by smaller id."""
-    if a.state.x != b.state.x:
-        return a.state.x > b.state.x
-    return a.vid < b.vid
-
-
-def brute_force_neighbors(world, ego):
-    """O(n^2) rescan of the neighbour definitions; the adjacent lane is
-    the other of the road's two lanes."""
-    comm = world.scenario.comm_range
-    adj = 1 - ego.lane
-    ol = oal = oar = None
-    for o in world.vehicles:
-        if o.vid == ego.vid:
-            continue
-        if math.hypot(o.state.x - ego.state.x, o.state.y - ego.state.y) > comm:
-            continue
-        if o.lane == ego.lane and is_ahead(o, ego):
-            if ol is None or is_ahead(ol, o):
-                ol = o
-        if o.lane == adj:
-            if is_ahead(o, ego):
-                if oal is None or is_ahead(oal, o):
-                    oal = o
-            elif oar is None or is_ahead(o, oar):
-                oar = o
-    return ol, oal, oar
-
-
-def brute_force_reach(world, ego):
-    """In-range others sorted by (distance, vid), from a scan of the fleet."""
-    found = []
-    for o in world.vehicles:
-        d = math.hypot(o.state.x - ego.state.x, o.state.y - ego.state.y)
-        if o.vid != ego.vid and d <= world.scenario.comm_range:
-            found.append((d, o.vid, o))
-    found.sort(key=lambda t: (t[0], t[1]))
-    return [o for _, _, o in found]
-
-
-def brute_force_perceived(world, ego):
-    """:func:`brute_force_reach` truncated to perception_n."""
-    return brute_force_reach(world, ego)[: world.scenario.perception_n]
+from conftest import (
+    assert_speed_exact,
+    brute_force_neighbors,
+    brute_force_perceived,
+    make_vehicle,
+    make_world,
+    random_layout,
+    spawned_world,
+)
 
 
 def assert_same_vehicles(got, want):
@@ -137,48 +101,6 @@ def perception_cases(draw):
         vehicles.append(v)
     neighbors_first = draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
     return make_world(vehicles, road=road, scenario=scenario), neighbors_first
-
-
-def random_layout(rng, road, comm):
-    """Random fleet with ties in x, off-centreline y, vehicles mid-change and
-    crashed vehicles, plus two isolated clusters in which the nearest
-    vehicle by x is out of range through its lateral offset alone.
-
-    Returns the vehicles and the walks the clusters force, as
-    ``(ego, field, expected vehicle)``.
-    """
-    xs = rng.uniform(0.0, 400.0, size=5)  # fewer positions than vehicles: ties in x
-    vehicles = []
-    for vid in range(10):
-        lane = int(rng.choice(range(road.ramp_lane + 1)))
-        y = None
-        if rng.random() < 0.5:
-            y = road.centerline_y(lane) + float(rng.uniform(-1.5, 1.5))
-        target = int(rng.choice(range(road.ramp_lane + 1))) if rng.random() < 0.3 else lane
-        v = make_vehicle(vid, float(rng.choice(xs)), float(rng.uniform(5, 30)),
-                         lane=lane, road=road, y=y, target_lane=target)
-        v.crashed = bool(rng.random() < 0.2)
-        vehicles.append(v)
-
-    def add(x, lane, dy=0.0):
-        v = make_vehicle(len(vehicles), x, 20.0, lane=lane, road=road,
-                         y=road.centerline_y(0) + dy)
-        vehicles.append(v)
-        return v
-
-    adj = 1  # the perception-adjacent lane of lane 0
-    # forward: hypot(comm - 0.3, 15) > comm >= hypot(comm - 0.2, 1)
-    ego = add(-1000.0, 0)
-    add(-1000.0 + comm - 0.3, 0, dy=15.0)
-    leader = add(-1000.0 + comm - 0.2, 0)
-    add(-1000.0 + comm - 0.3, adj, dy=15.0)
-    adj_leader = add(-1000.0 + comm - 0.2, adj, dy=1.0)
-    # backward, in the adjacent lane
-    rear_ego = add(-2000.0, 0)
-    add(-2000.0 - comm + 0.3, adj, dy=15.0)
-    adj_rear = add(-2000.0 - comm + 0.2, adj, dy=1.0)
-    walks = [(ego, "c_ol", leader), (ego, "c_oal", adj_leader), (rear_ego, "c_oar", adj_rear)]
-    return vehicles, walks
 
 
 class TestSpawn:
@@ -300,6 +222,30 @@ class TestNeighbors:
                 assert all(row == [0.0] * 5 for row in rows[1 + len(seen):])
             for ego, name, expected in walks:
                 assert getattr(neighbors(w, ego), name) is expected
+
+    def test_leader_is_the_own_lane_neighbour(self):
+        # a live vehicle's leader is its c_ol; a wreck's is found on a fresh
+        # index by the walk ahead alone, which leaves both memos empty, and
+        # once the wreck's full walk is done it is read from the memo
+        rng = np.random.default_rng(12)
+        comm = ScenarioConfig().comm_range
+        road = RoadNetwork()
+        walked = 0
+        for trial in range(50):
+            vehicles, walks = random_layout(rng, road, comm)
+            ego, _, expected = walks[0]  # the forced c_ol walk, for a wreck every other time
+            ego.crashed = bool(trial % 2)
+            for v in vehicles:
+                w = make_world(vehicles, road=road)
+                got = leader(w, v)
+                if v.crashed:
+                    index = neighbor_index(w)
+                    assert v.vid not in index.near and v.vid not in index.seen
+                    walked += 1
+                assert got is neighbors(w, v).c_ol is brute_force_neighbors(w, v)[0]
+                assert leader(w, v) is got
+            assert leader(make_world(vehicles, road=road), ego) is expected
+        assert walked > 100
 
     @settings(max_examples=400, deadline=None)
     @given(perception_cases())
